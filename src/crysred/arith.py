@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import Degenerate, NotAUnit, NotIntegral, PrecisionExhausted
+from .errors import NotAUnit, NotIntegral, PrecisionExhausted
 
 # ---------------------------------------------------------------------------
 # F_p[x] helpers (residue polynomial search)
@@ -441,9 +441,6 @@ class OFElem:
         """Image in k_F as a coefficient tuple mod p."""
         return tuple(x % self.ctx.p for x in self.c)
 
-    def lift_centered(self) -> tuple:
-        return self.c
-
     def serial(self) -> dict:
         return {"c": list(self.c), "prec": self.prec}
 
@@ -473,16 +470,6 @@ def _fp_poly_invmod(a, g, p):
         raise NotAUnit("not invertible mod p")
     lead_inv = pow(r1[0], -1, p)
     return [(x * lead_inv) % p for x in s1]
-
-
-def of_valuation(x: OFElem):
-    """Spec operation: min p-adic valuation; None encodes ">= prec"."""
-    return x.valuation()
-
-
-def of_invert(x: OFElem) -> OFElem:
-    """Spec operation: inverse of a unit of O_F."""
-    return x.unit_inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -700,11 +687,6 @@ class USeries:
         return f"USeries({head}... @p^{self.prec}, M={self.ctx.m})"
 
 
-def useries_frobenius(s: USeries) -> USeries:
-    """Spec operation: the Frobenius u -> u^p on O_F[[u]]."""
-    return s.frobenius()
-
-
 # ---------------------------------------------------------------------------
 # ResidueSeries: k_F[[u]] / u^M
 # ---------------------------------------------------------------------------
@@ -826,19 +808,3 @@ def mat_det(a):
 def mat_adj(a):
     return ((a[1][1], -a[0][1]), (-a[1][0], a[0][0]))
 
-
-def mat_map(a, fn):
-    return ((fn(a[0][0]), fn(a[0][1])), (fn(a[1][0]), fn(a[1][1])))
-
-
-def mat_scale(a, s):
-    return mat_map(a, lambda x: x * s)
-
-
-def of_mat_inv(a) -> tuple:
-    """Inverse of a 2x2 matrix over O_F with unit determinant."""
-    d = mat_det(a)
-    if not d.is_unit():
-        raise Degenerate("matrix determinant is not a unit")
-    di = d.unit_inverse()
-    return mat_scale(mat_adj(a), di)

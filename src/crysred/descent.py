@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .arith import OFElem, USeries, mat_add, mat_det, mat_mul, mat_sub
+from .arith import OFElem, USeries, mat_add, mat_adj, mat_det, mat_mul, mat_sub
 from .errors import (
     AssumptionViolated,
     GateFailed,
@@ -249,8 +249,7 @@ def height_partner(a: Mat2, h: int) -> Mat2:
     if not unit.is_unit():
         raise HeightMismatch(f"det / E^{h} is not a unit")
     inv = s_invert(unit)
-    adj = ((a[1][1], -a[0][1]), (-a[1][0], a[0][0]))
-    b = tuple(tuple(s_mul(entry, inv) for entry in row) for row in adj)
+    b = tuple(tuple(s_mul(entry, inv) for entry in row) for row in mat_adj(a))
     # exact identity check at precision
     prod = mat_mul(a, b)
     e_h = SElem.e_pow(ctx, h, prod[0][0].prec)
@@ -265,7 +264,6 @@ class DescentCertificate:
     """Output of `descend`: the integral tuple plus the iteration log."""
 
     a_final: Tuple                      # tuple of 2x2 USeries matrices
-    a_final_selems: Tuple               # same matrices as integral SElems
     a0_mod_p: Tuple                     # residue matrices of the prepared A0
     chains: List[List[dict]]            # per-chain (slot, h, ell, next_h) rows
     iterations: int
@@ -274,8 +272,8 @@ class DescentCertificate:
     final_prec: int
     det_checks: List[dict] = field(default_factory=list)
 
-    def serial(self, include_matrices=False):
-        out = {
+    def serial(self):
+        return {
             "iterations": self.iterations,
             "residual_zero": self.residual_zero,
             "chains": self.chains,
@@ -283,10 +281,6 @@ class DescentCertificate:
             "final_prec": self.final_prec,
             "det_checks": self.det_checks,
         }
-        if include_matrices:
-            out["a_final"] = [[[e.serial() for e in row] for row in m]
-                              for m in self.a_final]
-        return out
 
 
 def estimate_iterations(weights: WeightData, budget: HeightBudget, p: int, m: int) -> int:
@@ -470,7 +464,6 @@ def descend(split: PreparedSplit, kisin: KisinFrobenius, budget: HeightBudget,
 
     cert = DescentCertificate(
         a_final=tuple(a_final_u),
-        a_final_selems=a_final_s,
         a0_mod_p=a0_residue,
         chains=chains,
         iterations=iteration,
@@ -518,5 +511,4 @@ def _height_partner_seeded(a, k, seeds, i):
     unit = det.div_e_pow(k).normalize_d(0)
     inv = s_invert(unit, seed=seeds[i])
     seeds[i] = inv
-    adj = ((a[1][1], -a[0][1]), (-a[1][0], a[0][0]))
-    return tuple(tuple(s_mul(entry, inv) for entry in row) for row in adj)
+    return tuple(tuple(s_mul(entry, inv) for entry in row) for row in mat_adj(a))

@@ -33,10 +33,6 @@ class Degenerate(CrysredError):
     """Matrix data violates an invertibility precondition."""
 
 
-class NotInIdeal(CrysredError):
-    """Ideal membership test failed for a split that requires it."""
-
-
 class GateFailed(CrysredError):
     """The valuation gate for the large-valuation pipeline failed."""
 

@@ -3,8 +3,8 @@
 A job fixes (p, f, r), the raw weight pairs, and per-embedding parameters
 (Type shorthand or explicit matrices).  `run_pipeline` executes
 
-    normalize -> classify -> detect -> slopes -> budget -> gate ->
-    build -> det-normalize -> prepare -> assumptions -> descend ->
+    preflight -> normalize -> classify -> detect -> slopes -> budget ->
+    gate -> build -> det-normalize -> prepare -> assumptions -> descend ->
     reduce -> characterize
 
 stopping with a stage-tagged error at the first hard failure, and returns
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
-from .arith import OFElem, PrimeContext
+from .arith import OFElem, PrimeContext, _is_prime
 from .errors import (
     ConfigError,
     CrysredError,
@@ -50,7 +50,7 @@ from .lattices import (
 )
 from .reduction import characterize, extract_reduction_data, reduce_mod_varpi
 
-MODES = ("full", "classify-only", "reduce-only", "oracle-suite")
+MODES = ("full", "classify-only", "reduce-only")
 
 
 @dataclass
@@ -90,7 +90,7 @@ class JobConfig:
         return cfg
 
     def validate(self):
-        if not isinstance(self.p, int) or self.p < 3:
+        if not isinstance(self.p, int) or self.p < 3 or not _is_prime(self.p):
             raise ConfigError("p must be an odd prime >= 3")
         if not isinstance(self.f, int) or self.f < 1:
             raise ConfigError("f must be a positive integer")
@@ -206,7 +206,7 @@ class RunReport:
     timings: dict = field(default_factory=dict)
     version: str = __version__
 
-    def serial(self, include_timings=False, include_matrices=False):
+    def serial(self, include_timings=False):
         out = {
             "version": self.version,
             "config": self.config,
@@ -218,14 +218,10 @@ class RunReport:
         }
         if include_timings:
             out["timings"] = self.timings
-        if not include_matrices:
-            out["stages"] = {k: v for k, v in out["stages"].items()}
-            out["stages"].pop("a_final", None)
         return out
 
-    def to_json(self, include_timings=False, include_matrices=False) -> str:
-        return json.dumps(self.serial(include_timings, include_matrices),
-                          sort_keys=True, indent=2)
+    def to_json(self, include_timings=False) -> str:
+        return json.dumps(self.serial(include_timings), sort_keys=True, indent=2)
 
 
 class PipelineStop(CrysredError):
@@ -252,7 +248,7 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
         report.timings[stage] = round(time.monotonic() - t0, 6)
 
     try:
-        pf = preflight_precision(cfg)
+        pf = _stage(report, "preflight", lambda: preflight_precision(cfg))
         report.preflight = pf
         weights = _stage(report, "weights", lambda: normalize_weights(cfg.weights))
         report.stages["weights"] = weights.serial()

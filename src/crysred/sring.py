@@ -7,8 +7,9 @@ An element is stored in the canonical expansion
 truncated at E-precision M.  The exponent d >= 0 tracks bounded
 denominators (x in p^(-d) S_F); d = 0 is the ring itself.  Canonical
 coefficients multiply by plain convolution with a carry factor
-p^(floor((i+j)/p) - floor(i/p) - floor(j/p)) in {1, p}, which depends only
-on (i mod p, j mod p), so products decompose into p^2 carry-free blocks.
+p^(floor((i+j)/p) - floor(i/p) - floor(j/p)) in {1, p}; after rescaling
+c_j by p^(D - floor(j/p)), D = floor((M-1)/p), a product is one Kronecker
+convolution followed by an exact division of each slot.
 
 The Frobenius phi fixes coefficients, sends u to u^p, and therefore sends
 E^j/p^floor(j/p) to p^(j - floor(j/p)) * gamma^j with gamma = phi(E)/p.
@@ -20,7 +21,7 @@ Zexponents of the unit lambda_b live in Z[phi] (PhiExpPoly).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .arith import (
     OFElem,
@@ -34,7 +35,7 @@ from .arith import (
     _conv2_raw,
     _fold_w,
 )
-from .errors import NotAUnit, NotIntegral, NotInIdeal, PrecisionExhausted
+from .errors import NotAUnit, NotIntegral, PrecisionExhausted
 
 
 class PhiExpPoly:
@@ -445,56 +446,6 @@ class SElem:
         """Mod-p image in k_F[[u]] (requires integrality)."""
         return self.to_useries().residue()
 
-    def to_block_form(self) -> List[List[OFElem]]:
-        """Coefficients alpha_j of x = sum_j alpha_j(u) (E^p/p)^j, deg < p.
-
-        The alpha_j are returned in u-coordinates, matching the preparation
-        step's convention; `from_block_form` inverts exactly.
-        """
-        if self.d != 0:
-            raise NotIntegral("block form is defined for d = 0 elements")
-        ctx = self.ctx
-        mod = ctx.ppow(self.prec)
-        out = []
-        nblocks = (ctx.m + ctx.p - 1) // ctx.p
-        for blk in range(nblocks):
-            epoly = []
-            for s in range(ctx.p):
-                j = blk * ctx.p + s
-                epoly.append(self.c[j] if j < ctx.m else (0,) * ctx.r)
-            # E = u + p: a_t = sum_{s>=t} binom(s,t) p^(s-t) e_s
-            upoly = []
-            for t in range(ctx.p):
-                acc = (0,) * ctx.r
-                for s in range(t, ctx.p):
-                    if any(epoly[s]):
-                        sc = (ctx.binom(s, t) * ctx.ppow(s - t)) % mod
-                        acc = _of_add_raw(acc, _of_scale_raw(epoly[s], sc, mod), mod)
-                upoly.append(OFElem(ctx, acc, self.prec))
-            out.append(upoly)
-        return out
-
-    @classmethod
-    def from_block_form(cls, ctx, blocks, prec=None) -> "SElem":
-        """Inverse of `to_block_form` (u = E - p within each block)."""
-        prec = ctx.nwork if prec is None else prec
-        mod = ctx.ppow(prec)
-        coeffs = _zero_coeffs(ctx)
-        for blk, upoly in enumerate(blocks):
-            for s in range(ctx.p):
-                j = blk * ctx.p + s
-                if j >= ctx.m:
-                    break
-                acc = (0,) * ctx.r
-                for t in range(s, ctx.p):
-                    a = upoly[t].c if isinstance(upoly[t], OFElem) else upoly[t]
-                    if any(a):
-                        sign = 1 if (t - s) % 2 == 0 else -1
-                        sc = (sign * ctx.binom(t, s) * ctx.ppow(t - s)) % mod
-                        acc = _of_add_raw(acc, _of_scale_raw(a, sc, mod), mod)
-                coeffs[j] = acc
-        return cls(ctx, coeffs, 0, prec)
-
     def serial(self) -> dict:
         """Debug serialization: (j, coefficient, floor(j/p)) triples."""
         trips = [[j, list(x), j // self.ctx.p]
@@ -514,47 +465,36 @@ class SElem:
 
 
 def s_mul(x: SElem, y: SElem) -> SElem:
-    """Canonical-form product with p-power carries.
+    """Canonical-form product by one Kronecker convolution.
 
     (E^a/p^floor(a/p)) (E^b/p^floor(b/p)) = p^car E^(a+b)/p^floor((a+b)/p)
-    with car in {0, 1} depending only on (a mod p, b mod p), so the product
-    splits into p^2 plain convolutions.
+    with car = floor((a+b)/p) - floor(a/p) - floor(b/p) >= 0.  Scaling c_j
+    by p^(D - floor(j/p)), D = floor((M-1)/p), makes every term of slot k a
+    multiple of p^(2D - floor(k/p)), so one plain convolution modulo
+    p^(prec+2D) followed by that exact division gives the carried product.
     """
     ctx = x.ctx
-    p, m = ctx.p, ctx.m
+    p = ctx.p
     prec = min(x.prec, y.prec)
+    dmax = (ctx.m - 1) // p
+    raw = _conv2_raw(ctx, _rescaled(x, dmax), _rescaled(y, dmax),
+                     ctx.ppow(prec + 2 * dmax), ctx.m)
     mod = ctx.ppow(prec)
-    out = [[0] * ctx.r for _ in range(m)]
-    xs = [x.c[s::p] for s in range(p)]
-    ys = [y.c[t::p] for t in range(p)]
-    x_live = [any(any(c) for c in blk) for blk in xs]
-    y_live = [any(any(c) for c in blk) for blk in ys]
-    for s in range(p):
-        if not x_live[s]:
-            continue
-        for t in range(p):
-            if not y_live[t]:
-                continue
-            base = s + t
-            carry = 0
-            if base >= p:
-                base -= p
-                carry = 1
-            # slot of block-index q: p*(q + carry) + base
-            max_q = (m - 1 - base) // p - carry
-            if max_q < 0:
-                continue
-            conv = _conv2_raw(ctx, xs[s], ys[t], mod, max_q + 1)
-            pc = ctx.ppow(carry)
-            for q, slot in enumerate(conv):
-                j = p * (q + carry) + base
-                if j >= m:
-                    break
-                folded = _fold_w(ctx, slot, mod)
-                row = out[j]
-                for i in range(ctx.r):
-                    row[i] = (row[i] + folded[i] * pc) % mod
-    return SElem(ctx, [tuple(row) for row in out], x.d + y.d, prec)
+    out = []
+    for k, slot in enumerate(raw):
+        q = ctx.ppow(2 * dmax - k // p)
+        out.append(_fold_w(ctx, tuple(v // q for v in slot), mod))
+    return SElem(ctx, out, x.d + y.d, prec)
+
+
+def _rescaled(x: SElem, dmax: int) -> list:
+    """Slots c_j p^(dmax - floor(j/p)), trailing zero slots dropped."""
+    ctx = x.ctx
+    n = len(x.c)
+    while n and not any(x.c[n - 1]):
+        n -= 1
+    return [tuple(v * ctx.ppow(dmax - j // ctx.p) for v in x.c[j])
+            for j in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +673,7 @@ def _s_int_pow(x: SElem, n: int) -> SElem:
 
 
 # ---------------------------------------------------------------------------
-# Filtration and ideal splitting
+# Filtration and ideal membership
 # ---------------------------------------------------------------------------
 
 
@@ -768,50 +708,3 @@ def in_p_pow_s(x: SElem, t: int) -> bool:
 def in_i_c(x: SElem, c: int) -> bool:
     """Membership in I_c; for unramified F this collapses to p^c S_F."""
     return in_p_pow_s(x, c)
-
-
-def in_j_c(x: SElem, c: int) -> bool:
-    """Slotwise membership test for J_c = p Fil^(cp) S_F + E Fil^(cp) S_F."""
-    x = x.reduce_d()
-    if x.d != 0:
-        return False
-    ctx = x.ctx
-    cp = c * ctx.p
-    for j in range(min(cp, ctx.m)):
-        if not x.slot_val_at_least(j, x.prec):
-            return False
-    for j in range(cp, ctx.m):
-        need = c + 1 if (j == cp or j % ctx.p == 0) else c
-        if not x.slot_val_at_least(j, need):
-            return False
-    return True
-
-
-class IdealSplit:
-    """Exact decomposition x = integral + small produced by ideal_split."""
-
-    __slots__ = ("integral", "small", "c", "small_in_jc")
-
-    def __init__(self, integral, small, c, small_in_jc):
-        self.integral = integral
-        self.small = small
-        self.c = c
-        self.small_in_jc = small_in_jc
-
-
-def ideal_split(x: SElem, c: int, split_only: bool = False) -> IdealSplit:
-    """Split x in I_c as y + z with y in p O_F[[u]] and z in Fil^(cp) S_F.
-
-    y is the polynomial head (slots below cp), which the I_c membership
-    makes a p-multiple of an E-polynomial; z is the tail.  `small_in_jc`
-    records whether z additionally passes the J_c slot test (for unramified
-    F the tail generally lands in Fil^(cp) S_F; see the notes in the
-    repository docs).  Reassembly y + z = x is exact.
-    """
-    x = x.reduce_d()
-    if not split_only and not in_i_c(x, c):
-        raise NotInIdeal(f"element not in I_{c} at precision")
-    cp = c * x.ctx.p
-    y = x.slice_below(cp)
-    z = x.slice_from(cp)
-    return IdealSplit(y, z, c, in_j_c(z, c))

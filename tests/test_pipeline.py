@@ -3,8 +3,9 @@
 import pytest
 
 from crysred.descent import compute_budget
+from crysred.errors import ConfigError
 from crysred.lattices import normalize_weights
-from crysred.pipeline import JobConfig, run_pipeline
+from crysred.pipeline import EXIT_CONFIG, JobConfig, exit_code_for, run_pipeline
 
 
 def f1_type_i_job(p, k):
@@ -34,3 +35,22 @@ class TestClassicalF1:
         assert report.result["shape"] == shape
         assert tuple(report.result["exponents"]) == exponents
         assert report.result["oracle_agrees"]
+
+
+class TestBadInputs:
+    def test_non_prime_p_is_config_error(self):
+        with pytest.raises(ConfigError):
+            JobConfig.from_dict({
+                "p": 9, "f": 1, "weights": [[3, 0]],
+                "params": [{"type": "I", "a1": 1, "a2": 9}],
+            })
+
+    def test_equal_weights_give_stage_tagged_error(self):
+        report = run_pipeline(JobConfig.from_dict({
+            "p": 5, "f": 1, "weights": [[2, 2]],
+            "params": [{"type": "I", "a1": 1, "a2": 25}],
+        }))
+        assert report.result is None
+        assert report.error["stage"] == "preflight"
+        assert report.error["type"] == "IrregularWeights"
+        assert exit_code_for(report) == EXIT_CONFIG

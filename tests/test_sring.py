@@ -4,14 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crysred.arith import OFElem, PrimeContext, USeries
-from crysred.errors import NotAUnit, NotInIdeal
+from crysred.errors import NotAUnit
 from crysred.sring import (
     PhiExpPoly,
     SElem,
     fil_membership,
     gamma,
-    ideal_split,
-    in_j_c,
     in_p_pow_s,
     lambda_b,
     lambda_power,
@@ -21,12 +19,27 @@ from crysred.sring import (
     s_mul,
 )
 
-from conftest import random_useries
+from conftest import random_of, random_useries
 
 
-def random_selem(ctx, rng, d=0):
-    return SElem(ctx, [[rng.randrange(ctx.ppow(ctx.n)) for _ in range(ctx.r)]
-                       for _ in range(ctx.m)], d, ctx.n)
+def random_selem(ctx, rng, d=0, prec=None):
+    prec = ctx.n if prec is None else prec
+    return SElem(ctx, [[rng.randrange(ctx.ppow(prec)) for _ in range(ctx.r)]
+                       for _ in range(ctx.m)], d, prec)
+
+
+def naive_s_mul(x, y):
+    """Schoolbook product from the definition: slot i + j gets
+    c_i d_j p^(floor((i+j)/p) - floor(i/p) - floor(j/p)), over O_F mod p^prec."""
+    ctx, p = x.ctx, x.ctx.p
+    prec = min(x.prec, y.prec)
+    out = [OFElem.zero(ctx, prec) for _ in range(ctx.m)]
+    for i in range(ctx.m):
+        for j in range(ctx.m - i):
+            carry = (i + j) // p - i // p - j // p
+            term = OFElem(ctx, x.c[i], prec) * OFElem(ctx, y.c[j], prec)
+            out[i + j] = out[i + j] + term * ctx.ppow(carry)
+    return tuple(v.c for v in out), x.d + y.d, prec
 
 
 class TestPhiExpPoly:
@@ -117,6 +130,30 @@ class TestSMul:
         u = random_useries(ctx5, rng)
         x = SElem.from_useries(u)
         assert SElem.from_useries(x.to_useries()) == x
+
+
+class TestSMulExact:
+    """s_mul against the definition: identical coefficients, d and precision."""
+
+    @pytest.mark.parametrize("name", ["ctx3", "ctx5", "ctx5r2"])
+    def test_matches_definition(self, name, request, rng):
+        ctx = request.getfixturevalue(name)
+        n, top, m = ctx.n, ctx.nwork + 2, ctx.m
+        pairs = [
+            (random_selem(ctx, rng), random_selem(ctx, rng)),
+            (random_selem(ctx, rng, d=1), random_selem(ctx, rng, d=2, prec=ctx.nwork)),
+            (random_selem(ctx, rng, prec=top), random_selem(ctx, rng, prec=n + 1)),
+            (random_selem(ctx, rng, prec=top), random_selem(ctx, rng, prec=top)),
+            (SElem.from_of(ctx, random_of(ctx, rng)), random_selem(ctx, rng, prec=top)),
+            (SElem.e_pow(ctx, m - 2), random_selem(ctx, rng, d=1)),
+            (SElem.e_pow(ctx, m - ctx.p - 1), SElem.e_pow(ctx, ctx.p)),
+            (SElem.e_pow(ctx, m - 1), SElem.e_pow(ctx, 1)),
+            (SElem.zero(ctx), random_selem(ctx, rng)),
+        ]
+        for x, y in pairs:
+            for a, b in ((x, y), (y, x)):
+                prod = s_mul(a, b)
+                assert (prod.c, prod.d, prod.prec) == naive_s_mul(a, b)
 
 
 class TestFrobenius:
@@ -231,59 +268,7 @@ class TestFiltration:
         assert levels == list(range(levels[-1] + 1)) if levels else True
 
 
-class TestIdealSplit:
-    def test_pc_scalar(self, ctx5):
-        c = 2
-        x = SElem.from_int(ctx5, ctx5.ppow(c))
-        sp = ideal_split(x, c)
-        assert sp.integral == x and sp.small.is_zero()
-
-    def test_e_cp_lands_in_small(self, ctx5):
-        c = 2
-        x = SElem.e_pow(ctx5, c * ctx5.p)
-        sp = ideal_split(x, c)
-        assert sp.integral.is_zero() and sp.small == x
-
-    def test_paper_recipe(self, ctx5, rng):
-        # x = p^c sum_j alpha_j (E^p/p)^j with scalar alphas:
-        # head must be p * sum_{j<c} p^(c-1-j) alpha_j E^(jp)
-        ctx, c = ctx5, 2
-        alphas = [rng.randrange(1, ctx.p) for _ in range(5)]
-        coeffs = [0] * ctx.m
-        for j, a in enumerate(alphas):
-            if j * ctx.p < ctx.m:
-                coeffs[j * ctx.p] = a * ctx.ppow(c)
-        x = SElem(ctx, coeffs)
-        sp = ideal_split(x, c)
-        expected_head = [0] * ctx.m
-        for j in range(c):
-            expected_head[j * ctx.p] = alphas[j] * ctx.ppow(c)
-        assert sp.integral == SElem(ctx, expected_head)
-        assert sp.integral.is_integral(margin=1)
-        assert fil_membership(sp.small, c * ctx.p)
-        assert sp.integral + sp.small == x
-
-    def test_membership_required(self, ctx5):
-        with pytest.raises(NotInIdeal):
-            ideal_split(SElem.one(ctx5), 2)
-
-    def test_jc_slot_test(self, ctx5):
-        c = 1
-        assert in_j_c(SElem.e_pow(ctx5, c * ctx5.p).mul_p_pow(1), c)
-        assert not in_j_c(SElem.e_pow(ctx5, c * ctx5.p), c)
-        assert in_j_c(SElem.e_pow(ctx5, c * ctx5.p + 1), c)
-
-
 class TestConversions:
-    def test_block_form_roundtrip(self, ctx5, rng):
-        x = random_selem(ctx5, rng)
-        blocks = x.to_block_form()
-        assert SElem.from_block_form(ctx5, blocks, prec=x.prec) == x
-
-    def test_block_degrees(self, ctx5, rng):
-        blocks = random_selem(ctx5, rng).to_block_form()
-        assert all(len(b) == ctx5.p for b in blocks)
-
     def test_div_mul_e_pow_roundtrip(self, ctx5, rng):
         for k in [1, 2, ctx5.p, ctx5.p + 3]:
             # support below M - k so the upward shift loses nothing
