@@ -9,5 +9,5 @@ the fundamental-character description of the mod-p reduction.
 
 __version__ = "0.1.0"
 
-from .arith import OFElem, PrimeContext, ResidueSeries, USeries  # noqa: F401
+from .arith import OFElem, PrimeContext, USeries  # noqa: F401
 from .sring import SElem, PhiExpPoly  # noqa: F401

@@ -4,7 +4,7 @@ O_F, the unramified extension of Z_p of degree r, is represented as
 Z[w]/(g(w), p^prec) for a fixed monic degree-r lift g of an irreducible
 polynomial over F_p; the lift is chosen deterministically per context and
 recorded in reports.  Power series live in O_F[[u]] truncated at u^M, and
-their residue images in k_F[[u]].
+their residue images in k_F[[u]] are the same series at precision 1.
 
 Precision is absolute and per element: an element stored at precision q is
 known modulo p^q.  Binary operations take the minimum of the operand
@@ -161,8 +161,8 @@ class PrimeContext:
         if f < 1:
             raise ValueError("f must be >= 1")
         r = f if r is None else r
-        if r % f != 0:
-            raise ValueError(f"r = {r} must be a multiple of f = {f}")
+        if r < 1 or r % f != 0:
+            raise ValueError(f"r = {r} must be a positive multiple of f = {f}")
         if n < 1 or m < 1:
             raise ValueError("precisions N, M must be >= 1")
         self.p = p
@@ -176,7 +176,7 @@ class PrimeContext:
         self.residue_poly = find_residue_poly(p, r)
         self._ppows = [1]
         self._wmod = self.ppow(self.nwork)
-        # reduction rows: w^(r+t) mod (g, p^nwork) for t = 0..r-2
+        # reduction rows: w^(r+t) mod g over Z for t = 0..r-2
         self._red_rows = self._build_red_rows()
         self._binom_rows = [(1,)]
         self._caches = {}
@@ -187,11 +187,15 @@ class PrimeContext:
         return self._ppows[k]
 
     def _build_red_rows(self):
-        """Reduction rows for w^(r+t), t = 0..r-2, computed mod p^nwork."""
-        r, mod, g = self.r, self._wmod, self.residue_poly
+        """Reduction rows for w^(r+t), t = 0..r-2, exact over Z.
+
+        Exact rows keep products of elements held above nwork correct;
+        the kernels reduce their results mod the product's own modulus.
+        """
+        r, g = self.r, self.residue_poly
         if r == 1:
             return []
-        base = [(-g[i]) % mod for i in range(r)]  # w^r
+        base = [-g[i] for i in range(r)]  # w^r
         rows = [tuple(base)]
         cur = base
         for _ in range(r - 2):
@@ -199,7 +203,7 @@ class PrimeContext:
             nxt = [0] + cur[:-1]
             if carry:
                 for i in range(r):
-                    nxt[i] = (nxt[i] + carry * base[i]) % mod
+                    nxt[i] += carry * base[i]
             rows.append(tuple(nxt))
             cur = nxt
         return rows
@@ -659,6 +663,11 @@ class USeries:
                 return j
         return None
 
+    def leading_unit(self) -> Optional[tuple]:
+        """Coefficient of the lowest nonzero u-power; None if zero."""
+        j = self.u_order()
+        return None if j is None else self.c[j]
+
     def frobenius(self) -> "USeries":
         """u -> u^p; coefficients are fixed (the embedding shift carries
         the semilinearity)."""
@@ -671,8 +680,9 @@ class USeries:
             out[pj] = self.c[j]
         return USeries(ctx, out, self.prec)
 
-    def residue(self) -> "ResidueSeries":
-        return ResidueSeries(self.ctx, [tuple(v % self.ctx.p for v in x) for x in self.c])
+    def residue(self) -> "USeries":
+        """Image in k_F[[u]]: the series at precision 1."""
+        return self.at_prec(1)
 
     def at_prec(self, prec):
         if prec > self.prec:
@@ -685,98 +695,6 @@ class USeries:
     def __repr__(self):
         head = [list(x) for x in self.c[:4]]
         return f"USeries({head}... @p^{self.prec}, M={self.ctx.m})"
-
-
-# ---------------------------------------------------------------------------
-# ResidueSeries: k_F[[u]] / u^M
-# ---------------------------------------------------------------------------
-
-
-class ResidueSeries:
-    """Truncated series over the residue field k_F = F_{p^r}."""
-
-    __slots__ = ("ctx", "c")
-
-    def __init__(self, ctx: PrimeContext, coeffs):
-        self.ctx = ctx
-        p = ctx.p
-        out = []
-        for j in range(ctx.m):
-            if j < len(coeffs):
-                cj = coeffs[j]
-                if isinstance(cj, int):
-                    cj = (cj,) + (0,) * (ctx.r - 1)
-                out.append(tuple(v % p for v in cj))
-            else:
-                out.append((0,) * ctx.r)
-        self.c = tuple(out)
-
-    @classmethod
-    def zero(cls, ctx):
-        return cls(ctx, ())
-
-    @classmethod
-    def one(cls, ctx):
-        return cls(ctx, (1,))
-
-    def __add__(self, other):
-        p = self.ctx.p
-        return ResidueSeries(self.ctx,
-                             [tuple((a + b) % p for a, b in zip(x, y))
-                              for x, y in zip(self.c, other.c)])
-
-    def __sub__(self, other):
-        p = self.ctx.p
-        return ResidueSeries(self.ctx,
-                             [tuple((a - b) % p for a, b in zip(x, y))
-                              for x, y in zip(self.c, other.c)])
-
-    def __neg__(self):
-        p = self.ctx.p
-        return ResidueSeries(self.ctx, [tuple((-a) % p for a in x) for x in self.c])
-
-    def __mul__(self, other):
-        ctx = self.ctx
-        return ResidueSeries(ctx, conv_series(ctx, self.c, other.c, ctx.p, ctx.m))
-
-    def __eq__(self, other):
-        if not isinstance(other, ResidueSeries):
-            return NotImplemented
-        return self.c == other.c
-
-    def __hash__(self):
-        raise TypeError("ResidueSeries is not hashable")
-
-    def is_zero(self):
-        return all(all(v == 0 for v in x) for x in self.c)
-
-    def u_order(self) -> Optional[int]:
-        for j, x in enumerate(self.c):
-            if any(x):
-                return j
-        return None
-
-    def leading_unit(self) -> Optional[tuple]:
-        """Coefficient of the lowest nonzero u-power (a k_F element)."""
-        j = self.u_order()
-        return None if j is None else self.c[j]
-
-    def frobenius(self) -> "ResidueSeries":
-        ctx = self.ctx
-        out = [(0,) * ctx.r for _ in range(ctx.m)]
-        for j in range(ctx.m):
-            pj = ctx.p * j
-            if pj >= ctx.m:
-                break
-            out[pj] = self.c[j]
-        return ResidueSeries(ctx, out)
-
-    def serial(self):
-        return {"u_coeffs": [list(x) for x in self.c]}
-
-    def __repr__(self):
-        nz = [(j, list(x)) for j, x in enumerate(self.c) if any(x)]
-        return f"ResidueSeries({nz[:6]}{'...' if len(nz) > 6 else ''})"
 
 
 # ---------------------------------------------------------------------------

@@ -189,8 +189,8 @@ def solve_exponent_system(tags, weights: WeightData):
     return b, pairs, tuple(anchors)
 
 
-def det_normalize(raw, tags, weights: WeightData, normalized_lattice,
-                  verify: bool = True) -> KisinFrobenius:
+def det_normalize(raw, tags, weights: WeightData,
+                  normalized_lattice) -> KisinFrobenius:
     """Apply the diagonal base change Diag(lambda^g, lambda^h).
 
     The output matrices are the closed forms
@@ -198,10 +198,10 @@ def det_normalize(raw, tags, weights: WeightData, normalized_lattice,
         Type I :  [[0, E^(k_i) a1], [1, a2 lambda_b^(h-g)]]
         Type II:  [[E^(k_i) a1, 0], [a2 lambda_b^(h-g), 1]]
 
-    With verify=True the full twisted conjugation
-    X^(i) A^(i) phi(X^(i-1))^(-1) is evaluated through lambda-power
-    identities and compared entrywise; disagreement raises DetCheckFailed
-    (the identity is exact, so failure indicates an arithmetic bug).
+    The full twisted conjugation X^(i) A^(i) phi(X^(i-1))^(-1) is
+    evaluated through lambda-power identities and compared entrywise;
+    disagreement raises DetCheckFailed (the identity is exact, so failure
+    indicates an arithmetic bug).
     The determinant is asserted equal to +-E^(k_i) a1^(i) entrywise.
     """
     ctx = raw[0][0][0].ctx
@@ -235,8 +235,7 @@ def det_normalize(raw, tags, weights: WeightData, normalized_lattice,
         if not (det == expected):
             raise DetCheckFailed(f"slot {i}: det != {signs[i]:+d} E^k a1")
 
-    if verify:
-        _verify_conjugation(raw, mats, pairs, b, weights)
+    _verify_conjugation(raw, mats, pairs, b, weights)
 
     return KisinFrobenius(
         amat=tuple(mats),

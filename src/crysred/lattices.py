@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from .arith import OFElem, mat_det, mat_mul
-from .errors import Degenerate, IrregularWeights, PrecisionExhausted
+from .errors import Degenerate, IrregularWeights, NotIntegral, PrecisionExhausted
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,7 @@ def verify_parabolic_equiv(a_in, b_out, witness, weights: WeightData) -> bool:
         try:
             rhs = ((rhs[0][0].div_p_pow(k), rhs[0][1]),
                    (rhs[1][0].div_p_pow(k), rhs[1][1]))
-        except Exception:
+        except (NotIntegral, PrecisionExhausted):
             return False
         cmp_prec = n_eff - k
         for r in range(2):

@@ -77,11 +77,12 @@ class JobConfig:
             "r", "precision", "mode", "seed", "target_iterations"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        precision = data.get("precision") or None
         cfg = cls(
             p=data["p"], f=data["f"],
             weights=data["weights"], params=data["params"],
             r=data.get("r"),
-            precision=tuple(data["precision"]) if data.get("precision") else None,
+            precision=tuple(precision) if isinstance(precision, list) else precision,
             mode=data.get("mode", "full"),
             seed=data.get("seed", 0),
             target_iterations=data.get("target_iterations", 4),
@@ -94,15 +95,22 @@ class JobConfig:
             raise ConfigError("p must be an odd prime >= 3")
         if not isinstance(self.f, int) or self.f < 1:
             raise ConfigError("f must be a positive integer")
-        if self.r is not None and (self.r % self.f != 0):
-            raise ConfigError("r must be a multiple of f")
-        if len(self.weights) != self.f:
-            raise ConfigError(f"need {self.f} weight pairs, got {len(self.weights)}")
-        if len(self.params) != self.f:
-            raise ConfigError(f"need {self.f} parameter entries, got {len(self.params)}")
+        if self.r is not None and (not isinstance(self.r, int) or self.r < 1
+                                   or self.r % self.f != 0):
+            raise ConfigError("r must be a positive multiple of f")
+        if not isinstance(self.weights, list) or len(self.weights) != self.f:
+            raise ConfigError(f"weights must be a list of {self.f} pairs")
+        if not all(_is_int_seq(pair) for pair in self.weights):
+            raise ConfigError("weights must be lists of integers")
+        if not isinstance(self.params, list) or len(self.params) != self.f:
+            raise ConfigError(f"params must be a list of {self.f} entries")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
+        if not isinstance(self.target_iterations, int) or self.target_iterations < 1:
+            raise ConfigError("target_iterations must be a positive integer")
         if self.precision is not None:
+            if not _is_int_seq(self.precision) or len(self.precision) != 2:
+                raise ConfigError("precision override (M, N) must be two integers")
             m, n = self.precision
             if m < 2 or n < 1:
                 raise ConfigError("precision override (M, N) must be >= (2, 1)")
@@ -111,7 +119,8 @@ class JobConfig:
                 raise ConfigError(f"params[{i}] must be a table")
             if "matrix" in entry:
                 mat = entry["matrix"]
-                if len(mat) != 2 or any(len(row) != 2 for row in mat):
+                if not isinstance(mat, list) or len(mat) != 2 or any(
+                        not isinstance(row, list) or len(row) != 2 for row in mat):
                     raise ConfigError(f"params[{i}].matrix must be 2x2")
             elif "type" in entry:
                 if entry["type"] not in ("I", "II"):
@@ -165,8 +174,10 @@ def _coord_to_of(ctx: PrimeContext, spec, prec=None) -> OFElem:
     if isinstance(spec, dict):
         coeffs = spec.get("coeffs")
         pexp = spec.get("pexp", 0)
-        if not isinstance(coeffs, list) or not all(isinstance(v, int) for v in coeffs):
+        if not _is_int_seq(coeffs):
             raise ConfigError("coordinate coeffs must be a list of integers")
+        if not isinstance(pexp, int) or pexp < 0:
+            raise ConfigError(f"coordinate pexp must be an integer >= 0, got {pexp!r}")
         if len(coeffs) > ctx.r:
             raise ConfigError(f"coordinate has {len(coeffs)} coeffs but r = {ctx.r}")
         x = OFElem(ctx, coeffs, prec)
@@ -262,7 +273,8 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
         if explicit:
             normalized, witness, tags = _stage(
                 report, "normalize", lambda: parabolic_normalize(lattice, weights))
-            verified = verify_parabolic_equiv(lattice, normalized, witness, weights)
+            verified = _stage(report, "normalize", lambda: verify_parabolic_equiv(
+                lattice, normalized, witness, weights))
             report.stages["normalize"] = {
                 "witness_verified": bool(verified),
                 "tags": [t.serial() for t in tags],
@@ -326,7 +338,8 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
         split = _stage(report, "prepare", lambda: prepare(kf, budget))
         report.stages["prepare"] = {
             "x_denominators": [x.d for x in split.x1],
-            "assumptions": check_descent_assumptions(split, budget),
+            "assumptions": _stage(report, "assumptions",
+                                  lambda: check_descent_assumptions(split, budget)),
         }
         mark("prepare")
 
@@ -362,6 +375,10 @@ def _stage(report, name, fn):
         return fn()
     except CrysredError as exc:
         raise PipelineStop(name, exc) from exc
+
+
+def _is_int_seq(xs) -> bool:
+    return isinstance(xs, (list, tuple)) and all(isinstance(v, int) for v in xs)
 
 
 def _val_str(prod):

@@ -544,11 +544,7 @@ def s_frobenius(x: SElem, times: int = 1) -> SElem:
     if times == 0:
         return x
     ctx = x.ctx
-    if times > 1:
-        # phi^e in one pass through the w_e-power cache
-        powers = _w_power_cache(ctx, times)
-    else:
-        powers = _w_power_cache(ctx, 1)
+    powers = _w_power_cache(ctx, times)
     L = len(powers)
     prec = x.prec
     mod = ctx.ppow(prec)
@@ -586,13 +582,15 @@ def s_invert(x: SElem, seed: Optional[SElem] = None) -> SElem:
     """Inverse of a unit of S_F by Newton iteration (multiplications only).
 
     `seed` warm-starts the iteration (useful when inverting a slowly
-    changing unit repeatedly, as the descent loop does).
+    changing unit repeatedly, as the descent loop does).  The seed is only
+    a starting guess: it is taken at x's precision, so the result never
+    claims more digits than x carries.
     """
     x = x.reduce_d()
     if x.d != 0 or x.slot_val(0) != 0:
         raise NotAUnit("s_invert: element is not a unit of S_F")
     ctx = x.ctx
-    y = seed if seed is not None and seed.d == 0 \
+    y = SElem(ctx, seed.c, 0, x.prec) if seed is not None and seed.d == 0 \
         else SElem.from_of(ctx, x.coeff(0).unit_inverse())
     two = SElem.from_int(ctx, 2, x.prec)
     for _ in range(ctx.m.bit_length() + x.prec.bit_length() + 4):
@@ -631,7 +629,7 @@ def _lambda_data(ctx, b):
             lam = s_mul(lam, fac)
             nstar += 1
             if nstar > 8 * (ctx.m + ctx.nwork):
-                raise RuntimeError("lambda_b failed to stabilize")
+                raise PrecisionExhausted("lambda_b failed to stabilize")
         return lam, nstar
 
     return ctx.cache(("lambda", b), build)
@@ -698,13 +696,11 @@ def fil_membership(x: SElem, j: int) -> bool:
 
 
 def in_p_pow_s(x: SElem, t: int) -> bool:
-    """Membership in p^t S_F (slotwise valuation >= t after normalization)."""
+    """Membership in p^t S_F (slotwise valuation >= t after normalization).
+
+    For unramified F this is also membership in the ideal I_t.
+    """
     x = x.reduce_d()
     if x.d != 0:
         return False
     return all(x.slot_val_at_least(j, t) for j in range(x.ctx.m))
-
-
-def in_i_c(x: SElem, c: int) -> bool:
-    """Membership in I_c; for unramified F this collapses to p^c S_F."""
-    return in_p_pow_s(x, c)

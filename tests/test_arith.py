@@ -1,4 +1,4 @@
-"""Core ring arithmetic: O_F elements, u-series, residue series."""
+"""Core ring arithmetic: O_F elements, u-series and their residues."""
 
 import random
 
@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from crysred.arith import (
     OFElem,
     PrimeContext,
-    ResidueSeries,
     USeries,
     find_residue_poly,
 )
@@ -34,6 +33,12 @@ def naive_conv2(ctx, a, b, mod, out_len):
 class TestResiduePoly:
     def test_degree_one(self):
         assert find_residue_poly(5, 1) == (0, 1)
+
+    @pytest.mark.parametrize("r", [0, -2])
+    def test_context_rejects_nonpositive_degree(self, r):
+        # no residue polynomial of degree r < 1 exists; the search must not start
+        with pytest.raises(ValueError):
+            PrimeContext(p=5, f=1, n=4, m=8, r=r)
 
     @pytest.mark.parametrize("p,r", [(3, 2), (5, 2), (5, 3), (7, 2), (3, 4)])
     def test_is_monic_and_irreducible(self, p, r):
@@ -173,11 +178,14 @@ class TestUSeries:
 
 
 class TestResidueSeries:
+    """Residue images in k_F[[u]]: USeries at precision 1."""
+
     def test_u_order(self, ctx5):
-        s = ResidueSeries(ctx5, [0, 0, 3])
+        s = USeries(ctx5, [5, 10, 3 + 5], 2).residue()
+        assert s.prec == 1
         assert s.u_order() == 2
         assert s.leading_unit() == (3,)
 
     def test_frobenius(self, ctx5):
-        s = ResidueSeries(ctx5, [0, 1])
-        assert s.frobenius() == ResidueSeries(ctx5, [0] * ctx5.p + [1])
+        s = USeries(ctx5, [0, 1], 1)
+        assert s.frobenius() == USeries(ctx5, [0] * ctx5.p + [1], 1)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from crysred.arith import OFElem, PrimeContext, mat_det
+from crysred.arith import OFElem, PrimeContext, mat_det, mat_mul
 from crysred.errors import AssumptionViolated, GateFailed, HeightMismatch
 from crysred.descent import (
     check_descent_assumptions,
@@ -15,7 +15,7 @@ from crysred.descent import (
 )
 from crysred.kisin import build_kisin_frobenius, det_normalize
 from crysred.lattices import TypeTag, WeightData
-from crysred.sring import SElem, fil_membership, s_mul
+from crysred.sring import SElem, fil_membership, s_invert, s_mul
 
 from test_lattices import mat
 
@@ -89,29 +89,49 @@ class TestGate:
         assert rep.passed
 
 
+def assert_height_identity(a, b, h):
+    """A B = E^h * Id, compared at the precision of the product."""
+    ctx = a[0][0].ctx
+    prod = mat_mul(a, b)
+    assert prod[0][0] == SElem.e_pow(ctx, h) and prod[1][1] == SElem.e_pow(ctx, h)
+    assert prod[0][1].is_zero() and prod[1][0].is_zero()
+
+
 class TestHeightPartner:
     def test_diagonal(self, ctx5):
         a = ((SElem.e_pow(ctx5, 3), SElem.zero(ctx5)),
              (SElem.zero(ctx5), SElem.one(ctx5)))
-        b = height_partner(a, 3)
+        b, _ = height_partner(a, 3)
         assert b[0][0] == SElem.one(ctx5) and b[1][1] == SElem.e_pow(ctx5, 3)
 
     def test_type_i_shape(self, ctx5):
         a = ((SElem.zero(ctx5), SElem.e_pow(ctx5, 2) * OFElem.from_int(ctx5, 3)),
              (SElem.one(ctx5), SElem.from_int(ctx5, 5)))
-        b = height_partner(a, 2)
-        prod = tuple(tuple(sum((s_mul(a[r][t], b[t][c]) for t in range(2)),
-                               SElem.zero(ctx5)) for c in range(2)) for r in range(2))
-        e2 = SElem.e_pow(ctx5, 2)
-        assert prod[0][0] == e2 and prod[1][1] == e2
-        assert prod[0][1].is_zero() and prod[1][0].is_zero()
+        b, _ = height_partner(a, 2)
+        assert_height_identity(a, b, 2)
 
     def test_unit_det_height_zero(self, ctx5):
+        # det = 1: the partner is the inverse
         a = ((SElem.from_int(ctx5, 2), SElem.one(ctx5)),
              (SElem.one(ctx5), SElem.from_int(ctx5, 1)))
-        b = height_partner(a, 0)
-        prod = mat_det(a)  # det = 1: partner is the inverse
-        assert s_mul(prod, SElem.one(ctx5)) == SElem.one(ctx5)
+        b, inv = height_partner(a, 0)
+        assert inv == SElem.one(ctx5)
+        assert_height_identity(a, b, 0)
+
+    def test_seed_claims_no_extra_digits(self, ctx5):
+        # det(A) = E^3 (1 + E^2): dividing by E^3 undoes a carry, so the unit
+        # has one digit less than A.  The seed inverts the unit only to the
+        # unit's precision and is held one digit above it.
+        h, p = 3, ctx5.p
+        unit = SElem(ctx5, [1, 0, 1])
+        a = ((SElem.e_pow(ctx5, h), SElem.zero(ctx5)), (SElem.zero(ctx5), unit))
+        unit_prec = mat_det(a).div_e_pow(h).prec
+        assert unit_prec == ctx5.nwork - 1
+        seed = s_invert(unit + SElem.from_int(ctx5, p ** unit_prec))
+        b, inv = height_partner(a, h, seed=seed)
+        assert inv.prec <= unit_prec
+        assert all(e.prec <= unit_prec for row in b for e in row)
+        assert_height_identity(a, b, h)
 
     def test_mismatch(self, ctx5):
         a = ((SElem.one(ctx5), SElem.zero(ctx5)),

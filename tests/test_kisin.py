@@ -142,7 +142,7 @@ class TestDetNormalize:
                 lattice.append(type_ii(ctx, 2, 10))
         tag_objs = tuple(TypeTag(t) for t in tags)
         raw = build_kisin_frobenius(tuple(lattice), tag_objs, wd)
-        kf = det_normalize(raw, tag_objs, wd, tuple(lattice), verify=True)
+        kf = det_normalize(raw, tag_objs, wd, tuple(lattice))
         for i, t in enumerate(tags):
             m = kf.amat[i]
             e_a1 = SElem.e_pow(ctx, ks[i]) * kf.a1[i]
@@ -172,5 +172,5 @@ class TestDetNormalize:
         lattice = (random_gl2(kctx, rng),)
         norm, _, tags = parabolic_normalize(lattice, wd)
         raw = build_kisin_frobenius(norm, tags, wd)
-        kf = det_normalize(raw, tags, wd, norm, verify=True)
+        kf = det_normalize(raw, tags, wd, norm)
         assert kf.b in (1, 2)

@@ -5,7 +5,21 @@ import pytest
 from crysred.descent import compute_budget
 from crysred.errors import ConfigError
 from crysred.lattices import normalize_weights
-from crysred.pipeline import EXIT_CONFIG, JobConfig, exit_code_for, run_pipeline
+from crysred.pipeline import (
+    EXIT_CONFIG,
+    EXIT_CONVERGENCE,
+    JobConfig,
+    exit_code_for,
+    run_pipeline,
+)
+
+
+P5_K4 = {"p": 5, "f": 1, "weights": [[4, 0]],
+         "params": [{"type": "I", "a1": 1, "a2": {"coeffs": [1], "pexp": 2}}]}
+
+
+def with_a2(a2):
+    return dict(P5_K4, params=[{"type": "I", "a1": 1, "a2": a2}])
 
 
 def f1_type_i_job(p, k):
@@ -54,3 +68,34 @@ class TestBadInputs:
         assert report.error["stage"] == "preflight"
         assert report.error["type"] == "IrregularWeights"
         assert exit_code_for(report) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("data", [
+        dict(P5_K4, weights=[[2.5, 0]]),
+        dict(P5_K4, weights=[["4", 0]]),
+        dict(P5_K4, precision=[30.5, 8]),
+        dict(P5_K4, precision=[30, 1.5]),
+        dict(P5_K4, precision=30),
+        dict(P5_K4, precision=[30, 8, 1]),
+        dict(P5_K4, weights=4),
+        dict(P5_K4, r=0),
+        dict(P5_K4, r=-1),
+        dict(P5_K4, r=1.0),
+        dict(P5_K4, target_iterations=2.5),
+        dict(P5_K4, target_iterations=0),
+        dict(P5_K4, params=[{"matrix": 3}]),
+    ])
+    def test_malformed_fields_are_config_errors(self, data):
+        with pytest.raises(ConfigError):
+            JobConfig.from_dict(data)
+
+    @pytest.mark.parametrize("data, stage, etype, code", [
+        (with_a2({"coeffs": [1], "pexp": -1}), "config", "ConfigError", EXIT_CONFIG),
+        (with_a2({"coeffs": [1], "pexp": 1.5}), "config", "ConfigError", EXIT_CONFIG),
+        (dict(P5_K4, precision=[3, 1]), "det_normalize", "PrecisionExhausted",
+         EXIT_CONVERGENCE),
+    ])
+    def test_stage_tagged_errors(self, data, stage, etype, code):
+        report = run_pipeline(JobConfig.from_dict(data))
+        assert report.result is None
+        assert (report.error["stage"], report.error["type"]) == (stage, etype)
+        assert exit_code_for(report) == code

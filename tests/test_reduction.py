@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from crysred.arith import PrimeContext, ResidueSeries
+from crysred.arith import PrimeContext, USeries
 from crysred.errors import NonMonomial
 from crysred.reduction import (
     CAVEAT_INDUCED,
@@ -19,11 +19,11 @@ from crysred.reduction import (
 
 
 def rs(ctx, order, unit=1):
-    return ResidueSeries(ctx, [0] * order + [unit])
+    return USeries(ctx, [0] * order + [unit], 1)
 
 
 def zero(ctx):
-    return ResidueSeries.zero(ctx)
+    return USeries.zero(ctx, 1)
 
 
 def mono(*pairs):
@@ -43,7 +43,7 @@ class TestExtract:
         assert data.mu == (("I", (2, 0)),)
 
     def test_non_monomial(self, ctx5):
-        full = ResidueSeries(ctx5, [0, 1, 1])
+        full = USeries(ctx5, [0, 1, 1], 1)
         one = rs(ctx5, 0)
         m = ((full, one), (one, one))
         with pytest.raises(NonMonomial):

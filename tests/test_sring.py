@@ -155,6 +155,22 @@ class TestSMulExact:
                 prod = s_mul(a, b)
                 assert (prod.c, prod.d, prod.prec) == naive_s_mul(a, b)
 
+    def test_above_nwork_matches_larger_context(self, rng):
+        # elements held above nwork (from _lift_d, mul_p_pow) must multiply
+        # as they do in a context whose nwork covers their precision
+        small = PrimeContext(p=5, f=2, r=2, n=8, m=12, nwork=11)
+        large = PrimeContext(p=5, f=2, r=2, n=8, m=12, nwork=17)
+        prec = 14
+        for _ in range(20):
+            cs = [[[rng.randrange(5 ** prec) for _ in range(2)] for _ in range(12)]
+                  for _ in range(2)]
+            lo = s_mul(*(SElem(small, c, 0, prec) for c in cs))
+            hi = s_mul(*(SElem(large, c, 0, prec) for c in cs))
+            assert (lo.c, lo.prec) == (hi.c, hi.prec)
+            lo = OFElem(small, cs[0][0], prec) * OFElem(small, cs[1][0], prec)
+            hi = OFElem(large, cs[0][0], prec) * OFElem(large, cs[1][0], prec)
+            assert (lo.c, lo.prec) == (hi.c, hi.prec)
+
 
 class TestFrobenius:
     def test_phi_e_is_p_gamma(self, ctx5):
@@ -209,6 +225,18 @@ class TestInvert:
         with pytest.raises(NotAUnit):
             s_invert(SElem.e_pow(ctx5, 1))
 
+    def test_seed_above_precision_is_not_trusted(self, ctx5, rng):
+        # a seed held to more digits than x must not lend them to the result
+        g = gamma(ctx5)
+        seed = s_invert(g)
+        for prec in (ctx5.n, ctx5.n + 1, ctx5.nwork - 1):
+            nudge = SElem.from_int(ctx5, 1 + ctx5.p * rng.randrange(1, 99), prec)
+            for x in (g.at_prec(prec), s_mul(g, nudge)):
+                assert seed.prec > x.prec
+                y = s_invert(x, seed=seed)
+                assert y.prec <= x.prec
+                assert s_mul(x, y) == SElem.one(ctx5)
+
 
 class TestLambda:
     @pytest.mark.parametrize("b", [1, 2])
@@ -220,9 +248,8 @@ class TestLambda:
         # lambda_b = gamma * (factors fixed by higher phi-powers)
         lam = lambda_b(2, ctx5)
         rest = s_mul(lam, s_invert(gamma(ctx5)))
-        # the remaining product is phi^2(something), so its u-expansion has
-        # no u^1 term; check via the functional equation instead
-        assert s_mul(gamma(ctx5), s_frobenius(rest, times=2)) == rest or True
+        # the functional equation lambda_b = gamma * phi^b(lambda_b)
+        assert rest == s_frobenius(lam, times=2)
         assert lambda_truncation_index(2, ctx5) >= 1
 
     def test_stabilization_finite(self, ctx3):
