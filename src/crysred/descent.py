@@ -14,7 +14,7 @@ prepared part mod p, packaged with the full iteration log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .arith import OFElem, mat_add, mat_adj, mat_det, mat_mul, mat_sub
@@ -207,12 +207,12 @@ def prepare(kisin: KisinFrobenius, budget: HeightBudget) -> PreparedSplit:
         det_signs=kisin.det_signs, a1=kisin.a1, a2=kisin.a2)
 
 
-def check_descent_assumptions(split: PreparedSplit, budget: HeightBudget) -> dict:
+def check_descent_assumptions(split: PreparedSplit, budget: HeightBudget) -> None:
     """Re-validate the three descent clauses on a prepared split.
 
     (a) height bound c_max(p-2) >= k_i; (b) the applied base change is
     unipotent (det 1) over S_F[1/p]; (c) the split reassembles exactly with
-    A0 integral and C in I_(c_max).  Returns the machine-checkable report.
+    A0 integral and C in I_(c_max).  Raises AssumptionViolated on failure.
     """
     ctx = split.a0[0][0][0].ctx
     p = ctx.p
@@ -235,7 +235,6 @@ def check_descent_assumptions(split: PreparedSplit, budget: HeightBudget) -> dic
                 if not in_p_pow_s(split.c_mats[i][r][c], budget.c_max):
                     raise AssumptionViolated(
                         "c", f"slot {i}: C entry ({r},{c}) outside I_{budget.c_max}")
-    return {"a": "ok", "b": "ok", "c": "ok", "c_max": budget.c_max}
 
 
 def height_partner(a: Mat2, h: int, seed: Optional[SElem] = None):
@@ -265,19 +264,13 @@ class DescentCertificate:
     a0_mod_p: Tuple                     # residue matrices of the prepared A0
     chains: List[List[dict]]            # per-chain (slot, h, ell, next_h) rows
     iterations: int
-    residual_zero: bool
-    det_units_one_mod_p: bool
     final_prec: int
-    det_checks: List[dict] = field(default_factory=list)
 
     def serial(self):
         return {
             "iterations": self.iterations,
-            "residual_zero": self.residual_zero,
             "chains": self.chains,
-            "det_units_one_mod_p": self.det_units_one_mod_p,
             "final_prec": self.final_prec,
-            "det_checks": self.det_checks,
         }
 
 
@@ -296,15 +289,15 @@ def estimate_iterations(weights: WeightData, budget: HeightBudget, p: int, m: in
     return steps
 
 
-def descend(split: PreparedSplit, kisin: KisinFrobenius,
-            budget: HeightBudget) -> DescentCertificate:
+def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
     """Successive approximation to an integral Frobenius tuple.
 
     Runs the ideal re-split, the absorption step, and then the gain-law
     iteration until the remainder vanishes at precision (NoConvergence
     after six iterations beyond `estimate_iterations`).  Per-slot
     determinant units are tracked and every iterate's determinant is
-    checked against +-E^(k_i) a1^(i) times the accumulated unit.
+    checked against +-E^(k_i) a1^(i) times the accumulated unit.  A failed
+    check raises SplitFailed.
     """
     ctx = split.a0[0][0][0].ctx
     p, f = ctx.p, split.f
@@ -335,24 +328,20 @@ def descend(split: PreparedSplit, kisin: KisinFrobenius,
         units.append(_det_unit_ratio(a_mats[i], weights.k[i], expected))
         iter_units.append(SElem.one(ctx))
 
-    det_checks = []
     chains = [[] for _ in range(f)]
     chain_slot = list(range(f))  # chain j currently sits at this slot
     hs = [h0] * f
     inv_seeds = [None] * f
 
-    def record_det_checks(n):
+    def check_dets(n):
         for i in range(f):
-            det = mat_det(a_mats[i])
             target = s_mul(SElem.e_pow(ctx, weights.k[i]),
                            s_mul(sign_a1[i], units[i]))
-            ok = det == target
-            det_checks.append({"iteration": n, "slot": i, "ok": bool(ok)})
-            if not ok:
+            if not mat_det(a_mats[i]) == target:
                 raise SplitFailed(
                     f"iteration {n}, slot {i}: det != sign*E^k*a1*unit")
 
-    record_det_checks(0)
+    check_dets(0)
     a0_residue = tuple(tuple(tuple(e.residue() for e in row) for row in m)
                        for m in split.a0)
 
@@ -436,9 +425,11 @@ def descend(split: PreparedSplit, kisin: KisinFrobenius,
             chain_slot[j] = (s + 1) % f
         a_mats, c_mats, hs = new_a, new_c, new_h
         iteration += 1
-        record_det_checks(iteration)
+        check_dets(iteration)
 
-    units_ok = all(in_p_pow_s(u - SElem.one(ctx, u.prec), 1) for u in iter_units)
+    for i, u in enumerate(iter_units):
+        if not in_p_pow_s(u - SElem.one(ctx, u.prec), 1):
+            raise SplitFailed(f"slot {i}: accumulated det(I + D1) != 1 mod p")
 
     a_final_s = tuple(tuple(tuple(e.reduce_d() for e in row) for row in m)
                       for m in a_mats)
@@ -464,10 +455,7 @@ def descend(split: PreparedSplit, kisin: KisinFrobenius,
         a0_mod_p=a0_residue,
         chains=chains,
         iterations=iteration,
-        residual_zero=True,
-        det_units_one_mod_p=units_ok,
         final_prec=final_prec if final_prec is not None else 0,
-        det_checks=det_checks,
     )
     for i in range(f):
         for r in range(2):

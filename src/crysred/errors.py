@@ -62,7 +62,7 @@ class HeightMismatch(CrysredError):
 
 
 class DetCheckFailed(CrysredError):
-    """An exact determinant identity failed; indicates an arithmetic bug."""
+    """A built-in exact self-check failed; indicates an arithmetic bug."""
 
 
 class NonMonomial(CrysredError):

@@ -16,7 +16,7 @@ unit inversions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from .arith import OFElem, mat_det
 from .errors import Degenerate, DetCheckFailed
@@ -174,8 +174,8 @@ def solve_exponent_system(tags, weights: WeightData):
             polys.append(poly)
             cur = nxt
         cycle_len = len(path)
-        if cycle_len not in (b,):
-            raise RuntimeError(
+        if cycle_len != b:
+            raise DetCheckFailed(
                 f"cycle length {cycle_len} != b = {b}; parity law violated")
         q = poly  # x_anchor^(phi^b - 1) = gamma^(-q)
         for dist, (n, p_n) in enumerate(zip(path, polys)):

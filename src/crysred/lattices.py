@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .arith import OFElem, mat_det, mat_mul
-from .errors import Degenerate, IrregularWeights, NotIntegral, PrecisionExhausted
+from .errors import Degenerate, DetCheckFailed, IrregularWeights, PrecisionExhausted
 
 
 @dataclass(frozen=True)
@@ -192,12 +192,13 @@ def _val_at_least(x: OFElem, t: Optional[int] = None) -> bool:
     return v is None or v >= t
 
 
-def verify_parabolic_equiv(a_in, b_out, witness, weights: WeightData) -> bool:
+def verify_parabolic_equiv(a_in, b_out, witness, weights: WeightData) -> None:
     """Check B = C A Delta C'^(-1) Delta^(-1) entrywise per embedding.
 
     The right side is evaluated with the final Delta^(-1) column division
     performed on representatives, so the comparison runs at reduced
-    precision N - k_(i-1) per slot.
+    precision N - k_(i-1) per slot.  Raises DetCheckFailed on a mismatch;
+    a column that p^k does not divide raises NotIntegral.
     """
     f = weights.f
     n_eff = min(x.prec for m in a_in for row in m for x in row)
@@ -212,18 +213,15 @@ def verify_parabolic_equiv(a_in, b_out, witness, weights: WeightData) -> bool:
                (rhs[1][0].times_p_pow(k), rhs[1][1]))
         rhs = mat_mul(rhs, _upper_inv(witness[(i - 1) % f]))
         # multiply by Delta^(-1): divides column 1 representatives by p^k
-        try:
-            rhs = ((rhs[0][0].div_p_pow(k), rhs[0][1]),
-                   (rhs[1][0].div_p_pow(k), rhs[1][1]))
-        except (NotIntegral, PrecisionExhausted):
-            return False
+        rhs = ((rhs[0][0].div_p_pow(k), rhs[0][1]),
+               (rhs[1][0].div_p_pow(k), rhs[1][1]))
         cmp_prec = n_eff - k
         for r in range(2):
             for c in range(2):
                 if rhs[r][c].at_prec(min(cmp_prec, rhs[r][c].prec)) != \
                         b_out[i][r][c].at_prec(min(cmp_prec, b_out[i][r][c].prec)):
-                    return False
-    return True
+                    raise DetCheckFailed(
+                        f"slot {i} entry ({r},{c}): B != C A Delta C'^(-1) Delta^(-1)")
 
 
 @dataclass(frozen=True)
@@ -245,20 +243,27 @@ def reducibility_detect(normalized, tags, weights: WeightData) -> ReducibilityVe
 
     Fires ReducibleAllII when no slot is Type I; fires ReducibleSubsetSum
     when val(prod of the Type I slots' a_2 entries) equals a subset sum of
-    their weights.  NotDetected is not a proof of irreducibility.
+    their weights; an a_2 that is 0 at its precision (a_p = 0) counts as
+    valuation >= its precision.  NotDetected is not a proof of irreducibility.
     """
     s_set = [i for i, t in enumerate(tags) if t.kind == "I"]
     if not s_set:
         return ReducibilityVerdict("ReducibleAllII")
     total = 0
     n_eff = min(x.prec for m in normalized for row in m for x in row)
+    undecided = []
     for i in s_set:
         a2 = normalized[i][1][1]
         v = a2.valuation()
         if v is None:
-            raise PrecisionExhausted(
-                f"val(a_2^({i})) >= {a2.prec}; cannot decide reducibility")
+            undecided.append(f"val(a_2^({i})) >= {a2.prec}")
+            v = a2.prec
         total += v
+    if undecided:
+        # total is then a certified lower bound on val(prod a_2)
+        if total > sum(weights.k[i] for i in s_set):
+            return ReducibilityVerdict("NotDetected")
+        raise PrecisionExhausted(f"{undecided[0]}; cannot decide reducibility")
     if total >= n_eff:
         raise PrecisionExhausted(
             f"val(prod a_2) = {total} >= effective precision {n_eff}")

@@ -8,8 +8,9 @@ A job fixes (p, f, r), the raw weight pairs, and per-embedding parameters
     reduce -> characterize
 
 stopping with a stage-tagged error at the first hard failure, and returns
-a deterministic report: identical config + seed give byte-identical JSON
-(timings are only embedded on request).
+a deterministic report: an identical config gives byte-identical JSON
+(timings are only embedded on request).  A failed built-in self-check
+stops the job like any other failure, with exit code EXIT_INTERNAL.
 """
 
 from __future__ import annotations
@@ -17,19 +18,11 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from . import __version__
 from .arith import OFElem, PrimeContext, _is_prime
-from .errors import (
-    ConfigError,
-    CrysredError,
-    GateFailed,
-    IrregularWeights,
-    NoConvergence,
-    NonMonomial,
-    PrecisionExhausted,
-)
+from .errors import ConfigError, CrysredError
 from .descent import (
     check_descent_assumptions,
     compute_budget,
@@ -50,7 +43,7 @@ from .lattices import (
 )
 from .reduction import characterize, extract_reduction_data, reduce_mod_varpi
 
-MODES = ("full", "classify-only", "reduce-only")
+TARGET_ITERATIONS = 4
 
 
 @dataclass
@@ -61,9 +54,6 @@ class JobConfig:
     params: List[dict]
     r: Optional[int] = None
     precision: Optional[Tuple[int, int]] = None   # (M, N) override
-    mode: str = "full"
-    seed: int = 0
-    target_iterations: int = 4
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobConfig":
@@ -73,8 +63,7 @@ class JobConfig:
         missing = required - set(data)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
-        unknown = set(data) - required - {
-            "r", "precision", "mode", "seed", "target_iterations"}
+        unknown = set(data) - required - {"r", "precision"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         precision = data.get("precision") or None
@@ -83,9 +72,6 @@ class JobConfig:
             weights=data["weights"], params=data["params"],
             r=data.get("r"),
             precision=tuple(precision) if isinstance(precision, list) else precision,
-            mode=data.get("mode", "full"),
-            seed=data.get("seed", 0),
-            target_iterations=data.get("target_iterations", 4),
         )
         cfg.validate()
         return cfg
@@ -104,10 +90,6 @@ class JobConfig:
             raise ConfigError("weights must be lists of integers")
         if not isinstance(self.params, list) or len(self.params) != self.f:
             raise ConfigError(f"params must be a list of {self.f} entries")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}")
-        if not isinstance(self.target_iterations, int) or self.target_iterations < 1:
-            raise ConfigError("target_iterations must be a positive integer")
         if self.precision is not None:
             if not _is_int_seq(self.precision) or len(self.precision) != 2:
                 raise ConfigError("precision override (M, N) must be two integers")
@@ -136,16 +118,13 @@ class JobConfig:
             "weights": [list(w) for w in self.weights],
             "params": self.params,
             "precision": list(self.precision) if self.precision else None,
-            "mode": self.mode,
-            "seed": self.seed,
-            "target_iterations": self.target_iterations,
         }
 
 
 def preflight_precision(cfg: JobConfig) -> dict:
     """Choose (M, N) and the internal guard from (p, f, k, gate margins).
 
-    Default rule: M = 2 p c_max T (T = target iterations) and
+    Default rule: M = 2 p c_max T (T = TARGET_ITERATIONS) and
     N = max(k_max + 2, c_max + 4); user overrides are respected verbatim.
     The working precision adds ceil((M-1)/p) digits for u-coordinate
     conversions plus the estimated division depth of the descent.
@@ -156,7 +135,7 @@ def preflight_precision(cfg: JobConfig) -> dict:
     if cfg.precision is not None:
         m, n = cfg.precision
     else:
-        m = 2 * cfg.p * budget.c_max * cfg.target_iterations
+        m = 2 * cfg.p * budget.c_max * TARGET_ITERATIONS
         n = max(k_max + 2, budget.c_max + 4)
     iters = estimate_iterations(weights, budget, cfg.p, m)
     guard = ((m - 1 + cfg.p - 1) // cfg.p
@@ -248,9 +227,8 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
     """Execute the stages in order; see the module docstring.
 
     Hard failures (IrregularWeights, ReducibleAllII, GateFailed,
-    NoConvergence, NonMonomial, ...) abort with the stage recorded in the
-    report's error block; mode "classify-only" stops after the detector,
-    mode "reduce-only" records reducibility verdicts without stopping.
+    NoConvergence, NonMonomial, a failed self-check, ...) abort with the
+    stage recorded in the report's error block.
     """
     report = RunReport(config=cfg.serial())
     t0 = time.monotonic()
@@ -273,19 +251,12 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
         if explicit:
             normalized, witness, tags = _stage(
                 report, "normalize", lambda: parabolic_normalize(lattice, weights))
-            verified = _stage(report, "normalize", lambda: verify_parabolic_equiv(
+            _stage(report, "normalize", lambda: verify_parabolic_equiv(
                 lattice, normalized, witness, weights))
-            report.stages["normalize"] = {
-                "witness_verified": bool(verified),
-                "tags": [t.serial() for t in tags],
-            }
         else:
             tags = tuple(classify_type(m) for m in lattice)
             normalized = lattice
-            report.stages["normalize"] = {
-                "witness_verified": None,
-                "tags": [t.serial() for t in tags],
-            }
+        report.stages["normalize"] = {"tags": [t.serial() for t in tags]}
         report.stages["lattice"] = {
             "normalized": [[[e.serial() for e in row] for row in m]
                            for m in normalized],
@@ -298,8 +269,7 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
             verdict.serial(),
             note="NotDetected is not a proof of irreducibility; the detector "
                  "implements sufficient conditions only.")
-        if (verdict.kind == "ReducibleAllII"
-                and cfg.mode not in ("reduce-only", "classify-only")):
+        if verdict.kind == "ReducibleAllII":
             raise PipelineStop("reducibility", ReducibleStop(verdict))
 
         prod, slopes = _stage(report, "slopes",
@@ -309,14 +279,6 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
             "det_valuation": _val_str(prod),
         }
         mark("classify")
-
-        if cfg.mode == "classify-only":
-            report.result = {
-                "mode": "classify-only",
-                "reducibility": verdict.serial(),
-                "newton_slopes": [str(s) for s in slopes],
-            }
-            return report
 
         budget = compute_budget(weights, cfg.p)
         report.stages["budget"] = budget.serial()
@@ -336,14 +298,12 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
         mark("kisin")
 
         split = _stage(report, "prepare", lambda: prepare(kf, budget))
-        report.stages["prepare"] = {
-            "x_denominators": [x.d for x in split.x1],
-            "assumptions": _stage(report, "assumptions",
-                                  lambda: check_descent_assumptions(split, budget)),
-        }
+        report.stages["prepare"] = {"x_denominators": [x.d for x in split.x1]}
+        _stage(report, "assumptions",
+               lambda: check_descent_assumptions(split, budget))
         mark("prepare")
 
-        cert = _stage(report, "descend", lambda: descend(split, kf, budget))
+        cert = _stage(report, "descend", lambda: descend(split, budget))
         report.stages["descent"] = cert.serial()
         mark("descend")
 
@@ -393,16 +353,12 @@ EXIT_REDUCIBLE = 2
 EXIT_GATE = 3
 EXIT_CONVERGENCE = 4
 EXIT_CONFIG = 5
+EXIT_INTERNAL = 6
 
 
 def exit_code_for(report: RunReport) -> int:
     """Stable CLI exit codes per the interface contract."""
     if report.error is None:
-        if (report.config.get("mode") == "classify-only"
-                and report.result
-                and report.result.get("reducibility", {}).get("kind",
-                                                              "").startswith("Reducible")):
-            return EXIT_REDUCIBLE
         return EXIT_OK
     etype = report.error["type"]
     if etype in ("ReducibleStop",):
@@ -411,4 +367,6 @@ def exit_code_for(report: RunReport) -> int:
         return EXIT_GATE
     if etype in ("IrregularWeights", "ConfigError", "Degenerate"):
         return EXIT_CONFIG
+    if etype in ("DetCheckFailed", "SplitFailed", "AssumptionViolated"):
+        return EXIT_INTERNAL
     return EXIT_CONVERGENCE

@@ -6,17 +6,18 @@ Diag(u^n, u^m) and S the antidiagonal swap.  The per-slot data mu_i =
 (shape, (n_i, m_i)) determines the reduction: the ordered product
 prod phi^j(matrix_j) collapses to a single monomial matrix whose exponents
 are read off either by the block-alternation rule (assign_vw) or by brute
-force (monomial_product); the two routes are kept independent and cross-
-checked.  The output is symbolic: a split pair of level-f characters or an
-induced power of the level-2f character, with the standard caveats.
+force (monomial_product); the two routes are kept independent and a
+disagreement raises DetCheckFailed.  The output is symbolic: a split pair
+of level-f characters or an induced power of the level-2f character, with
+the standard caveats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
-from .errors import NonMonomial
+from .errors import DetCheckFailed, NonMonomial
 from .descent import DescentCertificate
 
 CAVEAT_SPLIT = "restricted to inertia"
@@ -57,7 +58,6 @@ class CharDesc:
     t_raw: Optional[int]
     parity_odd: bool
     caveats: Tuple[str, ...]
-    oracle_agrees: bool = True
 
     def serial(self):
         return {
@@ -69,7 +69,6 @@ class CharDesc:
             "t": self.t_raw,
             "parity": "odd" if self.parity_odd else "even",
             "caveats": list(self.caveats),
-            "oracle_agrees": self.oracle_agrees,
         }
 
 
@@ -162,8 +161,7 @@ def monomial_product(mu: ReductionData, p: int):
     return prod
 
 
-def character_output(v, w, p: int, f: int, parity_odd: bool,
-                     oracle_agrees: bool = True) -> CharDesc:
+def character_output(v, w, p: int, f: int, parity_odd: bool) -> CharDesc:
     """Assemble the fundamental-character description from (v, w).
 
     Even parity: a split pair of level-f character powers.  Odd parity:
@@ -175,54 +173,43 @@ def character_output(v, w, p: int, f: int, parity_odd: bool,
     big_v = sum(p ** j * vj for j, vj in enumerate(v))
     big_w = sum(p ** j * wj for j, wj in enumerate(w))
     mod_f = p ** f - 1
-    mod_2f = p ** (2 * f) - 1
+    t = None
     if not parity_odd:
-        return CharDesc(
-            shape="Split",
-            exponents=(big_v % mod_f, big_w % mod_f),
-            v=tuple(v), w=tuple(w),
-            raw_sums=(big_v, big_w),
-            t_raw=None,
-            parity_odd=False,
-            caveats=(CAVEAT_SPLIT,),
-            oracle_agrees=oracle_agrees,
-        )
-    t = big_v + p ** f * big_w
-    if t % (p ** f + 1) == 0:
-        e = (t // (p ** f + 1)) % mod_f
-        return CharDesc(
-            shape="Split",
-            exponents=(e, e),
-            v=tuple(v), w=tuple(w),
-            raw_sums=(big_v, big_w),
-            t_raw=t,
-            parity_odd=True,
-            caveats=(CAVEAT_SPLIT,),
-            oracle_agrees=oracle_agrees,
-        )
+        shape, exponents = "Split", (big_v % mod_f, big_w % mod_f)
+    else:
+        t = big_v + p ** f * big_w
+        if t % (p ** f + 1) == 0:
+            e = (t // (p ** f + 1)) % mod_f
+            shape, exponents = "Split", (e, e)
+        else:
+            shape, exponents = "Induced", (t % (p ** (2 * f) - 1),)
     return CharDesc(
-        shape="Induced",
-        exponents=(t % mod_2f,),
+        shape=shape,
+        exponents=exponents,
         v=tuple(v), w=tuple(w),
         raw_sums=(big_v, big_w),
         t_raw=t,
-        parity_odd=True,
-        caveats=(CAVEAT_INDUCED,),
-        oracle_agrees=oracle_agrees,
+        parity_odd=parity_odd,
+        caveats=(CAVEAT_SPLIT if shape == "Split" else CAVEAT_INDUCED,),
     )
 
 
 def characterize(mu: ReductionData, p: int) -> CharDesc:
-    """assign_vw + oracle cross-check + character_output in one step."""
+    """assign_vw + character_output, cross-checked against monomial_product.
+
+    Raises DetCheckFailed when the brute-force product is not the monomial
+    matrix with exponents (V, W) that the block rule gives.
+    """
     v, w = assign_vw(mu)
     parity_odd = len(mu.p_set()) % 2 == 1
-    prod = monomial_product(mu, p)
-    big_v = sum(p ** j * vj for j, vj in enumerate(v))
-    big_w = sum(p ** j * wj for j, wj in enumerate(w))
+    desc = character_output(v, w, p, len(mu.mu), parity_odd)
+    big_v, big_w = desc.raw_sums
     if parity_odd:
-        agrees = (prod[0][0] is None and prod[0][1] == big_v
-                  and prod[1][0] == big_w and prod[1][1] is None)
+        expected = ((None, big_v), (big_w, None))
     else:
-        agrees = (prod[0][1] is None and prod[0][0] == big_v
-                  and prod[1][1] == big_w and prod[1][0] is None)
-    return character_output(v, w, p, len(mu.mu), parity_odd, oracle_agrees=agrees)
+        expected = ((big_v, None), (None, big_w))
+    prod = monomial_product(mu, p)
+    if prod != expected:
+        raise DetCheckFailed(
+            f"monomial product {prod} != {expected} from assign_vw")
+    return desc

@@ -57,10 +57,6 @@ class PhiExpPoly:
     def const(cls, n: int) -> "PhiExpPoly":
         return cls((n,))
 
-    @classmethod
-    def phi_power(cls, j: int, scale: int = 1) -> "PhiExpPoly":
-        return cls((0,) * j + (scale,))
-
     def __add__(self, other):
         n = max(len(self.c), len(other.c))
         a = list(self.c) + [0] * (n - len(self.c))

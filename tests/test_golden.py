@@ -10,7 +10,7 @@ GOLDEN = {
     "f1-p5-k4": (
         {"p": 5, "f": 1, "r": 1, "weights": [[4, 0]],
          "params": [{"type": "I", "a1": 1, "a2": {"coeffs": [1], "pexp": 2}}]},
-        "4aa296d331673d1e7ef7e5afbf3c5c13c8092008d0da0697d0e911cf010aa095"),
+        "2cd986d52efa27c6dd225d1e60e1affc14b1f8815422b37bf781cbb5709e738d"),
     "f2-r2-mixed": (
         {"p": 3, "f": 2, "r": 2, "weights": [[1, 0], [2, 0]],
          "params": [
@@ -18,21 +18,21 @@ GOLDEN = {
               "a2": {"coeffs": [2, 1], "pexp": 1}},
              {"type": "II", "a1": {"coeffs": [2, 1]},
               "a2": {"coeffs": [1, 2], "pexp": 2}}]},
-        "309ac3c20c2db6bb2a11576bc602814b76b17b5388a74db1b05d06a7de6719d6"),
+        "1a7c836c87c38ce7b3faf2af1a3a107b6d7e2ed66c203f1c2532caae9d279d8d"),
     # the p = 5, k = 3 Type I job with a2 = 10 under the parabolic
     # transform x = 3
     "f1-explicit": (
         {"p": 5, "f": 1, "weights": [[3, 0]],
          "params": [{"matrix": [[3, -1094], [1, -365]]}]},
-        "1af90d67e027a262d3d5eb2c75ea67c59533e926a008625561a4ed0257aae05b"),
+        "647b93675b668ba7cef04347e750e1c3d16571e6666793c6db9c5a7afc98022d"),
     "gate-stop": (
         {"p": 5, "f": 1, "weights": [[4, 0]],
          "params": [{"type": "I", "a1": 1, "a2": {"coeffs": [1], "pexp": 1}}]},
-        "e039702c31676a2da3db31da6e291b5a7ae567ff14534aac8a8316c2c4089f30"),
+        "cadb2c6ba2ef013921dddf4c05c7160e8669478958736a2dcd8ff6df222001e4"),
     "equal-weights": (
         {"p": 5, "f": 1, "weights": [[2, 2]],
          "params": [{"type": "I", "a1": 1, "a2": 25}]},
-        "e36209516c4858a691be7af6a7a1b6ef091257b9d0b3083dd114afb1457f3512"),
+        "0ebef962c0f5e27ea0428fb7435c2a85014b28f01c841410fb19b639d801b5f4"),
 }
 
 

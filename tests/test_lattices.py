@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from crysred.arith import OFElem, PrimeContext, mat_det, mat_mul
-from crysred.errors import Degenerate, IrregularWeights, PrecisionExhausted
+from crysred.errors import Degenerate, DetCheckFailed, IrregularWeights, PrecisionExhausted
 from crysred.lattices import (
     WeightData,
     classify_type,
@@ -107,7 +107,7 @@ class TestParabolicNormalize:
         assert b[0][0].is_zero() and b[1][0] == 1
         assert b[0][1] == a_v - x_v * y_v
         assert b[1][1] == y_v + ctx5.p ** k * x_v
-        assert verify_parabolic_equiv(lattice, out, wit, wd)
+        assert verify_parabolic_equiv(lattice, out, wit, wd) is None
 
     def test_normal_form_shape_mixed(self, ctx5, rng):
         wd = WeightData((2, 3, 1), (0, 0, 0))
@@ -120,7 +120,7 @@ class TestParabolicNormalize:
             else:
                 assert m[0][1].is_zero() and m[1][1] == 1
                 assert m[0][0].is_unit() and not m[1][0].is_unit()
-        assert verify_parabolic_equiv(lattice, out, wit, wd)
+        assert verify_parabolic_equiv(lattice, out, wit, wd) is None
 
     def test_all_ii_case(self, ctx5, rng):
         wd = WeightData((2, 2), (0, 0))
@@ -172,7 +172,8 @@ class TestParabolicNormalize:
         lattice = (random_gl2(ctx5, rng),)
         out, wit, _ = parabolic_normalize(lattice, wd)
         bad = (((wit[0][0][0] + 1, wit[0][0][1]), wit[0][1]),)
-        assert not verify_parabolic_equiv(lattice, out, bad, wd)
+        with pytest.raises(DetCheckFailed):
+            verify_parabolic_equiv(lattice, out, bad, wd)
 
     def test_verify_needs_precision(self, ctx5):
         wd = WeightData((ctx5.nwork + 1,), (0,))
@@ -220,11 +221,19 @@ class TestReducibility:
         assert verdict.kind == "ReducibleSubsetSum" and verdict.w == 2
 
     def test_precision_exhausted(self, ctx5):
+        # a2 = 0 known to one digit: val(a2) >= 1 could still equal k = 2
         wd = WeightData((2,), (0,))
-        lat = (mat(ctx5, [[0, 1], [1, 0]]),)
+        lat = (((of(ctx5, 0), of(ctx5, 1)), (of(ctx5, 1), of(ctx5, 0, prec=1))),)
         _, _, tags = parabolic_normalize(lat, wd)
         with pytest.raises(PrecisionExhausted):
             reducibility_detect(lat, tags, wd)
+
+    def test_zero_a2_not_detected(self, ctx5):
+        # a_p = 0: val(a2) >= its precision, above every subset sum of k
+        wd = WeightData((2,), (0,))
+        lat = (mat(ctx5, [[0, 1], [1, 0]]),)
+        _, _, tags = parabolic_normalize(lat, wd)
+        assert reducibility_detect(lat, tags, wd).kind == "NotDetected"
 
 
 class TestFrobeniusProduct:

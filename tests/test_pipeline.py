@@ -1,13 +1,18 @@
 """End-to-end runs of `run_pipeline` against known answers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import crysred.descent
+import crysred.reduction
 from crysred.descent import compute_budget
 from crysred.errors import ConfigError
 from crysred.lattices import normalize_weights
 from crysred.pipeline import (
     EXIT_CONFIG,
     EXIT_CONVERGENCE,
+    EXIT_INTERNAL,
     JobConfig,
     exit_code_for,
     run_pipeline,
@@ -22,33 +27,47 @@ def with_a2(a2):
     return dict(P5_K4, params=[{"type": "I", "a1": 1, "a2": a2}])
 
 
-def f1_type_i_job(p, k):
-    """f = r = 1, Type I, v(a2) one above the large-valuation gate bound."""
-    c = compute_budget(normalize_weights([[k, 0]]), p).c_max
+def f1_type_i_job(p, k, a2=None):
+    """f = r = 1, Type I; by default v(a2) is one above the large-valuation
+    gate bound."""
+    if a2 is None:
+        c = compute_budget(normalize_weights([[k, 0]]), p).c_max
+        a2 = {"coeffs": [1], "pexp": c}
     return JobConfig.from_dict({
         "p": p, "f": 1, "r": 1, "weights": [[k, 0]],
-        "params": [{"type": "I", "a1": 1, "a2": {"coeffs": [1], "pexp": c}}],
+        "params": [{"type": "I", "a1": 1, "a2": a2}],
     })
 
 
+# Berger-Li-Zhu (Math. Ann. 329, 2004): at large slope, a_p = 0 included,
+# the reduction is ind omega_2^k, which splits as omega^(k/(p+1)) twice iff
+# (p+1) | k.
+CLASSICAL_F1 = [
+    (5, 4, "Induced", (4,)),
+    (7, 6, "Induced", (6,)),
+    (5, 6, "Split", (1, 1)),
+    (7, 8, "Split", (1, 1)),
+    (3, 4, "Split", (1, 1)),
+]
+
+
 class TestClassicalF1:
-    # Berger-Li-Zhu (Math. Ann. 329, 2004): at large slope the reduction is
-    # ind omega_2^k, which splits as omega^(k/(p+1)) twice iff (p+1) | k.
-    @pytest.mark.parametrize("p, k, shape, exponents", [
-        (5, 4, "Induced", (4,)),
-        (7, 6, "Induced", (6,)),
-        (5, 6, "Split", (1, 1)),
-        (7, 8, "Split", (1, 1)),
-        (3, 4, "Split", (1, 1)),
-    ])
-    def test_large_slope_answer(self, p, k, shape, exponents):
-        report = run_pipeline(f1_type_i_job(p, k))
+    def check(self, report, shape, exponents, valuations):
         assert report.error is None
         gate = report.stages["gate"]
-        assert gate["valuations"] == [b + 1 for b in gate["bounds"]]
+        assert gate["valuations"] == valuations(gate["bounds"])
         assert report.result["shape"] == shape
         assert tuple(report.result["exponents"]) == exponents
-        assert report.result["oracle_agrees"]
+
+    @pytest.mark.parametrize("p, k, shape, exponents", CLASSICAL_F1)
+    def test_large_slope_answer(self, p, k, shape, exponents):
+        self.check(run_pipeline(f1_type_i_job(p, k)), shape, exponents,
+                   lambda bounds: [b + 1 for b in bounds])
+
+    @pytest.mark.parametrize("p, k, shape, exponents", CLASSICAL_F1)
+    def test_zero_a2_answer(self, p, k, shape, exponents):
+        self.check(run_pipeline(f1_type_i_job(p, k, a2=0)), shape, exponents,
+                   lambda bounds: ["inf"])
 
 
 class TestBadInputs:
@@ -83,6 +102,8 @@ class TestBadInputs:
         dict(P5_K4, target_iterations=2.5),
         dict(P5_K4, target_iterations=0),
         dict(P5_K4, params=[{"matrix": 3}]),
+        dict(P5_K4, mode="full"),
+        dict(P5_K4, seed=0),
     ])
     def test_malformed_fields_are_config_errors(self, data):
         with pytest.raises(ConfigError):
@@ -99,3 +120,60 @@ class TestBadInputs:
         assert report.result is None
         assert (report.error["stage"], report.error["type"]) == (stage, etype)
         assert exit_code_for(report) == code
+
+
+class TestSelfChecks:
+    @pytest.mark.parametrize("module, name, broken, stage, etype", [
+        # v and w swapped: the monomial-product oracle disagrees
+        (crysred.reduction, "assign_vw",
+         lambda orig: lambda mu: orig(mu)[::-1], "characterize", "DetCheckFailed"),
+        # a determinant unit off by a sign
+        (crysred.descent, "_det_unit_ratio",
+         lambda orig: lambda a, k, unit: orig(a, k, -unit), "descend", "SplitFailed"),
+    ])
+    def test_failed_check_stops_the_job(self, monkeypatch, module, name, broken,
+                                        stage, etype):
+        monkeypatch.setattr(module, name, broken(getattr(module, name)))
+        report = run_pipeline(JobConfig.from_dict(P5_K4))
+        assert report.result is None
+        assert (report.error["stage"], report.error["type"]) == (stage, etype)
+        assert exit_code_for(report) == EXIT_INTERNAL
+
+
+@st.composite
+def small_configs(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    f = draw(st.sampled_from([1, 2]))
+    r = draw(st.sampled_from([f, 2 * f]))
+    coord = st.one_of(
+        st.just(0), st.integers(0, p ** 3),
+        st.fixed_dictionaries({
+            "coeffs": st.lists(st.integers(0, p ** 2), min_size=1, max_size=r),
+            "pexp": st.integers(0, 4)}))
+
+    def entry():
+        if draw(st.integers(0, 2)):
+            return {"type": draw(st.sampled_from(["I", "II"])),
+                    "a1": draw(coord), "a2": draw(coord)}
+        return {"matrix": [[draw(coord), draw(coord)], [draw(coord), draw(coord)]]}
+
+    data = {"p": p, "f": f, "r": r,
+            "weights": [[draw(st.integers(0, p + 1)), draw(st.integers(0, 1))]
+                        for _ in range(f)],
+            "params": [entry() for _ in range(f)]}
+    if draw(st.booleans()):
+        data["precision"] = [draw(st.integers(2, 60)), draw(st.integers(1, 12))]
+    return data
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(small_configs())
+def test_every_config_gives_a_report(data):
+    """Every input gives a ConfigError or a report (result or stage-tagged
+    error), and the same config gives the same report bytes."""
+    try:
+        cfg = JobConfig.from_dict(data)
+    except ConfigError:
+        return
+    first = run_pipeline(cfg).to_json()
+    assert run_pipeline(JobConfig.from_dict(data)).to_json() == first

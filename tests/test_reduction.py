@@ -5,7 +5,7 @@ import random
 import pytest
 
 from crysred.arith import PrimeContext, USeries
-from crysred.errors import NonMonomial
+from crysred.errors import DetCheckFailed, NonMonomial
 from crysred.reduction import (
     CAVEAT_INDUCED,
     CAVEAT_SPLIT,
@@ -141,12 +141,17 @@ class TestCharacterOutput:
                      for s in shapes]
             data = mono(*pairs)
             desc = characterize(data, p)
-            assert desc.parity_odd and desc.oracle_agrees
+            assert desc.parity_odd
             assert desc.t_raw == monomial_product(mono(*pairs, *pairs), p)[0][0]
 
-    def test_characterize_cross_checks(self):
+    def test_characterize_cross_checks(self, monkeypatch):
         data = mono(("S", (0, 2)), ("S", (0, 3)))
         desc = characterize(data, 5)
-        assert desc.oracle_agrees
         assert desc.shape == "Split"
         assert desc.raw_sums == (2, 15)
+        import crysred.reduction as reduction_mod
+
+        monkeypatch.setattr(reduction_mod, "assign_vw",
+                            lambda mu: assign_vw(mu)[::-1])
+        with pytest.raises(DetCheckFailed):
+            characterize(data, 5)
