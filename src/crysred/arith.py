@@ -483,8 +483,19 @@ def _fp_poly_invmod(a, g, p):
 # Full 2D convolution of coefficient sequences over O_F: the u-index and the
 # residue-generator index are flattened into one big integer (Kronecker
 # substitution) so a single Python bignum multiplication performs the whole
-# convolution.  The w-dimension is padded to 2r slots, so products (degree
-# <= 2r-2 in w) never bleed into the next u-slot.
+# convolution.  Each u-slot takes 2r-1 positions: a product has w-degree
+# <= 2r-2, so it never bleeds into the next u-slot.  A position is wide
+# enough for the largest possible sum, min(la, lb) * r * max(a) * max(b),
+# with the maxima taken over the operands after reduction mod `mod`.
+
+
+def _pack(flat, r, width):
+    """Kronecker-pack r values per u-slot into 2r-1 positions of `width` bytes."""
+    chunks = [v.to_bytes(width, "little") for v in flat]
+    if r > 1:
+        pad = bytes(width * (r - 1))
+        chunks = [b"".join(chunks[i:i + r]) + pad for i in range(0, len(chunks), r)]
+    return int.from_bytes(b"".join(chunks), "little")
 
 
 def _conv2_raw(ctx, a, b, mod, out_len=None):
@@ -494,40 +505,26 @@ def _conv2_raw(ctx, a, b, mod, out_len=None):
     if la == 0 or lb == 0:
         return []
     r = ctx.r
-    r2 = 2 * r
-    cap = min(la, lb) * r * (mod - 1) * (mod - 1) + 1
-    width = (cap.bit_length() + 7) // 8
+    stride = 2 * r - 1
     # coefficients may be stored at a higher precision than the product's
-    # modulus; reduce while packing so the slots cannot overflow
-    za = bytearray(width * la * r2)
-    for j, cj in enumerate(a):
-        base = j * r2 * width
-        for t in range(r):
-            v = cj[t] % mod
-            if v:
-                za[base + t * width:base + t * width + width] = v.to_bytes(width, "little")
-    zb = bytearray(width * lb * r2)
-    for j, cj in enumerate(b):
-        base = j * r2 * width
-        for t in range(r):
-            v = cj[t] % mod
-            if v:
-                zb[base + t * width:base + t * width + width] = v.to_bytes(width, "little")
-    prod = int.from_bytes(bytes(za), "little") * int.from_bytes(bytes(zb), "little")
+    # modulus; reduce before sizing so the width bounds the true sums
+    fa = [v % mod for cj in a for v in cj]
+    fb = [v % mod for cj in b for v in cj]
     n_u = la + lb - 1
     if out_len is not None:
         n_u = min(n_u, out_len)
-    need = width * (n_u * r2 + r2)
-    raw = prod.to_bytes(max(need, (prod.bit_length() + 7) // 8 + width), "little")
-    out = []
-    for j in range(n_u):
-        base = j * r2 * width
-        slot = tuple(
-            int.from_bytes(raw[base + t * width:base + (t + 1) * width], "little") % mod
-            for t in range(r2 - 1)
-        )
-        out.append(slot)
-    return out
+    ma, mb = max(fa), max(fb)
+    if not ma or not mb:
+        return [(0,) * stride] * n_u
+    # with both maxima >= 1 the width also holds every operand value
+    cap = min(la, lb) * r * ma * mb + 1
+    width = (cap.bit_length() + 7) // 8
+    prod = _pack(fa, r, width) * _pack(fb, r, width)
+    need = width * n_u * stride
+    raw = prod.to_bytes(max(need, (prod.bit_length() + 7) // 8), "little")
+    vals = [int.from_bytes(raw[i:i + width], "little") % mod
+            for i in range(0, need, width)]
+    return [tuple(vals[i:i + stride]) for i in range(0, len(vals), stride)]
 
 
 def _fold_w(ctx, slot, mod):

@@ -24,6 +24,7 @@ from .lattices import TypeTag, WeightData
 from .sring import (
     PhiExpPoly,
     SElem,
+    _s_int_pow,
     gamma,
     lambda_power,
     lambda_truncation_index,
@@ -100,10 +101,7 @@ def build_kisin_frobenius(normalized, tags, weights: WeightData):
 
     def ginv(k):
         if k not in gam_inv_pows:
-            acc = SElem.one(ctx)
-            for _ in range(k):
-                acc = s_mul(acc, gam_inv)
-            gam_inv_pows[k] = acc
+            gam_inv_pows[k] = _s_int_pow(gam_inv, k)
         return gam_inv_pows[k]
 
     out = []

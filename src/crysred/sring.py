@@ -21,6 +21,7 @@ Zexponents of the unit lambda_b live in Z[phi] (PhiExpPoly).
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterable, List, Optional, Tuple
 
 from .arith import (
@@ -145,6 +146,14 @@ class SElem:
                 out.append((0,) * ctx.r)
         self.c = tuple(out)
 
+    @classmethod
+    def _reduced(cls, ctx: PrimeContext, coeffs: tuple, d: int, prec: int) -> "SElem":
+        """Internal: wrap a length-M tuple of r-tuples already reduced mod
+        p^prec, with prec >= 1 and d >= 0; nothing is checked or reduced."""
+        out = object.__new__(cls)
+        out.ctx, out.c, out.d, out.prec = ctx, coeffs, d, prec
+        return out
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -249,8 +258,8 @@ class SElem:
         a, b = self._lift_d(d), other._lift_d(d)
         prec = min(a.prec, b.prec)
         mod = self.ctx.ppow(prec)
-        return SElem(self.ctx, [_of_add_raw(x, y, mod) for x, y in zip(a.c, b.c)],
-                     d, prec)
+        return SElem._reduced(
+            self.ctx, tuple(_of_add_raw(x, y, mod) for x, y in zip(a.c, b.c)), d, prec)
 
     __radd__ = __add__
 
@@ -263,8 +272,8 @@ class SElem:
         a, b = self._lift_d(d), other._lift_d(d)
         prec = min(a.prec, b.prec)
         mod = self.ctx.ppow(prec)
-        return SElem(self.ctx, [_of_sub_raw(x, y, mod) for x, y in zip(a.c, b.c)],
-                     d, prec)
+        return SElem._reduced(
+            self.ctx, tuple(_of_sub_raw(x, y, mod) for x, y in zip(a.c, b.c)), d, prec)
 
     def __neg__(self):
         mod = self.ctx.ppow(self.prec)
@@ -468,6 +477,8 @@ def s_mul(x: SElem, y: SElem) -> SElem:
     by p^(D - floor(j/p)), D = floor((M-1)/p), makes every term of slot k a
     multiple of p^(2D - floor(k/p)), so one plain convolution modulo
     p^(prec+2D) followed by that exact division gives the carried product.
+    The rescaled coefficients are below p^(prec+D), and the kernel sizes its
+    packed slots by the operands' largest coefficients, not by the modulus.
     """
     ctx = x.ctx
     p = ctx.p
@@ -480,7 +491,8 @@ def s_mul(x: SElem, y: SElem) -> SElem:
     for k, slot in enumerate(raw):
         q = ctx.ppow(2 * dmax - k // p)
         out.append(_fold_w(ctx, tuple(v // q for v in slot), mod))
-    return SElem(ctx, out, x.d + y.d, prec)
+    out += [(0,) * ctx.r] * (ctx.m - len(out))
+    return SElem._reduced(ctx, tuple(out), x.d + y.d, prec)
 
 
 def _rescaled(x: SElem, dmax: int) -> list:
@@ -489,8 +501,11 @@ def _rescaled(x: SElem, dmax: int) -> list:
     n = len(x.c)
     while n and not any(x.c[n - 1]):
         n -= 1
-    return [tuple(v * ctx.ppow(dmax - j // ctx.p) for v in x.c[j])
-            for j in range(n)]
+    out = []
+    for j in range(n):
+        s = ctx.ppow(dmax - j // ctx.p)
+        out.append(tuple(v * s for v in x.c[j]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -514,22 +529,30 @@ def gamma(ctx: PrimeContext) -> SElem:
 
 
 def _w_power_cache(ctx: PrimeContext, e: int) -> List[SElem]:
-    """Powers of w_e = phi^(e-1)(gamma) - 1 until they vanish at (M, nwork)."""
+    """Powers of w_e = phi^(e-1)(gamma) - 1 until they vanish at (M, nwork).
+
+    w_e = u^(p^e)/p, so with n = p^e l and u = E - p the canonical slot j of
+    w_e^l holds binom(n, j) (-p)^(n-j) p^(floor(j/p) - l); the exponent
+    n - j + floor(j/p) - l is never negative.
+    """
     def build():
-        g = gamma(ctx)
-        for _ in range(e - 1):
-            g = s_frobenius(g)
-        w = g - SElem.one(ctx)
+        p, nwork = ctx.p, ctx.nwork
+        mod = ctx.ppow(nwork)
         powers = [SElem.one(ctx)]
-        cur = SElem.one(ctx)
+        l = 1
         while True:
-            cur = s_mul(cur, w)
-            if cur.is_zero():
-                break
-            powers.append(cur)
-            if len(powers) > ctx.m + ctx.nwork + 4:
-                raise RuntimeError("w-power cache failed to terminate")
-        return powers
+            n = p ** e * l
+            coeffs = []
+            for j in range(min(n + 1, ctx.m)):
+                t = n - j + j // p - l
+                c = 0
+                if t < nwork:
+                    c = (-1) ** (n - j) * comb(n, j) * ctx.ppow(t) % mod
+                coeffs.append(c)
+            if not any(coeffs):
+                return powers
+            powers.append(SElem(ctx, coeffs, 0, nwork))
+            l += 1
 
     return ctx.cache(("wpow", e), build)
 
@@ -571,7 +594,7 @@ def s_frobenius(x: SElem, times: int = 1) -> SElem:
                 row = out[j]
                 for i in range(ctx.r):
                     row[i] = (row[i] + prod[i]) % mod
-    return SElem(ctx, [tuple(row) for row in out], x.d, prec)
+    return SElem._reduced(ctx, tuple(tuple(row) for row in out), x.d, prec)
 
 
 def s_invert(x: SElem, seed: Optional[SElem] = None) -> SElem:

@@ -122,8 +122,27 @@ class TestOFElem:
             assert (x * y).valuation() == vx + vy
 
 
+def naive_raw(r, a, b, mod, out_len):
+    """Schoolbook reference for the unfolded (2r-1)-tuples of `_conv2_raw`."""
+    out = [[0] * (2 * r - 1) for _ in range(min(len(a) + len(b) - 1, out_len))]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < len(out):
+                for s, xs in enumerate(x):
+                    for t, yt in enumerate(y):
+                        out[i + j][s + t] += xs * yt
+    return [tuple(v % mod for v in slot) for slot in out]
+
+
 class TestPackedConvolution:
-    @pytest.mark.parametrize("r", [1, 2, 3])
+    @staticmethod
+    def check(ctx, a, b, mod, out_len):
+        from crysred.arith import _conv2_raw, conv_series
+
+        assert _conv2_raw(ctx, a, b, mod, out_len) == naive_raw(ctx.r, a, b, mod, out_len)
+        assert conv_series(ctx, a, b, mod, out_len) == naive_conv2(ctx, a, b, mod, out_len)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_matches_naive(self, r, rng):
         from crysred.arith import conv_series
 
@@ -134,6 +153,45 @@ class TestPackedConvolution:
             b = [tuple(rng.randrange(mod) for _ in range(r)) for _ in range(ctx.m)]
             got = conv_series(ctx, a, b, mod, ctx.m)
             assert got == naive_conv2(ctx, a, b, mod, ctx.m)
+
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    def test_all_coefficients_mod_minus_one(self, r):
+        # every slot sum reaches min(la, lb) * r * (mod - 1)^2, the widest case
+        ctx = PrimeContext(p=5, f=1, n=6, m=12, r=r)
+        mod = ctx.ppow(ctx.nwork)
+        top = [(mod - 1,) * r] * ctx.m
+        self.check(ctx, top, top, mod, ctx.m)
+        self.check(ctx, top, top, mod, 2 * ctx.m - 1)
+
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    def test_unequal_lengths_short_out_len(self, r, rng):
+        ctx = PrimeContext(p=5, f=1, n=6, m=12, r=r)
+        mod = ctx.ppow(ctx.nwork)
+        a = [tuple(rng.randrange(mod) for _ in range(r)) for _ in range(9)]
+        b = [tuple(rng.randrange(mod) for _ in range(r)) for _ in range(4)]
+        for out_len in (1, 5, 11):
+            self.check(ctx, a, b, mod, out_len)
+            self.check(ctx, b, a, mod, out_len)
+
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    def test_operands_stored_above_mod(self, r, rng):
+        ctx = PrimeContext(p=5, f=1, n=6, m=12, r=r)
+        mod = ctx.ppow(ctx.n)
+        a = [tuple(rng.randrange(mod * 5 ** 4) for _ in range(r)) for _ in range(ctx.m)]
+        b = [tuple(mod * rng.randrange(1, 5 ** 4) + rng.randrange(2) for _ in range(r))
+             for _ in range(ctx.m)]
+        self.check(ctx, a, b, mod, ctx.m)
+
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    def test_short_small_operand(self, r, rng):
+        # the width follows the small operand, not the modulus
+        ctx = PrimeContext(p=5, f=1, n=6, m=12, r=r)
+        mod = ctx.ppow(ctx.nwork)
+        a = [tuple(rng.randrange(mod) for _ in range(r)) for _ in range(ctx.m)]
+        b = [tuple(rng.randrange(3) for _ in range(r)) for _ in range(2)]
+        b[0] = (1,) + b[0][1:]
+        self.check(ctx, a, b, mod, ctx.m)
+        self.check(ctx, b, a, mod, ctx.m)
 
 
 class TestUSeries:

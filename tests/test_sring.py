@@ -8,6 +8,7 @@ from crysred.errors import NotAUnit
 from crysred.sring import (
     PhiExpPoly,
     SElem,
+    _w_power_cache,
     fil_membership,
     gamma,
     in_p_pow_s,
@@ -170,6 +171,59 @@ class TestSMulExact:
             lo = OFElem(small, cs[0][0], prec) * OFElem(small, cs[1][0], prec)
             hi = OFElem(large, cs[0][0], prec) * OFElem(large, cs[1][0], prec)
             assert (lo.c, lo.prec) == (hi.c, hi.prec)
+
+
+class TestReducedConstructor:
+    """Results built without re-reduction are what the checked constructor
+    would store."""
+
+    @pytest.mark.parametrize("name", ["ctx3", "ctx5", "ctx5r2"])
+    def test_results_are_canonical(self, name, request, rng):
+        ctx = request.getfixturevalue(name)
+        for _ in range(3):
+            x = random_selem(ctx, rng, d=rng.randrange(2), prec=ctx.nwork + 2)
+            y = random_selem(ctx, rng, d=rng.randrange(2))
+            for z in (s_mul(x, y), s_mul(y, SElem.zero(ctx)), s_frobenius(x),
+                      s_frobenius(y, times=2), x + y, x - y, y - x):
+                assert SElem(ctx, z.c, z.d, z.prec).c == z.c
+
+
+def w_powers_by_products(ctx, e):
+    """Reference for `_w_power_cache`: w = phi^(e-1)(gamma) - 1, then
+    repeated s_mul until the power vanishes at (M, nwork)."""
+    g = gamma(ctx)
+    for _ in range(e - 1):
+        g = s_frobenius(g)
+    w = g - SElem.one(ctx)
+    powers = [SElem.one(ctx)]
+    while True:
+        nxt = s_mul(powers[-1], w)
+        if nxt.is_zero():
+            return powers
+        powers.append(nxt)
+
+
+class TestWPowers:
+    @pytest.mark.parametrize("r", [1, 4])
+    @pytest.mark.parametrize("p,m,e", [(3, 24, 1), (3, 24, 2), (3, 24, 3),
+                                       (5, 40, 1), (5, 40, 2), (7, 56, 2)])
+    def test_closed_form_matches_products(self, p, m, e, r):
+        ctx = PrimeContext(p=p, f=1, n=6, m=m, r=r)
+        got = _w_power_cache(ctx, e)
+        want = w_powers_by_products(PrimeContext(p=p, f=1, n=6, m=m, r=r), e)
+        assert len(got) == len(want) > 1
+        for x, y in zip(got, want):
+            assert (x.c, x.d, x.prec) == (y.c, y.d, y.prec)
+
+    @pytest.mark.parametrize("r", [1, 4])
+    @pytest.mark.parametrize("m,e", [(8, 1), (14, 2)])
+    def test_only_the_unit_power(self, m, e, r):
+        # w = u^(p^e)/p is zero at (M, nwork) already: the list is just [1]
+        ctx = PrimeContext(p=13, f=1, n=1, m=m, r=r, nwork=5)
+        got = _w_power_cache(ctx, e)
+        want = w_powers_by_products(PrimeContext(p=13, f=1, n=1, m=m, r=r, nwork=5), e)
+        assert len(got) == len(want) == 1
+        assert (got[0].c, got[0].d, got[0].prec) == (want[0].c, want[0].d, want[0].prec)
 
 
 class TestFrobenius:
