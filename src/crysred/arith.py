@@ -486,7 +486,9 @@ def _fp_poly_invmod(a, g, p):
 # convolution.  Each u-slot takes 2r-1 positions: a product has w-degree
 # <= 2r-2, so it never bleeds into the next u-slot.  A position is wide
 # enough for the largest possible sum, min(la, lb) * r * max(a) * max(b),
-# with the maxima taken over the operands after reduction mod `mod`.
+# with the maxima taken over the operands after reduction mod `mod`.  The
+# lengths la, lb are the operands' own: S_F elements arrive trimmed to their
+# last nonzero slot, USeries padded to M.
 
 
 def _pack(flat, r, width):

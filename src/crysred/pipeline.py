@@ -193,7 +193,7 @@ class RunReport:
     stages: dict = field(default_factory=dict)
     result: Optional[dict] = None
     error: Optional[dict] = None
-    timings: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)   # seconds, summed per stage
     version: str = __version__
 
     def serial(self, include_timings=False):
@@ -231,11 +231,6 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
     stage recorded in the report's error block.
     """
     report = RunReport(config=cfg.serial())
-    t0 = time.monotonic()
-
-    def mark(stage):
-        report.timings[stage] = round(time.monotonic() - t0, 6)
-
     try:
         pf = _stage(report, "preflight", lambda: preflight_precision(cfg))
         report.preflight = pf
@@ -244,7 +239,6 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
         ctx = PrimeContext(p=cfg.p, f=cfg.f, n=pf["N"], m=pf["M"],
                            r=cfg.r, nwork=pf["nwork"])
         report.context = ctx.fingerprint()
-        mark("context")
 
         lattice, explicit = _stage(report, "config",
                                    lambda: _build_lattice(ctx, cfg))
@@ -261,7 +255,6 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
             "normalized": [[[e.serial() for e in row] for row in m]
                            for m in normalized],
         }
-        mark("normalize")
 
         verdict = _stage(report, "reducibility",
                          lambda: reducibility_detect(normalized, tags, weights))
@@ -278,7 +271,6 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
             "newton_slopes": [str(s) for s in slopes],
             "det_valuation": _val_str(prod),
         }
-        mark("classify")
 
         budget = compute_budget(weights, cfg.p)
         report.stages["budget"] = budget.serial()
@@ -288,32 +280,28 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
         gate = _stage(report, "gate",
                       lambda: valuation_gate(a2_params, weights, budget))
         report.stages["gate"] = gate.serial()
-        mark("gate")
 
         raw = _stage(report, "build",
                      lambda: build_kisin_frobenius(normalized, tags, weights))
         kf = _stage(report, "det_normalize",
                     lambda: det_normalize(raw, tags, weights, normalized))
         report.stages["kisin"] = kf.serial()
-        mark("kisin")
 
         split = _stage(report, "prepare", lambda: prepare(kf, budget))
         report.stages["prepare"] = {"x_denominators": [x.d for x in split.x1]}
         _stage(report, "assumptions",
                lambda: check_descent_assumptions(split, budget))
-        mark("prepare")
 
         cert = _stage(report, "descend", lambda: descend(split, budget))
         report.stages["descent"] = cert.serial()
-        mark("descend")
 
         reduced = _stage(report, "reduce", lambda: reduce_mod_varpi(cert))
         mu = _stage(report, "extract", lambda: extract_reduction_data(reduced))
         report.stages["reduction_data"] = mu.serial()
-        char = _stage(report, "characterize", lambda: characterize(mu, cfg.p))
+        char = _stage(report, "characterize",
+                      lambda: characterize(mu, cfg.p, weights.shifts))
         report.stages["character"] = char.serial()
         report.result = dict(char.serial(), reducibility=verdict.serial())
-        mark("characterize")
         return report
     except PipelineStop as stop:
         report.error = {
@@ -331,10 +319,14 @@ class ReducibleStop(CrysredError):
 
 
 def _stage(report, name, fn):
+    """Run one stage; its wall time is added to report.timings[name]."""
+    start = time.perf_counter()
     try:
         return fn()
     except CrysredError as exc:
         raise PipelineStop(name, exc) from exc
+    finally:
+        report.timings[name] = report.timings.get(name, 0.0) + time.perf_counter() - start
 
 
 def _is_int_seq(xs) -> bool:

@@ -14,8 +14,8 @@ the standard caveats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence, Tuple
 
 from .errors import DetCheckFailed, NonMonomial
 from .descent import DescentCertificate
@@ -194,8 +194,17 @@ def character_output(v, w, p: int, f: int, parity_odd: bool) -> CharDesc:
     )
 
 
-def characterize(mu: ReductionData, p: int) -> CharDesc:
-    """assign_vw + character_output, cross-checked against monomial_product.
+def characterize(mu: ReductionData, p: int, shifts: Sequence[int] = ()) -> CharDesc:
+    """assign_vw + character_output, cross-checked against monomial_product,
+    then twisted back by the lower weights.
+
+    `shifts` are the lower weights s_i that weight normalization took off
+    each pair; the representation with weights (k_i + s_i, s_i) is the
+    normalized one twisted by a character that reduces to omega_f^a with
+    a = sum_i s_i p^i (the labelling of V = sum_j p^j v_j).  So a split
+    pair (e1, e2) becomes (e1 + a, e2 + a) mod p^f - 1, and an induced t
+    becomes t + a (p^f + 1) mod p^(2f) - 1, since omega_f = omega_2f^(p^f+1).
+    Only the exponents change; v, w, the raw sums and t stay as read off.
 
     Raises DetCheckFailed when the brute-force product is not the monomial
     matrix with exponents (V, W) that the block rule gives.
@@ -212,4 +221,13 @@ def characterize(mu: ReductionData, p: int) -> CharDesc:
     if prod != expected:
         raise DetCheckFailed(
             f"monomial product {prod} != {expected} from assign_vw")
-    return desc
+    a = sum(s * p ** i for i, s in enumerate(shifts))
+    if not a:
+        return desc
+    f = len(mu.mu)
+    if desc.shape == "Split":
+        exponents = tuple((e + a) % (p ** f - 1) for e in desc.exponents)
+    else:
+        (t,) = desc.exponents
+        exponents = ((t + a * (p ** f + 1)) % (p ** (2 * f) - 1),)
+    return replace(desc, exponents=exponents)

@@ -5,7 +5,10 @@ An element is stored in the canonical expansion
     x  =  p^(-d) * sum_j  c_j * E^j / p^floor(j/p),      c_j in O_F,
 
 truncated at E-precision M.  The exponent d >= 0 tracks bounded
-denominators (x in p^(-d) S_F); d = 0 is the ring itself.  Canonical
+denominators (x in p^(-d) S_F); d = 0 is the ring itself.  The stored
+coefficients stop at the last nonzero slot (zero is the empty tuple) and
+lie in [0, p^prec), so every loop runs over an element's support, not
+over M.  Canonical
 coefficients multiply by plain convolution with a carry factor
 p^(floor((i+j)/p) - floor(i/p) - floor(j/p)) in {1, p}; after rescaling
 c_j by p^(D - floor(j/p)), D = floor((M-1)/p), a product is one Kronecker
@@ -16,7 +19,7 @@ E^j/p^floor(j/p) to p^(j - floor(j/p)) * gamma^j with gamma = phi(E)/p.
 Writing gamma = 1 + w with w = u^p/p, phi becomes a finite linear
 combination of cached powers of w, which is how it is evaluated here.
 
-Zexponents of the unit lambda_b live in Z[phi] (PhiExpPoly).
+Exponents of the unit lambda_b live in Z[phi] (PhiExpPoly).
 """
 
 from __future__ import annotations
@@ -115,12 +118,21 @@ class PhiExpPoly:
 # ---------------------------------------------------------------------------
 
 
-def _zero_coeffs(ctx):
-    return [(0,) * ctx.r] * ctx.m
+def _trimmed(slots) -> tuple:
+    """The slots up to the last nonzero one, as a tuple."""
+    n = len(slots)
+    while n and not any(slots[n - 1]):
+        n -= 1
+    return tuple(slots[:n])
 
 
 class SElem:
-    """Element of p^(-d) S_F in canonical E-expansion at precision (M, prec)."""
+    """Element of p^(-d) S_F in canonical E-expansion at precision (M, prec).
+
+    `c` holds the canonical coefficients c_0 .. c_n as r-tuples in
+    [0, p^prec), with n < M the last nonzero slot; the zero element has
+    `c == ()`.  Slots past the end of `c` are zero.
+    """
 
     __slots__ = ("ctx", "c", "d", "prec")
 
@@ -133,22 +145,19 @@ class SElem:
         if d < 0:
             raise ValueError("denominator exponent must be >= 0")
         mod = ctx.ppow(self.prec)
+        pad = (0,) * (ctx.r - 1)
         out = []
-        for j in range(ctx.m):
-            if j < len(coeffs):
-                cj = coeffs[j]
-                if isinstance(cj, OFElem):
-                    cj = cj.c
-                elif isinstance(cj, int):
-                    cj = (cj,) + (0,) * (ctx.r - 1)
-                out.append(tuple(v % mod for v in cj))
-            else:
-                out.append((0,) * ctx.r)
-        self.c = tuple(out)
+        for cj in coeffs[:ctx.m]:
+            if isinstance(cj, OFElem):
+                cj = cj.c
+            elif isinstance(cj, int):
+                cj = (cj,) + pad
+            out.append(tuple(v % mod for v in cj))
+        self.c = _trimmed(out)
 
     @classmethod
     def _reduced(cls, ctx: PrimeContext, coeffs: tuple, d: int, prec: int) -> "SElem":
-        """Internal: wrap a length-M tuple of r-tuples already reduced mod
+        """Internal: wrap a trimmed tuple of r-tuples already reduced mod
         p^prec, with prec >= 1 and d >= 0; nothing is checked or reduced."""
         out = object.__new__(cls)
         out.ctx, out.c, out.d, out.prec = ctx, coeffs, d, prec
@@ -208,18 +217,23 @@ class SElem:
     # -- basic queries -------------------------------------------------------
 
     def coeff(self, j: int) -> OFElem:
+        if j >= len(self.c):
+            return OFElem.zero(self.ctx, self.prec)
         return OFElem(self.ctx, self.c[j], self.prec)
 
     def is_zero(self) -> bool:
-        mod = self.ctx.ppow(self.prec)
-        return all(all(v % mod == 0 for v in x) for x in self.c)
+        return not self.c
 
     def slot_val(self, j: int) -> Optional[int]:
         """p-adic valuation of the canonical coefficient c_j (None = >= prec)."""
+        if j >= len(self.c):
+            return None
         return _of_val_raw(self.ctx, self.c[j], self.prec)
 
     def slot_val_at_least(self, j: int, t: int) -> bool:
         """True when c_j is indistinguishable from a p^t-multiple."""
+        if j >= len(self.c):
+            return True
         q = min(t, self.prec)
         mod = self.ctx.ppow(q)
         return all(v % mod == 0 for v in self.c[j])
@@ -229,7 +243,7 @@ class SElem:
 
     def is_integral(self, margin: int = 0) -> bool:
         """Membership test for p^margin * O_F[[u]] inside p^(-d) S_F."""
-        for j in range(self.ctx.m):
+        for j in range(len(self.c)):
             if not self.slot_val_at_least(j, j // self.ctx.p + self.d + margin):
                 return False
         return True
@@ -246,8 +260,9 @@ class SElem:
         s = self.ctx.ppow(t)
         prec = self.prec + t
         mod = self.ctx.ppow(prec)
-        return SElem(self.ctx, [tuple((v * s) % mod for v in x) for x in self.c],
-                     d_new, prec)
+        # v < p^self.prec, so v * p^t < p^prec: reduced, and nonzero when v is
+        return SElem._reduced(self.ctx, tuple(tuple(v * s for v in x) for x in self.c),
+                              d_new, prec)
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -258,8 +273,10 @@ class SElem:
         a, b = self._lift_d(d), other._lift_d(d)
         prec = min(a.prec, b.prec)
         mod = self.ctx.ppow(prec)
-        return SElem._reduced(
-            self.ctx, tuple(_of_add_raw(x, y, mod) for x, y in zip(a.c, b.c)), d, prec)
+        n = min(len(a.c), len(b.c))
+        out = [_of_add_raw(x, y, mod) for x, y in zip(a.c, b.c)]
+        out += [tuple(v % mod for v in x) for x in a.c[n:] + b.c[n:]]
+        return SElem._reduced(self.ctx, _trimmed(out), d, prec)
 
     __radd__ = __add__
 
@@ -272,8 +289,11 @@ class SElem:
         a, b = self._lift_d(d), other._lift_d(d)
         prec = min(a.prec, b.prec)
         mod = self.ctx.ppow(prec)
-        return SElem._reduced(
-            self.ctx, tuple(_of_sub_raw(x, y, mod) for x, y in zip(a.c, b.c)), d, prec)
+        n = min(len(a.c), len(b.c))
+        out = [_of_sub_raw(x, y, mod) for x, y in zip(a.c, b.c)]
+        out += [tuple(v % mod for v in x) for x in a.c[n:]]
+        out += [tuple(-v % mod for v in y) for y in b.c[n:]]
+        return SElem._reduced(self.ctx, _trimmed(out), d, prec)
 
     def __neg__(self):
         mod = self.ctx.ppow(self.prec)
@@ -307,14 +327,14 @@ class SElem:
 
     def mul_e_pow(self, k: int) -> "SElem":
         """Multiply by E^k (exact; shifts slots with the canonical carry)."""
-        ctx = self.ctx
+        ctx, p = self.ctx, self.ctx.p
         mod = ctx.ppow(self.prec)
-        out = _zero_coeffs(ctx)
-        for j in range(ctx.m - k):
-            x = self.c[j]
-            if any(x):
-                carry = (j + k) // ctx.p - j // ctx.p
-                out[j + k] = _of_scale_raw(x, ctx.ppow(carry), mod)
+        n = min(len(self.c), ctx.m - k)
+        if n <= 0:
+            return SElem(ctx, (), self.d, self.prec)
+        out = [(0,) * ctx.r] * k
+        out += [_of_scale_raw(self.c[j], ctx.ppow((j + k) // p - j // p), mod)
+                for j in range(n)]
         return SElem(ctx, out, self.d, self.prec)
 
     def div_e_pow(self, k: int) -> "SElem":
@@ -328,13 +348,14 @@ class SElem:
         ctx = self.ctx
         if k == 0:
             return self
-        for j in range(min(k, ctx.m)):
-            if not self.slot_val_at_least(j, self.prec):
+        for j in range(min(k, len(self.c))):
+            if any(self.c[j]):
                 raise NotIntegral(f"slot {j} nonzero; element not divisible by E^{k}")
         # delta_j = floor((j+k)/p) - floor(j/p) is the carry to undo at slot j
         extra = 0
         dmax_used = 0
-        for j in range(ctx.m - k):
+        n = len(self.c) - k
+        for j in range(n):
             if any(self.c[j + k]):
                 delta = (j + k) // ctx.p - j // ctx.p
                 dmax_used = max(dmax_used, delta)
@@ -345,8 +366,8 @@ class SElem:
         if prec < 1:
             raise PrecisionExhausted(f"division by E^{k} exhausts precision")
         mod = ctx.ppow(prec)
-        out = _zero_coeffs(ctx)
-        for j in range(ctx.m - k):
+        out = [(0,) * ctx.r] * max(n, 0)
+        for j in range(n):
             x = self.c[j + k]
             if any(x):
                 delta = (j + k) // ctx.p - j // ctx.p
@@ -413,8 +434,10 @@ class SElem:
         return SElem(self.ctx, self.c[:j0], self.d, self.prec)
 
     def slice_from(self, j0: int) -> "SElem":
-        coeffs = [(0,) * self.ctx.r] * j0 + list(self.c[j0:])
-        return SElem(self.ctx, coeffs, self.d, self.prec)
+        if j0 >= len(self.c):
+            return SElem._reduced(self.ctx, (), self.d, self.prec)
+        return SElem._reduced(self.ctx, ((0,) * self.ctx.r,) * j0 + self.c[j0:],
+                              self.d, self.prec)
 
     # -- conversions ----------------------------------------------------------
 
@@ -425,31 +448,44 @@ class SElem:
         over-weight high slots by exactly that much.
         """
         x = self.normalize_d(0)
-        ctx = self.ctx
-        dmax = (ctx.m - 1) // ctx.p
+        ctx, p = self.ctx, self.ctx.p
+        dmax = (ctx.m - 1) // p
         if x.prec <= dmax:
             raise PrecisionExhausted("precision too low for u-coordinates")
         prec = x.prec - dmax
         bigmod = ctx.ppow(x.prec + dmax)
         pd = ctx.ppow(dmax)
+        n = len(x.c)
         out = []
-        for l in range(ctx.m):
-            acc = (0,) * ctx.r
-            for j in range(l, ctx.m):
-                cj = x.c[j]
-                if any(cj):
-                    # term binom(j,l) p^(j-l) c_j / p^floor(j/p); common den p^dmax
-                    s = (ctx.binom(j, l) * ctx.ppow(j - l + dmax - j // ctx.p)) % bigmod
-                    if s:
-                        acc = _of_add_raw(acc, _of_scale_raw(cj, s, bigmod), bigmod)
+        for l in range(n):
+            acc = [0] * ctx.r
+            for j in range(l, n):
+                # term binom(j,l) p^(j-l) c_j / p^floor(j/p); common den p^dmax.
+                # j - l - floor(j/p) never decreases in j, so once the term
+                # is 0 mod p^(x.prec + dmax) every later one is too
+                if j - l - j // p >= x.prec:
+                    break
+                s = ctx.binom(j, l) * ctx.ppow(j - l + dmax - j // p)
+                for i, v in enumerate(x.c[j]):
+                    acc[i] += s * v
+            acc = [v % bigmod for v in acc]
             if any(v % pd for v in acc):
                 raise NotIntegral("element is not in O_F[[u]]")
             out.append(tuple((v // pd) % ctx.ppow(prec) for v in acc))
         return USeries(ctx, out, prec)
 
     def residue(self):
-        """Mod-p image in k_F[[u]] (requires integrality)."""
-        return self.to_useries().residue()
+        """Mod-p image in k_F[[u]] (requires integrality).
+
+        The same as `to_useries().residue()`, raising the same errors, but
+        converted at dmax + 1 digits: a slot's digits beyond that move the
+        u-coordinates, scaled by p^dmax, only by multiples of p^(dmax + 1).
+        """
+        x = self.normalize_d(0)
+        dmax = (self.ctx.m - 1) // self.ctx.p
+        if x.prec > dmax + 1:
+            x = x.at_prec(dmax + 1)
+        return x.to_useries().residue()
 
     def serial(self) -> dict:
         """Debug serialization: (j, coefficient, floor(j/p)) triples."""
@@ -481,31 +517,33 @@ def s_mul(x: SElem, y: SElem) -> SElem:
     packed slots by the operands' largest coefficients, not by the modulus.
     """
     ctx = x.ctx
-    p = ctx.p
     prec = min(x.prec, y.prec)
-    dmax = (ctx.m - 1) // p
-    raw = _conv2_raw(ctx, _rescaled(x, dmax), _rescaled(y, dmax),
-                     ctx.ppow(prec + 2 * dmax), ctx.m)
+    dmax = (ctx.m - 1) // ctx.p
+    up, down = _carry_tables(ctx)
     mod = ctx.ppow(prec)
-    out = []
-    for k, slot in enumerate(raw):
-        q = ctx.ppow(2 * dmax - k // p)
-        out.append(_fold_w(ctx, tuple(v // q for v in slot), mod))
-    out += [(0,) * ctx.r] * (ctx.m - len(out))
-    return SElem._reduced(ctx, tuple(out), x.d + y.d, prec)
+    bigmod = ctx.ppow(prec + 2 * dmax)
+    if ctx.r == 1:
+        raw = _conv2_raw(ctx, [(cj[0] * s,) for cj, s in zip(x.c, up)],
+                         [(cj[0] * s,) for cj, s in zip(y.c, up)], bigmod, ctx.m)
+        out = [((slot[0] // q) % mod,) for slot, q in zip(raw, down)]
+    else:
+        raw = _conv2_raw(ctx, [tuple(v * s for v in cj) for cj, s in zip(x.c, up)],
+                         [tuple(v * s for v in cj) for cj, s in zip(y.c, up)],
+                         bigmod, ctx.m)
+        out = [_fold_w(ctx, tuple(v // q for v in slot), mod)
+               for slot, q in zip(raw, down)]
+    return SElem._reduced(ctx, _trimmed(out), x.d + y.d, prec)
 
 
-def _rescaled(x: SElem, dmax: int) -> list:
-    """Slots c_j p^(dmax - floor(j/p)), trailing zero slots dropped."""
-    ctx = x.ctx
-    n = len(x.c)
-    while n and not any(x.c[n - 1]):
-        n -= 1
-    out = []
-    for j in range(n):
-        s = ctx.ppow(dmax - j // ctx.p)
-        out.append(tuple(v * s for v in x.c[j]))
-    return out
+def _carry_tables(ctx: PrimeContext) -> tuple:
+    """Per-slot constants of `s_mul`: the rescale factors p^(D - floor(j/p))
+    and the divisors p^(2D - floor(k/p)), D = floor((M-1)/p), j, k < M."""
+    def build():
+        dmax = (ctx.m - 1) // ctx.p
+        up = [ctx.ppow(dmax - j // ctx.p) for j in range(ctx.m)]
+        return up, [s * ctx.ppow(dmax) for s in up]
+
+    return ctx.cache(("carry",), build)
 
 
 # ---------------------------------------------------------------------------
@@ -562,39 +600,40 @@ def s_frobenius(x: SElem, times: int = 1) -> SElem:
     evaluated through the cached powers of w_e = gamma_e - 1."""
     if times == 0:
         return x
-    ctx = x.ctx
+    ctx, p, r = x.ctx, x.ctx.p, x.ctx.r
     powers = _w_power_cache(ctx, times)
     L = len(powers)
     prec = x.prec
     mod = ctx.ppow(prec)
-    # T_l = sum_j c_j p^(j - floor(j/p)) binom(j, l)
-    T = [(0,) * ctx.r for _ in range(L)]
-    for j in range(ctx.m):
-        cj = x.c[j]
+    # T_l = sum_j c_j p^(j - floor(j/p)) binom(j, l); j - floor(j/p) never
+    # decreases, so the first slot whose factor is 0 mod p^prec ends the sum
+    T = [[0] * r for _ in range(L)]
+    for j, cj in enumerate(x.c):
+        pw = ctx.ppow(j - j // p) % mod
+        if pw == 0:
+            break
         if not any(cj):
             continue
-        pw = ctx.ppow(j - j // ctx.p) % mod
-        if pw == 0:
-            continue
         scaled = _of_scale_raw(cj, pw, mod)
-        for l in range(min(j, L - 1) + 1):
-            b = ctx.binom(j, l) % mod
+        for l, tl in enumerate(T[:j + 1]):
+            b = ctx.binom(j, l)
             if b:
-                T[l] = _of_add_raw(T[l], _of_scale_raw(scaled, b, mod), mod)
-    out = [[0] * ctx.r for _ in range(ctx.m)]
-    for l in range(L):
-        tl = T[l]
+                for i in range(r):
+                    tl[i] += b * scaled[i]
+    T = [tuple(v % mod for v in tl) for tl in T]
+    # the slots of w_e^l are rational integers: phi(x) = sum_l T_l w_e^l
+    # scales each T_l slotwise
+    out = [[0] * r for _ in range(max(len(w.c) for w in powers))]
+    for tl, w in zip(T, powers):
         if not any(tl):
             continue
-        wc = powers[l].c
-        for j in range(ctx.m):
-            wj = wc[j]
-            if any(wj):
-                prod = _of_mul_raw(ctx, wj, tl, mod)
-                row = out[j]
-                for i in range(ctx.r):
-                    row[i] = (row[i] + prod[i]) % mod
-    return SElem._reduced(ctx, tuple(tuple(row) for row in out), x.d, prec)
+        for row, wj in zip(out, w.c):
+            if wj[0]:
+                prod = _of_scale_raw(tl, wj[0], mod)
+                for i in range(r):
+                    row[i] += prod[i]
+    return SElem._reduced(ctx, _trimmed([tuple(v % mod for v in row) for row in out]),
+                          x.d, prec)
 
 
 def s_invert(x: SElem, seed: Optional[SElem] = None) -> SElem:
@@ -703,12 +742,11 @@ def fil_membership(x: SElem, j: int) -> bool:
     x = x.reduce_d()
     if x.d != 0:
         return False
-    ctx = x.ctx
-    for i in range(min(j, ctx.m)):
-        if not x.slot_val_at_least(i, x.prec):
-            return False
-    for i in range(j, ctx.m):
-        need = i // ctx.p - (i - j) // ctx.p
+    p = x.ctx.p
+    if any(any(cj) for cj in x.c[:j]):
+        return False
+    for i in range(j, len(x.c)):
+        need = i // p - (i - j) // p
         if not x.slot_val_at_least(i, need):
             return False
     return True
@@ -722,4 +760,4 @@ def in_p_pow_s(x: SElem, t: int) -> bool:
     x = x.reduce_d()
     if x.d != 0:
         return False
-    return all(x.slot_val_at_least(j, t) for j in range(x.ctx.m))
+    return all(x.slot_val_at_least(j, t) for j in range(len(x.c)))

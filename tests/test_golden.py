@@ -33,6 +33,20 @@ GOLDEN = {
         {"p": 5, "f": 1, "weights": [[2, 2]],
          "params": [{"type": "I", "a1": 1, "a2": 25}]},
         "0ebef962c0f5e27ea0428fb7435c2a85014b28f01c841410fb19b639d801b5f4"),
+    # long E-adic support: M = 208, so S_F elements fill many slots
+    "f1-p13-k14": (
+        {"p": 13, "f": 1, "r": 1, "weights": [[14, 0]],
+         "params": [{"type": "I", "a1": 1, "a2": {"coeffs": [3], "pexp": 2}}]},
+        "c6cf96489ea41b63c7a5cf86152a38c2f83af8c8cf0e3b2adaeabdfe646ad45a"),
+    # r = 4 > f: every O_F product goes through the residue-polynomial fold
+    "f2-r4-p7": (
+        {"p": 7, "f": 2, "r": 4, "weights": [[3, 0], [3, 0]],
+         "params": [
+             {"type": "I", "a1": {"coeffs": [1, 2, 0, 1]},
+              "a2": {"coeffs": [1, 3], "pexp": 1}},
+             {"type": "I", "a1": {"coeffs": [2, 0, 1]},
+              "a2": {"coeffs": [3, 0, 0, 1], "pexp": 1}}]},
+        "1ee705eb487b4c6b6b2162c223ca759e64eec4170c06cec54fb2b29fc4648772"),
 }
 
 

@@ -1,5 +1,7 @@
 """End-to-end runs of `run_pipeline` against known answers."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +72,97 @@ class TestClassicalF1:
                    lambda bounds: ["inf"])
 
 
+# Oracle helpers, copied from the benchmark's oracle so that these tests do
+# not depend on it.  A character is ("Split", (a, b)) for
+# omega_f^a + omega_f^b or ("Induced", (t,)) for ind omega_2f^t.
+
+def classical(p, k):
+    """Berger-Li-Zhu at large slope: ind omega_2^k, split iff (p+1) | k."""
+    if k % (p + 1) == 0:
+        e = (k // (p + 1)) % (p - 1)
+        return "Split", (e, e)
+    return "Induced", (k % (p * p - 1),)
+
+
+def twisted_f1(char, s, p):
+    """char (x) omega^s at f = 1; omega = omega_2^(p+1)."""
+    shape, ex = char
+    if shape == "Split":
+        return shape, tuple((e + s) % (p - 1) for e in ex)
+    return shape, ((ex[0] + s * (p + 1)) % (p * p - 1),)
+
+
+def base_change(char, p, f):
+    """Restrict an f = 1 character to the unramified field of degree f."""
+    shape, ex = char
+    mod_f = p ** f - 1
+    if shape == "Split":
+        s = mod_f // (p - 1)
+        return "Split", tuple(e * s % mod_f for e in ex)
+    (t,) = ex
+    if f % 2:
+        return "Induced", (t * ((p ** (2 * f) - 1) // (p * p - 1)) % (p ** (2 * f) - 1),)
+    q = mod_f // (p * p - 1)
+    return "Split", (t * q % mod_f, t * q * p % mod_f)
+
+
+def equivalent(a, b, p, f):
+    """Same character up to a common factor p^j on the exponents."""
+    if a[0] != b[0]:
+        return False
+    if a[0] == "Split":
+        mod = p ** f - 1
+        target = sorted(e % mod for e in b[1])
+        return any(sorted(e * p ** j % mod for e in a[1]) == target
+                   for j in range(f))
+    mod = p ** (2 * f) - 1
+    (t,), (u,) = a[1], b[1]
+    return any(t * p ** j % mod == u % mod for j in range(2 * f))
+
+
+def type_i_job(p, pairs):
+    """All-Type-I job with a1 = 1 and v(a2) one above the gate bound."""
+    c = compute_budget(normalize_weights(pairs), p).c_max
+    slot = {"type": "I", "a1": 1, "a2": {"coeffs": [1], "pexp": c}}
+    return JobConfig.from_dict({"p": p, "f": len(pairs), "weights": pairs,
+                                "params": [slot] * len(pairs)})
+
+
+def answer(report):
+    assert report.error is None
+    return report.result["shape"], tuple(report.result["exponents"])
+
+
+class TestLowerWeightTwist:
+    """Weights (k + s, s) give the (k, 0) answer twisted by omega^s."""
+
+    @pytest.mark.parametrize("pair, want", [
+        ([6, 2], ("Induced", (16,))),
+        ([5, 1], ("Induced", (10,))),
+        ([0, 4], ("Induced", (4,))),
+    ])
+    def test_p5_k4_examples(self, pair, want):
+        assert answer(run_pipeline(type_i_job(5, [pair]))) == want
+
+    @pytest.mark.parametrize("p, k, s", [(5, 4, 2), (5, 6, 1), (7, 3, 3),
+                                         (3, 4, 1), (3, 2, 1)])
+    def test_f1_classical_twisted(self, p, k, s):
+        got = answer(run_pipeline(type_i_job(p, [[k + s, s]])))
+        assert got == twisted_f1(classical(p, k), s, p)
+
+    @pytest.mark.parametrize("p, k, s", [(5, 3, 1), (3, 1, 1), (7, 2, 3)])
+    def test_f2_base_change_of_twisted(self, p, k, s):
+        got = answer(run_pipeline(type_i_job(p, [[k + s, s]] * 2)))
+        want = base_change(twisted_f1(classical(p, k), s, p), p, 2)
+        assert equivalent(got, want, p, 2)
+
+    def test_only_exponents_change(self):
+        plain = run_pipeline(type_i_job(5, [[4, 0]])).result
+        shifted = run_pipeline(type_i_job(5, [[6, 2]])).result
+        assert shifted.pop("exponents") != plain.pop("exponents")
+        assert shifted == plain
+
+
 class TestBadInputs:
     def test_non_prime_p_is_config_error(self):
         with pytest.raises(ConfigError):
@@ -120,6 +213,29 @@ class TestBadInputs:
         assert report.result is None
         assert (report.error["stage"], report.error["type"]) == (stage, etype)
         assert exit_code_for(report) == code
+
+
+class TestStageTimings:
+    STAGES = ["preflight", "weights", "config", "reducibility", "slopes", "gate",
+              "build", "det_normalize", "prepare", "assumptions", "descend",
+              "reduce", "extract", "characterize"]
+
+    @pytest.mark.parametrize("data, stages", [
+        (P5_K4, STAGES),
+        (with_a2({"coeffs": [1], "pexp": 1}), STAGES[:STAGES.index("gate") + 1]),
+        ({"p": 5, "f": 1, "weights": [[3, 0]],
+          "params": [{"matrix": [[3, -1094], [1, -365]]}]},
+         STAGES[:3] + ["normalize"] + STAGES[3:]),
+    ])
+    def test_keys_are_the_stages_that_ran(self, data, stages):
+        report = run_pipeline(JobConfig.from_dict(data))
+        assert sorted(report.timings) == sorted(stages)
+        assert all(v >= 0 for v in report.timings.values())
+
+    def test_timings_only_on_request(self):
+        report = run_pipeline(JobConfig.from_dict(P5_K4))
+        assert "timings" not in json.loads(report.to_json())
+        assert json.loads(report.to_json(include_timings=True))["timings"] == report.timings
 
 
 class TestSelfChecks:

@@ -3,11 +3,19 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crysred.arith import OFElem, PrimeContext, USeries
-from crysred.errors import NotAUnit
+from crysred.arith import (
+    OFElem,
+    PrimeContext,
+    USeries,
+    _of_add_raw,
+    _of_mul_raw,
+    _of_scale_raw,
+)
+from crysred.errors import NotAUnit, NotIntegral, PrecisionExhausted
 from crysred.sring import (
     PhiExpPoly,
     SElem,
+    _s_int_pow,
     _w_power_cache,
     fil_membership,
     gamma,
@@ -38,9 +46,12 @@ def naive_s_mul(x, y):
     for i in range(ctx.m):
         for j in range(ctx.m - i):
             carry = (i + j) // p - i // p - j // p
-            term = OFElem(ctx, x.c[i], prec) * OFElem(ctx, y.c[j], prec)
+            term = x.coeff(i).at_prec(prec) * y.coeff(j).at_prec(prec)
             out[i + j] = out[i + j] + term * ctx.ppow(carry)
-    return tuple(v.c for v in out), x.d + y.d, prec
+    slots = [v.c for v in out]
+    while slots and not any(slots[-1]):
+        slots.pop()
+    return tuple(slots), x.d + y.d, prec
 
 
 class TestPhiExpPoly:
@@ -368,3 +379,194 @@ class TestConversions:
     def test_p_pow_membership(self, ctx5):
         assert in_p_pow_s(SElem.from_int(ctx5, 25), 2)
         assert not in_p_pow_s(SElem.from_int(ctx5, 5), 2)
+
+
+# ---------------------------------------------------------------------------
+# Trimmed storage
+# ---------------------------------------------------------------------------
+
+
+def padded(x):
+    """x's slots padded with zero slots to length M."""
+    return list(x.c) + [(0,) * x.ctx.r] * (x.ctx.m - len(x.c))
+
+
+def assert_trimmed(z):
+    """The storage invariant: at most M slots, the last one nonzero, every
+    value in [0, p^prec)."""
+    ctx = z.ctx
+    mod = ctx.ppow(z.prec)
+    assert len(z.c) <= ctx.m
+    assert not z.c or any(z.c[-1])
+    assert all(len(x) == ctx.r and all(0 <= v < mod for v in x) for x in z.c)
+
+
+def short_selem(ctx, rng, length, d=0, prec=None):
+    prec = ctx.n if prec is None else prec
+    return SElem(ctx, [[rng.randrange(ctx.ppow(prec)) for _ in range(ctx.r)]
+                       for _ in range(length)], d, prec)
+
+
+class TestTrimmedInvariant:
+    @pytest.mark.parametrize("name", ["ctx3", "ctx5", "ctx5r2"])
+    def test_constructors(self, name, request, rng):
+        ctx = request.getfixturevalue(name)
+        mod = ctx.ppow(ctx.n)
+        made = [
+            SElem(ctx, [[5] + [0] * (ctx.r - 1), -1, mod, 2 * mod, 0, 0], 0, ctx.n),
+            SElem(ctx, [0] * (ctx.m + 3)),
+            SElem(ctx, [1] * (ctx.m + 3)),
+            SElem.zero(ctx), SElem.one(ctx), SElem.from_int(ctx, -7),
+            SElem.from_int(ctx, mod, ctx.n),
+            SElem.from_of(ctx, random_of(ctx, rng)),
+            SElem.e_pow(ctx, 3), SElem.e_pow(ctx, ctx.m - 1), SElem.e_pow(ctx, ctx.m),
+            SElem.from_useries(random_useries(ctx, rng)),
+            SElem.from_useries(USeries(ctx, [0, 0, 1])),
+            SElem.from_useries(USeries.zero(ctx)),
+            gamma(ctx),
+        ]
+        made += _w_power_cache(ctx, 1) + _w_power_cache(ctx, 2)
+        for z in made:
+            assert_trimmed(z)
+        assert SElem.from_int(ctx, mod, ctx.n).c == ()
+        assert SElem(ctx, [0] * (ctx.m + 3)).c == ()
+
+    @pytest.mark.parametrize("name", ["ctx3", "ctx5", "ctx5r2"])
+    def test_operations(self, name, request, rng):
+        ctx = request.getfixturevalue(name)
+        p, m = ctx.p, ctx.m
+        x = short_selem(ctx, rng, m // 2)
+        y = short_selem(ctx, rng, m - 3, d=1, prec=ctx.nwork)
+        u = SElem.from_useries(random_useries(ctx, rng))
+        tail = short_selem(ctx, rng, 2)
+        cancel = x + tail
+        e4 = s_mul(SElem.e_pow(ctx, 4), u)
+        unit = s_mul(gamma(ctx), SElem.from_int(ctx, 1 + p))
+        results = [
+            x + y, x - y, y - x, x - x, x + (-x), cancel - x, -y, x + 3, x - 3,
+            x * y, x * random_of(ctx, rng), x * 2, x * p ** ctx.n,
+            y._lift_d(3), x.mul_e_pow(2), x.mul_e_pow(m), x.mul_e_pow(m - 1),
+            e4.div_e_pow(4), SElem.zero(ctx).div_e_pow(3), SElem.e_pow(ctx, p).div_e_pow(p),
+            x.mul_p_pow(2), y.mul_p_pow(1), y.mul_p_pow(3), u.mul_p_pow(1).normalize_d(0),
+            y.reduce_d(), x.at_prec(2), x.at_prec(1),
+            x.slice_below(3), x.slice_below(0), x.slice_from(3), x.slice_from(m // 2),
+            x.slice_from(m), SElem.zero(ctx).slice_from(0),
+            s_mul(x, y), s_mul(x, SElem.zero(ctx)), s_mul(SElem.e_pow(ctx, m - 1), x),
+            s_frobenius(x), s_frobenius(y, times=2), s_frobenius(SElem.zero(ctx)),
+            s_invert(unit), s_invert(unit, seed=SElem.one(ctx)),
+            _s_int_pow(x, 3), lambda_b(1, ctx), lambda_power(PhiExpPoly((2, -1)), 1, ctx),
+        ]
+        for z in results:
+            assert_trimmed(z)
+        assert (x - x).c == () and (x + (-x)).c == ()
+        assert (cancel - x).c == tail.c
+        assert x.slice_from(m // 2).is_zero()
+
+    def test_past_the_end(self, ctx5, rng):
+        x = short_selem(ctx5, rng, 4)
+        assert len(x.c) <= 4
+        j = ctx5.m - 1
+        assert x.coeff(j).is_zero() and x.coeff(j).prec == x.prec
+        assert x.slot_val(j) is None
+        assert x.slot_val_at_least(j, 10 ** 6)
+
+
+def padded_to_useries(x):
+    """Reference: the u-conversion summed over all M slots of the padded
+    coefficient list, every term reduced, no early stop."""
+    x = x.normalize_d(0)
+    ctx = x.ctx
+    c = padded(x)
+    dmax = (ctx.m - 1) // ctx.p
+    if x.prec <= dmax:
+        raise PrecisionExhausted("precision too low for u-coordinates")
+    prec = x.prec - dmax
+    bigmod = ctx.ppow(x.prec + dmax)
+    pd = ctx.ppow(dmax)
+    out = []
+    for l in range(ctx.m):
+        acc = (0,) * ctx.r
+        for j in range(l, ctx.m):
+            if any(c[j]):
+                s = (ctx.binom(j, l) * ctx.ppow(j - l + dmax - j // ctx.p)) % bigmod
+                if s:
+                    acc = _of_add_raw(acc, _of_scale_raw(c[j], s, bigmod), bigmod)
+        if any(v % pd for v in acc):
+            raise NotIntegral("element is not in O_F[[u]]")
+        out.append(tuple((v // pd) % ctx.ppow(prec) for v in acc))
+    return USeries(ctx, out, prec)
+
+
+def outcome(fn, x):
+    """(coefficients, precision) of fn(x), or the type of its error."""
+    try:
+        z = fn(x)
+    except (NotIntegral, PrecisionExhausted) as exc:
+        return type(exc)
+    return z.c, z.prec
+
+
+class TestUConversion:
+    @pytest.mark.parametrize("name", ["ctx3", "ctx5", "ctx5r2"])
+    def test_matches_padded_loop(self, name, request, rng):
+        ctx = request.getfixturevalue(name)
+        dmax = (ctx.m - 1) // ctx.p
+        ints = [SElem.from_useries(random_useries(ctx, rng)) for _ in range(3)]
+        ints.append(SElem.from_useries(USeries(ctx, [0] * 5 + [1])))
+        cases = [(z, None) for z in ints]
+        cases += [
+            (ints[0]._lift_d(2), None),                  # d > 0, integral
+            (ints[1].mul_p_pow(1), None),
+            (ints[0].at_prec(dmax + 1), None),           # prec = dmax + 1
+            (ints[1].at_prec(dmax + 2), None),
+            (ints[0].at_prec(dmax), PrecisionExhausted),  # prec = dmax
+            (SElem(ctx, [0] * ctx.p + [1]), NotIntegral),   # E^p/p
+            (random_selem(ctx, rng, d=1), NotIntegral),
+            (SElem.zero(ctx), None),
+            (s_mul(ints[0], ints[1]), None),
+        ]
+        for x, err in cases:
+            want = outcome(padded_to_useries, x)
+            assert outcome(SElem.to_useries, x) == want
+            if err is not None:
+                assert want is err
+            want_res = outcome(lambda z: padded_to_useries(z).residue(), x)
+            assert outcome(SElem.residue, x) == want_res
+
+
+def frobenius_reference(x, times):
+    """Reference: phi through _of_mul_raw on every padded w-power slot."""
+    ctx = x.ctx
+    powers = _w_power_cache(ctx, times)
+    mod = ctx.ppow(x.prec)
+    c = padded(x)
+    T = [(0,) * ctx.r for _ in powers]
+    for j in range(ctx.m):
+        pw = ctx.ppow(j - j // ctx.p) % mod
+        if not any(c[j]) or pw == 0:
+            continue
+        scaled = _of_scale_raw(c[j], pw, mod)
+        for l in range(min(j, len(powers) - 1) + 1):
+            b = ctx.binom(j, l) % mod
+            T[l] = _of_add_raw(T[l], _of_scale_raw(scaled, b, mod), mod)
+    out = [(0,) * ctx.r for _ in range(ctx.m)]
+    for tl, w in zip(T, powers):
+        for j, wj in enumerate(padded(w)):
+            out[j] = _of_add_raw(out[j], _of_mul_raw(ctx, wj, tl, mod), mod)
+    while out and not any(out[-1]):
+        out.pop()
+    return tuple(out), x.d, x.prec
+
+
+class TestFrobeniusReference:
+    @pytest.mark.parametrize("times", [1, 2])
+    @pytest.mark.parametrize("r", [1, 4])
+    @pytest.mark.parametrize("p, m", [(3, 24), (5, 30)])
+    def test_matches_padded_products(self, p, m, r, times, rng):
+        ctx = PrimeContext(p=p, f=1, n=6, m=m, r=r)
+        xs = [random_selem(ctx, rng), random_selem(ctx, rng, d=1, prec=ctx.nwork),
+              random_selem(ctx, rng, prec=2), short_selem(ctx, rng, 3),
+              random_selem(ctx, rng)._lift_d(2), SElem.zero(ctx), gamma(ctx)]
+        for x in xs:
+            z = s_frobenius(x, times)
+            assert (z.c, z.d, z.prec) == frobenius_reference(x, times)
