@@ -175,10 +175,8 @@ class PrimeContext:
             raise ValueError("nwork must be >= n")
         self.residue_poly = find_residue_poly(p, r)
         self._ppows = [1]
-        self._wmod = self.ppow(self.nwork)
         # reduction rows: w^(r+t) mod g over Z for t = 0..r-2
         self._red_rows = self._build_red_rows()
-        self._binom_rows = [(1,)]
         self._caches = {}
 
     def ppow(self, k: int) -> int:
@@ -207,20 +205,6 @@ class PrimeContext:
             rows.append(tuple(nxt))
             cur = nxt
         return rows
-
-    def binom(self, nn: int, kk: int) -> int:
-        """binom(nn, kk) mod p^nwork via a cached Pascal triangle."""
-        if kk < 0 or kk > nn:
-            return 0
-        mod = self._wmod
-        while len(self._binom_rows) <= nn:
-            prev = self._binom_rows[-1]
-            row = [1]
-            for i in range(1, len(prev)):
-                row.append((prev[i - 1] + prev[i]) % mod)
-            row.append(1)
-            self._binom_rows.append(tuple(row))
-        return self._binom_rows[nn][kk]
 
     def cache(self, key, builder):
         if key not in self._caches:

@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 
 from . import __version__
 from .arith import OFElem, PrimeContext, _is_prime
-from .errors import ConfigError, CrysredError
+from .errors import ConfigError, CrysredError, PrecisionExhausted
 from .descent import (
     check_descent_assumptions,
     compute_budget,
@@ -125,7 +125,10 @@ def preflight_precision(cfg: JobConfig) -> dict:
     """Choose (M, N) and the internal guard from (p, f, k, gate margins).
 
     Default rule: M = 2 p c_max T (T = TARGET_ITERATIONS) and
-    N = max(k_max + 2, c_max + 4); user overrides are respected verbatim.
+    N = max(k_max + 2, c_max + 4); user overrides are respected verbatim,
+    except that an override with M <= k_max raises PrecisionExhausted: then
+    E^(k_i) = 0 mod E^M, so the entry E^(k_i) a1 vanishes and no monomial
+    read-off exists.  The default M is always above k_max.
     The working precision adds ceil((M-1)/p) digits for u-coordinate
     conversions plus the estimated division depth of the descent.
     """
@@ -134,6 +137,9 @@ def preflight_precision(cfg: JobConfig) -> dict:
     k_max = weights.k_max
     if cfg.precision is not None:
         m, n = cfg.precision
+        if m <= k_max:
+            raise PrecisionExhausted(
+                f"E-adic precision M = {m} does not exceed k_max = {k_max}")
     else:
         m = 2 * cfg.p * budget.c_max * TARGET_ITERATIONS
         n = max(k_max + 2, budget.c_max + 4)

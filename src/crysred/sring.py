@@ -19,6 +19,10 @@ E^j/p^floor(j/p) to p^(j - floor(j/p)) * gamma^j with gamma = phi(E)/p.
 Writing gamma = 1 + w with w = u^p/p, phi becomes a finite linear
 combination of cached powers of w, which is how it is evaluated here.
 
+Every power w_e^l of w_e = phi^(e-1)(gamma) - 1 = u^(p^e)/p has a closed
+canonical form (`_w_power`).  It gives gamma = 1 + w_1, the powers of w
+used by phi, and the units phi^j(lambda_b) = prod_n (1 + w_(bn+j+1)) of
+lambda_b = prod_n phi^(bn)(gamma), without iterating a truncated phi.
 Exponents of the unit lambda_b live in Z[phi] (PhiExpPoly).
 """
 
@@ -203,7 +207,7 @@ class SElem:
             for l in range(j, ctx.m):
                 a = x.c[l]
                 if any(a):
-                    s = (ctx.binom(l, j) * sign * ppow) % mod
+                    s = (comb(l, j) * sign * ppow) % mod
                     if s:
                         acc = _of_add_raw(acc, _of_scale_raw(a, s, mod), mod)
                 sign = -sign
@@ -465,7 +469,7 @@ class SElem:
                 # is 0 mod p^(x.prec + dmax) every later one is too
                 if j - l - j // p >= x.prec:
                     break
-                s = ctx.binom(j, l) * ctx.ppow(j - l + dmax - j // p)
+                s = comb(j, l) * ctx.ppow(j - l + dmax - j // p)
                 for i, v in enumerate(x.c[j]):
                     acc[i] += s * v
             acc = [v % bigmod for v in acc]
@@ -552,56 +556,54 @@ def _carry_tables(ctx: PrimeContext) -> tuple:
 
 
 def gamma(ctx: PrimeContext) -> SElem:
-    """The unit gamma = phi(E)/p = (u^p + p)/p, in canonical E-expansion."""
-    p = ctx.p
-    coeffs = []
-    for t in range(min(p, ctx.m)):
-        sign = 1 if (p - t) % 2 == 0 else -1
-        val = sign * ctx.binom(p, t) * ctx.ppow(p - t - 1)
-        if t == 0:
-            val += 1
-        coeffs.append(val)
-    if p < ctx.m:
-        coeffs += [1]
-    return SElem(ctx, coeffs, 0, ctx.nwork)
+    """The unit gamma = phi(E)/p = (u^p + p)/p = 1 + w_1, in canonical
+    E-expansion at (M, nwork)."""
+    return SElem.one(ctx) + _w_power(ctx, 1, 1)
 
 
-def _w_power_cache(ctx: PrimeContext, e: int) -> List[SElem]:
-    """Powers of w_e = phi^(e-1)(gamma) - 1 until they vanish at (M, nwork).
+def _w_power(ctx: PrimeContext, e: int, l: int) -> SElem:
+    """w_e^l at (M, nwork), where w_e = phi^(e-1)(gamma) - 1 = u^(p^e)/p.
 
-    w_e = u^(p^e)/p, so with n = p^e l and u = E - p the canonical slot j of
-    w_e^l holds binom(n, j) (-p)^(n-j) p^(floor(j/p) - l); the exponent
-    n - j + floor(j/p) - l is never negative.
+    With n = p^e l and u = E - p, the canonical slot i of w_e^l holds
+    binom(n, i) (-p)^(n-i) p^(floor(i/p) - l); the exponent
+    n - i + floor(i/p) - l is never negative.
     """
+    p, nwork = ctx.p, ctx.nwork
+    mod = ctx.ppow(nwork)
+    n = p ** e * l
+    coeffs = []
+    for i in range(min(n + 1, ctx.m)):
+        t = n - i + i // p - l
+        c = 0
+        if t < nwork:
+            c = (-1) ** (n - i) * comb(n, i) * ctx.ppow(t) % mod
+        coeffs.append(c)
+    return SElem(ctx, coeffs, 0, nwork)
+
+
+def _w_power_cache(ctx: PrimeContext) -> List[SElem]:
+    """Powers of w = gamma - 1 = u^p/p until they vanish at (M, nwork)."""
     def build():
-        p, nwork = ctx.p, ctx.nwork
-        mod = ctx.ppow(nwork)
         powers = [SElem.one(ctx)]
-        l = 1
         while True:
-            n = p ** e * l
-            coeffs = []
-            for j in range(min(n + 1, ctx.m)):
-                t = n - j + j // p - l
-                c = 0
-                if t < nwork:
-                    c = (-1) ** (n - j) * comb(n, j) * ctx.ppow(t) % mod
-                coeffs.append(c)
-            if not any(coeffs):
+            w = _w_power(ctx, 1, len(powers))
+            if w.is_zero():
                 return powers
-            powers.append(SElem(ctx, coeffs, 0, nwork))
-            l += 1
+            powers.append(w)
 
-    return ctx.cache(("wpow", e), build)
+    return ctx.cache(("wpow",), build)
 
 
-def s_frobenius(x: SElem, times: int = 1) -> SElem:
-    """phi^times on S_F: phi(E^j/p^floor(j/p)) = p^(j-floor(j/p)) gamma_e^j,
-    evaluated through the cached powers of w_e = gamma_e - 1."""
-    if times == 0:
-        return x
+def s_frobenius(x: SElem) -> SElem:
+    """phi on S_F: phi(E^j/p^floor(j/p)) = p^(j-floor(j/p)) gamma^j,
+    evaluated through the cached powers of w = gamma - 1.
+
+    The result keeps x's precision.  It is exact when M - floor(M/p) >=
+    prec: the slots j >= M that the truncation dropped would add
+    p^(j - floor(j/p)) gamma^j, a multiple of p^(M - floor(M/p)).
+    """
     ctx, p, r = x.ctx, x.ctx.p, x.ctx.r
-    powers = _w_power_cache(ctx, times)
+    powers = _w_power_cache(ctx)
     L = len(powers)
     prec = x.prec
     mod = ctx.ppow(prec)
@@ -616,12 +618,11 @@ def s_frobenius(x: SElem, times: int = 1) -> SElem:
             continue
         scaled = _of_scale_raw(cj, pw, mod)
         for l, tl in enumerate(T[:j + 1]):
-            b = ctx.binom(j, l)
-            if b:
-                for i in range(r):
-                    tl[i] += b * scaled[i]
+            b = comb(j, l)
+            for i in range(r):
+                tl[i] += b * scaled[i]
     T = [tuple(v % mod for v in tl) for tl in T]
-    # the slots of w_e^l are rational integers: phi(x) = sum_l T_l w_e^l
+    # the slots of w^l are rational integers: phi(x) = sum_l T_l w^l
     # scales each T_l slotwise
     out = [[0] * r for _ in range(max(len(w.c) for w in powers))]
     for tl, w in zip(T, powers):
@@ -665,7 +666,8 @@ def s_invert(x: SElem, seed: Optional[SElem] = None) -> SElem:
 
 
 def lambda_b(b: int, ctx: PrimeContext) -> SElem:
-    """The unit prod_{n>=0} phi^(bn)(gamma), truncated at stabilization."""
+    """The unit prod_{n>=0} phi^(bn)(gamma), factors kept while != 1 at
+    (M, nwork)."""
     return _lambda_data(ctx, b)[0]
 
 
@@ -674,37 +676,31 @@ def lambda_truncation_index(b: int, ctx: PrimeContext) -> int:
     return _lambda_data(ctx, b)[1]
 
 
-def _lambda_data(ctx, b):
-    def build():
-        one = SElem.one(ctx)
-        lam = gamma(ctx)
-        fac = lam
-        nstar = 1
-        while True:
-            fac = s_frobenius(fac, times=b)
-            if fac == one:
-                break
-            lam = s_mul(lam, fac)
-            nstar += 1
-            if nstar > 8 * (ctx.m + ctx.nwork):
-                raise PrecisionExhausted("lambda_b failed to stabilize")
-        return lam, nstar
+def _lambda_data(ctx, b, j=0):
+    """phi^j(lambda_b) = prod_n (1 + w_(bn+j+1)), since phi^m(gamma) =
+    1 + w_(m+1), and the number of factors kept.
 
-    return ctx.cache(("lambda", b), build)
+    w_e vanishes at (M, nwork) once p^e is large, and then so does every
+    later factor's w, so the product stops at the first factor equal to 1.
+    """
+    def build():
+        lam, count = SElem.one(ctx), 0
+        while True:
+            w = _w_power(ctx, b * count + j + 1, 1)
+            if w.is_zero():
+                return lam, count
+            fac = SElem.one(ctx) + w
+            lam = s_mul(lam, fac) if count else fac
+            count += 1
+
+    return ctx.cache(("lambda", b, j), build)
 
 
 def _phi_lambda(ctx, b, j, inverse=False):
-    def build():
-        lam = lambda_b(b, ctx)
-        for _ in range(j):
-            lam = s_frobenius(lam)
-        return lam
-
-    key = ("phi_lambda", b, j)
-    lam = ctx.cache(key, build)
+    lam = _lambda_data(ctx, b, j)[0]
     if not inverse:
         return lam
-    return ctx.cache(key + ("inv",), lambda: s_invert(lam))
+    return ctx.cache(("phi_lambda", b, j, "inv"), lambda: s_invert(lam))
 
 
 def lambda_power(e: PhiExpPoly, b: int, ctx: PrimeContext) -> SElem:

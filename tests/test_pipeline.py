@@ -17,6 +17,7 @@ from crysred.pipeline import (
     EXIT_INTERNAL,
     JobConfig,
     exit_code_for,
+    preflight_precision,
     run_pipeline,
 )
 
@@ -133,6 +134,47 @@ def answer(report):
     return report.result["shape"], tuple(report.result["exponents"])
 
 
+def rotate(config):
+    """The same job with every per-slot list moved one slot round."""
+    out = dict(config)
+    out["weights"] = config["weights"][1:] + config["weights"][:1]
+    out["params"] = config["params"][1:] + config["params"][:1]
+    return out
+
+
+class TestSmallEAdicPrecision:
+    """f = 1 Type I jobs at an E-adic precision M far below the default
+    still give the Berger-Li-Zhu answer; at these M a truncated Frobenius
+    once built lambda_b wrongly and the jobs stopped with DetCheckFailed.
+    The cases with k > p + 1 also check BLZ beyond the range above."""
+
+    @pytest.mark.parametrize("p, k, m", [
+        (3, 1, 4), (3, 1, 9), (3, 4, 5), (3, 4, 28), (5, 8, 15), (5, 8, 25),
+        (5, 12, 13), (5, 12, 25), (7, 20, 44), (7, 20, 49)])
+    def test_blz_answer(self, p, k, m):
+        cfg = f1_type_i_job(p, k)
+        n = preflight_precision(cfg)["N"]
+        cfg = JobConfig.from_dict(dict(cfg.serial(), precision=[m, n]))
+        assert answer(run_pipeline(cfg)) == classical(p, k)
+
+
+class TestRotation:
+    """A one-slot rotation of a mixed tuple gives the same character up to
+    p^j on the exponents."""
+
+    @pytest.mark.parametrize("p, ks, types", [(3, (1, 2), ("I", "II")),
+                                              (5, (2, 3), ("II", "I"))])
+    def test_rotation_is_equivalent(self, p, ks, types):
+        pairs = [[k, 0] for k in ks]
+        c = compute_budget(normalize_weights(pairs), p).c_max
+        data = {"p": p, "f": len(pairs), "weights": pairs,
+                "params": [{"type": t, "a1": 1, "a2": {"coeffs": [1], "pexp": c}}
+                           for t in types]}
+        got = answer(run_pipeline(JobConfig.from_dict(data)))
+        rotated = answer(run_pipeline(JobConfig.from_dict(rotate(data))))
+        assert equivalent(got, rotated, p, len(pairs))
+
+
 class TestLowerWeightTwist:
     """Weights (k + s, s) give the (k, 0) answer twisted by omega^s."""
 
@@ -205,7 +247,10 @@ class TestBadInputs:
     @pytest.mark.parametrize("data, stage, etype, code", [
         (with_a2({"coeffs": [1], "pexp": -1}), "config", "ConfigError", EXIT_CONFIG),
         (with_a2({"coeffs": [1], "pexp": 1.5}), "config", "ConfigError", EXIT_CONFIG),
-        (dict(P5_K4, precision=[3, 1]), "det_normalize", "PrecisionExhausted",
+        # M = 3 and M = 4 do not exceed k = 4
+        (dict(P5_K4, precision=[3, 1]), "preflight", "PrecisionExhausted",
+         EXIT_CONVERGENCE),
+        (dict(P5_K4, precision=[4, 8]), "preflight", "PrecisionExhausted",
          EXIT_CONVERGENCE),
     ])
     def test_stage_tagged_errors(self, data, stage, etype, code):

@@ -1,5 +1,7 @@
 """Canonical S_F arithmetic: gamma, the Frobenius, lambda units, ideals."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +17,9 @@ from crysred.errors import NotAUnit, NotIntegral, PrecisionExhausted
 from crysred.sring import (
     PhiExpPoly,
     SElem,
+    _phi_lambda,
     _s_int_pow,
+    _w_power,
     _w_power_cache,
     fil_membership,
     gamma,
@@ -195,12 +199,12 @@ class TestReducedConstructor:
             x = random_selem(ctx, rng, d=rng.randrange(2), prec=ctx.nwork + 2)
             y = random_selem(ctx, rng, d=rng.randrange(2))
             for z in (s_mul(x, y), s_mul(y, SElem.zero(ctx)), s_frobenius(x),
-                      s_frobenius(y, times=2), x + y, x - y, y - x):
+                      s_frobenius(s_frobenius(y)), x + y, x - y, y - x):
                 assert SElem(ctx, z.c, z.d, z.prec).c == z.c
 
 
 def w_powers_by_products(ctx, e):
-    """Reference for `_w_power_cache`: w = phi^(e-1)(gamma) - 1, then
+    """Reference for `_w_power`: w = phi^(e-1)(gamma) - 1, then
     repeated s_mul until the power vanishes at (M, nwork)."""
     g = gamma(ctx)
     for _ in range(e - 1):
@@ -214,16 +218,28 @@ def w_powers_by_products(ctx, e):
         powers.append(nxt)
 
 
+def w_powers_closed_form(ctx, e):
+    """`_w_power(ctx, e, l)` for l = 0, 1, ... until it vanishes."""
+    powers = [_w_power(ctx, e, 0)]
+    while not powers[-1].is_zero():
+        powers.append(_w_power(ctx, e, len(powers)))
+    return powers[:-1]
+
+
 class TestWPowers:
     @pytest.mark.parametrize("r", [1, 4])
     @pytest.mark.parametrize("p,m,e", [(3, 24, 1), (3, 24, 2), (3, 24, 3),
                                        (5, 40, 1), (5, 40, 2), (7, 56, 2)])
     def test_closed_form_matches_products(self, p, m, e, r):
         ctx = PrimeContext(p=p, f=1, n=6, m=m, r=r)
-        got = _w_power_cache(ctx, e)
+        got = w_powers_closed_form(ctx, e)
         want = w_powers_by_products(PrimeContext(p=p, f=1, n=6, m=m, r=r), e)
         assert len(got) == len(want) > 1
-        for x, y in zip(got, want):
+        pairs = list(zip(got, want))
+        if e == 1:
+            assert len(_w_power_cache(ctx)) == len(want)
+            pairs += zip(_w_power_cache(ctx), want)
+        for x, y in pairs:
             assert (x.c, x.d, x.prec) == (y.c, y.d, y.prec)
 
     @pytest.mark.parametrize("r", [1, 4])
@@ -231,7 +247,7 @@ class TestWPowers:
     def test_only_the_unit_power(self, m, e, r):
         # w = u^(p^e)/p is zero at (M, nwork) already: the list is just [1]
         ctx = PrimeContext(p=13, f=1, n=1, m=m, r=r, nwork=5)
-        got = _w_power_cache(ctx, e)
+        got = w_powers_closed_form(ctx, e)
         want = w_powers_by_products(PrimeContext(p=13, f=1, n=1, m=m, r=r, nwork=5), e)
         assert len(got) == len(want) == 1
         assert (got[0].c, got[0].d, got[0].prec) == (want[0].c, want[0].d, want[0].prec)
@@ -273,9 +289,15 @@ class TestFrobenius:
             via_u = SElem.from_useries(u.frobenius())
             assert via_s == via_u
 
-    def test_phi_iterated_equals_phi_power(self, ctx3, rng):
-        x = random_selem(ctx3, rng)
-        assert s_frobenius(s_frobenius(x)) == s_frobenius(x, times=2)
+    def test_phi_iterated_equals_phi_power(self, ctx3, ctx5):
+        # the closed form of phi^j(lambda_b) against j applications of phi
+        for ctx in (ctx3, ctx5):
+            for b in (1, 2):
+                lam = lambda_b(b, ctx)
+                for j in range(4):
+                    got = _phi_lambda(ctx, b, j)
+                    assert (got.c, got.d, got.prec) == (lam.c, lam.d, lam.prec)
+                    lam = s_frobenius(lam)
 
 
 class TestInvert:
@@ -303,18 +325,49 @@ class TestInvert:
                 assert s_mul(x, y) == SElem.one(ctx5)
 
 
+def lambda_by_iteration(ctx, b):
+    """Reference for `lambda_b`: gamma * phi^b(gamma) * phi^(2b)(gamma) ...,
+    each factor by b more applications of s_frobenius, until a factor is 1;
+    also the number of factors kept."""
+    lam = fac = gamma(ctx)
+    count = 1
+    while True:
+        for _ in range(b):
+            fac = s_frobenius(fac)
+        if fac == SElem.one(ctx):
+            return lam, count
+        lam = s_mul(lam, fac)
+        count += 1
+
+
 class TestLambda:
+    # M - floor(M/p) >= nwork in each context, so s_frobenius is exact there
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    @pytest.mark.parametrize("p, m", [(3, 40), (5, 30), (7, 56)])
+    def test_closed_form_matches_iterated_frobenius(self, p, m, b):
+        ctx = PrimeContext(p=p, f=1, n=6, m=m)
+        assert m - m // p >= ctx.nwork
+        lam, count = lambda_by_iteration(ctx, b)
+        got = lambda_b(b, ctx)
+        assert (got.c, got.d, got.prec) == (lam.c, lam.d, lam.prec)
+        assert lambda_truncation_index(b, ctx) == count
+        if (p, b) == (3, 1):
+            assert count == 3
+
     @pytest.mark.parametrize("b", [1, 2])
     def test_functional_equation(self, ctx5, b):
         lam = lambda_b(b, ctx5)
-        assert s_mul(gamma(ctx5), s_frobenius(lam, times=b)) == lam
+        phi_b = lam
+        for _ in range(b):
+            phi_b = s_frobenius(phi_b)
+        assert s_mul(gamma(ctx5), phi_b) == lam
 
     def test_leading_factor_is_gamma(self, ctx5):
         # lambda_b = gamma * (factors fixed by higher phi-powers)
         lam = lambda_b(2, ctx5)
         rest = s_mul(lam, s_invert(gamma(ctx5)))
         # the functional equation lambda_b = gamma * phi^b(lambda_b)
-        assert rest == s_frobenius(lam, times=2)
+        assert rest == s_frobenius(s_frobenius(lam))
         assert lambda_truncation_index(2, ctx5) >= 1
 
     def test_stabilization_finite(self, ctx3):
@@ -425,7 +478,8 @@ class TestTrimmedInvariant:
             SElem.from_useries(USeries.zero(ctx)),
             gamma(ctx),
         ]
-        made += _w_power_cache(ctx, 1) + _w_power_cache(ctx, 2)
+        made += _w_power_cache(ctx) + [_w_power(ctx, e, l) for e in (1, 2, 5)
+                                       for l in range(4)]
         for z in made:
             assert_trimmed(z)
         assert SElem.from_int(ctx, mod, ctx.n).c == ()
@@ -452,9 +506,10 @@ class TestTrimmedInvariant:
             x.slice_below(3), x.slice_below(0), x.slice_from(3), x.slice_from(m // 2),
             x.slice_from(m), SElem.zero(ctx).slice_from(0),
             s_mul(x, y), s_mul(x, SElem.zero(ctx)), s_mul(SElem.e_pow(ctx, m - 1), x),
-            s_frobenius(x), s_frobenius(y, times=2), s_frobenius(SElem.zero(ctx)),
+            s_frobenius(x), s_frobenius(s_frobenius(y)), s_frobenius(SElem.zero(ctx)),
             s_invert(unit), s_invert(unit, seed=SElem.one(ctx)),
-            _s_int_pow(x, 3), lambda_b(1, ctx), lambda_power(PhiExpPoly((2, -1)), 1, ctx),
+            _s_int_pow(x, 3), lambda_b(1, ctx), _phi_lambda(ctx, 2, 3),
+            lambda_power(PhiExpPoly((2, -1)), 1, ctx),
         ]
         for z in results:
             assert_trimmed(z)
@@ -488,7 +543,7 @@ def padded_to_useries(x):
         acc = (0,) * ctx.r
         for j in range(l, ctx.m):
             if any(c[j]):
-                s = (ctx.binom(j, l) * ctx.ppow(j - l + dmax - j // ctx.p)) % bigmod
+                s = (comb(j, l) * ctx.ppow(j - l + dmax - j // ctx.p)) % bigmod
                 if s:
                     acc = _of_add_raw(acc, _of_scale_raw(c[j], s, bigmod), bigmod)
         if any(v % pd for v in acc):
@@ -534,10 +589,10 @@ class TestUConversion:
             assert outcome(SElem.residue, x) == want_res
 
 
-def frobenius_reference(x, times):
+def frobenius_reference(x):
     """Reference: phi through _of_mul_raw on every padded w-power slot."""
     ctx = x.ctx
-    powers = _w_power_cache(ctx, times)
+    powers = _w_power_cache(ctx)
     mod = ctx.ppow(x.prec)
     c = padded(x)
     T = [(0,) * ctx.r for _ in powers]
@@ -547,7 +602,7 @@ def frobenius_reference(x, times):
             continue
         scaled = _of_scale_raw(c[j], pw, mod)
         for l in range(min(j, len(powers) - 1) + 1):
-            b = ctx.binom(j, l) % mod
+            b = comb(j, l) % mod
             T[l] = _of_add_raw(T[l], _of_scale_raw(scaled, b, mod), mod)
     out = [(0,) * ctx.r for _ in range(ctx.m)]
     for tl, w in zip(T, powers):
@@ -568,5 +623,9 @@ class TestFrobeniusReference:
               random_selem(ctx, rng, prec=2), short_selem(ctx, rng, 3),
               random_selem(ctx, rng)._lift_d(2), SElem.zero(ctx), gamma(ctx)]
         for x in xs:
-            z = s_frobenius(x, times)
-            assert (z.c, z.d, z.prec) == frobenius_reference(x, times)
+            # `times` applications, each against the reference
+            z = x
+            for _ in range(times):
+                want = frobenius_reference(z)
+                z = s_frobenius(z)
+                assert (z.c, z.d, z.prec) == want
