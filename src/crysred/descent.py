@@ -257,7 +257,7 @@ def height_partner(a: Mat2, h: int, seed: Optional[SElem] = None):
 class DescentCertificate:
     """Output of `descend`: the integral tuple plus the iteration log."""
 
-    a_final: Tuple                      # tuple of 2x2 USeries matrices
+    a_final: Tuple                      # tuple of 2x2 integral SElem matrices
     a0_mod_p: Tuple                     # residue matrices of the prepared A0
     chains: List[List[dict]]            # per-chain (slot, h, ell, next_h) rows
     iterations: int
@@ -295,6 +295,10 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
     determinant units are tracked and every iterate's determinant is
     checked against +-E^(k_i) a1^(i) times the accumulated unit.  A failed
     check raises SplitFailed.
+
+    The final entries are certified integral and their residues, read off
+    the slots, must equal A0's; `final_prec` is their least precision less
+    the floor((M-1)/p) digits that u-coordinates would cost.
     """
     ctx = split.a0[0][0][0].ctx
     p, f = ctx.p, split.f
@@ -421,39 +425,30 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
         iteration += 1
         check_dets(iteration)
 
-    a_final_s = tuple(tuple(tuple(e.reduce_d() for e in row) for row in m)
-                      for m in a_mats)
-    a_final_u = []
-    final_prec = None
-    for i in range(f):
-        rows = []
-        for row in a_final_s[i]:
-            out_row = []
-            for e in row:
-                try:
-                    ue = e.to_useries()
-                except (NotIntegral, PrecisionExhausted) as exc:
-                    raise PrecisionExhausted(
-                        f"descended entry not certifiably integral: {exc}") from exc
-                out_row.append(ue)
-                final_prec = ue.prec if final_prec is None else min(final_prec, ue.prec)
-            rows.append(tuple(out_row))
-        a_final_u.append(tuple(rows))
-
-    cert = DescentCertificate(
-        a_final=tuple(a_final_u),
-        a0_mod_p=a0_residue,
-        chains=chains,
-        iterations=iteration,
-        final_prec=final_prec if final_prec is not None else 0,
-    )
+    a_final, residues = [], []
+    for m in a_mats:
+        m = tuple(tuple(e.reduce_d() for e in row) for row in m)
+        try:
+            residues.append(tuple(tuple(e.residue() for e in row) for row in m))
+        except (NotIntegral, PrecisionExhausted) as exc:
+            raise PrecisionExhausted(
+                f"descended entry not certifiably integral: {exc}") from exc
+        # residue() has just certified each normalize_d(0)
+        a_final.append(tuple(tuple(e.normalize_d(0) for e in row) for row in m))
     for i in range(f):
         for r in range(2):
             for c in range(2):
-                if cert.a_final[i][r][c].residue() != a0_residue[i][r][c]:
+                if residues[i][r][c] != a0_residue[i][r][c]:
                     raise SplitFailed(
                         f"slot {i}: descended matrix != prepared part mod p")
-    return cert
+    final_prec = min(e.prec for m in a_final for row in m for e in row)
+    return DescentCertificate(
+        a_final=tuple(a_final),
+        a0_mod_p=a0_residue,
+        chains=chains,
+        iterations=iteration,
+        final_prec=final_prec - (ctx.m - 1) // p,
+    )
 
 
 def _mat_is_zero(m):

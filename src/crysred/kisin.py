@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .arith import OFElem, mat_det
+from .arith import OFElem
 from .errors import Degenerate, DetCheckFailed
 from .lattices import TypeTag, WeightData
 from .sring import (
@@ -200,7 +200,8 @@ def det_normalize(raw, tags, weights: WeightData,
     evaluated through lambda-power identities and compared entrywise;
     disagreement raises DetCheckFailed (the identity is exact, so failure
     indicates an arithmetic bug).
-    The determinant is asserted equal to +-E^(k_i) a1^(i) entrywise.
+    Their determinant is +-E^(k_i) a1^(i) by shape alone, so it is not
+    re-checked; the conjugation check is what guards the closed forms.
     """
     ctx = raw[0][0][0].ctx
     f = weights.f
@@ -224,14 +225,6 @@ def det_normalize(raw, tags, weights: WeightData,
         else:
             mats.append(((e_a1, zero), (low, one)))
             signs.append(1)
-
-    for i in range(f):
-        det = mat_det(mats[i])
-        expected = SElem.e_pow(ctx, weights.k[i]) * a1s[i]
-        if signs[i] < 0:
-            expected = -expected
-        if not (det == expected):
-            raise DetCheckFailed(f"slot {i}: det != {signs[i]:+d} E^k a1")
 
     _verify_conjugation(raw, mats, pairs, b, weights)
 

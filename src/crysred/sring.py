@@ -19,6 +19,9 @@ E^j/p^floor(j/p) to p^(j - floor(j/p)) * gamma^j with gamma = phi(E)/p.
 Writing gamma = 1 + w with w = u^p/p, phi becomes a finite linear
 combination of cached powers of w, which is how it is evaluated here.
 
+Since E = u + p is u mod p, `SElem.residue` reads the image in k_F[[u]]
+straight off the slots, with no change of coordinates to O_F[[u]].
+
 Every power w_e^l of w_e = phi^(e-1)(gamma) - 1 = u^(p^e)/p has a closed
 canonical form (`_w_power`).  It gives gamma = 1 + w_1, the powers of w
 used by phi, and the units phi^j(lambda_b) = prod_n (1 + w_(bn+j+1)) of
@@ -479,17 +482,22 @@ class SElem:
         return USeries(ctx, out, prec)
 
     def residue(self):
-        """Mod-p image in k_F[[u]] (requires integrality).
+        """Mod-p image in k_F[[u]] (requires integrality), read off the slots.
 
-        The same as `to_useries().residue()`, raising the same errors, but
-        converted at dmax + 1 digits: a slot's digits beyond that move the
-        u-coordinates, scaled by p^dmax, only by multiples of p^(dmax + 1).
+        With E = u + p, u-coordinate l of an integral x is
+        sum_(j>=l) binom(j, l) p^(j-l) c_j / p^floor(j/p), and every j > l
+        term is a multiple of p^(j-l); so slot l of the residue is
+        c_l / p^floor(l/p) mod p.  The values and errors are those of
+        `to_useries().residue()`, without its change of coordinates.
         """
         x = self.normalize_d(0)
-        dmax = (self.ctx.m - 1) // self.ctx.p
-        if x.prec > dmax + 1:
-            x = x.at_prec(dmax + 1)
-        return x.to_useries().residue()
+        ctx, p = self.ctx, self.ctx.p
+        if x.prec <= (ctx.m - 1) // p:
+            raise PrecisionExhausted("precision too low for u-coordinates")
+        if not x.is_integral():
+            raise NotIntegral("element is not in O_F[[u]]")
+        return USeries(ctx, [tuple(v // ctx.ppow(l // p) % p for v in cl)
+                             for l, cl in enumerate(x.c)], 1)
 
     def serial(self) -> dict:
         """Debug serialization: (j, coefficient, floor(j/p)) triples."""

@@ -235,6 +235,8 @@ class TestDescend:
                 for c in range(2):
                     assert cert.a_final[i][r][c].residue() == cert.a0_mod_p[i][r][c]
         assert cert.final_prec >= ctx.n
+        assert cert.final_prec == min(e.to_useries().prec for m in cert.a_final
+                                      for row in m for e in row)
 
     def test_det_mismatch_raises(self, monkeypatch):
         # a determinant unit off by a sign must fail the iterate det check

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crysred.descent
+import crysred.kisin
 import crysred.reduction
 from crysred.descent import compute_budget
 from crysred.errors import ConfigError
@@ -20,6 +21,7 @@ from crysred.pipeline import (
     preflight_precision,
     run_pipeline,
 )
+from crysred.sring import PhiExpPoly
 
 
 P5_K4 = {"p": 5, "f": 1, "weights": [[4, 0]],
@@ -93,18 +95,20 @@ def twisted_f1(char, s, p):
     return shape, ((ex[0] + s * (p + 1)) % (p * p - 1),)
 
 
-def base_change(char, p, f):
-    """Restrict an f = 1 character to the unramified field of degree f."""
+def base_change(char, p, f, f0=1):
+    """Restrict a character of the unramified field of degree f0 to the one
+    of degree f, a multiple of f0."""
     shape, ex = char
     mod_f = p ** f - 1
     if shape == "Split":
-        s = mod_f // (p - 1)
+        s = mod_f // (p ** f0 - 1)
         return "Split", tuple(e * s % mod_f for e in ex)
     (t,) = ex
-    if f % 2:
-        return "Induced", (t * ((p ** (2 * f) - 1) // (p * p - 1)) % (p ** (2 * f) - 1),)
-    q = mod_f // (p * p - 1)
-    return "Split", (t * q % mod_f, t * q * p % mod_f)
+    if (f // f0) % 2:
+        mod_2f = p ** (2 * f) - 1
+        return "Induced", (t * (mod_2f // (p ** (2 * f0) - 1)) % mod_2f,)
+    q = mod_f // (p ** (2 * f0) - 1)
+    return "Split", (t * q % mod_f, t * q * p ** f0 % mod_f)
 
 
 def equivalent(a, b, p, f):
@@ -132,6 +136,15 @@ def type_i_job(p, pairs):
 def answer(report):
     assert report.error is None
     return report.result["shape"], tuple(report.result["exponents"])
+
+
+def mixed_job(p, ks, types):
+    """Lower weights 0, a1 = 1 and v(a2) one above the gate bound."""
+    pairs = [[k, 0] for k in ks]
+    c = compute_budget(normalize_weights(pairs), p).c_max
+    return {"p": p, "f": len(pairs), "weights": pairs,
+            "params": [{"type": t, "a1": 1, "a2": {"coeffs": [1], "pexp": c}}
+                       for t in types]}
 
 
 def rotate(config):
@@ -165,14 +178,23 @@ class TestRotation:
     @pytest.mark.parametrize("p, ks, types", [(3, (1, 2), ("I", "II")),
                                               (5, (2, 3), ("II", "I"))])
     def test_rotation_is_equivalent(self, p, ks, types):
-        pairs = [[k, 0] for k in ks]
-        c = compute_budget(normalize_weights(pairs), p).c_max
-        data = {"p": p, "f": len(pairs), "weights": pairs,
-                "params": [{"type": t, "a1": 1, "a2": {"coeffs": [1], "pexp": c}}
-                           for t in types]}
+        data = mixed_job(p, ks, types)
         got = answer(run_pipeline(JobConfig.from_dict(data)))
         rotated = answer(run_pipeline(JobConfig.from_dict(rotate(data))))
-        assert equivalent(got, rotated, p, len(pairs))
+        assert equivalent(got, rotated, p, len(ks))
+
+
+class TestPeriodicBaseChange:
+    """A period-2 tuple repeated twice gives the base change to degree 4 of
+    the period job's answer."""
+
+    @pytest.mark.parametrize("p, ks, types", [(3, (1, 2), ("I", "II")),
+                                              (5, (2, 3), ("II", "I")),
+                                              (5, (1, 3), ("I", "I"))])
+    def test_repeated_tuple_is_base_change(self, p, ks, types):
+        period = answer(run_pipeline(JobConfig.from_dict(mixed_job(p, ks, types))))
+        got = answer(run_pipeline(JobConfig.from_dict(mixed_job(p, ks * 2, types * 2))))
+        assert equivalent(got, base_change(period, p, 4, f0=2), p, 4)
 
 
 class TestLowerWeightTwist:
@@ -283,6 +305,11 @@ class TestStageTimings:
         assert json.loads(report.to_json(include_timings=True))["timings"] == report.timings
 
 
+def bump_first_h(b, pairs, anchors):
+    (g, h), rest = pairs[0], pairs[1:]
+    return b, ((g, h + PhiExpPoly.const(1)),) + rest, anchors
+
+
 class TestSelfChecks:
     @pytest.mark.parametrize("module, name, broken, stage, etype", [
         # v and w swapped: the monomial-product oracle disagrees
@@ -291,6 +318,11 @@ class TestSelfChecks:
         # a determinant unit off by a sign
         (crysred.descent, "_det_unit_ratio",
          lambda orig: lambda a, k, unit: orig(a, k, -unit), "descend", "SplitFailed"),
+        # slot 0's lambda-exponent h one too large: the twisted conjugation
+        # no longer gives the closed forms
+        (crysred.kisin, "solve_exponent_system",
+         lambda orig: lambda tags, weights: bump_first_h(*orig(tags, weights)),
+         "det_normalize", "DetCheckFailed"),
     ])
     def test_failed_check_stops_the_job(self, monkeypatch, module, name, broken,
                                         stage, etype):

@@ -580,6 +580,14 @@ class TestUConversion:
             (SElem.zero(ctx), None),
             (s_mul(ints[0], ints[1]), None),
         ]
+        # support to M - 1: only the last slot one digit short of integral,
+        # and prec = dmax + 1
+        head = ints[2].slice_below(ctx.m - 1)
+        short = SElem(ctx, [0] * (ctx.m - 1) + [ctx.ppow(dmax - 1)])
+        edges = [(head + short, NotIntegral),
+                 ((head + SElem.e_pow(ctx, ctx.m - 1)).at_prec(dmax + 1), None)]
+        assert all(len(x.c) == ctx.m for x, _ in edges)
+        cases += edges
         for x, err in cases:
             want = outcome(padded_to_useries, x)
             assert outcome(SElem.to_useries, x) == want
