@@ -147,11 +147,14 @@ class PrimeContext:
     """Shared parameters: p, f, r, precisions, and the residue polynomial.
 
     `n` is the reporting p-precision, `m` the u/E-adic truncation order.
-    `nwork` is the internal construction precision; the default guard of
-    ceil((m-1)/p) + 4 extra digits covers the canonical-form denominators
-    so that conversions to O_F[[u]] coordinates stay certified at `n`.
-    Pipelines that divide further (preparation, descent) request a larger
-    guard through `preflight_precision`.
+    `nwork` is the internal construction precision.  Its default is
+    n + floor((m-1)/p) + 1 + 4: u-coordinates cost floor((m-1)/p) digits
+    (the canonical-form denominators of the slots below m) and `residue()`
+    needs one digit beyond those, so an element held at nwork converts to
+    O_F[[u]] at precision n + 5.  The pipeline passes the nwork that
+    `preflight_precision` chooses, which adds the descent's division depth
+    and stays within the digits of phi that the truncation at E^m leaves
+    exact.
     """
 
     def __init__(self, p: int, f: int, n: int, m: int, r: Optional[int] = None,
@@ -170,7 +173,7 @@ class PrimeContext:
         self.r = r
         self.n = n
         self.m = m
-        self.nwork = nwork if nwork is not None else n + (m - 1 + p - 1) // p + 4
+        self.nwork = nwork if nwork is not None else n + (m - 1) // p + 1 + 4
         if self.nwork < n:
             raise ValueError("nwork must be >= n")
         self.residue_poly = find_residue_poly(p, r)

@@ -258,6 +258,7 @@ class DescentCertificate:
     """Output of `descend`: the integral tuple plus the iteration log."""
 
     a_final: Tuple                      # tuple of 2x2 integral SElem matrices
+    a_final_mod_p: Tuple                # their residues, checked against A0's
     a0_mod_p: Tuple                     # residue matrices of the prepared A0
     chains: List[List[dict]]            # per-chain (slot, h, ell, next_h) rows
     iterations: int
@@ -444,6 +445,7 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
     final_prec = min(e.prec for m in a_final for row in m for e in row)
     return DescentCertificate(
         a_final=tuple(a_final),
+        a_final_mod_p=tuple(residues),
         a0_mod_p=a0_residue,
         chains=chains,
         iterations=iteration,

@@ -43,8 +43,6 @@ from .lattices import (
 )
 from .reduction import characterize, extract_reduction_data, reduce_mod_varpi
 
-TARGET_ITERATIONS = 4
-
 
 @dataclass
 class JobConfig:
@@ -122,33 +120,61 @@ class JobConfig:
 
 
 def preflight_precision(cfg: JobConfig) -> dict:
-    """Choose (M, N) and the internal guard from (p, f, k, gate margins).
+    """Choose (M, N) and the working precision nwork from (p, k, c_max).
 
-    Default rule: M = 2 p c_max T (T = TARGET_ITERATIONS) and
-    N = max(k_max + 2, c_max + 4); user overrides are respected verbatim,
-    except that an override with M <= k_max raises PrecisionExhausted: then
-    E^(k_i) = 0 mod E^M, so the entry E^(k_i) a1 vanishes and no monomial
-    read-off exists.  The default M is always above k_max.
-    The working precision adds ceil((M-1)/p) digits for u-coordinate
-    conversions plus the estimated division depth of the descent.
+    Certificate.  The pipeline applies phi in two places, `prepare`'s
+    phi(x^(i)) and `descend`'s phi(C/E^(k_i) B).  In both the input has
+    just been divided by E^(k_i), so it is known only modulo
+    Fil^(M - k_i), not Fil^M.  Since phi(Fil^j) lies in
+    p^(j - floor(j/p)) S_F and j - floor(j/p) never decreases in j, the
+    image is exact modulo p^b with b = (M - k_max) - floor((M - k_max)/p).
+    Elements start at precision nwork and only lose digits from there (a
+    raised denominator p^d multiplies the numerator by the p^t it adds to
+    the precision, and phi commutes with it), so nwork <= b means that no
+    digit the run claims is one the truncation at E^M could reach.  Sums,
+    products and multiplication by E^k stay exact modulo Fil^M.
+
+    nwork(M) = N + floor((M-1)/p) + 1 + c_max + ceil(k_max/p) (iters + 2) + 4:
+    `residue()` needs precision above floor((M-1)/p), the preparation's
+    x^(i) carry denominators up to p^(c_max), each E^(k_i) division of the
+    `iters` descent steps (`estimate_iterations` at M) costs at most
+    ceil(k_max/p) digits, and 4 digits are spare.
+
+    Default: N = max(k_max + 2, c_max + 4) and the least
+    M > max(k_max, p c_max) with b(M) >= nwork(M).  An override (M, N)
+    keeps its M and N and gets nwork = min(nwork(M), b(M)); it stops with
+    PrecisionExhausted when b(M) < N.  That covers M <= k_max, where
+    E^(k_i) = 0 mod E^M and b(M) <= 0.
     """
     weights = normalize_weights(cfg.weights)
     budget = compute_budget(weights, cfg.p)
-    k_max = weights.k_max
+    p, k_max, c_max = cfg.p, weights.k_max, budget.c_max
+
+    def exact_digits(m):
+        j = m - k_max
+        return j - j // p
+
+    def nwork_at(m, n):
+        iters = estimate_iterations(weights, budget, p, m)
+        guard = (m - 1) // p + 1 + c_max + -(-k_max // p) * (iters + 2) + 4
+        return n + guard, iters
+
     if cfg.precision is not None:
         m, n = cfg.precision
-        if m <= k_max:
+        if exact_digits(m) < n:
             raise PrecisionExhausted(
-                f"E-adic precision M = {m} does not exceed k_max = {k_max}")
+                f"E-adic precision M = {m} leaves {max(exact_digits(m), 0)} "
+                f"exact digits of phi after division by E^{k_max}; N = {n}")
+        nwork, iters = nwork_at(m, n)
+        nwork = min(nwork, exact_digits(m))
     else:
-        m = 2 * cfg.p * budget.c_max * TARGET_ITERATIONS
-        n = max(k_max + 2, budget.c_max + 4)
-    iters = estimate_iterations(weights, budget, cfg.p, m)
-    guard = ((m - 1 + cfg.p - 1) // cfg.p
-             + budget.c_max
-             + ((k_max + cfg.p - 1) // cfg.p) * (iters + 2)
-             + 4)
-    return {"M": m, "N": n, "nwork": n + guard, "iterations_estimate": iters}
+        n = max(k_max + 2, c_max + 4)
+        m = max(k_max, p * c_max) + 1
+        nwork, iters = nwork_at(m, n)
+        while exact_digits(m) < nwork:
+            m += 1
+            nwork, iters = nwork_at(m, n)
+    return {"M": m, "N": n, "nwork": nwork, "iterations_estimate": iters}
 
 
 def _coord_to_of(ctx: PrimeContext, spec, prec=None) -> OFElem:

@@ -73,9 +73,9 @@ class CharDesc:
 
 
 def reduce_mod_varpi(cert: DescentCertificate):
-    """Coefficientwise mod-p reduction of the descended matrices."""
-    return tuple(tuple(tuple(e.residue() for e in row) for row in m)
-                 for m in cert.a_final)
+    """Coefficientwise mod-p reduction of the descended matrices: the
+    residues that `descend` certified and compared with A0's."""
+    return cert.a_final_mod_p
 
 
 def extract_reduction_data(reduced) -> ReductionData:

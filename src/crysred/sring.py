@@ -602,46 +602,78 @@ def _w_power_cache(ctx: PrimeContext) -> List[SElem]:
     return ctx.cache(("wpow",), build)
 
 
-def s_frobenius(x: SElem) -> SElem:
-    """phi on S_F: phi(E^j/p^floor(j/p)) = p^(j-floor(j/p)) gamma^j,
-    evaluated through the cached powers of w = gamma - 1.
+def _packed_w_powers(ctx: PrimeContext, width: int) -> tuple:
+    """The powers w^l of `_w_power_cache` as integers: slot j of w^l in the
+    `width`-byte digit j*r, so that scaling by an integer with r such
+    digits puts coordinate i of slot j at digit j*r + i.  Also the longest
+    power's slot count."""
+    def build():
+        powers = _w_power_cache(ctx)
+        stride = ctx.r * width
+        pad = bytes(stride - width)
+        packed = [int.from_bytes(b"".join(wj[0].to_bytes(width, "little") + pad
+                                          for wj in w.c), "little")
+                  for w in powers]
+        return packed, max(len(w.c) for w in powers)
 
-    The result keeps x's precision.  It is exact when M - floor(M/p) >=
-    prec: the slots j >= M that the truncation dropped would add
-    p^(j - floor(j/p)) gamma^j, a multiple of p^(M - floor(M/p)).
+    return ctx.cache(("wpack", width), build)
+
+
+def s_frobenius(x: SElem) -> SElem:
+    """phi on S_F: phi(E^j/p^floor(j/p)) = p^(j - floor(j/p)) gamma^j.
+
+    Contract: x is known modulo Fil^M, and the slots j >= M that the
+    truncation dropped would add p^(j - floor(j/p)) gamma^j, a multiple of
+    p^(M - floor(M/p)).  So the result has precision
+    min(x.prec, M - floor(M/p)), keeps x's d, and every digit it claims is
+    exact.  (An x known only mod Fil^J, J < M, gives an image known mod
+    p^(J - floor(J/p)); `preflight_precision` keeps nwork within that.)
+
+    With a_j = c_j p^(j - floor(j/p)) and gamma = 1 + w,
+    phi(x) = a(1 + w) = sum_l T_l w^l, where T_l is the coefficient of X^l
+    in a(X + 1).  One Horner pass computes a(X + 1) on integers packed
+    with r digits per power of X, and phi(x) is the sum of the packed
+    powers of w, cached per context, scaled by the packed T_l.
     """
     ctx, p, r = x.ctx, x.ctx.p, x.ctx.r
-    powers = _w_power_cache(ctx)
-    L = len(powers)
-    prec = x.prec
+    prec = min(x.prec, ctx.m - ctx.m // p)
     mod = ctx.ppow(prec)
-    # T_l = sum_j c_j p^(j - floor(j/p)) binom(j, l); j - floor(j/p) never
-    # decreases, so the first slot whose factor is 0 mod p^prec ends the sum
-    T = [[0] * r for _ in range(L)]
-    for j, cj in enumerate(x.c):
-        pw = ctx.ppow(j - j // p) % mod
-        if pw == 0:
-            break
-        if not any(cj):
-            continue
-        scaled = _of_scale_raw(cj, pw, mod)
-        for l, tl in enumerate(T[:j + 1]):
-            b = comb(j, l)
-            for i in range(r):
-                tl[i] += b * scaled[i]
-    T = [tuple(v % mod for v in tl) for tl in T]
-    # the slots of w^l are rational integers: phi(x) = sum_l T_l w^l
-    # scales each T_l slotwise
-    out = [[0] * r for _ in range(max(len(w.c) for w in powers))]
-    for tl, w in zip(T, powers):
-        if not any(tl):
-            continue
-        for row, wj in zip(out, w.c):
-            if wj[0]:
-                prod = _of_scale_raw(tl, wj[0], mod)
-                for i in range(r):
-                    row[i] += prod[i]
-    return SElem._reduced(ctx, _trimmed([tuple(v % mod for v in row) for row in out]),
+    # a_j = 0 mod p^prec from the first j with j - floor(j/p) >= prec on
+    n = len(x.c)
+    while n and (n - 1) - (n - 1) // p >= prec:
+        n -= 1
+    if not n:
+        return SElem._reduced(ctx, (), x.d, prec)
+    L = len(_w_power_cache(ctx))
+    # every Horner partial of T_l is at most (mod - 1) binom(n, l + 1)
+    digit = (((mod - 1) * comb(n, max(1, min(L, n // 2)))).bit_length() + 7) // 8
+    shift = 8 * digit * r
+    mask = (1 << shift * L) - 1
+    acc = 0
+    for j in range(n - 1, -1, -1):
+        s = ctx.ppow(j - j // p)
+        a_j = int.from_bytes(b"".join((v * s % mod).to_bytes(digit, "little")
+                                      for v in x.c[j]), "little")
+        acc = ((acc + (acc << shift)) & mask) + a_j
+    raw = acc.to_bytes(digit * r * L, "little")
+    T = [int.from_bytes(raw[i:i + digit], "little") % mod
+         for i in range(0, len(raw), digit)]
+    # digit j*r + i of the sum is sum_l T_l[i] (slot j of w^l): L terms,
+    # each below top^2, as T_l < p^prec and w^l is stored mod p^nwork
+    top = ctx.ppow(max(prec, ctx.nwork))
+    width = ((L * (top - 1) ** 2).bit_length() + 7) // 8
+    packed, wlen = _packed_w_powers(ctx, width)
+    total = 0
+    for l, wl in enumerate(packed):
+        tl = T[l * r:(l + 1) * r]
+        if any(tl):
+            total += wl * int.from_bytes(b"".join(t.to_bytes(width, "little")
+                                                  for t in tl), "little")
+    raw = total.to_bytes(width * r * wlen, "little")
+    vals = [int.from_bytes(raw[i:i + width], "little") % mod
+            for i in range(0, len(raw), width)]
+    return SElem._reduced(ctx, _trimmed([tuple(vals[j:j + r])
+                                         for j in range(0, len(vals), r)]),
                           x.d, prec)
 
 

@@ -10,7 +10,7 @@ GOLDEN = {
     "f1-p5-k4": (
         {"p": 5, "f": 1, "r": 1, "weights": [[4, 0]],
          "params": [{"type": "I", "a1": 1, "a2": {"coeffs": [1], "pexp": 2}}]},
-        "2cd986d52efa27c6dd225d1e60e1affc14b1f8815422b37bf781cbb5709e738d"),
+        "a2a86f55a98d5c6847ff7a19e17ceb94b81b05f09f152afae4e6dae7fbe28108"),
     "f2-r2-mixed": (
         {"p": 3, "f": 2, "r": 2, "weights": [[1, 0], [2, 0]],
          "params": [
@@ -18,26 +18,27 @@ GOLDEN = {
               "a2": {"coeffs": [2, 1], "pexp": 1}},
              {"type": "II", "a1": {"coeffs": [2, 1]},
               "a2": {"coeffs": [1, 2], "pexp": 2}}]},
-        "1a7c836c87c38ce7b3faf2af1a3a107b6d7e2ed66c203f1c2532caae9d279d8d"),
+        "e98e8d6e0b4ff3291736477d8f1f1220ab834a4deba84651fbbe4adea2a4be69"),
     # the p = 5, k = 3 Type I job with a2 = 10 under the parabolic
     # transform x = 3
     "f1-explicit": (
         {"p": 5, "f": 1, "weights": [[3, 0]],
          "params": [{"matrix": [[3, -1094], [1, -365]]}]},
-        "647b93675b668ba7cef04347e750e1c3d16571e6666793c6db9c5a7afc98022d"),
+        "ab90e90a853103e7baada580a8eb3659b6cab2fdb5faac12bf1c2c60eb34b1f8"),
     "gate-stop": (
         {"p": 5, "f": 1, "weights": [[4, 0]],
          "params": [{"type": "I", "a1": 1, "a2": {"coeffs": [1], "pexp": 1}}]},
-        "cadb2c6ba2ef013921dddf4c05c7160e8669478958736a2dcd8ff6df222001e4"),
+        "9ab075ecb8d1f3aa03e83097201ce3faf76ced4db183bc139588546475ebe5bd"),
     "equal-weights": (
         {"p": 5, "f": 1, "weights": [[2, 2]],
          "params": [{"type": "I", "a1": 1, "a2": 25}]},
         "0ebef962c0f5e27ea0428fb7435c2a85014b28f01c841410fb19b639d801b5f4"),
-    # long E-adic support: M = 208, so S_F elements fill many slots
+    # long E-adic support: the override M = 208 (the default is 48), so
+    # S_F elements fill many slots
     "f1-p13-k14": (
-        {"p": 13, "f": 1, "r": 1, "weights": [[14, 0]],
+        {"p": 13, "f": 1, "r": 1, "weights": [[14, 0]], "precision": [208, 16],
          "params": [{"type": "I", "a1": 1, "a2": {"coeffs": [3], "pexp": 2}}]},
-        "c6cf96489ea41b63c7a5cf86152a38c2f83af8c8cf0e3b2adaeabdfe646ad45a"),
+        "f33d7bd24d808e04ec145ba2deb30305c883e1296ed84414d2cb55fd70faf795"),
     # r = 4 > f: every O_F product goes through the residue-polynomial fold
     "f2-r4-p7": (
         {"p": 7, "f": 2, "r": 4, "weights": [[3, 0], [3, 0]],
@@ -46,7 +47,7 @@ GOLDEN = {
               "a2": {"coeffs": [1, 3], "pexp": 1}},
              {"type": "I", "a1": {"coeffs": [2, 0, 1]},
               "a2": {"coeffs": [3, 0, 0, 1], "pexp": 1}}]},
-        "1ee705eb487b4c6b6b2162c223ca759e64eec4170c06cec54fb2b29fc4648772"),
+        "6d8fc1866c482e32d4792d3d2230915e4301e39dfa9983f33036fc77ba174385"),
 }
 
 

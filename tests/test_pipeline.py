@@ -1,6 +1,7 @@
 """End-to-end runs of `run_pipeline` against known answers."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,10 @@ from crysred.pipeline import (
     preflight_precision,
     run_pipeline,
 )
-from crysred.sring import PhiExpPoly
+from crysred.arith import PrimeContext
+from crysred.sring import PhiExpPoly, SElem, s_frobenius
+
+from test_sring import agreement
 
 
 P5_K4 = {"p": 5, "f": 1, "weights": [[4, 0]],
@@ -73,6 +77,12 @@ class TestClassicalF1:
     def test_zero_a2_answer(self, p, k, shape, exponents):
         self.check(run_pipeline(f1_type_i_job(p, k, a2=0)), shape, exponents,
                    lambda bounds: ["inf"])
+
+    # BLZ holds for every k; these weights lie above p + 1, at the default
+    # precision
+    @pytest.mark.parametrize("p, k", [(5, 12), (5, 14), (7, 20), (11, 24), (13, 13)])
+    def test_weight_above_p_plus_one(self, p, k):
+        assert answer(run_pipeline(f1_type_i_job(p, k))) == classical(p, k)
 
 
 # Oracle helpers, copied from the benchmark's oracle so that these tests do
@@ -155,20 +165,103 @@ def rotate(config):
     return out
 
 
+def least_certifying_m(p, k, n):
+    """The least M whose phi truncation leaves N exact digits after a
+    division by E^k: (M - k) - floor((M - k)/p) >= N."""
+    m = k + 1
+    while (m - k) - (m - k) // p < n:
+        m += 1
+    return m
+
+
 class TestSmallEAdicPrecision:
-    """f = 1 Type I jobs at an E-adic precision M far below the default
-    still give the Berger-Li-Zhu answer; at these M a truncated Frobenius
-    once built lambda_b wrongly and the jobs stopped with DetCheckFailed.
-    The cases with k > p + 1 also check BLZ beyond the range above."""
+    """f = 1 Type I jobs with an E-adic precision override far below the
+    default.  An M that leaves fewer than N exact digits of phi after the
+    E^k division stops at `preflight`; every other M reaches the lambda
+    closed form and gives the Berger-Li-Zhu answer, or stops honestly.
+    At the first ten windows a truncated Frobenius once built lambda_b
+    wrongly and the jobs stopped with DetCheckFailed."""
+
+    # windows that stop, with the stage; every other window gives BLZ
+    STOPS = {(3, 1, 4): "preflight", (3, 4, 5): "preflight",
+             (5, 8, 15): "preflight", (5, 12, 13): "preflight",
+             (5, 12, 25): "preflight", (7, 20, 44): "preflight",
+             (3, 4, 15): "descend"}
 
     @pytest.mark.parametrize("p, k, m", [
         (3, 1, 4), (3, 1, 9), (3, 4, 5), (3, 4, 28), (5, 8, 15), (5, 8, 25),
-        (5, 12, 13), (5, 12, 25), (7, 20, 44), (7, 20, 49)])
+        (5, 12, 13), (5, 12, 25), (7, 20, 44), (7, 20, 49),
+        # the least certifying M
+        (3, 1, 8), (3, 2, 10), (3, 4, 15), (5, 4, 11), (5, 8, 20), (5, 12, 29),
+        (7, 6, 15), (7, 20, 45), (11, 12, 27), (11, 24, 52), (13, 13, 29),
+        (13, 14, 31)])
     def test_blz_answer(self, p, k, m):
         cfg = f1_type_i_job(p, k)
         n = preflight_precision(cfg)["N"]
-        cfg = JobConfig.from_dict(dict(cfg.serial(), precision=[m, n]))
-        assert answer(run_pipeline(cfg)) == classical(p, k)
+        report = run_pipeline(JobConfig.from_dict(dict(cfg.serial(), precision=[m, n])))
+        stage = self.STOPS.get((p, k, m))
+        if stage is None:
+            assert answer(report) == classical(p, k)
+        else:
+            assert report.result is None
+            assert (report.error["stage"], report.error["type"]) == (
+                stage, "PrecisionExhausted")
+        assert (stage == "preflight") == (m < least_certifying_m(p, k, n))
+
+
+def phi_agreement(p, m, nwork, k, rng):
+    """(claimed, agreed): the precision of phi(x) for x known only mod
+    Fil^(M - k) at (M, nwork), and the digits in which it agrees with phi,
+    in a 3M-slot context, of the same x with random slots from M - k on
+    (least over a few random x)."""
+    small = PrimeContext(p=p, f=1, n=1, m=m, nwork=nwork)
+    big = PrimeContext(p=p, f=1, n=1, m=3 * m, nwork=nwork)
+    mod = small.ppow(nwork)
+    claimed, agreed = nwork, nwork
+    for _ in range(3):
+        head = [rng.randrange(mod) for _ in range(m - k)]
+        got = s_frobenius(SElem(small, head))
+        want = s_frobenius(SElem(big, head + [rng.randrange(mod)
+                                              for _ in range(2 * m + k)]))
+        claimed = min(claimed, got.prec)
+        agreed = min(agreed, agreement(got, want, m, nwork))
+    return claimed, agreed
+
+
+class TestCertifiedPrecision:
+    """The preflight's default (M, nwork) keeps every digit that phi
+    claims exact, for the inputs the pipeline gives phi: elements just
+    divided by E^k, so known only mod Fil^(M - k)."""
+
+    @pytest.mark.parametrize("p, k", [(3, 1), (3, 4), (5, 1), (5, 6), (7, 8),
+                                      (7, 20), (13, 1), (13, 14)])
+    def test_phi_exact_at_default_precision(self, p, k):
+        pf = preflight_precision(f1_type_i_job(p, k))
+        claimed, agreed = phi_agreement(p, pf["M"], pf["nwork"], k,
+                                        random.Random(p * 100 + k))
+        assert claimed == pf["nwork"] <= agreed
+
+    def test_old_default_overclaimed(self):
+        # the old rule M = 2 p c_max 4 gave (M, nwork) = (24, 24) at
+        # p = 3, k = 1; phi is exact there in only 16 digits
+        assert phi_agreement(3, 24, 24, 1, random.Random(1))[1] == 16
+
+    def test_default_m_is_least(self):
+        # p = 5, k = 4: nwork(M) = 23 at M = 31..35, and
+        # b(M) = (M - 4) - floor((M - 4)/5) reaches 23 first at M = 32;
+        # at M = 31 the override's nwork is capped at b(31) = 22
+        cfg = f1_type_i_job(5, 4)
+        pf = preflight_precision(cfg)
+        assert (pf["M"], pf["N"], pf["nwork"]) == (32, 6, 23)
+        lower = dict(cfg.serial(), precision=[31, 6])
+        assert preflight_precision(JobConfig.from_dict(lower))["nwork"] == 22
+
+    def test_override_keeps_m_and_n_and_caps_nwork(self):
+        cfg = JobConfig.from_dict(dict(f1_type_i_job(5, 4).serial(),
+                                       precision=[20, 6]))
+        # (20 - 4) - floor(16/5) = 13 exact digits
+        assert preflight_precision(cfg) == {
+            "M": 20, "N": 6, "nwork": 13, "iterations_estimate": 1}
 
 
 class TestRotation:
@@ -303,6 +396,18 @@ class TestStageTimings:
         report = run_pipeline(JobConfig.from_dict(P5_K4))
         assert "timings" not in json.loads(report.to_json())
         assert json.loads(report.to_json(include_timings=True))["timings"] == report.timings
+
+
+class TestReduceStage:
+    def test_residues_read_once(self, monkeypatch):
+        # A0's residues and the descended entries' residues, 4 each; the
+        # reduce stage reuses the ones `descend` compared
+        calls = []
+        residue = SElem.residue
+        monkeypatch.setattr(SElem, "residue",
+                            lambda self: calls.append(1) or residue(self))
+        assert run_pipeline(JobConfig.from_dict(P5_K4)).error is None
+        assert len(calls) == 8
 
 
 def bump_first_h(b, pairs, anchors):

@@ -12,6 +12,8 @@ from crysred.arith import (
     _of_add_raw,
     _of_mul_raw,
     _of_scale_raw,
+    _of_sub_raw,
+    _of_val_raw,
 )
 from crysred.errors import NotAUnit, NotIntegral, PrecisionExhausted
 from crysred.sring import (
@@ -226,21 +228,56 @@ def w_powers_closed_form(ctx, e):
     return powers[:-1]
 
 
+def phi_prec(ctx):
+    """The precision of s_frobenius's image of an element held at nwork:
+    the truncation at E^M leaves M - floor(M/p) digits exact."""
+    return min(ctx.nwork, ctx.m - ctx.m // ctx.p)
+
+
+def capped(ctx, triple, prec):
+    """A (c, d, prec) triple reduced to precision min(prec, its own) and
+    trimmed."""
+    c, d, q = triple
+    q = min(q, prec)
+    mod = ctx.ppow(q)
+    out = [tuple(v % mod for v in x) for x in c]
+    while out and not any(out[-1]):
+        out.pop()
+    return tuple(out), d, q
+
+
+def agreement(x, y, m, prec):
+    """Leading p-adic digits, up to prec, in which slots 0 .. m-1 of x and
+    y agree; the two may live in contexts with different M."""
+    ctx = x.ctx
+    mod = ctx.ppow(prec)
+    vals = [_of_val_raw(ctx, _of_sub_raw(a, b, mod), prec)
+            for a, b in zip(padded(x)[:m], padded(y)[:m])]
+    return min((v for v in vals if v is not None), default=prec)
+
+
 class TestWPowers:
     @pytest.mark.parametrize("r", [1, 4])
     @pytest.mark.parametrize("p,m,e", [(3, 24, 1), (3, 24, 2), (3, 24, 3),
                                        (5, 40, 1), (5, 40, 2), (7, 56, 2)])
     def test_closed_form_matches_products(self, p, m, e, r):
+        # for e >= 2 the products start from phi(gamma), which is exact to
+        # phi_prec digits; at (3, 24) that is 16 of nwork = 18, so compare
+        # there, and the closed-form powers past the products' end vanish
         ctx = PrimeContext(p=p, f=1, n=6, m=m, r=r)
         got = w_powers_closed_form(ctx, e)
         want = w_powers_by_products(PrimeContext(p=p, f=1, n=6, m=m, r=r), e)
-        assert len(got) == len(want) > 1
+        prec = ctx.nwork if e == 1 else phi_prec(ctx)
+        assert len(got) >= len(want) > 1
+        assert all(w.prec == prec for w in want[1:])
+        for x in got[len(want):]:
+            assert capped(ctx, (x.c, x.d, x.prec), prec)[0] == ()
         pairs = list(zip(got, want))
         if e == 1:
             assert len(_w_power_cache(ctx)) == len(want)
             pairs += zip(_w_power_cache(ctx), want)
         for x, y in pairs:
-            assert (x.c, x.d, x.prec) == (y.c, y.d, y.prec)
+            assert capped(ctx, (x.c, x.d, x.prec), y.prec) == (y.c, y.d, y.prec)
 
     @pytest.mark.parametrize("r", [1, 4])
     @pytest.mark.parametrize("m,e", [(8, 1), (14, 2)])
@@ -290,14 +327,37 @@ class TestFrobenius:
             assert via_s == via_u
 
     def test_phi_iterated_equals_phi_power(self, ctx3, ctx5):
-        # the closed form of phi^j(lambda_b) against j applications of phi
+        # the closed form of phi^j(lambda_b) against j applications of phi,
+        # at the precision phi keeps (16 of nwork = 18 digits for ctx3)
         for ctx in (ctx3, ctx5):
             for b in (1, 2):
                 lam = lambda_b(b, ctx)
                 for j in range(4):
                     got = _phi_lambda(ctx, b, j)
-                    assert (got.c, got.d, got.prec) == (lam.c, lam.d, lam.prec)
+                    assert got.prec == ctx.nwork
+                    assert lam.prec == (ctx.nwork if j == 0 else phi_prec(ctx))
+                    assert capped(ctx, (got.c, got.d, got.prec), lam.prec) == (
+                        lam.c, lam.d, lam.prec)
                     lam = s_frobenius(lam)
+
+    @pytest.mark.parametrize("p, m", [(3, 24), (5, 30), (7, 20)])
+    def test_claimed_digits_match_a_longer_context(self, p, m, rng):
+        # slots M .. 3M - 1, which the truncation drops, change the image
+        # only from digit M - floor(M/p) on, and do change it there
+        small = PrimeContext(p=p, f=1, n=6, m=m, nwork=m)
+        big = PrimeContext(p=p, f=1, n=6, m=3 * m, nwork=m)
+        exact = m - m // p
+        lowest = m
+        for _ in range(4):
+            head = [rng.randrange(small.ppow(m)) for _ in range(m)]
+            got = s_frobenius(SElem(small, head))
+            want, other = (s_frobenius(SElem(big, head + [
+                rng.randrange(big.ppow(m)) for _ in range(2 * m)]))
+                for _ in range(2))
+            assert got.prec == exact
+            assert agreement(got, want, m, exact) == exact
+            lowest = min(lowest, agreement(want, other, m, m))
+        assert lowest == exact
 
 
 class TestInvert:
@@ -632,8 +692,10 @@ class TestFrobeniusReference:
               random_selem(ctx, rng)._lift_d(2), SElem.zero(ctx), gamma(ctx)]
         for x in xs:
             # `times` applications, each against the reference
+            # the reference keeps x's precision; s_frobenius keeps the
+            # digits the truncation leaves exact (16 of 18 at (3, 24))
             z = x
             for _ in range(times):
-                want = frobenius_reference(z)
+                want = capped(ctx, frobenius_reference(z), m - m // p)
                 z = s_frobenius(z)
                 assert (z.c, z.d, z.prec) == want
