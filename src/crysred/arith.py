@@ -236,24 +236,14 @@ class PrimeContext:
 
 
 def _of_mul_raw(ctx, a, b, mod):
-    r = ctx.r
-    if r == 1:
-        return ((a[0] * b[0]) % mod,)
-    out = [0] * (2 * r - 1)
-    for i in range(r):
-        x = a[i]
+    """Product in O_F: the schoolbook product of the w-polynomials, folded
+    by `_fold_w`."""
+    out = [0] * (2 * ctx.r - 1)
+    for i, x in enumerate(a):
         if x:
-            for j in range(r):
-                out[i + j] += x * b[j]
-    rows = ctx._red_rows
-    for idx in range(2 * r - 2, r - 1, -1):
-        c = out[idx]
-        if c:
-            row = rows[idx - r]
-            for i in range(r):
-                out[i] += c * row[i]
-            out[idx] = 0
-    return tuple(v % mod for v in out[:r])
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _fold_w(ctx, out, mod)
 
 
 def _of_add_raw(a, b, mod):
@@ -574,17 +564,6 @@ class USeries:
     @classmethod
     def one(cls, ctx, prec=None):
         return cls(ctx, (1,), prec)
-
-    @classmethod
-    def u_pow(cls, ctx, k, prec=None):
-        if k >= ctx.m:
-            return cls.zero(ctx, prec)
-        return cls(ctx, [0] * k + [1], prec)
-
-    @classmethod
-    def eisenstein(cls, ctx, prec=None):
-        """E = u + p."""
-        return cls(ctx, [ctx.p, 1], prec)
 
     def coeff(self, j: int) -> OFElem:
         return OFElem(self.ctx, self.c[j], self.prec)

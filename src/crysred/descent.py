@@ -102,12 +102,10 @@ class PreparedSplit:
     c_mats: Tuple[Mat2, ...]          # remainder, entries in I_(c_max)
     conjugated: Tuple[Mat2, ...]      # the full X_1 *_phi B matrices
     x1: Tuple[SElem, ...]             # applied row-operation entries x^(i)
-    phi_x: Tuple[SElem, ...]          # phi(x^(i)), normalized to d = 0
     budget: HeightBudget
     weights: WeightData
     det_signs: Tuple[int, ...]
     a1: Tuple[OFElem, ...]
-    a2: Tuple[OFElem, ...]
 
     @property
     def f(self):
@@ -203,8 +201,8 @@ def prepare(kisin: KisinFrobenius, budget: HeightBudget) -> PreparedSplit:
 
     return PreparedSplit(
         a0=tuple(a0s), c_mats=tuple(cs), conjugated=tuple(conjs),
-        x1=tuple(xs), phi_x=tuple(phis), budget=budget, weights=weights,
-        det_signs=kisin.det_signs, a1=kisin.a1, a2=kisin.a2)
+        x1=tuple(xs), budget=budget, weights=weights,
+        det_signs=kisin.det_signs, a1=kisin.a1)
 
 
 def check_descent_assumptions(split: PreparedSplit, budget: HeightBudget) -> None:
@@ -234,6 +232,15 @@ def check_descent_assumptions(split: PreparedSplit, budget: HeightBudget) -> Non
                     raise AssumptionViolated("c", f"slot {i}: reassembly mismatch")
 
 
+def _det_over_e_pow(a: Mat2, k: int) -> SElem:
+    """det(A) / E^k at d = 0; HeightMismatch when the division or the
+    denominator cannot be certified."""
+    try:
+        return mat_det(a).div_e_pow(k).normalize_d(0)
+    except (NotIntegral, PrecisionExhausted) as exc:
+        raise HeightMismatch(f"det(A) is not divisible by E^{k}: {exc}") from exc
+
+
 def height_partner(a: Mat2, h: int, seed: Optional[SElem] = None):
     """(B, inverse) with A B = B A = E^h * Id, via the unit-scaled adjugate.
 
@@ -242,10 +249,7 @@ def height_partner(a: Mat2, h: int, seed: Optional[SElem] = None):
     needs no separate check: the E^h division is exact and s_invert
     certifies the inverse at the unit's precision.
     """
-    try:
-        unit = mat_det(a).div_e_pow(h).normalize_d(0)
-    except (NotIntegral, PrecisionExhausted) as exc:
-        raise HeightMismatch(f"det is not E^{h} times a unit: {exc}") from exc
+    unit = _det_over_e_pow(a, h)
     if not unit.is_unit():
         raise HeightMismatch(f"det / E^{h} is not a unit")
     inv = s_invert(unit, seed=seed)
@@ -259,7 +263,6 @@ class DescentCertificate:
 
     a_final: Tuple                      # tuple of 2x2 integral SElem matrices
     a_final_mod_p: Tuple                # their residues, checked against A0's
-    a0_mod_p: Tuple                     # residue matrices of the prepared A0
     chains: List[List[dict]]            # per-chain (slot, h, ell, next_h) rows
     iterations: int
     final_prec: int
@@ -446,7 +449,6 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
     return DescentCertificate(
         a_final=tuple(a_final),
         a_final_mod_p=tuple(residues),
-        a0_mod_p=a0_residue,
         chains=chains,
         iterations=iteration,
         final_prec=final_prec - (ctx.m - 1) // p,
@@ -469,9 +471,4 @@ def _det_unit_ratio(a, k, expected_unit) -> SElem:
     so this ratio is 1 up to E-adically small junk (not p-adically small);
     only the iterate factors det(I + D1) are 1 mod p.
     """
-    det = mat_det(a)
-    try:
-        eps = det.div_e_pow(k).normalize_d(0)
-    except (NotIntegral, PrecisionExhausted) as exc:
-        raise HeightMismatch(f"det not divisible by E^{k}: {exc}") from exc
-    return s_mul(eps, s_invert(expected_unit))
+    return s_mul(_det_over_e_pow(a, k), s_invert(expected_unit))

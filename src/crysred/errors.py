@@ -54,7 +54,8 @@ class AssumptionViolated(CrysredError):
 
 
 class NoConvergence(CrysredError):
-    """The descent iteration stalled before reaching the target depth."""
+    """An iteration stalled: the descent before reaching its target depth,
+    or a Newton inversion before reaching its precision."""
 
 
 class HeightMismatch(CrysredError):

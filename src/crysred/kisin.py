@@ -24,10 +24,10 @@ from .lattices import TypeTag, WeightData
 from .sring import (
     PhiExpPoly,
     SElem,
+    _lambda_data,
     _s_int_pow,
     gamma,
     lambda_power,
-    lambda_truncation_index,
     s_invert,
     s_mul,
 )
@@ -239,7 +239,7 @@ def det_normalize(raw, tags, weights: WeightData,
         lam_e=tuple(lam_es),
         det_signs=tuple(signs),
         anchors=anchors,
-        lambda_nstar=lambda_truncation_index(b, ctx),
+        lambda_nstar=_lambda_data(ctx, b)[1],
     )
 
 

@@ -114,40 +114,39 @@ def _single_slot_witness(a, ell: int):
     return ((one, -(a1 * inv)), (zero, inv))
 
 
-def parabolic_normalize(lattice: Sequence, weights: WeightData):
-    """Produce the Type-normal representative of a lattice tuple.
+def classify_lattice(lattice: Sequence, weights: WeightData):
+    """Check an explicit lattice tuple and tag each slot's Type.
 
-    Returns (normalized tuple, witness tuple, tags tuple).  In the mixed
-    case one pass of length f starting at the first Type I index yields
-    exact Type I / Type II_1 forms; in the all-II case the sweep repeats
-    until the upper-right entries vanish at precision and is then snapped,
-    leaving Type II_alpha forms.
+    The tuple must have one invertible matrix per embedding and every k_i
+    must be positive (IrregularWeights otherwise); a non-invertible matrix
+    or a slot with no unit in its bottom row raises Degenerate.
     """
-    f = weights.f
-    if len(lattice) != f:
+    if len(lattice) != weights.f:
         raise ValueError("lattice tuple length must equal f")
     if any(k <= 0 for k in weights.k):
         raise IrregularWeights("normalization requires k_i > 0 for all i")
     _check_invertible(lattice)
+    return tuple(classify_type(a) for a in lattice)
+
+
+def parabolic_normalize(lattice: Sequence, tags, weights: WeightData):
+    """Produce the Type-normal representative of a checked lattice tuple.
+
+    `tags` are `classify_lattice`'s, and at least one slot must be Type I:
+    a tuple with none is reducible (`reducibility_detect` says so from the
+    tags alone) and has no normal form here.  One pass of length f starting
+    at the first Type I index yields exact Type I / Type II_1 forms.
+    Returns (normalized tuple, witness tuple, tags tuple).
+    """
+    f = weights.f
+    start = next((i for i in range(f) if tags[i].kind == "I"), None)
+    if start is None:
+        raise ValueError("an all-II tuple has no Type I slot to normalize from")
     ctx = lattice[0][0][0].ctx
     one = OFElem.one(ctx)
     zero = OFElem.zero(ctx)
-    ident = ((one, zero), (zero, one))
-
-    tags = [classify_type(a) for a in lattice]
     mats = list(lattice)
-    witness = [ident] * f
-
-    if all(t.kind == "II" for t in tags):
-        _all_ii_sweep(mats, witness, weights)
-        out_tags = []
-        for i, a in enumerate(mats):
-            # snap the cleared upper-right entry to exact zero
-            mats[i] = ((a[0][0], OFElem.zero(ctx, a[0][1].prec)), a[1])
-            out_tags.append(TypeTag("II", alpha=mats[i][1][1]))
-        return tuple(mats), tuple(witness), tuple(out_tags)
-
-    start = next(i for i in range(f) if tags[i].kind == "I")
+    witness = [((one, zero), (zero, one))] * f
     for step in range(f):
         i = (start + step) % f
         ell = 1 if tags[i].kind == "I" else 2
@@ -157,39 +156,9 @@ def parabolic_normalize(lattice: Sequence, weights: WeightData):
         adj = _delta_conj_upper(_upper_inv(c), weights.k[i])
         mats[nxt] = mat_mul(mats[nxt], adj)
         witness[i] = mat_mul(c, witness[i])
-    out_tags = []
-    for i, a in enumerate(mats):
-        if tags[i].kind == "I":
-            out_tags.append(TypeTag("I"))
-        else:
-            out_tags.append(TypeTag("II", alpha=a[1][1]))
-    return tuple(mats), tuple(witness), tuple(out_tags)
-
-
-def _all_ii_sweep(mats, witness, weights):
-    f = weights.f
-    min_k = min(weights.k)
-    prec = min(m[0][1].prec for m in mats)
-    sweeps = (prec + min_k - 1) // min_k + 1
-    for _ in range(sweeps):
-        cs = [_single_slot_witness(a, 2) for a in mats]
-        new = []
-        for i in range(f):
-            prev = (i - 1) % f
-            adj = _delta_conj_upper(_upper_inv(cs[prev]), weights.k_prev(i))
-            new.append(mat_mul(mat_mul(cs[i], mats[i]), adj))
-        for i in range(f):
-            mats[i] = new[i]
-            witness[i] = mat_mul(cs[i], witness[i])
-        if all(_val_at_least(m[0][1]) for m in mats):
-            return
-    raise RuntimeError("all-II sweep failed to clear the upper-right entries")
-
-
-def _val_at_least(x: OFElem, t: Optional[int] = None) -> bool:
-    t = x.prec if t is None else t
-    v = x.valuation()
-    return v is None or v >= t
+    out_tags = tuple(TypeTag("I") if t.kind == "I" else TypeTag("II", alpha=a[1][1])
+                     for t, a in zip(tags, mats))
+    return tuple(mats), tuple(witness), out_tags
 
 
 def verify_parabolic_equiv(a_in, b_out, witness, weights: WeightData) -> None:
@@ -241,16 +210,20 @@ class ReducibilityVerdict:
 def reducibility_detect(normalized, tags, weights: WeightData) -> ReducibilityVerdict:
     """Sufficient reducibility conditions on a Type-normal tuple.
 
-    Fires ReducibleAllII when no slot is Type I; fires ReducibleSubsetSum
-    when val(prod of the Type I slots' a_2 entries) equals a subset sum of
-    their weights; an a_2 that is 0 at its precision (a_p = 0) counts as
-    valuation >= its precision.  NotDetected is not a proof of irreducibility.
+    Fires ReducibleAllII when no slot is Type I, from the tags alone;
+    fires ReducibleSubsetSum when val(prod of the Type I slots' a_2
+    entries) equals a subset sum of their weights.  Each a_2 that is
+    nonzero at its precision contributes its exact valuation, so the sum is
+    exact whatever its size.  An a_2 that is 0 at its precision (a_p = 0)
+    counts as valuation >= its precision; the sum is then a lower bound,
+    which decides only when it exceeds every subset sum, and otherwise
+    raises PrecisionExhausted.  NotDetected is not a proof of
+    irreducibility.
     """
     s_set = [i for i, t in enumerate(tags) if t.kind == "I"]
     if not s_set:
         return ReducibilityVerdict("ReducibleAllII")
     total = 0
-    n_eff = min(x.prec for m in normalized for row in m for x in row)
     undecided = []
     for i in s_set:
         a2 = normalized[i][1][1]
@@ -260,13 +233,9 @@ def reducibility_detect(normalized, tags, weights: WeightData) -> ReducibilityVe
             v = a2.prec
         total += v
     if undecided:
-        # total is then a certified lower bound on val(prod a_2)
         if total > sum(weights.k[i] for i in s_set):
             return ReducibilityVerdict("NotDetected")
         raise PrecisionExhausted(f"{undecided[0]}; cannot decide reducibility")
-    if total >= n_eff:
-        raise PrecisionExhausted(
-            f"val(prod a_2) = {total} >= effective precision {n_eff}")
     for size in range(len(s_set) + 1):
         for subset in combinations(s_set, size):
             if sum(weights.k[i] for i in subset) == total:
@@ -278,30 +247,29 @@ def reducibility_detect(normalized, tags, weights: WeightData) -> ReducibilityVe
 def frobenius_f_product(lattice, weights: WeightData):
     """The ordered product prod_i A^(i) Delta_(i-1) and its Newton slopes.
 
-    Returns (matrix over O_F, (slope_low, slope_high)) where the slopes are
-    the eigenvalue valuations read off the characteristic polygon.
+    Every det A^(i) is a unit (the Type forms have det -a1 or a1, and
+    `classify_lattice` checks explicit matrices), so det(phi^f) has
+    valuation exactly sum_i k_i; it is taken from the weights, not read off
+    the product, whose entries stop at the working precision.  The slopes
+    come from the characteristic polygon: (v(tr), sum k - v(tr)) when
+    2 v(tr) <= sum k, both sum k / 2 when the trace is known to be at least
+    that divisible.  Returns (matrix over O_F, (slope_low, slope_high)), or
+    (matrix, None) when the trace's precision cannot decide between the
+    two; nothing downstream reads the slopes, so that is not an error.
     """
-    f = weights.f
-    ctx = lattice[0][0][0].ctx
     prod = None
-    for i in range(f):
+    for i in range(weights.f):
         k = weights.k_prev(i)
         m = lattice[i]
         m = ((m[0][0].times_p_pow(k), m[0][1]),
              (m[1][0].times_p_pow(k), m[1][1]))
         prod = m if prod is None else mat_mul(prod, m)
-    det = mat_det(prod)
+    v_det = sum(weights.k)
     tr = prod[0][0] + prod[1][1]
-    v_det = det.valuation()
-    if v_det is None:
-        raise PrecisionExhausted("det(phi^f) indistinguishable from 0")
     v_tr = tr.valuation()
     if v_tr is not None and 2 * v_tr <= v_det:
-        slopes = (Fraction(v_tr), Fraction(v_det - v_tr))
-    else:
-        # balanced polygon; requires knowing tr up to v_det/2
-        bound = v_tr if v_tr is not None else tr.prec
-        if 2 * bound < v_det:
-            raise PrecisionExhausted("trace valuation undecided at precision")
-        slopes = (Fraction(v_det, 2), Fraction(v_det, 2))
-    return prod, tuple(sorted(slopes))
+        return prod, (Fraction(v_tr), Fraction(v_det - v_tr))
+    # balanced polygon; requires knowing tr up to v_det/2
+    if 2 * (v_tr if v_tr is not None else tr.prec) < v_det:
+        return prod, None
+    return prod, (Fraction(v_det, 2), Fraction(v_det, 2))

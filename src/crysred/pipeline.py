@@ -1,11 +1,11 @@
 """Job configuration, precision preflight and pipeline orchestration.
 
 A job fixes (p, f, r), the raw weight pairs, and per-embedding parameters
-(Type shorthand or explicit matrices).  `run_pipeline` executes
+(Type shorthand or explicit matrices).  `run_pipeline` executes the stages
 
-    preflight -> normalize -> classify -> detect -> slopes -> budget ->
-    gate -> build -> det-normalize -> prepare -> assumptions -> descend ->
-    reduce -> characterize
+    preflight -> weights -> config -> normalize -> reducibility -> slopes ->
+    gate -> build -> det_normalize -> prepare -> assumptions -> descend ->
+    reduce -> extract -> characterize
 
 stopping with a stage-tagged error at the first hard failure, and returns
 a deterministic report: an identical config gives byte-identical JSON
@@ -34,6 +34,7 @@ from .descent import (
 from .kisin import build_kisin_frobenius, det_normalize
 from .lattices import (
     ReducibilityVerdict,
+    classify_lattice,
     classify_type,
     frobenius_f_product,
     normalize_weights,
@@ -258,9 +259,16 @@ class PipelineStop(CrysredError):
 def run_pipeline(cfg: JobConfig) -> RunReport:
     """Execute the stages in order; see the module docstring.
 
-    Hard failures (IrregularWeights, ReducibleAllII, GateFailed,
-    NoConvergence, NonMonomial, a failed self-check, ...) abort with the
-    stage recorded in the report's error block.
+    `normalize` runs only on explicit matrices: it checks and classifies
+    them and, when a slot is Type I, brings the tuple to Type-normal form
+    and verifies the witness.  An all-II tuple (explicit or shorthand) is
+    not normalized; it stops at `reducibility` with ReducibleAllII, its
+    lattice block holding the matrices as given.  `slopes` is report-only:
+    a trace too imprecise to decide the Newton slopes is recorded as
+    undecided and the job goes on.  Hard failures (IrregularWeights,
+    Degenerate, ReducibleAllII, GateFailed, NoConvergence, NonMonomial, a
+    failed self-check, ...) abort with the stage recorded in the report's
+    error block.
     """
     report = RunReport(config=cfg.serial())
     try:
@@ -274,14 +282,18 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
 
         lattice, explicit = _stage(report, "config",
                                    lambda: _build_lattice(ctx, cfg))
+        normalized = lattice
         if explicit:
-            normalized, witness, tags = _stage(
-                report, "normalize", lambda: parabolic_normalize(lattice, weights))
-            _stage(report, "normalize", lambda: verify_parabolic_equiv(
-                lattice, normalized, witness, weights))
+            tags = _stage(report, "normalize",
+                          lambda: classify_lattice(lattice, weights))
+            if any(t.kind == "I" for t in tags):
+                normalized, witness, tags = _stage(
+                    report, "normalize",
+                    lambda: parabolic_normalize(lattice, tags, weights))
+                _stage(report, "normalize", lambda: verify_parabolic_equiv(
+                    lattice, normalized, witness, weights))
         else:
             tags = tuple(classify_type(m) for m in lattice)
-            normalized = lattice
         report.stages["normalize"] = {"tags": [t.serial() for t in tags]}
         report.stages["lattice"] = {
             "normalized": [[[e.serial() for e in row] for row in m]
@@ -297,11 +309,12 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
         if verdict.kind == "ReducibleAllII":
             raise PipelineStop("reducibility", ReducibleStop(verdict))
 
-        prod, slopes = _stage(report, "slopes",
-                              lambda: frobenius_f_product(normalized, weights))
+        _, slopes = _stage(report, "slopes",
+                           lambda: frobenius_f_product(normalized, weights))
         report.stages["slopes"] = {
-            "newton_slopes": [str(s) for s in slopes],
-            "det_valuation": _val_str(prod),
+            "newton_slopes": ("undecided at precision" if slopes is None
+                              else [str(s) for s in slopes]),
+            "det_valuation": sum(weights.k),
         }
 
         budget = compute_budget(weights, cfg.p)
@@ -363,13 +376,6 @@ def _stage(report, name, fn):
 
 def _is_int_seq(xs) -> bool:
     return isinstance(xs, (list, tuple)) and all(isinstance(v, int) for v in xs)
-
-
-def _val_str(prod):
-    from .arith import mat_det
-
-    v = mat_det(prod).valuation()
-    return "inf" if v is None else v
 
 
 EXIT_OK = 0

@@ -46,7 +46,7 @@ from .arith import (
     _conv2_raw,
     _fold_w,
 )
-from .errors import NotAUnit, NotIntegral, PrecisionExhausted
+from .errors import NoConvergence, NotAUnit, NotIntegral, PrecisionExhausted
 
 
 class PhiExpPoly:
@@ -79,12 +79,6 @@ class PhiExpPoly:
         a = list(self.c) + [0] * (n - len(self.c))
         b = list(other.c) + [0] * (n - len(other.c))
         return PhiExpPoly(x - y for x, y in zip(a, b))
-
-    def __neg__(self):
-        return PhiExpPoly(-x for x in self.c)
-
-    def scaled(self, n: int) -> "PhiExpPoly":
-        return PhiExpPoly(n * x for x in self.c)
 
     def phi_shifted(self, j: int = 1) -> "PhiExpPoly":
         """Multiply by phi^j (composition with the Frobenius shift)."""
@@ -332,18 +326,6 @@ class SElem:
     def __hash__(self):
         raise TypeError("SElem compares at precision; not hashable")
 
-    def mul_e_pow(self, k: int) -> "SElem":
-        """Multiply by E^k (exact; shifts slots with the canonical carry)."""
-        ctx, p = self.ctx, self.ctx.p
-        mod = ctx.ppow(self.prec)
-        n = min(len(self.c), ctx.m - k)
-        if n <= 0:
-            return SElem(ctx, (), self.d, self.prec)
-        out = [(0,) * ctx.r] * k
-        out += [_of_scale_raw(self.c[j], ctx.ppow((j + k) // p - j // p), mod)
-                for j in range(n)]
-        return SElem(ctx, out, self.d, self.prec)
-
     def div_e_pow(self, k: int) -> "SElem":
         """Exact division by E^k, raising d when the carries demand it.
 
@@ -387,16 +369,6 @@ class SElem:
                         raise NotIntegral("internal: deficit scan missed a slot")
                     out[j] = tuple((v // pt) % mod for v in x)
         return SElem(ctx, out, self.d + extra, prec)
-
-    def mul_p_pow(self, t: int) -> "SElem":
-        """Multiply by p^t using the d-bookkeeping (lowers d first)."""
-        if t <= self.d:
-            return SElem(self.ctx, self.c, self.d - t, self.prec)
-        s = self.ctx.ppow(t - self.d)
-        prec = self.prec + (t - self.d)
-        mod = self.ctx.ppow(prec)
-        return SElem(self.ctx, [tuple((v * s) % mod for v in x) for x in self.c],
-                     0, prec)
 
     def normalize_d(self, target: int = 0) -> "SElem":
         """Divide the numerator by p^(d - target); an honest precision drop.
@@ -697,7 +669,7 @@ def s_invert(x: SElem, seed: Optional[SElem] = None) -> SElem:
         if prod == SElem.one(ctx, x.prec):
             return y
         y = s_mul(y, two - prod)
-    raise RuntimeError("s_invert failed to converge; not a unit?")
+    raise NoConvergence("s_invert: Newton iteration did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -705,20 +677,10 @@ def s_invert(x: SElem, seed: Optional[SElem] = None) -> SElem:
 # ---------------------------------------------------------------------------
 
 
-def lambda_b(b: int, ctx: PrimeContext) -> SElem:
-    """The unit prod_{n>=0} phi^(bn)(gamma), factors kept while != 1 at
-    (M, nwork)."""
-    return _lambda_data(ctx, b)[0]
-
-
-def lambda_truncation_index(b: int, ctx: PrimeContext) -> int:
-    """Number of non-trivial factors kept in lambda_b at this precision."""
-    return _lambda_data(ctx, b)[1]
-
-
 def _lambda_data(ctx, b, j=0):
     """phi^j(lambda_b) = prod_n (1 + w_(bn+j+1)), since phi^m(gamma) =
-    1 + w_(m+1), and the number of factors kept.
+    1 + w_(m+1), and the number of factors kept, for the unit
+    lambda_b = prod_(n>=0) phi^(bn)(gamma).
 
     w_e vanishes at (M, nwork) once p^e is large, and then so does every
     later factor's w, so the product stops at the first factor equal to 1.
@@ -736,18 +698,13 @@ def _lambda_data(ctx, b, j=0):
     return ctx.cache(("lambda", b, j), build)
 
 
-def _phi_lambda(ctx, b, j, inverse=False):
-    lam = _lambda_data(ctx, b, j)[0]
-    if not inverse:
-        return lam
-    return ctx.cache(("phi_lambda", b, j, "inv"), lambda: s_invert(lam))
-
-
 def lambda_power(e: PhiExpPoly, b: int, ctx: PrimeContext) -> SElem:
     """lambda_b^(e(phi)) = prod_j phi^j(lambda_b)^(e_j); always a unit."""
     out = SElem.one(ctx)
     for j, cj in e.terms():
-        base = _phi_lambda(ctx, b, j, inverse=cj < 0)
+        base = _lambda_data(ctx, b, j)[0]
+        if cj < 0:
+            base = ctx.cache(("lambda_inv", b, j), lambda: s_invert(base))
         out = s_mul(out, _s_int_pow(base, abs(cj)))
     return out
 

@@ -233,7 +233,7 @@ class TestDescend:
         for i in range(1):
             for r in range(2):
                 for c in range(2):
-                    assert cert.a_final[i][r][c].residue() == cert.a0_mod_p[i][r][c]
+                    assert cert.a_final[i][r][c].residue() == split.a0[i][r][c].residue()
         assert cert.final_prec >= ctx.n
         assert cert.final_prec == min(e.to_useries().prec for m in cert.a_final
                                       for row in m for e in row)

@@ -4,7 +4,7 @@ import pytest
 
 from crysred.arith import OFElem, PrimeContext, mat_det
 from crysred.errors import DetCheckFailed
-from crysred.lattices import TypeTag, WeightData, parabolic_normalize
+from crysred.lattices import TypeTag, WeightData, classify_lattice, parabolic_normalize
 from crysred.kisin import build_kisin_frobenius, det_normalize, solve_exponent_system
 from crysred.sring import (
     PhiExpPoly,
@@ -170,7 +170,7 @@ class TestDetNormalize:
     def test_full_pipeline_from_random_lattice(self, kctx, rng):
         wd = WeightData((2,), (0,))
         lattice = (random_gl2(kctx, rng),)
-        norm, _, tags = parabolic_normalize(lattice, wd)
+        norm, _, tags = parabolic_normalize(lattice, classify_lattice(lattice, wd), wd)
         raw = build_kisin_frobenius(norm, tags, wd)
         kf = det_normalize(raw, tags, wd, norm)
         assert kf.b in (1, 2)

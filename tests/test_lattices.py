@@ -9,6 +9,7 @@ from crysred.arith import OFElem, PrimeContext, mat_det, mat_mul
 from crysred.errors import Degenerate, DetCheckFailed, IrregularWeights, PrecisionExhausted
 from crysred.lattices import (
     WeightData,
+    classify_lattice,
     classify_type,
     frobenius_f_product,
     normalize_weights,
@@ -44,6 +45,10 @@ def random_parabolic(ctx, rng, prec=None):
     top = OFElem(ctx, [rng.randrange(ctx.ppow(ctx.n)) for _ in range(ctx.r)], prec)
     z = OFElem.zero(ctx, prec)
     return ((diag[0], top), (z, diag[1]))
+
+
+def normalize(lattice, weights):
+    return parabolic_normalize(lattice, classify_lattice(lattice, weights), weights)
 
 
 def apply_parabolic(witness, lattice, weights):
@@ -92,7 +97,7 @@ class TestParabolicNormalize:
     def test_fixed_point(self, ctx5):
         wd = WeightData((2,), (0,))
         lattice = (mat(ctx5, [[0, 3], [1, 0]]),)
-        out, wit, tags = parabolic_normalize(lattice, wd)
+        out, wit, tags = normalize(lattice, wd)
         assert out[0] == lattice[0]
         assert wit[0] == mat(ctx5, [[1, 0], [0, 1]])
         assert tags[0].kind == "I"
@@ -102,7 +107,7 @@ class TestParabolicNormalize:
         x_v, a_v, y_v, k = 7, 3, 11, 2
         wd = WeightData((k,), (0,))
         lattice = (mat(ctx5, [[x_v, a_v], [1, y_v]]),)
-        out, wit, tags = parabolic_normalize(lattice, wd)
+        out, wit, tags = normalize(lattice, wd)
         b = out[0]
         assert b[0][0].is_zero() and b[1][0] == 1
         assert b[0][1] == a_v - x_v * y_v
@@ -112,7 +117,7 @@ class TestParabolicNormalize:
     def test_normal_form_shape_mixed(self, ctx5, rng):
         wd = WeightData((2, 3, 1), (0, 0, 0))
         lattice = tuple(random_gl2(ctx5, rng) for _ in range(3))
-        out, wit, tags = parabolic_normalize(lattice, wd)
+        out, wit, tags = normalize(lattice, wd)
         for m, t in zip(out, tags):
             if t.kind == "I":
                 assert m[0][0].is_zero() and m[1][0] == 1
@@ -122,26 +127,11 @@ class TestParabolicNormalize:
                 assert m[0][0].is_unit() and not m[1][0].is_unit()
         assert verify_parabolic_equiv(lattice, out, wit, wd) is None
 
-    def test_all_ii_case(self, ctx5, rng):
-        wd = WeightData((2, 2), (0, 0))
-        lattice = []
-        for _ in range(2):
-            while True:
-                m = random_gl2(ctx5, rng)
-                if not m[1][0].is_unit():
-                    lattice.append(m)
-                    break
-        out, wit, tags = parabolic_normalize(tuple(lattice), wd)
-        for m, t in zip(out, tags):
-            assert t.kind == "II"
-            assert m[0][1].is_zero()
-            assert m[0][0].is_unit() and m[1][1].is_unit()
-
     def test_idempotent_mixed(self, ctx5, rng):
         wd = WeightData((2, 1), (0, 0))
         lattice = (random_gl2(ctx5, rng), random_gl2(ctx5, rng))
-        out, _, _ = parabolic_normalize(lattice, wd)
-        out2, _, _ = parabolic_normalize(out, wd)
+        out, _, _ = normalize(lattice, wd)
+        out2, _, _ = normalize(out, wd)
         for a, b in zip(out, out2):
             for r in range(2):
                 for c in range(2):
@@ -161,16 +151,16 @@ class TestParabolicNormalize:
         wd = WeightData((2, 2), (0, 0))
         for _ in range(5):
             lattice = (random_gl2(ctx5, rng), random_gl2(ctx5, rng))
-            _, _, tags = parabolic_normalize(lattice, wd)
+            _, _, tags = normalize(lattice, wd)
             wit = (random_parabolic(ctx5, rng), random_parabolic(ctx5, rng))
             moved = apply_parabolic(wit, lattice, wd)
-            _, _, tags2 = parabolic_normalize(moved, wd)
+            _, _, tags2 = normalize(moved, wd)
             assert [t.kind for t in tags] == [t.kind for t in tags2]
 
     def test_perturbed_witness_fails(self, ctx5, rng):
         wd = WeightData((2,), (0,))
         lattice = (random_gl2(ctx5, rng),)
-        out, wit, _ = parabolic_normalize(lattice, wd)
+        out, wit, _ = normalize(lattice, wd)
         bad = (((wit[0][0][0] + 1, wit[0][0][1]), wit[0][1]),)
         with pytest.raises(DetCheckFailed):
             verify_parabolic_equiv(lattice, out, bad, wd)
@@ -185,7 +175,7 @@ class TestParabolicNormalize:
     def test_det_valuation_preserved(self, ctx5, rng):
         wd = WeightData((2, 3), (0, 0))
         lattice = (random_gl2(ctx5, rng), random_gl2(ctx5, rng))
-        out, _, _ = parabolic_normalize(lattice, wd)
+        out, _, _ = normalize(lattice, wd)
         for a, b in zip(lattice, out):
             assert mat_det(a).valuation() == mat_det(b).valuation() == 0
 
@@ -194,13 +184,13 @@ class TestReducibility:
     def test_all_ii(self, ctx5, rng):
         wd = WeightData((2, 2), (0, 0))
         lat = (mat(ctx5, [[3, 0], [5, 1]]), mat(ctx5, [[1, 0], [10, 1]]))
-        _, _, tags = parabolic_normalize(lat, wd)
+        tags = classify_lattice(lat, wd)
         assert reducibility_detect(lat, tags, wd).kind == "ReducibleAllII"
 
     def test_f1_unit_a2(self, ctx5):
         wd = WeightData((2,), (0,))
         lat = (mat(ctx5, [[0, 1], [1, 3]]),)
-        _, _, tags = parabolic_normalize(lat, wd)
+        tags = classify_lattice(lat, wd)
         verdict = reducibility_detect(lat, tags, wd)
         assert verdict.kind == "ReducibleSubsetSum"
         assert verdict.w == 0 and verdict.subset == ()
@@ -209,14 +199,14 @@ class TestReducibility:
         # k = (2, 3); val(a2 product) = 4 not in {0, 2, 3, 5}
         wd = WeightData((2, 3), (0, 0))
         lat = (mat(ctx5, [[0, 1], [1, 5]]), mat(ctx5, [[0, 1], [1, 125]]))
-        _, _, tags = parabolic_normalize(lat, wd)
+        tags = classify_lattice(lat, wd)
         assert reducibility_detect(lat, tags, wd).kind == "NotDetected"
 
     def test_planted_subset_sum(self, ctx5, rng):
         # plant val(prod a2) = k_0 with J = {0}
         wd = WeightData((2, 3), (0, 0))
         lat = (mat(ctx5, [[0, 1], [1, 25]]), mat(ctx5, [[0, 1], [1, 7]]))
-        _, _, tags = parabolic_normalize(lat, wd)
+        tags = classify_lattice(lat, wd)
         verdict = reducibility_detect(lat, tags, wd)
         assert verdict.kind == "ReducibleSubsetSum" and verdict.w == 2
 
@@ -224,7 +214,7 @@ class TestReducibility:
         # a2 = 0 known to one digit: val(a2) >= 1 could still equal k = 2
         wd = WeightData((2,), (0,))
         lat = (((of(ctx5, 0), of(ctx5, 1)), (of(ctx5, 1), of(ctx5, 0, prec=1))),)
-        _, _, tags = parabolic_normalize(lat, wd)
+        tags = classify_lattice(lat, wd)
         with pytest.raises(PrecisionExhausted):
             reducibility_detect(lat, tags, wd)
 
@@ -232,7 +222,7 @@ class TestReducibility:
         # a_p = 0: val(a2) >= its precision, above every subset sum of k
         wd = WeightData((2,), (0,))
         lat = (mat(ctx5, [[0, 1], [1, 0]]),)
-        _, _, tags = parabolic_normalize(lat, wd)
+        tags = classify_lattice(lat, wd)
         assert reducibility_detect(lat, tags, wd).kind == "NotDetected"
 
 

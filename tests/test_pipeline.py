@@ -17,6 +17,7 @@ from crysred.pipeline import (
     EXIT_CONFIG,
     EXIT_CONVERGENCE,
     EXIT_INTERNAL,
+    EXIT_REDUCIBLE,
     JobConfig,
     exit_code_for,
     preflight_precision,
@@ -318,6 +319,95 @@ class TestLowerWeightTwist:
         shifted = run_pipeline(type_i_job(5, [[6, 2]])).result
         assert shifted.pop("exponents") != plain.pop("exponents")
         assert shifted == plain
+
+
+class TestSlopesAreReportOnly:
+    """Period-1 all-Type-I tuples whose sum of weights reaches nwork.  The
+    product's determinant then reads as 0 at the working precision; its
+    valuation is sum k_i by construction, and the job goes on."""
+
+    # the smallest such k for every (p, f) of p <= 13, f <= 5 that has one
+    @pytest.mark.parametrize("p, f, k", [
+        (5, 5, 5), (7, 4, 5), (7, 5, 4), (11, 3, 7), (11, 4, 4), (11, 5, 3),
+        (13, 3, 6), (13, 4, 4), (13, 5, 3)])
+    def test_answer_is_the_base_change(self, p, f, k):
+        report = run_pipeline(type_i_job(p, [[k, 0]] * f))
+        assert f * k >= report.context["N_work"]
+        assert report.stages["slopes"]["det_valuation"] == f * k
+        assert answer(report) == base_change(classical(p, k), p, f)
+
+
+class TestReducibilityPrecision:
+    """Each v(a_2) that is nonzero at its precision is exact, so their sum
+    decides the subset-sum test even when it reaches nwork."""
+
+    @pytest.mark.parametrize("v", range(11, 24))
+    def test_p5_f2_k4_at_every_valuation(self, v):
+        # nwork is 23; v = 23 makes a_2 zero at precision
+        slot = {"type": "I", "a1": 1, "a2": {"coeffs": [1], "pexp": v}}
+        report = run_pipeline(JobConfig.from_dict(
+            {"p": 5, "f": 2, "weights": [[4, 0]] * 2, "params": [slot] * 2}))
+        assert report.context["N_work"] == 23
+        assert report.stages["reducibility"]["kind"] == "NotDetected"
+        assert answer(report) == ("Split", (4, 20))
+
+
+@st.composite
+def gated_mixed_configs(draw):
+    """Type patterns with a Type I slot, lower-weight shifts in either pair
+    order, units a1 and a2 / p^v, and v one above the gate bound."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    f = draw(st.integers(1, 3))
+    ks = draw(st.lists(st.integers(1, 2 * p), min_size=f, max_size=f))
+    shifts = draw(st.lists(st.integers(0, p), min_size=f, max_size=f))
+    types = draw(st.lists(st.sampled_from(["I", "II"]), min_size=f, max_size=f)
+                 .filter(lambda ts: "I" in ts))
+    unit = st.integers(1, p ** 3).filter(lambda x: x % p)
+    pairs = [[k + s, s] if draw(st.booleans()) else [s, k + s]
+             for k, s in zip(ks, shifts)]
+    budget = compute_budget(normalize_weights(pairs), p)
+    params = [{"type": t, "a1": draw(unit),
+               "a2": {"coeffs": [draw(unit)],
+                      "pexp": max(c - 1, budget.c_max - c - 1) + 1}}
+              for t, c in zip(types, budget.c)]
+    return {"p": p, "f": f, "weights": pairs, "params": params}
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(gated_mixed_configs())
+def test_determinant_matches_the_weights(data):
+    """det of the reduction on inertia is omega_f^(sum_i (k_i + 2 s_i) p^i),
+    in the labelling `characterize` uses: e1 + e2 (split) or t (induced),
+    since omega_2f^(t (1 + p^f)) = omega_f^t."""
+    p, f = data["p"], data["f"]
+    shape, exponents = answer(run_pipeline(JobConfig.from_dict(data)))
+    weights = normalize_weights(data["weights"])
+    want = sum((k + 2 * s) * p ** i
+               for i, (k, s) in enumerate(zip(weights.k, weights.shifts)))
+    assert sum(exponents) % (p ** f - 1) == want % (p ** f - 1)
+
+
+class TestAllII:
+    """A tuple with no Type I slot is reducible from its tags alone."""
+
+    @staticmethod
+    def explicit(*mats):
+        return JobConfig.from_dict({"p": 5, "f": 2, "weights": [[2, 0]] * 2,
+                                    "params": [{"matrix": m} for m in mats]})
+
+    def test_explicit_stops_at_reducibility(self):
+        report = run_pipeline(self.explicit([[3, 7], [5, 1]], [[1, 2], [10, 1]]))
+        assert (report.error["stage"], report.error["type"]) == (
+            "reducibility", "ReducibleStop")
+        assert report.stages["reducibility"]["kind"] == "ReducibleAllII"
+        assert [t["kind"] for t in report.stages["normalize"]["tags"]] == ["II", "II"]
+        assert exit_code_for(report) == EXIT_REDUCIBLE
+
+    def test_non_invertible_explicit_is_a_config_error(self):
+        report = run_pipeline(self.explicit([[5, 7], [5, 1]], [[1, 2], [10, 1]]))
+        assert (report.error["stage"], report.error["type"]) == (
+            "normalize", "Degenerate")
+        assert exit_code_for(report) == EXIT_CONFIG
 
 
 class TestBadInputs:

@@ -15,20 +15,18 @@ from crysred.arith import (
     _of_sub_raw,
     _of_val_raw,
 )
-from crysred.errors import NotAUnit, NotIntegral, PrecisionExhausted
+from crysred.errors import NoConvergence, NotAUnit, NotIntegral, PrecisionExhausted
 from crysred.sring import (
     PhiExpPoly,
     SElem,
-    _phi_lambda,
+    _lambda_data,
     _s_int_pow,
     _w_power,
     _w_power_cache,
     fil_membership,
     gamma,
     in_p_pow_s,
-    lambda_b,
     lambda_power,
-    lambda_truncation_index,
     s_frobenius,
     s_invert,
     s_mul,
@@ -67,7 +65,6 @@ class TestPhiExpPoly:
         assert (a + b).c == (1, 2, 3)
         assert (a - a).is_zero()
         assert a.phi_shifted(2).c == (0, 0, 1, 2)
-        assert a.scaled(-1).c == (-1, -2)
 
     def test_terms(self):
         assert PhiExpPoly((0, 5)).terms() == [(1, 5)]
@@ -95,7 +92,7 @@ class TestGamma:
     def test_matches_u_substitution(self, ctx5):
         # gamma * p == u^p + p as elements of S_F
         ctx = ctx5
-        lhs = gamma(ctx).mul_p_pow(1)
+        lhs = gamma(ctx) * ctx.p
         u_poly = USeries(ctx, [ctx.p] + [0] * (ctx.p - 1) + [1])
         assert lhs == SElem.from_useries(u_poly)
 
@@ -174,7 +171,7 @@ class TestSMulExact:
                 assert (prod.c, prod.d, prod.prec) == naive_s_mul(a, b)
 
     def test_above_nwork_matches_larger_context(self, rng):
-        # elements held above nwork (from _lift_d, mul_p_pow) must multiply
+        # elements held above nwork (as _lift_d makes them) must multiply
         # as they do in a context whose nwork covers their precision
         small = PrimeContext(p=5, f=2, r=2, n=8, m=12, nwork=11)
         large = PrimeContext(p=5, f=2, r=2, n=8, m=12, nwork=17)
@@ -292,7 +289,7 @@ class TestWPowers:
 
 class TestFrobenius:
     def test_phi_e_is_p_gamma(self, ctx5):
-        assert s_frobenius(SElem.e_pow(ctx5, 1)) == gamma(ctx5).mul_p_pow(1)
+        assert s_frobenius(SElem.e_pow(ctx5, 1)) == gamma(ctx5) * ctx5.p
 
     def test_phi_fixes_constants(self, ctx5):
         x = SElem.from_int(ctx5, 42)
@@ -306,7 +303,7 @@ class TestFrobenius:
         expected = g
         for _ in range(ctx.p - 1):
             expected = s_mul(expected, g)
-        expected = expected.mul_p_pow(ctx.p - 1)
+        expected = expected * ctx.p ** (ctx.p - 1)
         assert s_frobenius(x) == expected
 
     def test_phi_is_ring_hom(self, ctx3, rng):
@@ -331,9 +328,9 @@ class TestFrobenius:
         # at the precision phi keeps (16 of nwork = 18 digits for ctx3)
         for ctx in (ctx3, ctx5):
             for b in (1, 2):
-                lam = lambda_b(b, ctx)
+                lam = _lambda_data(ctx, b)[0]
                 for j in range(4):
-                    got = _phi_lambda(ctx, b, j)
+                    got = _lambda_data(ctx, b, j)[0]
                     assert got.prec == ctx.nwork
                     assert lam.prec == (ctx.nwork if j == 0 else phi_prec(ctx))
                     assert capped(ctx, (got.c, got.d, got.prec), lam.prec) == (
@@ -372,6 +369,11 @@ class TestInvert:
         with pytest.raises(NotAUnit):
             s_invert(SElem.e_pow(ctx5, 1))
 
+    def test_zero_seed_does_not_converge(self, ctx5):
+        # Newton's map fixes y = 0, so the iteration never leaves the seed
+        with pytest.raises(NoConvergence):
+            s_invert(gamma(ctx5), seed=SElem.zero(ctx5))
+
     def test_seed_above_precision_is_not_trusted(self, ctx5, rng):
         # a seed held to more digits than x must not lend them to the result
         g = gamma(ctx5)
@@ -386,7 +388,7 @@ class TestInvert:
 
 
 def lambda_by_iteration(ctx, b):
-    """Reference for `lambda_b`: gamma * phi^b(gamma) * phi^(2b)(gamma) ...,
+    """Reference for `_lambda_data`: lambda_b = gamma * phi^b(gamma) ...,
     each factor by b more applications of s_frobenius, until a factor is 1;
     also the number of factors kept."""
     lam = fac = gamma(ctx)
@@ -408,15 +410,15 @@ class TestLambda:
         ctx = PrimeContext(p=p, f=1, n=6, m=m)
         assert m - m // p >= ctx.nwork
         lam, count = lambda_by_iteration(ctx, b)
-        got = lambda_b(b, ctx)
+        got, got_count = _lambda_data(ctx, b)
         assert (got.c, got.d, got.prec) == (lam.c, lam.d, lam.prec)
-        assert lambda_truncation_index(b, ctx) == count
+        assert got_count == count
         if (p, b) == (3, 1):
             assert count == 3
 
     @pytest.mark.parametrize("b", [1, 2])
     def test_functional_equation(self, ctx5, b):
-        lam = lambda_b(b, ctx5)
+        lam = _lambda_data(ctx5, b)[0]
         phi_b = lam
         for _ in range(b):
             phi_b = s_frobenius(phi_b)
@@ -424,24 +426,24 @@ class TestLambda:
 
     def test_leading_factor_is_gamma(self, ctx5):
         # lambda_b = gamma * (factors fixed by higher phi-powers)
-        lam = lambda_b(2, ctx5)
+        lam, count = _lambda_data(ctx5, 2)
         rest = s_mul(lam, s_invert(gamma(ctx5)))
         # the functional equation lambda_b = gamma * phi^b(lambda_b)
         assert rest == s_frobenius(s_frobenius(lam))
-        assert lambda_truncation_index(2, ctx5) >= 1
+        assert count >= 1
 
     def test_stabilization_finite(self, ctx3):
-        assert lambda_truncation_index(1, ctx3) < 30
+        assert _lambda_data(ctx3, 1)[1] < 30
 
     def test_lambda_power_zero_and_one(self, ctx5):
         assert lambda_power(PhiExpPoly(), 2, ctx5) == SElem.one(ctx5)
-        assert lambda_power(PhiExpPoly((1,)), 2, ctx5) == lambda_b(2, ctx5)
+        assert lambda_power(PhiExpPoly((1,)), 2, ctx5) == _lambda_data(ctx5, 2)[0]
 
     def test_lambda_power_two_evaluation_orders(self, ctx5):
         # e = k(1 - phi): lambda^k * phi(lambda)^(-k) computed directly
         k = 3
         e = PhiExpPoly((k, -k))
-        lam = lambda_b(2, ctx5)
+        lam = _lambda_data(ctx5, 2)[0]
         direct = lambda_power(e, 2, ctx5)
         lk = SElem.one(ctx5)
         for _ in range(k):
@@ -479,7 +481,7 @@ class TestConversions:
             # support below M - k so the upward shift loses nothing
             x = SElem(ctx5, [[rng.randrange(ctx5.ppow(ctx5.n))]
                              for _ in range(ctx5.m - k)], 0, ctx5.n)
-            shifted = x.mul_e_pow(k)
+            shifted = s_mul(SElem.e_pow(ctx5, k), x)
             back = shifted.div_e_pow(k)
             assert back == x.at_prec(min(back.prec, x.prec))
 
@@ -559,16 +561,16 @@ class TestTrimmedInvariant:
         results = [
             x + y, x - y, y - x, x - x, x + (-x), cancel - x, -y, x + 3, x - 3,
             x * y, x * random_of(ctx, rng), x * 2, x * p ** ctx.n,
-            y._lift_d(3), x.mul_e_pow(2), x.mul_e_pow(m), x.mul_e_pow(m - 1),
+            y._lift_d(3),
             e4.div_e_pow(4), SElem.zero(ctx).div_e_pow(3), SElem.e_pow(ctx, p).div_e_pow(p),
-            x.mul_p_pow(2), y.mul_p_pow(1), y.mul_p_pow(3), u.mul_p_pow(1).normalize_d(0),
-            y.reduce_d(), x.at_prec(2), x.at_prec(1),
+            SElem(ctx, (u * p).c, 1, u.prec).normalize_d(0), y.reduce_d(),
+            x.at_prec(2), x.at_prec(1),
             x.slice_below(3), x.slice_below(0), x.slice_from(3), x.slice_from(m // 2),
             x.slice_from(m), SElem.zero(ctx).slice_from(0),
             s_mul(x, y), s_mul(x, SElem.zero(ctx)), s_mul(SElem.e_pow(ctx, m - 1), x),
             s_frobenius(x), s_frobenius(s_frobenius(y)), s_frobenius(SElem.zero(ctx)),
             s_invert(unit), s_invert(unit, seed=SElem.one(ctx)),
-            _s_int_pow(x, 3), lambda_b(1, ctx), _phi_lambda(ctx, 2, 3),
+            _s_int_pow(x, 3), _lambda_data(ctx, 1)[0], _lambda_data(ctx, 2, 3)[0],
             lambda_power(PhiExpPoly((2, -1)), 1, ctx),
         ]
         for z in results:
@@ -631,7 +633,7 @@ class TestUConversion:
         cases = [(z, None) for z in ints]
         cases += [
             (ints[0]._lift_d(2), None),                  # d > 0, integral
-            (ints[1].mul_p_pow(1), None),
+            (ints[1] * ctx.p, None),
             (ints[0].at_prec(dmax + 1), None),           # prec = dmax + 1
             (ints[1].at_prec(dmax + 2), None),
             (ints[0].at_prec(dmax), PrecisionExhausted),  # prec = dmax
