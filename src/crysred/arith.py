@@ -147,14 +147,14 @@ class PrimeContext:
     """Shared parameters: p, f, r, precisions, and the residue polynomial.
 
     `n` is the reporting p-precision, `m` the u/E-adic truncation order.
+    `dmax` = floor((m-1)/p) is the largest canonical-form denominator
+    exponent of a slot below m, so u-coordinates cost dmax digits.
     `nwork` is the internal construction precision.  Its default is
-    n + floor((m-1)/p) + 1 + 4: u-coordinates cost floor((m-1)/p) digits
-    (the canonical-form denominators of the slots below m) and `residue()`
-    needs one digit beyond those, so an element held at nwork converts to
-    O_F[[u]] at precision n + 5.  The pipeline passes the nwork that
-    `preflight_precision` chooses, which adds the descent's division depth
-    and stays within the digits of phi that the truncation at E^m leaves
-    exact.
+    n + dmax + 1 + 4: `residue()` needs one digit beyond the dmax, so an
+    element held at nwork converts to O_F[[u]] at precision n + 5.  The
+    pipeline passes the nwork that `preflight_precision` chooses, which
+    adds the descent's division depth and stays within the digits of phi
+    that the truncation at E^m leaves exact.
     """
 
     def __init__(self, p: int, f: int, n: int, m: int, r: Optional[int] = None,
@@ -173,7 +173,8 @@ class PrimeContext:
         self.r = r
         self.n = n
         self.m = m
-        self.nwork = nwork if nwork is not None else n + (m - 1) // p + 1 + 4
+        self.dmax = (m - 1) // p
+        self.nwork = nwork if nwork is not None else n + self.dmax + 1 + 4
         if self.nwork < n:
             raise ValueError("nwork must be >= n")
         self.residue_poly = find_residue_poly(p, r)
@@ -337,11 +338,6 @@ class OFElem:
         other, prec, mod = self._join(other)
         return OFElem(self.ctx, _of_sub_raw(self.c, other.c, mod), prec)
 
-    def __rsub__(self, other):
-        if not isinstance(other, int):
-            return NotImplemented
-        return OFElem.from_int(self.ctx, other, self.prec) - self
-
     def __mul__(self, other):
         if not isinstance(other, (int, OFElem)):
             return NotImplemented
@@ -465,21 +461,32 @@ def _fp_poly_invmod(a, g, p):
 # enough for the largest possible sum, min(la, lb) * r * max(a) * max(b),
 # with the maxima taken over the operands after reduction mod `mod`.  The
 # lengths la, lb are the operands' own: S_F elements arrive trimmed to their
-# last nonzero slot, USeries padded to M.
+# last nonzero slot, USeries padded to M.  `_pack` and `_unpack` are the
+# only code that writes or reads a packed integer; `sring` packs through them.
 
 
-def _pack(flat, r, width):
-    """Kronecker-pack r values per u-slot into 2r-1 positions of `width` bytes."""
-    chunks = [v.to_bytes(width, "little") for v in flat]
-    if r > 1:
-        pad = bytes(width * (r - 1))
-        chunks = [b"".join(chunks[i:i + r]) + pad for i in range(0, len(chunks), r)]
+def _pack(values, width, group=1, pad=0):
+    """Pack `values` as little-endian digits of `width` bytes, with `pad`
+    zero digits after every `group` values."""
+    chunks = [v.to_bytes(width, "little") for v in values]
+    if pad:
+        gap = bytes(width * pad)
+        chunks = [b"".join(chunks[i:i + group]) + gap
+                  for i in range(0, len(chunks), group)]
     return int.from_bytes(b"".join(chunks), "little")
 
 
+def _unpack(n, width, count):
+    """The lowest `count` little-endian digits of `width` bytes of n >= 0."""
+    need = width * count
+    raw = n.to_bytes(max(need, (n.bit_length() + 7) // 8), "little")
+    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, need, width)]
+
+
 def _conv2_raw(ctx, a, b, mod, out_len=None):
-    """a, b: sequences of r-tuples. Returns list of (2r-1)-tuples (unreduced
-    in w), length capped at out_len, entries mod `mod`."""
+    """a, b: sequences of r-tuples.  Returns their product, length capped at
+    out_len, as r-tuples mod `mod`: `_fold_w` runs on the exact sums, and
+    being linear over Z it keeps their divisibility, which `s_mul` uses."""
     la, lb = len(a), len(b)
     if la == 0 or lb == 0:
         return []
@@ -494,20 +501,19 @@ def _conv2_raw(ctx, a, b, mod, out_len=None):
         n_u = min(n_u, out_len)
     ma, mb = max(fa), max(fb)
     if not ma or not mb:
-        return [(0,) * stride] * n_u
+        return [(0,) * r] * n_u
     # with both maxima >= 1 the width also holds every operand value
     cap = min(la, lb) * r * ma * mb + 1
     width = (cap.bit_length() + 7) // 8
-    prod = _pack(fa, r, width) * _pack(fb, r, width)
-    need = width * n_u * stride
-    raw = prod.to_bytes(max(need, (prod.bit_length() + 7) // 8), "little")
-    vals = [int.from_bytes(raw[i:i + width], "little") % mod
-            for i in range(0, need, width)]
-    return [tuple(vals[i:i + stride]) for i in range(0, len(vals), stride)]
+    prod = _pack(fa, width, r, stride - r) * _pack(fb, width, r, stride - r)
+    vals = _unpack(prod, width, n_u * stride)
+    if r == 1:
+        return [(v % mod,) for v in vals]
+    return [_fold_w(ctx, vals[i:i + stride], mod) for i in range(0, len(vals), stride)]
 
 
 def _fold_w(ctx, slot, mod):
-    """Reduce a (2r-1)-tuple of w-coefficients mod the residue polynomial."""
+    """Reduce a (2r-1)-sequence of w-coefficients mod the residue polynomial."""
     r = ctx.r
     if r == 1:
         return (slot[0] % mod,)
@@ -520,12 +526,6 @@ def _fold_w(ctx, slot, mod):
             for i in range(r):
                 out[i] += c * row[i]
     return tuple(v % mod for v in out)
-
-
-def conv_series(ctx, a, b, mod, out_len):
-    """Truncated convolution of O_F coefficient sequences (plain, no carries)."""
-    raw = _conv2_raw(ctx, a, b, mod, out_len)
-    return [_fold_w(ctx, s, mod) for s in raw]
 
 
 # ---------------------------------------------------------------------------
@@ -594,13 +594,9 @@ class USeries:
 
     def __mul__(self, other):
         if isinstance(other, OFElem):
-            prec = min(self.prec, other.prec)
-            mod = self.ctx.ppow(prec)
-            return USeries(self.ctx,
-                           [_of_mul_raw(self.ctx, x, other.c, mod) for x in self.c],
-                           prec)
+            other = USeries(self.ctx, (other,), other.prec)
         other, prec, mod = self._join(other)
-        return USeries(self.ctx, conv_series(self.ctx, self.c, other.c, mod, self.ctx.m),
+        return USeries(self.ctx, _conv2_raw(self.ctx, self.c, other.c, mod, self.ctx.m),
                        prec)
 
     __rmul__ = __mul__

@@ -102,7 +102,6 @@ class PreparedSplit:
     c_mats: Tuple[Mat2, ...]          # remainder, entries in I_(c_max)
     conjugated: Tuple[Mat2, ...]      # the full X_1 *_phi B matrices
     x1: Tuple[SElem, ...]             # applied row-operation entries x^(i)
-    budget: HeightBudget
     weights: WeightData
     det_signs: Tuple[int, ...]
     a1: Tuple[OFElem, ...]
@@ -201,7 +200,7 @@ def prepare(kisin: KisinFrobenius, budget: HeightBudget) -> PreparedSplit:
 
     return PreparedSplit(
         a0=tuple(a0s), c_mats=tuple(cs), conjugated=tuple(conjs),
-        x1=tuple(xs), budget=budget, weights=weights,
+        x1=tuple(xs), weights=weights,
         det_signs=kisin.det_signs, a1=kisin.a1)
 
 
@@ -451,7 +450,7 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
         a_final_mod_p=tuple(residues),
         chains=chains,
         iterations=iteration,
-        final_prec=final_prec - (ctx.m - 1) // p,
+        final_prec=final_prec - ctx.dmax,
     )
 
 

@@ -12,7 +12,8 @@ over M.  Canonical
 coefficients multiply by plain convolution with a carry factor
 p^(floor((i+j)/p) - floor(i/p) - floor(j/p)) in {1, p}; after rescaling
 c_j by p^(D - floor(j/p)), D = floor((M-1)/p), a product is one Kronecker
-convolution followed by an exact division of each slot.
+convolution followed by an exact division of each slot.  The packed
+layout and the w-fold belong to `arith` (`_conv2_raw`, `_pack`, `_unpack`).
 
 The Frobenius phi fixes coefficients, sends u to u^p, and therefore sends
 E^j/p^floor(j/p) to p^(j - floor(j/p)) * gamma^j with gamma = phi(E)/p.
@@ -39,12 +40,12 @@ from .arith import (
     PrimeContext,
     USeries,
     _of_add_raw,
-    _of_mul_raw,
     _of_scale_raw,
     _of_sub_raw,
     _of_val_raw,
     _conv2_raw,
-    _fold_w,
+    _pack,
+    _unpack,
 )
 from .errors import NoConvergence, NotAUnit, NotIntegral, PrecisionExhausted
 
@@ -304,12 +305,8 @@ class SElem:
     def __mul__(self, other):
         if isinstance(other, int):
             other = SElem.from_int(self.ctx, other, self.prec)
-        if isinstance(other, OFElem):
-            prec = min(self.prec, other.prec)
-            mod = self.ctx.ppow(prec)
-            return SElem(self.ctx,
-                         [_of_mul_raw(self.ctx, x, other.c, mod) for x in self.c],
-                         self.d, prec)
+        elif isinstance(other, OFElem):
+            other = SElem.from_of(self.ctx, other)
         if not isinstance(other, SElem):
             return NotImplemented
         return s_mul(self, other)
@@ -428,7 +425,7 @@ class SElem:
         """
         x = self.normalize_d(0)
         ctx, p = self.ctx, self.ctx.p
-        dmax = (ctx.m - 1) // p
+        dmax = ctx.dmax
         if x.prec <= dmax:
             raise PrecisionExhausted("precision too low for u-coordinates")
         prec = x.prec - dmax
@@ -464,7 +461,7 @@ class SElem:
         """
         x = self.normalize_d(0)
         ctx, p = self.ctx, self.ctx.p
-        if x.prec <= (ctx.m - 1) // p:
+        if x.prec <= ctx.dmax:
             raise PrecisionExhausted("precision too low for u-coordinates")
         if not x.is_integral():
             raise NotIntegral("element is not in O_F[[u]]")
@@ -494,18 +491,23 @@ def s_mul(x: SElem, y: SElem) -> SElem:
 
     (E^a/p^floor(a/p)) (E^b/p^floor(b/p)) = p^car E^(a+b)/p^floor((a+b)/p)
     with car = floor((a+b)/p) - floor(a/p) - floor(b/p) >= 0.  Scaling c_j
-    by p^(D - floor(j/p)), D = floor((M-1)/p), makes every term of slot k a
-    multiple of p^(2D - floor(k/p)), so one plain convolution modulo
+    by p^(D - floor(j/p)), D = `ctx.dmax`, makes every term of slot k a
+    multiple of q = p^(2D - floor(k/p)), so one plain convolution modulo
     p^(prec+2D) followed by that exact division gives the carried product.
     The rescaled coefficients are below p^(prec+D), and the kernel sizes its
     packed slots by the operands' largest coefficients, not by the modulus.
+
+    The kernel returns slots already folded mod the residue polynomial, and
+    dividing the r folded values by q is exact: the fold is linear over Z
+    with integer rows, so it keeps the exact sums' divisibility by q, and
+    q divides the modulus p^(prec+2D), so the reduced values keep it too.
+    The quotients are then right mod p^(prec+2D)/q, a multiple of p^prec.
     """
     ctx = x.ctx
     prec = min(x.prec, y.prec)
-    dmax = (ctx.m - 1) // ctx.p
     up, down = _carry_tables(ctx)
     mod = ctx.ppow(prec)
-    bigmod = ctx.ppow(prec + 2 * dmax)
+    bigmod = ctx.ppow(prec + 2 * ctx.dmax)
     if ctx.r == 1:
         raw = _conv2_raw(ctx, [(cj[0] * s,) for cj, s in zip(x.c, up)],
                          [(cj[0] * s,) for cj, s in zip(y.c, up)], bigmod, ctx.m)
@@ -514,18 +516,16 @@ def s_mul(x: SElem, y: SElem) -> SElem:
         raw = _conv2_raw(ctx, [tuple(v * s for v in cj) for cj, s in zip(x.c, up)],
                          [tuple(v * s for v in cj) for cj, s in zip(y.c, up)],
                          bigmod, ctx.m)
-        out = [_fold_w(ctx, tuple(v // q for v in slot), mod)
-               for slot, q in zip(raw, down)]
+        out = [tuple(v // q % mod for v in slot) for slot, q in zip(raw, down)]
     return SElem._reduced(ctx, _trimmed(out), x.d + y.d, prec)
 
 
 def _carry_tables(ctx: PrimeContext) -> tuple:
     """Per-slot constants of `s_mul`: the rescale factors p^(D - floor(j/p))
-    and the divisors p^(2D - floor(k/p)), D = floor((M-1)/p), j, k < M."""
+    and the divisors p^(2D - floor(k/p)), D = `ctx.dmax`, j, k < M."""
     def build():
-        dmax = (ctx.m - 1) // ctx.p
-        up = [ctx.ppow(dmax - j // ctx.p) for j in range(ctx.m)]
-        return up, [s * ctx.ppow(dmax) for s in up]
+        up = [ctx.ppow(ctx.dmax - j // ctx.p) for j in range(ctx.m)]
+        return up, [s * ctx.ppow(ctx.dmax) for s in up]
 
     return ctx.cache(("carry",), build)
 
@@ -581,11 +581,7 @@ def _packed_w_powers(ctx: PrimeContext, width: int) -> tuple:
     power's slot count."""
     def build():
         powers = _w_power_cache(ctx)
-        stride = ctx.r * width
-        pad = bytes(stride - width)
-        packed = [int.from_bytes(b"".join(wj[0].to_bytes(width, "little") + pad
-                                          for wj in w.c), "little")
-                  for w in powers]
+        packed = [_pack([wj[0] for wj in w.c], width, 1, ctx.r - 1) for w in powers]
         return packed, max(len(w.c) for w in powers)
 
     return ctx.cache(("wpack", width), build)
@@ -624,12 +620,9 @@ def s_frobenius(x: SElem) -> SElem:
     acc = 0
     for j in range(n - 1, -1, -1):
         s = ctx.ppow(j - j // p)
-        a_j = int.from_bytes(b"".join((v * s % mod).to_bytes(digit, "little")
-                                      for v in x.c[j]), "little")
+        a_j = _pack([v * s % mod for v in x.c[j]], digit)
         acc = ((acc + (acc << shift)) & mask) + a_j
-    raw = acc.to_bytes(digit * r * L, "little")
-    T = [int.from_bytes(raw[i:i + digit], "little") % mod
-         for i in range(0, len(raw), digit)]
+    T = [t % mod for t in _unpack(acc, digit, r * L)]
     # digit j*r + i of the sum is sum_l T_l[i] (slot j of w^l): L terms,
     # each below top^2, as T_l < p^prec and w^l is stored mod p^nwork
     top = ctx.ppow(max(prec, ctx.nwork))
@@ -639,11 +632,8 @@ def s_frobenius(x: SElem) -> SElem:
     for l, wl in enumerate(packed):
         tl = T[l * r:(l + 1) * r]
         if any(tl):
-            total += wl * int.from_bytes(b"".join(t.to_bytes(width, "little")
-                                                  for t in tl), "little")
-    raw = total.to_bytes(width * r * wlen, "little")
-    vals = [int.from_bytes(raw[i:i + width], "little") % mod
-            for i in range(0, len(raw), width)]
+            total += wl * _pack(tl, width)
+    vals = [v % mod for v in _unpack(total, width, r * wlen)]
     return SElem._reduced(ctx, _trimmed([tuple(vals[j:j + r])
                                          for j in range(0, len(vals), r)]),
                           x.d, prec)
@@ -655,14 +645,20 @@ def s_invert(x: SElem, seed: Optional[SElem] = None) -> SElem:
     `seed` warm-starts the iteration (useful when inverting a slowly
     changing unit repeatedly, as the descent loop does).  The seed is only
     a starting guess: it is taken at x's precision, so the result never
-    claims more digits than x carries.
+    claims more digits than x carries.  Newton's step squares 1 - x*y, so
+    it converges exactly when slot 0 of x*y is 1 mod p; other seeds are
+    ignored, and the iteration starts from x's constant-term inverse.
     """
     x = x.reduce_d()
     if x.d != 0 or x.slot_val(0) != 0:
         raise NotAUnit("s_invert: element is not a unit of S_F")
     ctx = x.ctx
-    y = SElem(ctx, seed.c, 0, x.prec) if seed is not None and seed.d == 0 \
-        else SElem.from_of(ctx, x.coeff(0).unit_inverse())
+    x0 = x.coeff(0)
+    if seed is not None and seed.d == 0 and \
+            (x0 * seed.coeff(0)).residue() == OFElem.one(ctx).residue():
+        y = SElem(ctx, seed.c, 0, x.prec)
+    else:
+        y = SElem.from_of(ctx, x0.unit_inverse())
     two = SElem.from_int(ctx, 2, x.prec)
     for _ in range(ctx.m.bit_length() + x.prec.bit_length() + 4):
         prod = s_mul(x, y)

@@ -20,6 +20,12 @@ def ctx5r2():
     return PrimeContext(p=5, f=2, n=8, m=30, r=2)
 
 
+@pytest.fixture(scope="session")
+def ctx3r4():
+    # r = 4 folds through three reduction rows
+    return PrimeContext(p=3, f=2, n=6, m=24, r=4)
+
+
 @pytest.fixture()
 def rng():
     return random.Random(20240817)

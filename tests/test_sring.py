@@ -15,7 +15,7 @@ from crysred.arith import (
     _of_sub_raw,
     _of_val_raw,
 )
-from crysred.errors import NoConvergence, NotAUnit, NotIntegral, PrecisionExhausted
+from crysred.errors import NotAUnit, NotIntegral, PrecisionExhausted
 from crysred.sring import (
     PhiExpPoly,
     SElem,
@@ -150,7 +150,7 @@ class TestSMul:
 class TestSMulExact:
     """s_mul against the definition: identical coefficients, d and precision."""
 
-    @pytest.mark.parametrize("name", ["ctx3", "ctx5", "ctx5r2"])
+    @pytest.mark.parametrize("name", ["ctx3", "ctx5", "ctx5r2", "ctx3r4"])
     def test_matches_definition(self, name, request, rng):
         ctx = request.getfixturevalue(name)
         n, top, m = ctx.n, ctx.nwork + 2, ctx.m
@@ -369,10 +369,14 @@ class TestInvert:
         with pytest.raises(NotAUnit):
             s_invert(SElem.e_pow(ctx5, 1))
 
-    def test_zero_seed_does_not_converge(self, ctx5):
-        # Newton's map fixes y = 0, so the iteration never leaves the seed
-        with pytest.raises(NoConvergence):
-            s_invert(gamma(ctx5), seed=SElem.zero(ctx5))
+    def test_bad_seed_falls_back_to_unseeded(self, ctx5):
+        # Newton's map fixes y = 0 and cannot repair a seed whose product
+        # with x is a unit other than 1 mod (p, E); both start unseeded
+        g = gamma(ctx5)
+        want = s_invert(g)
+        for seed in (SElem.zero(ctx5), s_mul(want, SElem.from_int(ctx5, 2))):
+            got = s_invert(g, seed=seed)
+            assert (got.c, got.d, got.prec) == (want.c, want.d, want.prec)
 
     def test_seed_above_precision_is_not_trusted(self, ctx5, rng):
         # a seed held to more digits than x must not lend them to the result
