@@ -388,8 +388,7 @@ class OFElem:
             known = min(2 * known, self.prec)
             y = OFElem(ctx, y.c, known)
             y = y * (OFElem.from_int(ctx, 2, known) - OFElem(ctx, self.c, known) * y)
-        out = y * OFElem.one(ctx, self.prec)
-        return out
+        return y
 
     def times_p_pow(self, t: int) -> "OFElem":
         """Multiply by p^t (t >= 0); gains t digits up to nwork."""
@@ -457,45 +456,84 @@ def _fp_poly_invmod(a, g, p):
 # residue-generator index are flattened into one big integer (Kronecker
 # substitution) so a single Python bignum multiplication performs the whole
 # convolution.  Each u-slot takes 2r-1 positions: a product has w-degree
-# <= 2r-2, so it never bleeds into the next u-slot.  A position is wide
-# enough for the largest possible sum, min(la, lb) * r * max(a) * max(b),
-# with the maxima taken over the operands after reduction mod `mod`.  The
-# lengths la, lb are the operands' own: S_F elements arrive trimmed to their
-# last nonzero slot, USeries padded to M.  `_pack` and `_unpack` are the
-# only code that writes or reads a packed integer; `sring` packs through them.
+# <= 2r-2, so it never bleeds into the next u-slot.  Every position sum is
+# at most cap = min(la, lb) * r * max(a) * max(b), with the maxima taken
+# over the operands after reduction mod `mod`.  The lengths la, lb are the
+# operands' own: S_F elements arrive trimmed to their support, USeries
+# padded to M.
+#
+# The w-fold runs on the packed product as well (the multipoint layout of
+# Harvey, J. Symbolic Comput. 44, 2009).  For each reduction row t, the row
+# of w^(r+t) mod g over Z, one shift and one periodic mask move position
+# r+t of every u-slot to position 0, and one multiply by the row, packed as
+# a signed integer, adds c * row[i] to position i of the same slot.  Rows
+# have negative entries, so position i also gets the offset neg_i * m',
+# where neg_i is the negative mass of column i over the rows and m' is the
+# least multiple of `mod` that is >= cap: no position goes negative, so
+# none borrows from its neighbour.  The offset is a multiple of `mod`, so
+# it changes nothing mod `mod`, and it keeps a value's divisibility by
+# every divisor of `mod`, which `s_mul` divides by.  A position then holds
+# at most cap * (1 + norm) + neg * mod, with norm and neg the largest
+# column sums of |row| and of the negative entries; the untouched positions
+# r..2r-2 stay below cap.  Only the r folded positions of each slot are
+# unpacked.  `_pack` and `_unpack` are the only code that writes or reads a
+# packed integer; `sring` packs through them.
 
 
-def _pack(values, width, group=1, pad=0):
+def _pack(values, width, group=1, pad=0, times=1):
     """Pack `values` as little-endian digits of `width` bytes, with `pad`
-    zero digits after every `group` values."""
+    zero digits after every `group` values (len(values) is a multiple of
+    `group`), the whole layout repeated `times` times."""
     chunks = [v.to_bytes(width, "little") for v in values]
     if pad:
-        gap = bytes(width * pad)
-        chunks = [b"".join(chunks[i:i + group]) + gap
-                  for i in range(0, len(chunks), group)]
-    return int.from_bytes(b"".join(chunks), "little")
+        spaced = [bytes(width * pad)] * (len(chunks) // group * (group + 1))
+        for i in range(group):
+            spaced[i::group + 1] = chunks[i::group]
+        chunks = spaced
+    return int.from_bytes(b"".join(chunks) * times, "little")
 
 
-def _unpack(n, width, count):
-    """The lowest `count` little-endian digits of `width` bytes of n >= 0."""
-    need = width * count
+def _unpack(n, width, count, group=1, pad=0):
+    """`count` little-endian digits of `width` bytes of n >= 0, read from
+    the lowest up, skipping `pad` digits after every `group` digits read
+    (`count` is a multiple of `group`)."""
+    step = width * (group + pad)
+    need = step * (count // group)
     raw = n.to_bytes(max(need, (n.bit_length() + 7) // 8), "little")
-    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, need, width)]
+    if not pad:
+        return [int.from_bytes(raw[i:i + width], "little")
+                for i in range(0, need, width)]
+    return [int.from_bytes(raw[i + j:i + j + width], "little")
+            for i in range(0, need, step) for j in range(0, width * group, width)]
+
+
+def _fold_rows(ctx):
+    """Column sums of the reduction rows: the negative mass of each column,
+    its largest value, and the largest sum of absolute values."""
+    def build():
+        rows, r = ctx._red_rows, ctx.r
+        neg = [sum(max(0, -row[i]) for row in rows) for i in range(r)]
+        norm = max(sum(abs(row[i]) for row in rows) for i in range(r))
+        return neg, max(neg), norm
+
+    return ctx.cache(("fold",), build)
 
 
 def _conv2_raw(ctx, a, b, mod, out_len=None):
     """a, b: sequences of r-tuples.  Returns their product, length capped at
-    out_len, as r-tuples mod `mod`: `_fold_w` runs on the exact sums, and
-    being linear over Z it keeps their divisibility, which `s_mul` uses."""
+    out_len, as r-tuples mod `mod`, folded mod the residue polynomial on
+    the packed product; the fold is linear over Z with integer rows, so
+    the values keep the exact sums' divisibility, which `s_mul` uses."""
     la, lb = len(a), len(b)
     if la == 0 or lb == 0:
         return []
     r = ctx.r
-    stride = 2 * r - 1
     # coefficients may be stored at a higher precision than the product's
     # modulus; reduce before sizing so the width bounds the true sums
-    fa = [v % mod for cj in a for v in cj]
-    fb = [v % mod for cj in b for v in cj]
+    if r == 1:
+        fa, fb = [v % mod for (v,) in a], [v % mod for (v,) in b]
+    else:
+        fa, fb = [v % mod for cj in a for v in cj], [v % mod for cj in b for v in cj]
     n_u = la + lb - 1
     if out_len is not None:
         n_u = min(n_u, out_len)
@@ -503,13 +541,23 @@ def _conv2_raw(ctx, a, b, mod, out_len=None):
     if not ma or not mb:
         return [(0,) * r] * n_u
     # with both maxima >= 1 the width also holds every operand value
-    cap = min(la, lb) * r * ma * mb + 1
-    width = (cap.bit_length() + 7) // 8
-    prod = _pack(fa, width, r, stride - r) * _pack(fb, width, r, stride - r)
-    vals = _unpack(prod, width, n_u * stride)
+    cap = min(la, lb) * r * ma * mb
     if r == 1:
-        return [(v % mod,) for v in vals]
-    return [_fold_w(ctx, vals[i:i + stride], mod) for i in range(0, len(vals), stride)]
+        width = (cap.bit_length() + 7) // 8
+        return [(v % mod,) for v in _unpack(_pack(fa, width) * _pack(fb, width),
+                                            width, n_u)]
+    neg, neg_max, norm = _fold_rows(ctx)
+    width = ((cap * (1 + norm) + neg_max * mod).bit_length() + 7) // 8
+    pad, bits = r - 1, 8 * width
+    prod = _pack(fa, width, r, pad) * _pack(fb, width, r, pad)
+    m_cap = -(-cap // mod) * mod
+    acc = prod + _pack([v * m_cap for v in neg], width, r, pad, n_u)
+    lift = _pack([(1 << bits) - 1] + [0] * pad, width, r, pad, n_u)
+    for t, row in enumerate(ctx._red_rows):
+        acc += ((prod >> bits * (r + t)) & lift) * \
+            sum(v << bits * i for i, v in enumerate(row))
+    vals = [v % mod for v in _unpack(acc, width, n_u * r, r, pad)]
+    return list(zip(*[iter(vals)] * r))
 
 
 def _fold_w(ctx, slot, mod):

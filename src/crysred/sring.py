@@ -8,12 +8,17 @@ truncated at E-precision M.  The exponent d >= 0 tracks bounded
 denominators (x in p^(-d) S_F); d = 0 is the ring itself.  The stored
 coefficients stop at the last nonzero slot (zero is the empty tuple) and
 lie in [0, p^prec), so every loop runs over an element's support, not
-over M.  Canonical
-coefficients multiply by plain convolution with a carry factor
-p^(floor((i+j)/p) - floor(i/p) - floor(j/p)) in {1, p}; after rescaling
-c_j by p^(D - floor(j/p)), D = floor((M-1)/p), a product is one Kronecker
-convolution followed by an exact division of each slot.  The packed
-layout and the w-fold belong to `arith` (`_conv2_raw`, `_pack`, `_unpack`).
+over M.
+
+Canonical coefficients multiply by plain convolution with a carry factor
+p^(floor((i+j)/p) - floor(i/p) - floor(j/p)) in {1, p}.  `s_mul` rescales
+c_j by p^(D - floor(j/p)), D = floor((M-1)/p), and at r > 1 divides each
+operand by the largest power p^s of p common to its rescaled values, so
+an element of O_F[[u]] (s >= D) carries no padding digits.  A product is
+then one Kronecker convolution over the operands' supports, modulo
+p^(prec + 2D - s_x - s_y), followed by an exact division or a
+multiplication of each slot by a power of p.  The packed layout and the
+w-fold belong to `arith` (`_conv2_raw`, `_pack`, `_unpack`).
 
 The Frobenius phi fixes coefficients, sends u to u^p, and therefore sends
 E^j/p^floor(j/p) to p^(j - floor(j/p)) * gamma^j with gamma = phi(E)/p.
@@ -32,7 +37,7 @@ Exponents of the unit lambda_b live in Z[phi] (PhiExpPoly).
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, gcd
 from typing import Iterable, List, Optional, Tuple
 
 from .arith import (
@@ -490,44 +495,104 @@ def s_mul(x: SElem, y: SElem) -> SElem:
     """Canonical-form product by one Kronecker convolution.
 
     (E^a/p^floor(a/p)) (E^b/p^floor(b/p)) = p^car E^(a+b)/p^floor((a+b)/p)
-    with car = floor((a+b)/p) - floor(a/p) - floor(b/p) >= 0.  Scaling c_j
-    by p^(D - floor(j/p)), D = `ctx.dmax`, makes every term of slot k a
-    multiple of q = p^(2D - floor(k/p)), so one plain convolution modulo
-    p^(prec+2D) followed by that exact division gives the carried product.
-    The rescaled coefficients are below p^(prec+D), and the kernel sizes its
-    packed slots by the operands' largest coefficients, not by the modulus.
+    with car = floor((a+b)/p) - floor(a/p) - floor(b/p) >= 0, so slot k of
+    the product is the integer T_k = sum_(i+j=k) c_i c'_j p^car.
 
-    The kernel returns slots already folded mod the residue polynomial, and
-    dividing the r folded values by q is exact: the fold is linear over Z
-    with integer rows, so it keeps the exact sums' divisibility by q, and
-    q divides the modulus p^(prec+2D), so the reduced values keep it too.
-    The quotients are then right mod p^(prec+2D)/q, a multiple of p^prec.
+    Each operand is rescaled, c_j -> c_j p^(D - floor(j/p)) with
+    D = `ctx.dmax`, and then divided by p^s, the largest power of p that
+    divides all its rescaled values (one gcd; `_rescaled` keeps s = 0 at
+    r = 1).  An element of O_F[[u]] has s >= D, so it carries no padding
+    digits.  What follows holds for any s with p^s dividing the rescaled
+    values.  With s_x, s_y for the two operands, every term of slot k of
+    the plain convolution of the rescaled operands is
+    c_i c'_j p^(2D - floor(i/p) - floor(j/p) - s_x - s_y), so that slot
+    is conv_k = T_k p^(2D - floor(k/p) - s_x - s_y), and
+    T_k = conv_k p^(e_k), e_k = s_x + s_y + floor(k/p) - 2D.
+
+    The kernel works mod p^K, K = prec + 2D - s_x - s_y.  When e_k >= 0,
+    conv_k p^(e_k) is right mod p^(K + e_k) = p^(prec + floor(k/p)).  When
+    e_k < 0, p^(-e_k) divides the exact conv_k, since T_k is an integer;
+    it divides p^K too, as -e_k <= K - prec, so it also divides the value
+    reduced mod p^K, and the quotient is right mod p^(K + e_k), again a
+    multiple of p^prec.  The kernel returns slots folded mod the residue
+    polynomial; the fold is linear over Z with integer rows, so the folded
+    values keep that divisibility.  When K <= 0, every e_k >= prec and the
+    product is 0 at prec.
+
+    Only the support counts: leading zero slots (which `slice_from` keeps)
+    are skipped, and slots at or above M minus the other operand's first
+    nonzero slot reach no product slot below M.
     """
     ctx = x.ctx
     prec = min(x.prec, y.prec)
-    up, down = _carry_tables(ctx)
+    d = x.d + y.d
+    if not x.c or not y.c:
+        return SElem._reduced(ctx, (), d, prec)
+    m = ctx.m
+    lx, ly = _first_nonzero(x.c), _first_nonzero(y.c)
+    lo = lx + ly
+    if lo >= m:
+        return SElem._reduced(ctx, (), d, prec)
+    a, sx = _rescaled(ctx, x.c, lx, m - ly)
+    b, sy = _rescaled(ctx, y.c, ly, m - lx)
+    base = sx + sy - 2 * ctx.dmax
+    if base >= prec:
+        return SElem._reduced(ctx, (), d, prec)
+    raw = _conv2_raw(ctx, a, b, ctx.ppow(prec - base), m - lo)
     mod = ctx.ppow(prec)
-    bigmod = ctx.ppow(prec + 2 * ctx.dmax)
+    # e_k < 0 exactly for the slots k < p * (-base)
+    split = min(max(ctx.p * -base - lo, 0), len(raw))
+    scale = _slot_scales(ctx, base)[lo:]
     if ctx.r == 1:
-        raw = _conv2_raw(ctx, [(cj[0] * s,) for cj, s in zip(x.c, up)],
-                         [(cj[0] * s,) for cj, s in zip(y.c, up)], bigmod, ctx.m)
-        out = [((slot[0] // q) % mod,) for slot, q in zip(raw, down)]
+        out = [(0,)] * lo + [(v // q % mod,) for (v,), q in zip(raw[:split], scale)]
+        out += [(v * q % mod,) for (v,), q in zip(raw[split:], scale[split:])]
     else:
-        raw = _conv2_raw(ctx, [tuple(v * s for v in cj) for cj, s in zip(x.c, up)],
-                         [tuple(v * s for v in cj) for cj, s in zip(y.c, up)],
-                         bigmod, ctx.m)
-        out = [tuple(v // q % mod for v in slot) for slot, q in zip(raw, down)]
-    return SElem._reduced(ctx, _trimmed(out), x.d + y.d, prec)
+        vals = [v // q % mod for slot, q in zip(raw[:split], scale) for v in slot]
+        vals += [v * q % mod for slot, q in zip(raw[split:], scale[split:]) for v in slot]
+        out = [(0,) * ctx.r] * lo + list(zip(*[iter(vals)] * ctx.r))
+    return SElem._reduced(ctx, _trimmed(out), d, prec)
 
 
-def _carry_tables(ctx: PrimeContext) -> tuple:
-    """Per-slot constants of `s_mul`: the rescale factors p^(D - floor(j/p))
-    and the divisors p^(2D - floor(k/p)), D = `ctx.dmax`, j, k < M."""
-    def build():
-        up = [ctx.ppow(ctx.dmax - j // ctx.p) for j in range(ctx.m)]
-        return up, [s * ctx.ppow(ctx.dmax) for s in up]
+def _first_nonzero(c) -> int:
+    """Index of the first nonzero slot of a nonzero trimmed tuple."""
+    j = 0
+    while not any(c[j]):
+        j += 1
+    return j
 
-    return ctx.cache(("carry",), build)
+
+def _rescaled(ctx: PrimeContext, c, lo: int, hi: int) -> tuple:
+    """Slots lo..hi-1 of c times p^(D - floor(j/p)), divided by p^s, the
+    largest power of p dividing them all; and s.  Slot lo is nonzero.
+
+    At r = 1, s is 0: there the gcd and the division pass cost more than
+    the narrower product saves."""
+    up = _carry_tables(ctx)[lo:hi]
+    if ctx.r == 1:
+        return [(v * u,) for (v,), u in zip(c[lo:hi], up)], 0
+    vals = [v * u for cj, u in zip(c[lo:hi], up) for v in cj]
+    g, s, p = gcd(*vals), 0, ctx.p
+    while g % p == 0:
+        g //= p
+        s += 1
+    if s:
+        q = ctx.ppow(s)
+        vals = [v // q for v in vals]
+    return list(zip(*[iter(vals)] * ctx.r)), s
+
+
+def _carry_tables(ctx: PrimeContext) -> list:
+    """The rescale factors p^(D - floor(j/p)) of `s_mul`, D = `ctx.dmax`,
+    for j < M."""
+    return ctx.cache(("carry",), lambda: [ctx.ppow(ctx.dmax - j // ctx.p)
+                                          for j in range(ctx.m)])
+
+
+def _slot_scales(ctx: PrimeContext, base: int) -> list:
+    """p^|e_k| for k < M, e_k = base + floor(k/p): the exact divisor or the
+    multiplier that `s_mul` applies to slot k of the convolution."""
+    return ctx.cache(("scale", base), lambda: [ctx.ppow(abs(base + k // ctx.p))
+                                               for k in range(ctx.m)])
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,19 @@ class TestPackedConvolution:
         self.check(ctx, top, top, mod, ctx.m)
         self.check(ctx, top, top, mod, 2 * ctx.m - 1)
 
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    def test_negative_rows_do_not_borrow(self, r):
+        # w-coefficients at mod - 1 in the upper half only: the folded
+        # positions then hold little but the reduction rows' terms, so a
+        # negative row entry would borrow from the neighbouring position
+        ctx = PrimeContext(p=5, f=1, n=6, m=12, r=r)
+        mod = ctx.ppow(ctx.nwork)
+        high = (0,) * (r // 2) + (mod - 1,) * (r - r // 2)
+        top = (mod - 1,) * r
+        for a, b in ((high, high), (high, top)):
+            self.check(ctx, [a] * ctx.m, [b] * ctx.m, mod, ctx.m)
+            self.check(ctx, [a] * 3, [b] * ctx.m, mod, 2 * ctx.m)
+
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
     def test_unequal_lengths_short_out_len(self, r, rng):
         ctx = PrimeContext(p=5, f=1, n=6, m=12, r=r)

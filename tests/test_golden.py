@@ -48,6 +48,18 @@ GOLDEN = {
              {"type": "I", "a1": {"coeffs": [2, 0, 1]},
               "a2": {"coeffs": [3, 0, 0, 1], "pexp": 1}}]},
         "6d8fc1866c482e32d4792d3d2230915e4301e39dfa9983f33036fc77ba174385"),
+    # p = 3, f = r = 3 (M = 57, nwork = 37): the deepest carry padding
+    # and two fold rows in every S_F product
+    "f3-r3-p3-mixed": (
+        {"p": 3, "f": 3, "r": 3, "weights": [[2, 0], [1, 0], [1, 0]],
+         "params": [
+             {"type": "II", "a1": {"coeffs": [1, 2, 1]},
+              "a2": {"coeffs": [2, 0, 1], "pexp": 2}},
+             {"type": "I", "a1": {"coeffs": [2, 1]},
+              "a2": {"coeffs": [1, 1, 2], "pexp": 1}},
+             {"type": "II", "a1": {"coeffs": [1, 0, 2]},
+              "a2": {"coeffs": [2, 2], "pexp": 1}}]},
+        "c9bcd5e06bcdf4dbe1a2124d4f756e412cc118bb58c6b4331f486ea9f63f5e6a"),
 }
 
 

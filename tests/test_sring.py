@@ -20,6 +20,7 @@ from crysred.sring import (
     PhiExpPoly,
     SElem,
     _lambda_data,
+    _rescaled,
     _s_int_pow,
     _w_power,
     _w_power_cache,
@@ -164,6 +165,45 @@ class TestSMulExact:
             (SElem.e_pow(ctx, m - ctx.p - 1), SElem.e_pow(ctx, ctx.p)),
             (SElem.e_pow(ctx, m - 1), SElem.e_pow(ctx, 1)),
             (SElem.zero(ctx), random_selem(ctx, rng)),
+        ]
+        for x, y in pairs:
+            for a, b in ((x, y), (y, x)):
+                prod = s_mul(a, b)
+                assert (prod.c, prod.d, prod.prec) == naive_s_mul(a, b)
+
+    @pytest.mark.parametrize("name", ["ctx3", "ctx5r2", "ctx3r4"])
+    def test_sized_operands_match_definition(self, name, request, rng):
+        # operands that drop carry digits (s > 0), products that vanish at
+        # prec, supports that skip slots, and elements held above nwork
+        ctx = request.getfixturevalue(name)
+        m, n, dmax = ctx.m, ctx.n, ctx.dmax
+
+        def integral():
+            x = SElem.from_useries(random_useries(ctx, rng))
+            # at r > 1 the operand drops all its carry padding
+            assert ctx.r == 1 or _rescaled(ctx, x.c, 0, m)[1] >= dmax
+            return x
+
+        def times_p(x, v):
+            return SElem(ctx, [[c * ctx.ppow(v) for c in cj] for cj in x.c], x.d, x.prec)
+
+        dense = random_selem(ctx, rng, d=1, prec=ctx.nwork)
+        half = n // 2 + 1
+        pairs = [
+            (integral(), integral()),
+            (integral(), dense),
+            (integral().at_prec(n), random_selem(ctx, rng)),
+            (times_p(integral(), 2), integral()),
+            (times_p(integral(), half), times_p(integral().at_prec(n), half)),
+            (times_p(integral(), n - 1), integral().at_prec(n)),
+            (times_p(integral(), n), integral().at_prec(n)),
+            (dense.slice_from(m // 2), random_selem(ctx, rng).slice_from(m - m // 2)),
+            (dense.slice_from(m // 2), random_selem(ctx, rng).slice_from(m - m // 2 - 1)),
+            (dense.slice_from(m - 1), dense.slice_from(1)),
+            (dense.slice_from(3), integral().slice_from(ctx.p + 1)),
+            (integral()._lift_d(3), dense),
+            (dense._lift_d(2), integral()._lift_d(1)),
+            (times_p(integral(), 1)._lift_d(4), dense.slice_from(2)._lift_d(3)),
         ]
         for x, y in pairs:
             for a, b in ((x, y), (y, x)):

@@ -38,3 +38,43 @@ def test_methods_resolve(tracing):
     for mod, cls_name, meth, _ in tracing.METHOD_SPANS:
         cls = getattr(crysred_module(mod), cls_name, None)
         assert callable(getattr(cls, meth, None)), (mod, cls_name, meth)
+
+
+def test_every_nonzero_product_reaches_the_kernel(tracing, monkeypatch):
+    # the tracer counts `arith.conv2` by wrapping `sring._conv2_raw`, so a
+    # product that bypassed that name would hide where its time went
+    from crysred.pipeline import JobConfig, run_pipeline
+
+    sring = crysred_module("sring")
+    kernel, product = sring._conv2_raw, sring.s_mul
+    captured, misses, nonzero = [], [], []
+
+    def counted(*args):
+        captured.append(args)
+        return kernel(*args)
+
+    def checked(x, y):
+        before = len(captured)
+        z = product(x, y)
+        if not z.is_zero():
+            nonzero.append(z)
+            if len(captured) != before + 1:
+                misses.append((x, y))
+        return z
+
+    monkeypatch.setattr(sring, "_conv2_raw", counted)
+    for name in tracing.MODULES:
+        module = crysred_module(name)
+        if getattr(module, "s_mul", None) is product:
+            monkeypatch.setattr(module, "s_mul", checked)
+    report = run_pipeline(JobConfig.from_dict(
+        {"p": 3, "f": 2, "r": 2, "weights": [[1, 0], [2, 0]],
+         "params": [{"type": "I", "a1": {"coeffs": [1, 1]},
+                     "a2": {"coeffs": [2, 1], "pexp": 1}},
+                    {"type": "II", "a1": {"coeffs": [2, 1]},
+                     "a2": {"coeffs": [1, 2], "pexp": 2}}]}))
+    assert report.error is None
+    assert nonzero and not misses
+    for args in captured:
+        size = tracing.conv2_packed_bytes(*args)
+        assert isinstance(size, int) and size > 0
