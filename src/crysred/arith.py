@@ -493,18 +493,17 @@ def _pack(values, width, group=1, pad=0, times=1):
     return int.from_bytes(b"".join(chunks) * times, "little")
 
 
-def _unpack(n, width, count, group=1, pad=0):
+def _unpack(n, width, count, group=None, pad=0):
     """`count` little-endian digits of `width` bytes of n >= 0, read from
     the lowest up, skipping `pad` digits after every `group` digits read
-    (`count` is a multiple of `group`)."""
+    (`count` >= 1 is a multiple of `group`; by default all `count` digits
+    form one group)."""
+    group = group or count
     step = width * (group + pad)
     need = step * (count // group)
     raw = n.to_bytes(max(need, (n.bit_length() + 7) // 8), "little")
-    if not pad:
-        return [int.from_bytes(raw[i:i + width], "little")
-                for i in range(0, need, width)]
-    return [int.from_bytes(raw[i + j:i + j + width], "little")
-            for i in range(0, need, step) for j in range(0, width * group, width)]
+    return [int.from_bytes(raw[j:j + width], "little")
+            for i in range(0, need, step) for j in range(i, i + width * group, width)]
 
 
 def _fold_rows(ctx):
@@ -530,10 +529,8 @@ def _conv2_raw(ctx, a, b, mod, out_len=None):
     r = ctx.r
     # coefficients may be stored at a higher precision than the product's
     # modulus; reduce before sizing so the width bounds the true sums
-    if r == 1:
-        fa, fb = [v % mod for (v,) in a], [v % mod for (v,) in b]
-    else:
-        fa, fb = [v % mod for cj in a for v in cj], [v % mod for cj in b for v in cj]
+    fa = [v % mod for cj in a for v in cj]
+    fb = [v % mod for cj in b for v in cj]
     n_u = la + lb - 1
     if out_len is not None:
         n_u = min(n_u, out_len)
