@@ -193,7 +193,8 @@ def _coord_to_of(ctx: PrimeContext, spec, prec=None) -> OFElem:
         if len(coeffs) > ctx.r:
             raise ConfigError(f"coordinate has {len(coeffs)} coeffs but r = {ctx.r}")
         x = OFElem(ctx, coeffs, prec)
-        return x * OFElem.from_int(ctx, ctx.p ** pexp, prec)
+        # p^pexp is 0 mod p^prec once pexp >= prec
+        return x * OFElem.from_int(ctx, ctx.ppow(min(pexp, x.prec)), prec)
     raise ConfigError(f"cannot parse coordinate {spec!r}")
 
 

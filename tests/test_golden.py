@@ -39,6 +39,12 @@ GOLDEN = {
         {"p": 13, "f": 1, "r": 1, "weights": [[14, 0]], "precision": [208, 16],
          "params": [{"type": "I", "a1": 1, "a2": {"coeffs": [3], "pexp": 2}}]},
         "f33d7bd24d808e04ec145ba2deb30305c883e1296ed84414d2cb55fd70faf795"),
+    # r = 1 at p = 3 (M = 96, nwork = 62): the deepest carry factors of a
+    # single-value slot
+    "f1-p3-k4": (
+        {"p": 3, "f": 1, "r": 1, "weights": [[4, 0]],
+         "params": [{"type": "I", "a1": 2, "a2": {"coeffs": [1], "pexp": 4}}]},
+        "87f17ed13a80087729e9d65b4605d3bde94b47e08abd2fb8b4c135766a59edda"),
     # r = 4 > f: every O_F product goes through the residue-polynomial fold
     "f2-r4-p7": (
         {"p": 7, "f": 2, "r": 4, "weights": [[3, 0], [3, 0]],

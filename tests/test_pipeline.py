@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -463,6 +464,16 @@ class TestBadInputs:
         assert report.result is None
         assert (report.error["stage"], report.error["type"]) == (stage, etype)
         assert exit_code_for(report) == code
+
+    def test_huge_pexp_is_zero_at_precision(self):
+        # p^pexp is never formed: the coordinate is 0 mod p^nwork either way
+        start = time.perf_counter()
+        huge = run_pipeline(JobConfig.from_dict(with_a2({"coeffs": [1], "pexp": 10 ** 7})))
+        assert time.perf_counter() - start < 2
+        nwork = huge.context["N_work"]
+        plain = run_pipeline(JobConfig.from_dict(with_a2({"coeffs": [1], "pexp": nwork})))
+        assert (huge.stages, huge.result, huge.error) == (
+            plain.stages, plain.result, plain.error)
 
 
 class TestStageTimings:
