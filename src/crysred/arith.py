@@ -452,15 +452,17 @@ def _fp_poly_invmod(a, g, p):
 # Packed convolution kernel
 # ---------------------------------------------------------------------------
 #
-# Full 2D convolution of coefficient sequences over O_F: the u-index and the
-# residue-generator index are flattened into one big integer (Kronecker
-# substitution) so a single Python bignum multiplication performs the whole
-# convolution.  Each u-slot takes 2r-1 positions: a product has w-degree
-# <= 2r-2, so it never bleeds into the next u-slot.  Every position sum is
-# at most cap = min(la, lb) * r * max(a) * max(b), with the maxima taken
-# over the operands after reduction mod `mod`.  The lengths la, lb are the
-# operands' own: S_F elements arrive trimmed to their support, USeries
-# padded to M.
+# Series store their coefficients flat, r values per u-slot: slot j of `c`
+# is c[j*r:(j+1)*r], the w-coefficients of c_j from w^0 up (an OFElem is
+# one slot).  `_conv2_raw` multiplies two such sequences as a full 2D
+# convolution over O_F: the u-index and the w-index are flattened into one
+# big integer (Kronecker substitution) so a single Python bignum
+# multiplication performs the whole convolution.  Each u-slot takes 2r-1
+# positions: a product has w-degree <= 2r-2, so it never bleeds into the
+# next u-slot.  Every position sum is at most
+# cap = min(la, lb) * r * max(a) * max(b), with la, lb the operands' slot
+# counts and the maxima taken over the operands after reduction mod `mod`:
+# S_F elements pass the slots of their support, USeries all M slots.
 #
 # The w-fold runs on the packed product as well (the multipoint layout of
 # Harvey, J. Symbolic Comput. 44, 2009).  For each reduction row t, the row
@@ -475,9 +477,11 @@ def _fp_poly_invmod(a, g, p):
 # every divisor of `mod`, which `s_mul` divides by.  A position then holds
 # at most cap * (1 + norm) + neg * mod, with norm and neg the largest
 # column sums of |row| and of the negative entries; the untouched positions
-# r..2r-2 stay below cap.  Only the r folded positions of each slot are
-# unpacked.  `_pack` and `_unpack` are the only code that writes or reads a
-# packed integer; `sring` packs through them.
+# r..2r-2 stay below cap.  At r = 1 there are no rows, norm and neg are 0
+# and the slots are the positions.  Only the r folded positions of each
+# slot are unpacked.  `_pack` and `_unpack` are the only conversions
+# between integers and bytes; `s_frobenius` packs through them and shifts
+# and masks its own packed Horner accumulator.
 
 
 def _pack(values, width, group=1, pad=0, times=1):
@@ -496,9 +500,9 @@ def _pack(values, width, group=1, pad=0, times=1):
 def _unpack(n, width, count, group=None, pad=0):
     """`count` little-endian digits of `width` bytes of n >= 0, read from
     the lowest up, skipping `pad` digits after every `group` digits read
-    (`count` >= 1 is a multiple of `group`; by default all `count` digits
-    form one group)."""
-    group = group or count
+    (`count` >= 1 is a multiple of `group`; without padding all `count`
+    digits form one group)."""
+    group = group if pad else count
     step = width * (group + pad)
     need = step * (count // group)
     raw = n.to_bytes(max(need, (n.bit_length() + 7) // 8), "little")
@@ -518,43 +522,38 @@ def _fold_rows(ctx):
     return ctx.cache(("fold",), build)
 
 
-def _conv2_raw(ctx, a, b, mod, out_len=None):
-    """a, b: sequences of r-tuples.  Returns their product, length capped at
-    out_len, as r-tuples mod `mod`, folded mod the residue polynomial on
-    the packed product; the fold is linear over Z with integer rows, so
-    the values keep the exact sums' divisibility, which `s_mul` uses."""
-    la, lb = len(a), len(b)
+def _conv2_raw(ctx, a, b, mod, out_len):
+    """a, b: flat coefficient sequences, r values per u-slot.  Returns
+    their product, capped at out_len slots, as a flat list mod `mod`,
+    folded mod the residue polynomial on the packed product; the fold is
+    linear over Z with integer rows, so the values keep the exact sums'
+    divisibility, which `s_mul` uses."""
+    r = ctx.r
+    la, lb = len(a) // r, len(b) // r
     if la == 0 or lb == 0:
         return []
-    r = ctx.r
     # coefficients may be stored at a higher precision than the product's
     # modulus; reduce before sizing so the width bounds the true sums
-    fa = [v % mod for cj in a for v in cj]
-    fb = [v % mod for cj in b for v in cj]
-    n_u = la + lb - 1
-    if out_len is not None:
-        n_u = min(n_u, out_len)
+    fa = [v % mod for v in a]
+    fb = [v % mod for v in b]
+    n_u = min(la + lb - 1, out_len)
     ma, mb = max(fa), max(fb)
     if not ma or not mb:
-        return [(0,) * r] * n_u
+        return [0] * (n_u * r)
     # with both maxima >= 1 the width also holds every operand value
     cap = min(la, lb) * r * ma * mb
-    if r == 1:
-        width = (cap.bit_length() + 7) // 8
-        return [(v % mod,) for v in _unpack(_pack(fa, width) * _pack(fb, width),
-                                            width, n_u)]
     neg, neg_max, norm = _fold_rows(ctx)
     width = ((cap * (1 + norm) + neg_max * mod).bit_length() + 7) // 8
     pad, bits = r - 1, 8 * width
-    prod = _pack(fa, width, r, pad) * _pack(fb, width, r, pad)
-    m_cap = -(-cap // mod) * mod
-    acc = prod + _pack([v * m_cap for v in neg], width, r, pad, n_u)
-    lift = _pack([(1 << bits) - 1] + [0] * pad, width, r, pad, n_u)
-    for t, row in enumerate(ctx._red_rows):
-        acc += ((prod >> bits * (r + t)) & lift) * \
-            sum(v << bits * i for i, v in enumerate(row))
-    vals = [v % mod for v in _unpack(acc, width, n_u * r, r, pad)]
-    return list(zip(*[iter(vals)] * r))
+    acc = prod = _pack(fa, width, r, pad) * _pack(fb, width, r, pad)
+    if ctx._red_rows:
+        m_cap = -(-cap // mod) * mod
+        acc += _pack([v * m_cap for v in neg], width, r, pad, n_u)
+        lift = _pack([(1 << bits) - 1] + [0] * pad, width, r, pad, n_u)
+        for t, row in enumerate(ctx._red_rows):
+            acc += ((prod >> bits * (r + t)) & lift) * \
+                sum(v << bits * i for i, v in enumerate(row))
+    return [v % mod for v in _unpack(acc, width, n_u * r, r, pad)]
 
 
 def _fold_w(ctx, slot, mod):
@@ -578,8 +577,30 @@ def _fold_w(ctx, slot, mod):
 # ---------------------------------------------------------------------------
 
 
+def _flat_values(ctx, coeffs, mod) -> list:
+    """Per-slot entries (an int, an OFElem or r values) as one flat list
+    of values mod `mod`, r per slot."""
+    r = ctx.r
+    pad = (0,) * (r - 1)
+    out = []
+    for cj in coeffs:
+        if isinstance(cj, OFElem):
+            cj = cj.c
+        elif isinstance(cj, int):
+            cj = (cj,) + pad
+        out += [v % mod for v in cj]
+    if len(out) != r * len(coeffs):
+        raise ValueError(f"every slot takes r = {r} values")
+    return out
+
+
 class USeries:
-    """Truncated power series over O_F (the ring written O_F[[u]])."""
+    """Truncated power series over O_F (the ring written O_F[[u]]).
+
+    The constructor takes one entry per u-slot (an int, an OFElem or r
+    values).  `c` stores them flat and padded to M slots: M*r values in
+    [0, p^prec), slot j being c[j*r:(j+1)*r].
+    """
 
     __slots__ = ("ctx", "c", "prec")
 
@@ -588,19 +609,18 @@ class USeries:
         self.prec = ctx.nwork if prec is None else prec
         if self.prec < 1:
             raise PrecisionExhausted("USeries at precision < 1")
-        mod = ctx.ppow(self.prec)
-        out = []
-        for j in range(ctx.m):
-            if j < len(coeffs):
-                cj = coeffs[j]
-                if isinstance(cj, OFElem):
-                    cj = cj.c
-                elif isinstance(cj, int):
-                    cj = (cj,) + (0,) * (ctx.r - 1)
-                out.append(tuple(v % mod for v in cj))
-            else:
-                out.append((0,) * ctx.r)
-        self.c = tuple(out)
+        c = _flat_values(ctx, coeffs[:ctx.m], ctx.ppow(self.prec))
+        self.c = tuple(c) + (0,) * (ctx.m * ctx.r - len(c))
+
+    @classmethod
+    def _flat(cls, ctx: PrimeContext, values, prec: int) -> "USeries":
+        """Internal: at most M*r flat values, reduced mod p^prec and padded;
+        prec >= 1 is not checked."""
+        mod = ctx.ppow(prec)
+        out = object.__new__(cls)
+        out.ctx, out.prec = ctx, prec
+        out.c = tuple(v % mod for v in values) + (0,) * (ctx.m * ctx.r - len(values))
+        return out
 
     @classmethod
     def zero(cls, ctx, prec=None):
@@ -611,80 +631,71 @@ class USeries:
         return cls(ctx, (1,), prec)
 
     def coeff(self, j: int) -> OFElem:
-        return OFElem(self.ctx, self.c[j], self.prec)
+        r = self.ctx.r
+        return OFElem(self.ctx, self.c[j * r:(j + 1) * r], self.prec)
 
     def _join(self, other):
         if isinstance(other, int):
             other = USeries(self.ctx, (other,), self.prec)
-        prec = min(self.prec, other.prec)
-        return other, prec, self.ctx.ppow(prec)
+        return other, min(self.prec, other.prec)
 
     def __add__(self, other):
-        other, prec, mod = self._join(other)
-        return USeries(self.ctx,
-                       [_of_add_raw(x, y, mod) for x, y in zip(self.c, other.c)],
-                       prec)
+        other, prec = self._join(other)
+        return USeries._flat(self.ctx, [x + y for x, y in zip(self.c, other.c)], prec)
 
     def __sub__(self, other):
-        other, prec, mod = self._join(other)
-        return USeries(self.ctx,
-                       [_of_sub_raw(x, y, mod) for x, y in zip(self.c, other.c)],
-                       prec)
+        other, prec = self._join(other)
+        return USeries._flat(self.ctx, [x - y for x, y in zip(self.c, other.c)], prec)
 
     def __neg__(self):
-        mod = self.ctx.ppow(self.prec)
-        return USeries(self.ctx,
-                       [tuple((-v) % mod for v in x) for x in self.c],
-                       self.prec)
+        return USeries._flat(self.ctx, [-v for v in self.c], self.prec)
 
     def __mul__(self, other):
         if isinstance(other, OFElem):
             other = USeries(self.ctx, (other,), other.prec)
-        other, prec, mod = self._join(other)
-        return USeries(self.ctx, _conv2_raw(self.ctx, self.c, other.c, mod, self.ctx.m),
-                       prec)
+        other, prec = self._join(other)
+        return USeries._flat(self.ctx, _conv2_raw(self.ctx, self.c, other.c,
+                                                  self.ctx.ppow(prec), self.ctx.m),
+                             prec)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, USeries):
             return NotImplemented
-        prec = min(self.prec, other.prec)
-        mod = self.ctx.ppow(prec)
-        return all(all((x - y) % mod == 0 for x, y in zip(cx, cy))
-                   for cx, cy in zip(self.c, other.c))
+        mod = self.ctx.ppow(min(self.prec, other.prec))
+        return all((x - y) % mod == 0 for x, y in zip(self.c, other.c))
 
     def __hash__(self):
         raise TypeError("USeries compares at precision; not hashable")
 
     def is_zero(self) -> bool:
         mod = self.ctx.ppow(self.prec)
-        return all(all(v % mod == 0 for v in x) for x in self.c)
+        return all(v % mod == 0 for v in self.c)
 
     def u_order(self) -> Optional[int]:
         """Lowest u-exponent with a nonzero coefficient; None if zero."""
         mod = self.ctx.ppow(self.prec)
-        for j, x in enumerate(self.c):
-            if any(v % mod for v in x):
-                return j
+        for i, v in enumerate(self.c):
+            if v % mod:
+                return i // self.ctx.r
         return None
 
     def leading_unit(self) -> Optional[tuple]:
-        """Coefficient of the lowest nonzero u-power; None if zero."""
-        j = self.u_order()
-        return None if j is None else self.c[j]
+        """Coefficient of the lowest nonzero u-power, as r values; None if
+        zero."""
+        j, r = self.u_order(), self.ctx.r
+        return None if j is None else self.c[j * r:(j + 1) * r]
 
     def frobenius(self) -> "USeries":
         """u -> u^p; coefficients are fixed (the embedding shift carries
         the semilinearity)."""
-        ctx = self.ctx
-        out = [(0,) * ctx.r for _ in range(ctx.m)]
-        for j in range(ctx.m):
-            pj = ctx.p * j
-            if pj >= ctx.m:
-                break
-            out[pj] = self.c[j]
-        return USeries(ctx, out, self.prec)
+        ctx, r = self.ctx, self.ctx.r
+        out = [0] * (ctx.m * r)
+        for j in range(0, ctx.m, ctx.p):
+            i = j // ctx.p
+            out[j * r:(j + 1) * r] = self.c[i * r:(i + 1) * r]
+        return USeries._flat(ctx, out, self.prec)
 
     def residue(self) -> "USeries":
         """Image in k_F[[u]]: the series at precision 1."""
@@ -693,13 +704,17 @@ class USeries:
     def at_prec(self, prec):
         if prec > self.prec:
             raise PrecisionExhausted("cannot raise precision")
-        return USeries(self.ctx, self.c, prec)
+        if prec < 1:
+            raise PrecisionExhausted("USeries at precision < 1")
+        return USeries._flat(self.ctx, self.c, prec)
 
     def serial(self):
-        return {"u_coeffs": [list(x) for x in self.c], "prec": self.prec}
+        r = self.ctx.r
+        return {"u_coeffs": [list(self.c[i:i + r]) for i in range(0, len(self.c), r)],
+                "prec": self.prec}
 
     def __repr__(self):
-        head = [list(x) for x in self.c[:4]]
+        head = self.serial()["u_coeffs"][:4]
         return f"USeries({head}... @p^{self.prec}, M={self.ctx.m})"
 
 

@@ -5,10 +5,11 @@ An element is stored in the canonical expansion
     x  =  p^(-d) * sum_j  c_j * E^j / p^floor(j/p),      c_j in O_F,
 
 truncated at E-precision M.  The exponent d >= 0 tracks bounded
-denominators (x in p^(-d) S_F); d = 0 is the ring itself.  The stored
-coefficients stop at the last nonzero slot (zero is the empty tuple) and
-lie in [0, p^prec), so every loop runs over an element's support, not
-over M.
+denominators (x in p^(-d) S_F); d = 0 is the ring itself.  The
+coefficients are stored in the kernel's flat layout, r values per slot
+(see `arith`), stop at the last nonzero slot (zero is the empty tuple)
+and lie in [0, p^prec), so every loop runs over an element's support,
+not over M.
 
 Canonical coefficients multiply by plain convolution with a carry factor
 p^(floor((i+j)/p) - floor(i/p) - floor(j/p)) in {1, p}.  `s_mul` rescales
@@ -44,11 +45,9 @@ from .arith import (
     OFElem,
     PrimeContext,
     USeries,
-    _of_add_raw,
-    _of_scale_raw,
-    _of_sub_raw,
-    _of_val_raw,
     _conv2_raw,
+    _flat_values,
+    _of_val_raw,
     _pack,
     _unpack,
 )
@@ -125,20 +124,23 @@ class PhiExpPoly:
 # ---------------------------------------------------------------------------
 
 
-def _trimmed(slots) -> tuple:
-    """The slots up to the last nonzero one, as a tuple."""
-    n = len(slots)
-    while n and not any(slots[n - 1]):
+def _trimmed(values, r) -> tuple:
+    """The values up to the end of the last nonzero r-value slot, as a
+    tuple."""
+    n = len(values)
+    while n and not values[n - 1]:
         n -= 1
-    return tuple(slots[:n])
+    return tuple(values[:-(-n // r) * r])
 
 
 class SElem:
     """Element of p^(-d) S_F in canonical E-expansion at precision (M, prec).
 
-    `c` holds the canonical coefficients c_0 .. c_n as r-tuples in
-    [0, p^prec), with n < M the last nonzero slot; the zero element has
-    `c == ()`.  Slots past the end of `c` are zero.
+    The constructor takes one entry per slot (an int, an OFElem or r
+    values).  `c` stores the canonical coefficients c_0 .. c_n flat, r
+    values in [0, p^prec) per slot, so c_j is c[j*r:(j+1)*r], with n < M
+    the last nonzero slot; the zero element has `c == ()`.  Slots past the
+    end of `c` are zero.
     """
 
     __slots__ = ("ctx", "c", "d", "prec")
@@ -151,24 +153,24 @@ class SElem:
             raise PrecisionExhausted("SElem constructed at precision < 1")
         if d < 0:
             raise ValueError("denominator exponent must be >= 0")
-        mod = ctx.ppow(self.prec)
-        pad = (0,) * (ctx.r - 1)
-        out = []
-        for cj in coeffs[:ctx.m]:
-            if isinstance(cj, OFElem):
-                cj = cj.c
-            elif isinstance(cj, int):
-                cj = (cj,) + pad
-            out.append(tuple(v % mod for v in cj))
-        self.c = _trimmed(out)
+        self.c = _trimmed(_flat_values(ctx, coeffs[:ctx.m], ctx.ppow(self.prec)), ctx.r)
 
     @classmethod
     def _reduced(cls, ctx: PrimeContext, coeffs: tuple, d: int, prec: int) -> "SElem":
-        """Internal: wrap a trimmed tuple of r-tuples already reduced mod
-        p^prec, with prec >= 1 and d >= 0; nothing is checked or reduced."""
+        """Internal: wrap a trimmed flat tuple already reduced mod p^prec,
+        with prec >= 1 and d >= 0; nothing is checked or reduced."""
         out = object.__new__(cls)
         out.ctx, out.c, out.d, out.prec = ctx, coeffs, d, prec
         return out
+
+    @classmethod
+    def _flat(cls, ctx: PrimeContext, values, d: int, prec: int) -> "SElem":
+        """Internal: at most M*r flat values, reduced mod p^prec and
+        trimmed; d >= 0 is not checked."""
+        if prec < 1:
+            raise PrecisionExhausted("SElem constructed at precision < 1")
+        mod = ctx.ppow(prec)
+        return cls._reduced(ctx, _trimmed([v % mod for v in values], ctx.r), d, prec)
 
     # -- constructors -------------------------------------------------------
 
@@ -199,58 +201,56 @@ class SElem:
     @classmethod
     def from_useries(cls, x: USeries) -> "SElem":
         """Embed O_F[[u]] into S_F (E-expansion; multiplies up, no division)."""
-        ctx = x.ctx
+        ctx, r = x.ctx, x.ctx.r
         mod = ctx.ppow(x.prec)
         # b_j = sum_{l>=j} binom(l, j) (-p)^(l-j) a_l ; c_j = b_j p^floor(j/p)
         out = []
         for j in range(ctx.m):
-            acc = (0,) * ctx.r
+            acc = [0] * r
             sign = 1
             ppow = 1
             for l in range(j, ctx.m):
-                a = x.c[l]
+                a = x.c[l * r:(l + 1) * r]
                 if any(a):
                     s = (comb(l, j) * sign * ppow) % mod
                     if s:
-                        acc = _of_add_raw(acc, _of_scale_raw(a, s, mod), mod)
+                        acc = [(u + s * v) % mod for u, v in zip(acc, a)]
                 sign = -sign
                 ppow *= ctx.p
                 if ppow % mod == 0 and l >= j + x.prec:
                     break
             scale = ctx.ppow(j // ctx.p)
-            out.append(_of_scale_raw(acc, scale, mod))
-        return cls(ctx, out, 0, x.prec)
+            out += [v * scale for v in acc]
+        return cls._flat(ctx, out, 0, x.prec)
 
     # -- basic queries -------------------------------------------------------
 
+    def _slot(self, j: int) -> tuple:
+        """c_j as r values; empty past the end of `c`."""
+        r = self.ctx.r
+        return self.c[j * r:(j + 1) * r]
+
     def coeff(self, j: int) -> OFElem:
-        if j >= len(self.c):
-            return OFElem.zero(self.ctx, self.prec)
-        return OFElem(self.ctx, self.c[j], self.prec)
+        return OFElem(self.ctx, self._slot(j), self.prec)
 
     def is_zero(self) -> bool:
         return not self.c
 
     def slot_val(self, j: int) -> Optional[int]:
         """p-adic valuation of the canonical coefficient c_j (None = >= prec)."""
-        if j >= len(self.c):
-            return None
-        return _of_val_raw(self.ctx, self.c[j], self.prec)
+        return _of_val_raw(self.ctx, self._slot(j), self.prec)
 
     def slot_val_at_least(self, j: int, t: int) -> bool:
         """True when c_j is indistinguishable from a p^t-multiple."""
-        if j >= len(self.c):
-            return True
-        q = min(t, self.prec)
-        mod = self.ctx.ppow(q)
-        return all(v % mod == 0 for v in self.c[j])
+        mod = self.ctx.ppow(min(t, self.prec))
+        return all(v % mod == 0 for v in self._slot(j))
 
     def is_unit(self) -> bool:
         return self.d == 0 and self.slot_val(0) == 0
 
     def is_integral(self, margin: int = 0) -> bool:
         """Membership test for p^margin * O_F[[u]] inside p^(-d) S_F."""
-        for j in range(len(self.c)):
+        for j in range(len(self.c) // self.ctx.r):
             if not self.slot_val_at_least(j, j // self.ctx.p + self.d + margin):
                 return False
         return True
@@ -265,13 +265,13 @@ class SElem:
             raise ValueError("use normalize_d to lower d")
         t = d_new - self.d
         s = self.ctx.ppow(t)
-        prec = self.prec + t
-        mod = self.ctx.ppow(prec)
-        # v < p^self.prec, so v * p^t < p^prec: reduced, and nonzero when v is
-        return SElem._reduced(self.ctx, tuple(tuple(v * s for v in x) for x in self.c),
-                              d_new, prec)
+        # v < p^self.prec, so v * p^t < p^(prec + t): reduced, and nonzero
+        # when v is
+        return SElem._reduced(self.ctx, tuple(v * s for v in self.c), d_new,
+                              self.prec + t)
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        """self + sign * other, sign = 1 or -1."""
         if isinstance(other, int):
             other = SElem.from_int(self.ctx, other, self.prec)
         if not isinstance(other, SElem):
@@ -281,31 +281,23 @@ class SElem:
         prec = min(a.prec, b.prec)
         mod = self.ctx.ppow(prec)
         n = min(len(a.c), len(b.c))
-        out = [_of_add_raw(x, y, mod) for x, y in zip(a.c, b.c)]
-        out += [tuple(v % mod for v in x) for x in a.c[n:] + b.c[n:]]
-        return SElem._reduced(self.ctx, _trimmed(out), d, prec)
+        out = [(x + sign * y) % mod for x, y in zip(a.c, b.c)]
+        out += [v % mod for v in a.c[n:]] + [sign * v % mod for v in b.c[n:]]
+        return SElem._reduced(self.ctx, _trimmed(out, self.ctx.r), d, prec)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = SElem.from_int(self.ctx, other, self.prec)
-        if not isinstance(other, SElem):
-            return NotImplemented
-        d = max(self.d, other.d)
-        a, b = self._lift_d(d), other._lift_d(d)
-        prec = min(a.prec, b.prec)
-        mod = self.ctx.ppow(prec)
-        n = min(len(a.c), len(b.c))
-        out = [_of_sub_raw(x, y, mod) for x, y in zip(a.c, b.c)]
-        out += [tuple(v % mod for v in x) for x in a.c[n:]]
-        out += [tuple(-v % mod for v in y) for y in b.c[n:]]
-        return SElem._reduced(self.ctx, _trimmed(out), d, prec)
+        return self._plus(other, -1)
 
     def __neg__(self):
         mod = self.ctx.ppow(self.prec)
-        return SElem(self.ctx, [tuple((-v) % mod for v in x) for x in self.c],
-                     self.d, self.prec)
+        # -v is 0 mod p^prec exactly when v is, so the end slot stays nonzero
+        return SElem._reduced(self.ctx, tuple(-v % mod for v in self.c),
+                              self.d, self.prec)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -336,18 +328,18 @@ class SElem:
         occupied slots in precision; elements with the full Fil^k profile
         lose only that bounded amount (<= ceil(k/p)).
         """
-        ctx = self.ctx
+        ctx, r = self.ctx, self.ctx.r
         if k == 0:
             return self
-        for j in range(min(k, len(self.c))):
-            if any(self.c[j]):
+        for j in range(min(k, len(self.c) // r)):
+            if any(self._slot(j)):
                 raise NotIntegral(f"slot {j} nonzero; element not divisible by E^{k}")
         # delta_j = floor((j+k)/p) - floor(j/p) is the carry to undo at slot j
         extra = 0
         dmax_used = 0
-        n = len(self.c) - k
+        n = len(self.c) // r - k
         for j in range(n):
-            if any(self.c[j + k]):
+            if any(self._slot(j + k)):
                 delta = (j + k) // ctx.p - j // ctx.p
                 dmax_used = max(dmax_used, delta)
                 if delta:
@@ -356,21 +348,18 @@ class SElem:
         prec = self.prec + extra - dmax_used
         if prec < 1:
             raise PrecisionExhausted(f"division by E^{k} exhausts precision")
-        mod = ctx.ppow(prec)
-        out = [(0,) * ctx.r] * max(n, 0)
+        out = []
         for j in range(n):
-            x = self.c[j + k]
-            if any(x):
-                delta = (j + k) // ctx.p - j // ctx.p
-                scale = extra - delta
-                if scale >= 0:
-                    out[j] = tuple((v * ctx.ppow(scale)) % mod for v in x)
-                else:
-                    pt = ctx.ppow(-scale)
-                    if any(v % pt for v in x):
-                        raise NotIntegral("internal: deficit scan missed a slot")
-                    out[j] = tuple((v // pt) % mod for v in x)
-        return SElem(ctx, out, self.d + extra, prec)
+            x = self._slot(j + k)
+            scale = extra - ((j + k) // ctx.p - j // ctx.p)
+            if scale >= 0:
+                out += [v * ctx.ppow(scale) for v in x]
+            else:
+                pt = ctx.ppow(-scale)
+                if any(v % pt for v in x):
+                    raise NotIntegral("internal: deficit scan missed a slot")
+                out += [v // pt for v in x]
+        return SElem._flat(ctx, out, self.d + extra, prec)
 
     def normalize_d(self, target: int = 0) -> "SElem":
         """Divide the numerator by p^(d - target); an honest precision drop.
@@ -385,20 +374,19 @@ class SElem:
             raise PrecisionExhausted(
                 f"cannot certify division by p^{t} at precision {self.prec}")
         pt = self.ctx.ppow(t)
-        out = []
-        for x in self.c:
-            if any(v % pt for v in x):
-                raise NotIntegral(f"denominator p^{t} does not divide the numerator")
-            out.append(tuple(v // pt for v in x))
-        return SElem(self.ctx, out, target, self.prec - t)
+        if any(v % pt for v in self.c):
+            raise NotIntegral(f"denominator p^{t} does not divide the numerator")
+        # exact quotients of values below p^prec: below p^(prec - t), and
+        # nonzero where the values are
+        return SElem._reduced(self.ctx, tuple(v // pt for v in self.c), target,
+                              self.prec - t)
 
     def reduce_d(self) -> "SElem":
         """Lower d as far as the numerator provably allows (exact)."""
         t = 0
-        p = self.ctx.p
         while t < self.d and self.prec - t > 1:
             pt = self.ctx.ppow(t + 1)
-            if all(all(v % pt == 0 for v in x) for x in self.c):
+            if all(v % pt == 0 for v in self.c):
                 t += 1
             else:
                 break
@@ -407,18 +395,19 @@ class SElem:
     def at_prec(self, prec: int) -> "SElem":
         if prec > self.prec:
             raise PrecisionExhausted("cannot raise precision")
-        return SElem(self.ctx, self.c, self.d, prec)
+        return SElem._flat(self.ctx, self.c, self.d, prec)
 
     # -- slicing (canonical slots) -------------------------------------------
 
     def slice_below(self, j0: int) -> "SElem":
-        return SElem(self.ctx, self.c[:j0], self.d, self.prec)
+        r = self.ctx.r
+        return SElem._reduced(self.ctx, _trimmed(self.c[:j0 * r], r), self.d, self.prec)
 
     def slice_from(self, j0: int) -> "SElem":
-        if j0 >= len(self.c):
+        i0 = j0 * self.ctx.r
+        if i0 >= len(self.c):
             return SElem._reduced(self.ctx, (), self.d, self.prec)
-        return SElem._reduced(self.ctx, ((0,) * self.ctx.r,) * j0 + self.c[j0:],
-                              self.d, self.prec)
+        return SElem._reduced(self.ctx, (0,) * i0 + self.c[i0:], self.d, self.prec)
 
     # -- conversions ----------------------------------------------------------
 
@@ -429,17 +418,17 @@ class SElem:
         over-weight high slots by exactly that much.
         """
         x = self.normalize_d(0)
-        ctx, p = self.ctx, self.ctx.p
+        ctx, p, r = self.ctx, self.ctx.p, self.ctx.r
         dmax = ctx.dmax
         if x.prec <= dmax:
             raise PrecisionExhausted("precision too low for u-coordinates")
         prec = x.prec - dmax
         bigmod = ctx.ppow(x.prec + dmax)
         pd = ctx.ppow(dmax)
-        n = len(x.c)
+        n = len(x.c) // r
         out = []
         for l in range(n):
-            acc = [0] * ctx.r
+            acc = [0] * r
             for j in range(l, n):
                 # term binom(j,l) p^(j-l) c_j / p^floor(j/p); common den p^dmax.
                 # j - l - floor(j/p) never decreases in j, so once the term
@@ -447,13 +436,12 @@ class SElem:
                 if j - l - j // p >= x.prec:
                     break
                 s = comb(j, l) * ctx.ppow(j - l + dmax - j // p)
-                for i, v in enumerate(x.c[j]):
-                    acc[i] += s * v
+                acc = [a + s * v for a, v in zip(acc, x._slot(j))]
             acc = [v % bigmod for v in acc]
             if any(v % pd for v in acc):
                 raise NotIntegral("element is not in O_F[[u]]")
-            out.append(tuple((v // pd) % ctx.ppow(prec) for v in acc))
-        return USeries(ctx, out, prec)
+            out += [v // pd for v in acc]
+        return USeries._flat(ctx, out, prec)
 
     def residue(self):
         """Mod-p image in k_F[[u]] (requires integrality), read off the slots.
@@ -465,22 +453,21 @@ class SElem:
         `to_useries().residue()`, without its change of coordinates.
         """
         x = self.normalize_d(0)
-        ctx, p = self.ctx, self.ctx.p
+        ctx, p, r = self.ctx, self.ctx.p, self.ctx.r
         if x.prec <= ctx.dmax:
             raise PrecisionExhausted("precision too low for u-coordinates")
         if not x.is_integral():
             raise NotIntegral("element is not in O_F[[u]]")
-        return USeries(ctx, [tuple(v // ctx.ppow(l // p) % p for v in cl)
-                             for l, cl in enumerate(x.c)], 1)
+        return USeries._flat(ctx, [v // ctx.ppow(i // r // p) for i, v in enumerate(x.c)], 1)
 
     def serial(self) -> dict:
         """Debug serialization: (j, coefficient, floor(j/p)) triples."""
-        trips = [[j, list(x), j // self.ctx.p]
-                 for j, x in enumerate(self.c) if any(x)]
+        trips = [[j, list(self._slot(j)), j // self.ctx.p]
+                 for j in range(len(self.c) // self.ctx.r) if any(self._slot(j))]
         return {"triples": trips, "d": self.d, "prec": self.prec}
 
     def __repr__(self):
-        nz = [(j, list(x)) for j, x in enumerate(self.c) if any(x)]
+        nz = [(j, x) for j, x, _ in self.serial()["triples"]]
         body = ", ".join(f"E^{j}:{x}" for j, x in nz[:5])
         more = "..." if len(nz) > 5 else ""
         return f"SElem({body}{more}; d={self.d}, prec={self.prec})"
@@ -523,13 +510,13 @@ def s_mul(x: SElem, y: SElem) -> SElem:
     are skipped, and slots at or above M minus the other operand's first
     nonzero slot reach no product slot below M.
     """
-    ctx = x.ctx
+    ctx, r = x.ctx, x.ctx.r
     prec = min(x.prec, y.prec)
     d = x.d + y.d
     if not x.c or not y.c:
         return SElem._reduced(ctx, (), d, prec)
     m = ctx.m
-    lx, ly = _first_nonzero(x.c), _first_nonzero(y.c)
+    lx, ly = _first_nonzero(x.c) // r, _first_nonzero(y.c) // r
     lo = lx + ly
     if lo >= m:
         return SElem._reduced(ctx, (), d, prec)
@@ -541,36 +528,32 @@ def s_mul(x: SElem, y: SElem) -> SElem:
     raw = _conv2_raw(ctx, a, b, ctx.ppow(prec - base), m - lo)
     mod = ctx.ppow(prec)
     # e_k < 0 exactly for the slots k < p * (-base)
-    split = min(max(ctx.p * -base - lo, 0), len(raw))
-    scale = _slot_scales(ctx, base)[lo:]
-    if ctx.r == 1:
-        out = [(0,)] * lo + [(v // q % mod,) for (v,), q in zip(raw[:split], scale)]
-        out += [(v * q % mod,) for (v,), q in zip(raw[split:], scale[split:])]
-    else:
-        vals = [v // q % mod for slot, q in zip(raw[:split], scale) for v in slot]
-        vals += [v * q % mod for slot, q in zip(raw[split:], scale[split:]) for v in slot]
-        out = [(0,) * ctx.r] * lo + list(zip(*[iter(vals)] * ctx.r))
-    return SElem._reduced(ctx, _trimmed(out), d, prec)
+    split = min(max(ctx.p * -base - lo, 0) * r, len(raw))
+    scale = _scales(ctx, base)[lo * r:]
+    vals = [0] * (lo * r) + [v // q % mod for v, q in zip(raw[:split], scale)]
+    vals += [v * q % mod for v, q in zip(raw[split:], scale[split:])]
+    return SElem._reduced(ctx, _trimmed(vals, r), d, prec)
 
 
 def _first_nonzero(c) -> int:
-    """Index of the first nonzero slot of a nonzero trimmed tuple."""
-    j = 0
-    while not any(c[j]):
-        j += 1
-    return j
+    """Index of the first nonzero value of a nonzero trimmed tuple."""
+    i = 0
+    while not c[i]:
+        i += 1
+    return i
 
 
 def _rescaled(ctx: PrimeContext, c, lo: int, hi: int) -> tuple:
-    """Slots lo..hi-1 of c times p^(D - floor(j/p)), divided by p^s, the
-    largest power of p dividing them all; and s.  Slot lo is nonzero.
+    """The values of slots lo..hi-1 of c times p^(D - floor(j/p)), divided
+    by p^s, the largest power of p dividing them all; and s.  Slot lo is
+    nonzero.
 
     At r = 1, s is 0: there the gcd and the division pass cost more than
     the narrower product saves."""
-    up = _carry_tables(ctx)[lo:hi]
-    if ctx.r == 1:
-        return [(v * u,) for (v,), u in zip(c[lo:hi], up)], 0
-    vals = [v * u for cj, u in zip(c[lo:hi], up) for v in cj]
+    r = ctx.r
+    vals = [v * u for v, u in zip(c[lo * r:hi * r], _scales(ctx, -ctx.dmax)[lo * r:hi * r])]
+    if r == 1:
+        return vals, 0
     g, s, p = gcd(*vals), 0, ctx.p
     while g % p == 0:
         g //= p
@@ -578,21 +561,16 @@ def _rescaled(ctx: PrimeContext, c, lo: int, hi: int) -> tuple:
     if s:
         q = ctx.ppow(s)
         vals = [v // q for v in vals]
-    return list(zip(*[iter(vals)] * ctx.r)), s
+    return vals, s
 
 
-def _carry_tables(ctx: PrimeContext) -> list:
-    """The rescale factors p^(D - floor(j/p)) of `s_mul`, D = `ctx.dmax`,
-    for j < M."""
-    return ctx.cache(("carry",), lambda: [ctx.ppow(ctx.dmax - j // ctx.p)
-                                          for j in range(ctx.m)])
-
-
-def _slot_scales(ctx: PrimeContext, base: int) -> list:
-    """p^|e_k| for k < M, e_k = base + floor(k/p): the exact divisor or the
-    multiplier that `s_mul` applies to slot k of the convolution."""
-    return ctx.cache(("scale", base), lambda: [ctx.ppow(abs(base + k // ctx.p))
-                                               for k in range(ctx.m)])
+def _scales(ctx: PrimeContext, base: int) -> list:
+    """p^|base + floor(k/p)| for the M*r values of slots k < M.  At
+    base = -D these are the rescale factors p^(D - floor(k/p)) of
+    `s_mul`; otherwise the exact divisor (exponent < 0) or the multiplier
+    that `s_mul` applies to slot k of the convolution."""
+    return ctx.cache(("scale", base), lambda: [
+        ctx.ppow(abs(base + i // ctx.r // ctx.p)) for i in range(ctx.m * ctx.r)])
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +624,8 @@ def _packed_w_powers(ctx: PrimeContext, width: int) -> tuple:
     power's slot count."""
     def build():
         powers = _w_power_cache(ctx)
-        packed = [_pack([wj[0] for wj in w.c], width, 1, ctx.r - 1) for w in powers]
-        return packed, max(len(w.c) for w in powers)
+        packed = [_pack(w.c[::ctx.r], width, 1, ctx.r - 1) for w in powers]
+        return packed, max(len(w.c) for w in powers) // ctx.r
 
     return ctx.cache(("wpack", width), build)
 
@@ -672,7 +650,7 @@ def s_frobenius(x: SElem) -> SElem:
     prec = min(x.prec, ctx.m - ctx.m // p)
     mod = ctx.ppow(prec)
     # a_j = 0 mod p^prec from the first j with j - floor(j/p) >= prec on
-    n = len(x.c)
+    n = len(x.c) // r
     while n and (n - 1) - (n - 1) // p >= prec:
         n -= 1
     if not n:
@@ -685,7 +663,7 @@ def s_frobenius(x: SElem) -> SElem:
     acc = 0
     for j in range(n - 1, -1, -1):
         s = ctx.ppow(j - j // p)
-        a_j = _pack([v * s % mod for v in x.c[j]], digit)
+        a_j = _pack([v * s % mod for v in x._slot(j)], digit)
         acc = ((acc + (acc << shift)) & mask) + a_j
     T = [t % mod for t in _unpack(acc, digit, r * L)]
     # digit j*r + i of the sum is sum_l T_l[i] (slot j of w^l): L terms,
@@ -699,9 +677,7 @@ def s_frobenius(x: SElem) -> SElem:
         if any(tl):
             total += wl * _pack(tl, width)
     vals = [v % mod for v in _unpack(total, width, r * wlen)]
-    return SElem._reduced(ctx, _trimmed([tuple(vals[j:j + r])
-                                         for j in range(0, len(vals), r)]),
-                          x.d, prec)
+    return SElem._reduced(ctx, _trimmed(vals, r), x.d, prec)
 
 
 def s_invert(x: SElem, seed: Optional[SElem] = None) -> SElem:
@@ -721,7 +697,7 @@ def s_invert(x: SElem, seed: Optional[SElem] = None) -> SElem:
     x0 = x.coeff(0)
     if seed is not None and seed.d == 0 and \
             (x0 * seed.coeff(0)).residue() == OFElem.one(ctx).residue():
-        y = SElem(ctx, seed.c, 0, x.prec)
+        y = SElem._flat(ctx, seed.c, 0, x.prec)
     else:
         y = SElem.from_of(ctx, x0.unit_inverse())
     two = SElem.from_int(ctx, 2, x.prec)
@@ -796,10 +772,10 @@ def fil_membership(x: SElem, j: int) -> bool:
     x = x.reduce_d()
     if x.d != 0:
         return False
-    p = x.ctx.p
-    if any(any(cj) for cj in x.c[:j]):
+    p, r = x.ctx.p, x.ctx.r
+    if any(x.c[:j * r]):
         return False
-    for i in range(j, len(x.c)):
+    for i in range(j, len(x.c) // r):
         need = i // p - (i - j) // p
         if not x.slot_val_at_least(i, need):
             return False
@@ -814,4 +790,5 @@ def in_p_pow_s(x: SElem, t: int) -> bool:
     x = x.reduce_d()
     if x.d != 0:
         return False
-    return all(x.slot_val_at_least(j, t) for j in range(len(x.c)))
+    mod = x.ctx.ppow(min(t, x.prec))
+    return all(v % mod == 0 for v in x.c)

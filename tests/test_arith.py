@@ -133,7 +133,12 @@ class TestPackedConvolution:
     def check(ctx, a, b, mod, out_len):
         from crysred.arith import _conv2_raw
 
-        assert _conv2_raw(ctx, a, b, mod, out_len) == naive_conv2(ctx, a, b, mod, out_len)
+        # the kernel takes and returns r values per slot, flat
+        flat = _conv2_raw(ctx, [v for x in a for v in x], [v for y in b for v in y],
+                          mod, out_len)
+        got = list(zip(*[iter(flat)] * ctx.r))
+        assert len(got) * ctx.r == len(flat)
+        assert got == naive_conv2(ctx, a, b, mod, out_len)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_matches_naive(self, r, rng):

@@ -42,6 +42,11 @@ def random_selem(ctx, rng, d=0, prec=None):
                        for _ in range(ctx.m)], d, prec)
 
 
+def slots(z):
+    """z's stored coefficients as one r-tuple per slot."""
+    return tuple(zip(*[iter(z.c)] * z.ctx.r))
+
+
 def naive_s_mul(x, y):
     """Schoolbook product from the definition: slot i + j gets
     c_i d_j p^(floor((i+j)/p) - floor(i/p) - floor(j/p)), over O_F mod p^prec."""
@@ -169,7 +174,7 @@ class TestSMulExact:
         for x, y in pairs:
             for a, b in ((x, y), (y, x)):
                 prod = s_mul(a, b)
-                assert (prod.c, prod.d, prod.prec) == naive_s_mul(a, b)
+                assert (slots(prod), prod.d, prod.prec) == naive_s_mul(a, b)
 
     @pytest.mark.parametrize("name", ["ctx3", "ctx5r2", "ctx3r4"])
     def test_sized_operands_match_definition(self, name, request, rng):
@@ -185,7 +190,7 @@ class TestSMulExact:
             return x
 
         def times_p(x, v):
-            return SElem(ctx, [[c * ctx.ppow(v) for c in cj] for cj in x.c], x.d, x.prec)
+            return SElem(ctx, [[c * ctx.ppow(v) for c in cj] for cj in slots(x)], x.d, x.prec)
 
         dense = random_selem(ctx, rng, d=1, prec=ctx.nwork)
         half = n // 2 + 1
@@ -208,7 +213,7 @@ class TestSMulExact:
         for x, y in pairs:
             for a, b in ((x, y), (y, x)):
                 prod = s_mul(a, b)
-                assert (prod.c, prod.d, prod.prec) == naive_s_mul(a, b)
+                assert (slots(prod), prod.d, prod.prec) == naive_s_mul(a, b)
 
     def test_above_nwork_matches_larger_context(self, rng):
         # elements held above nwork (as _lift_d makes them) must multiply
@@ -239,7 +244,7 @@ class TestReducedConstructor:
             y = random_selem(ctx, rng, d=rng.randrange(2))
             for z in (s_mul(x, y), s_mul(y, SElem.zero(ctx)), s_frobenius(x),
                       s_frobenius(s_frobenius(y)), x + y, x - y, y - x):
-                assert SElem(ctx, z.c, z.d, z.prec).c == z.c
+                assert SElem(ctx, slots(z), z.d, z.prec).c == z.c
 
 
 def w_powers_by_products(ctx, e):
@@ -308,13 +313,13 @@ class TestWPowers:
         assert len(got) >= len(want) > 1
         assert all(w.prec == prec for w in want[1:])
         for x in got[len(want):]:
-            assert capped(ctx, (x.c, x.d, x.prec), prec)[0] == ()
+            assert capped(ctx, (slots(x), x.d, x.prec), prec)[0] == ()
         pairs = list(zip(got, want))
         if e == 1:
             assert len(_w_power_cache(ctx)) == len(want)
             pairs += zip(_w_power_cache(ctx), want)
         for x, y in pairs:
-            assert capped(ctx, (x.c, x.d, x.prec), y.prec) == (y.c, y.d, y.prec)
+            assert capped(ctx, (slots(x), x.d, x.prec), y.prec) == (slots(y), y.d, y.prec)
 
     @pytest.mark.parametrize("r", [1, 4])
     @pytest.mark.parametrize("m,e", [(8, 1), (14, 2)])
@@ -373,8 +378,8 @@ class TestFrobenius:
                     got = _lambda_data(ctx, b, j)[0]
                     assert got.prec == ctx.nwork
                     assert lam.prec == (ctx.nwork if j == 0 else phi_prec(ctx))
-                    assert capped(ctx, (got.c, got.d, got.prec), lam.prec) == (
-                        lam.c, lam.d, lam.prec)
+                    assert capped(ctx, (slots(got), got.d, got.prec), lam.prec) == (
+                        slots(lam), lam.d, lam.prec)
                     lam = s_frobenius(lam)
 
     @pytest.mark.parametrize("p, m", [(3, 24), (5, 30), (7, 20)])
@@ -547,7 +552,7 @@ class TestConversions:
 
 def padded(x):
     """x's slots padded with zero slots to length M."""
-    return list(x.c) + [(0,) * x.ctx.r] * (x.ctx.m - len(x.c))
+    return list(slots(x)) + [(0,) * x.ctx.r] * (x.ctx.m - len(slots(x)))
 
 
 def assert_trimmed(z):
@@ -555,9 +560,10 @@ def assert_trimmed(z):
     value in [0, p^prec)."""
     ctx = z.ctx
     mod = ctx.ppow(z.prec)
-    assert len(z.c) <= ctx.m
-    assert not z.c or any(z.c[-1])
-    assert all(len(x) == ctx.r and all(0 <= v < mod for v in x) for x in z.c)
+    assert len(z.c) % ctx.r == 0 and len(z.c) <= ctx.m * ctx.r
+    assert len(slots(z)) <= ctx.m
+    assert not z.c or any(slots(z)[-1])
+    assert all(len(x) == ctx.r and all(0 <= v < mod for v in x) for x in slots(z))
 
 
 def short_selem(ctx, rng, length, d=0, prec=None):
@@ -607,7 +613,7 @@ class TestTrimmedInvariant:
             x * y, x * random_of(ctx, rng), x * 2, x * p ** ctx.n,
             y._lift_d(3),
             e4.div_e_pow(4), SElem.zero(ctx).div_e_pow(3), SElem.e_pow(ctx, p).div_e_pow(p),
-            SElem(ctx, (u * p).c, 1, u.prec).normalize_d(0), y.reduce_d(),
+            SElem(ctx, slots(u * p), 1, u.prec).normalize_d(0), y.reduce_d(),
             x.at_prec(2), x.at_prec(1),
             x.slice_below(3), x.slice_below(0), x.slice_from(3), x.slice_from(m // 2),
             x.slice_from(m), SElem.zero(ctx).slice_from(0),
@@ -692,7 +698,7 @@ class TestUConversion:
         short = SElem(ctx, [0] * (ctx.m - 1) + [ctx.ppow(dmax - 1)])
         edges = [(head + short, NotIntegral),
                  ((head + SElem.e_pow(ctx, ctx.m - 1)).at_prec(dmax + 1), None)]
-        assert all(len(x.c) == ctx.m for x, _ in edges)
+        assert all(len(slots(x)) == ctx.m for x, _ in edges)
         cases += edges
         for x, err in cases:
             want = outcome(padded_to_useries, x)
@@ -744,4 +750,4 @@ class TestFrobeniusReference:
             for _ in range(times):
                 want = capped(ctx, frobenius_reference(z), m - m // p)
                 z = s_frobenius(z)
-                assert (z.c, z.d, z.prec) == want
+                assert (slots(z), z.d, z.prec) == want

@@ -50,8 +50,9 @@ def test_every_nonzero_product_reaches_the_kernel(tracing, monkeypatch):
     captured, misses, nonzero = [], [], []
 
     def counted(*args):
-        captured.append(args)
-        return kernel(*args)
+        out = kernel(*args)
+        captured.append((args, out))
+        return out
 
     def checked(x, y):
         before = len(captured)
@@ -75,6 +76,11 @@ def test_every_nonzero_product_reaches_the_kernel(tracing, monkeypatch):
                      "a2": {"coeffs": [1, 2], "pexp": 2}}]}))
     assert report.error is None
     assert nonzero and not misses
-    for args in captured:
+    for args, out in captured:
         size = tracing.conv2_packed_bytes(*args)
         assert isinstance(size, int) and size > 0
+        # flat operands and result: r values per slot
+        ctx, a, b, _, out_len = args
+        r = ctx.r
+        assert len(a) % r == 0 and len(b) % r == 0
+        assert len(out) == r * min(len(a) // r + len(b) // r - 1, out_len)
