@@ -255,10 +255,6 @@ def _of_sub_raw(a, b, mod):
     return tuple((x - y) % mod for x, y in zip(a, b))
 
 
-def _of_scale_raw(a, s, mod):
-    return tuple((x * s) % mod for x in a)
-
-
 def _of_val_raw(ctx, a, prec):
     """Minimum p-adic valuation of the coefficients; None when >= prec."""
     best = None
@@ -747,3 +743,12 @@ def mat_det(a):
 def mat_adj(a):
     return ((a[1][1], -a[0][1]), (-a[1][0], a[0][0]))
 
+
+def _entries(m):
+    """The four entries, row by row."""
+    return (m[0][0], m[0][1], m[1][0], m[1][1])
+
+
+def _mat_map(fn, m):
+    """fn applied to each entry, row by row."""
+    return ((fn(m[0][0]), fn(m[0][1])), (fn(m[1][0]), fn(m[1][1])))

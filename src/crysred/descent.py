@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .arith import OFElem, mat_add, mat_adj, mat_det, mat_mul, mat_sub
+from .arith import (OFElem, _entries, _mat_map, mat_add, mat_adj, mat_det, mat_mul,
+                    mat_sub)
 from .errors import (
     AssumptionViolated,
     GateFailed,
@@ -111,16 +112,6 @@ class PreparedSplit:
         return self.weights.f
 
 
-def _mat_zero(ctx):
-    z = SElem.zero(ctx)
-    return ((z, z), (z, z))
-
-
-def _mat_eye(ctx, prec=None):
-    one, z = SElem.one(ctx, prec), SElem.zero(ctx, prec)
-    return ((one, z), (z, one))
-
-
 def prepare(kisin: KisinFrobenius, budget: HeightBudget) -> PreparedSplit:
     """Strip the lambda tails via X_1 = [[1, 0], [x, 1]] and split.
 
@@ -172,20 +163,11 @@ def prepare(kisin: KisinFrobenius, budget: HeightBudget) -> PreparedSplit:
         else:
             a0 = ((b_mat[0][0], e_zero), (t_entry, SElem.one(ctx)))
         a0s.append(a0)
-        c_mat = mat_sub(m, a0)
-        c_norm = []
-        for row in c_mat:
-            out_row = []
-            for entry in row:
-                try:
-                    entry = entry.normalize_d(0)
-                except NotIntegral as exc:
-                    raise SplitFailed(
-                        f"slot {i}: remainder entry has a denominator: {exc}"
-                    ) from exc
-                out_row.append(entry)
-            c_norm.append(tuple(out_row))
-        cs.append(tuple(c_norm))
+        try:
+            cs.append(_mat_map(lambda e: e.normalize_d(0), mat_sub(m, a0)))
+        except NotIntegral as exc:
+            raise SplitFailed(
+                f"slot {i}: remainder entry has a denominator: {exc}") from exc
 
         for r in range(2):
             for c in range(2):
@@ -224,11 +206,8 @@ def check_descent_assumptions(split: PreparedSplit, budget: HeightBudget) -> Non
             raise AssumptionViolated(
                 "b", f"x^({i}) has denominator p^{x.d} > p^{budget.c_max}")
     for i in range(split.f):
-        reassembled = mat_add(split.a0[i], split.c_mats[i])
-        for r in range(2):
-            for c in range(2):
-                if not (reassembled[r][c] == split.conjugated[i][r][c]):
-                    raise AssumptionViolated("c", f"slot {i}: reassembly mismatch")
+        if mat_add(split.a0[i], split.c_mats[i]) != split.conjugated[i]:
+            raise AssumptionViolated("c", f"slot {i}: reassembly mismatch")
 
 
 def _det_over_e_pow(a: Mat2, k: int) -> SElem:
@@ -294,10 +273,14 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
 
     Runs the ideal re-split, the absorption step, and then the gain-law
     iteration until the remainder vanishes at precision (NoConvergence
-    after six iterations beyond `estimate_iterations`).  Per-slot
-    determinant units are tracked and every iterate's determinant is
-    checked against +-E^(k_i) a1^(i) times the accumulated unit.  A failed
-    check raises SplitFailed.
+    after six iterations beyond `estimate_iterations`).  Each iteration
+    records one step per slot: None when the slot's remainder is clean,
+    else (D1, D2, threshold), the head and the Fil^threshold tail of
+    phi(C/E^k B).  Slot i then absorbs its left neighbour's step; a clean
+    neighbour leaves its matrix, unit and depth as they are.
+    Per-slot determinant units are tracked and every iterate's determinant
+    is checked against +-E^(k_i) a1^(i) times the accumulated unit.  A
+    failed check raises SplitFailed.
 
     The final entries are certified integral and their residues, read off
     the slots, must equal A0's; `final_prec` is their least precision less
@@ -307,19 +290,18 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
     p, f = ctx.p, split.f
     weights = split.weights
     max_iter = estimate_iterations(weights, budget, p, ctx.m) + 6
+    one, zero = SElem.one(ctx), SElem.zero(ctx)
+    eye = ((one, zero), (zero, one))
 
     # (1) re-split C in I_c into p*integral + Fil^(cp) tail; fold the head in
     h0 = budget.c_max * p
     a_mats, c_mats = [], []
-    for i in range(f):
-        head = tuple(tuple(e.slice_below(h0) for e in row) for row in split.c_mats[i])
-        tail = tuple(tuple(e.slice_from(h0) for e in row) for row in split.c_mats[i])
-        for row in head:
-            for e in row:
-                if not e.is_integral(margin=1):
-                    raise SplitFailed("re-split head not in p*O_F[[u]]")
-        a_mats.append(mat_add(split.a0[i], head))
-        c_mats.append(tail)
+    for a0, c_mat in zip(split.a0, split.c_mats):
+        head = _mat_map(lambda e: e.slice_below(h0), c_mat)
+        if not all(e.is_integral(margin=1) for e in _entries(head)):
+            raise SplitFailed("re-split head not in p*O_F[[u]]")
+        a_mats.append(mat_add(a0, head))
+        c_mats.append(_mat_map(lambda e: e.slice_from(h0), c_mat))
 
     units = []
     sign_a1 = []
@@ -331,7 +313,6 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
         units.append(_det_unit_ratio(a_mats[i], weights.k[i], expected))
 
     chains = [[] for _ in range(f)]
-    chain_slot = list(range(f))  # chain j currently sits at this slot
     hs = [h0] * f
     inv_seeds = [None] * f
 
@@ -343,124 +324,87 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
                 raise SplitFailed(
                     f"iteration {n}, slot {i}: det != sign*E^k*a1*unit")
 
+    def clean(c):
+        return c is None or all(e.is_zero() for e in _entries(c))
+
     check_dets(0)
-    a0_residue = tuple(tuple(tuple(e.residue() for e in row) for row in m)
-                       for m in split.a0)
+    a0_residue = [_mat_map(SElem.residue, m) for m in split.a0]
 
     iteration = 0
-    while True:
-        live = [not _mat_is_zero(c_mats[i]) for i in range(f)]
-        if not any(live):
-            break
+    while not all(clean(c) for c in c_mats):
         if iteration >= max_iter:
             raise NoConvergence(
                 f"descent did not terminate in {max_iter} iterations; "
                 f"depths {hs}, precision may be exhausted")
-        zero_mat = _mat_zero(ctx)
-        d1s, d2s, thresholds, ells = [], [], [], []
-        for i in range(f):
-            if not live[i]:
-                # a clean slot contributes nothing to its right neighbor
-                d1s.append(zero_mat)
-                d2s.append(zero_mat)
-                thresholds.append(hs[i])
-                ells.append(None)
+        n = iteration + 1
+        steps = []
+        for i, c in enumerate(c_mats):
+            if clean(c):
+                steps.append(None)
                 continue
             k_i = weights.k[i]
             ell = hs[i] - k_i - hs[i] // p
             threshold = p * (ell + 1)
-            ells.append(ell)
-            thresholds.append(threshold)
             b_i, inv_seeds[i] = height_partner(a_mats[i], k_i, inv_seeds[i])
-            w = mat_mul(tuple(tuple(e.div_e_pow(k_i) for e in row)
-                              for row in c_mats[i]), b_i)
-            phi_w = tuple(tuple(_normalized_phi(e) for e in row) for row in w)
-            d1 = tuple(tuple(e.slice_below(threshold) for e in row) for row in phi_w)
-            d2 = tuple(tuple(e.slice_from(threshold) for e in row) for row in phi_w)
-            for row in d1:
-                for e in row:
-                    if not e.is_integral(margin=1):
-                        raise SplitFailed(
-                            f"iteration {iteration + 1}, slot {i}: head of "
-                            f"phi(C'B) not in p*O_F[[u]]")
-            for row in d2:
-                for e in row:
-                    if not fil_membership(e, threshold):
-                        raise SplitFailed(
-                            f"iteration {iteration + 1}, slot {i}: tail of "
-                            f"phi(C'B) not in Fil^{threshold}")
-            d1s.append(d1)
-            d2s.append(d2)
+            w = mat_mul(_mat_map(lambda e: e.div_e_pow(k_i), c), b_i)
+            phi_w = _mat_map(lambda e: s_frobenius(e).normalize_d(0), w)
+            d1 = _mat_map(lambda e: e.slice_below(threshold), phi_w)
+            d2 = _mat_map(lambda e: e.slice_from(threshold), phi_w)
+            if not all(e.is_integral(margin=1) for e in _entries(d1)):
+                raise SplitFailed(f"iteration {n}, slot {i}: head of "
+                                  f"phi(C'B) not in p*O_F[[u]]")
+            if not all(fil_membership(e, threshold) for e in _entries(d2)):
+                raise SplitFailed(f"iteration {n}, slot {i}: tail of "
+                                  f"phi(C'B) not in Fil^{threshold}")
+            steps.append((d1, d2, threshold))
+            # chain j started at slot j and moves one slot per iteration
+            chains[(i - iteration) % f].append({
+                "step": n, "slot": i, "h": hs[i], "ell": ell,
+                "next_h": threshold, "k_slot": k_i,
+            })
         # The absorption factor (I + W^(i))^(-1) clears slot i's own
-        # remainder; the material arriving at slot i is its left neighbor's
-        # split, so the update is uniform with zero D's for clean slots.
-        new_a, new_c, new_h = [], [], []
+        # remainder; slot i takes in its left neighbour's split instead.
         for i in range(f):
-            prev = (i - 1) % f
-            factor = mat_add(_mat_eye(ctx), d1s[prev])
-            new_a.append(mat_mul(a_mats[i], factor))
-            new_c.append(mat_mul(a_mats[i], d2s[prev]))
-            new_h.append(thresholds[prev] if live[prev] else hs[i])
+            step = steps[i - 1]
+            if step is None:
+                # nothing arrives, and slot i's own remainder has moved on
+                c_mats[i] = None
+                continue
+            d1, d2, threshold = step
+            factor = mat_add(eye, d1)
+            new_a = mat_mul(a_mats[i], factor)
+            c_mats[i] = mat_mul(a_mats[i], d2)
             fdet = mat_det(factor)
             if not in_p_pow_s(fdet - SElem.one(ctx, fdet.prec), 1):
-                raise SplitFailed(
-                    f"iteration {iteration + 1}: det(I + D1) != 1 mod p")
+                raise SplitFailed(f"iteration {n}: det(I + D1) != 1 mod p")
             units[i] = s_mul(units[i], fdet)
-            diff = mat_sub(new_a[i], a_mats[i])
-            for row in diff:
-                for e in row:
-                    if not in_p_pow_s(e, 1):
-                        raise SplitFailed(
-                            f"iteration {iteration + 1}: mod-p stability broken")
-        for j in range(f):
-            s = chain_slot[j]
-            if live[s]:
-                chains[j].append({
-                    "step": iteration + 1,
-                    "slot": s,
-                    "h": hs[s],
-                    "ell": ells[s],
-                    "next_h": thresholds[s],
-                    "k_slot": weights.k[s],
-                })
-            chain_slot[j] = (s + 1) % f
-        a_mats, c_mats, hs = new_a, new_c, new_h
-        iteration += 1
+            diff = mat_sub(new_a, a_mats[i])
+            if not all(in_p_pow_s(e, 1) for e in _entries(diff)):
+                raise SplitFailed(f"iteration {n}: mod-p stability broken")
+            a_mats[i], hs[i] = new_a, threshold
+        iteration = n
         check_dets(iteration)
 
-    a_final, residues = [], []
+    residues = []
     for m in a_mats:
-        m = tuple(tuple(e.reduce_d() for e in row) for row in m)
         try:
-            residues.append(tuple(tuple(e.residue() for e in row) for row in m))
+            residues.append(_mat_map(SElem.residue, m))
         except (NotIntegral, PrecisionExhausted) as exc:
             raise PrecisionExhausted(
                 f"descended entry not certifiably integral: {exc}") from exc
-        # residue() has just certified each normalize_d(0)
-        a_final.append(tuple(tuple(e.normalize_d(0) for e in row) for row in m))
-    for i in range(f):
-        for r in range(2):
-            for c in range(2):
-                if residues[i][r][c] != a0_residue[i][r][c]:
-                    raise SplitFailed(
-                        f"slot {i}: descended matrix != prepared part mod p")
-    final_prec = min(e.prec for m in a_final for row in m for e in row)
+    for i, (got, want) in enumerate(zip(residues, a0_residue)):
+        if got != want:
+            raise SplitFailed(f"slot {i}: descended matrix != prepared part mod p")
+    # residue() has just certified each normalize_d(0)
+    a_final = tuple(_mat_map(lambda e: e.normalize_d(0), m) for m in a_mats)
+    final_prec = min(e.prec for m in a_final for e in _entries(m))
     return DescentCertificate(
-        a_final=tuple(a_final),
+        a_final=a_final,
         a_final_mod_p=tuple(residues),
         chains=chains,
         iterations=iteration,
         final_prec=final_prec - ctx.dmax,
     )
-
-
-def _mat_is_zero(m):
-    return all(e.is_zero() for row in m for e in row)
-
-
-def _normalized_phi(e: SElem) -> SElem:
-    out = s_frobenius(e)
-    return out.normalize_d(0) if out.d else out
 
 
 def _det_unit_ratio(a, k, expected_unit) -> SElem:

@@ -65,7 +65,7 @@ class JobConfig:
         unknown = set(data) - required - {"r", "precision"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        precision = data.get("precision") or None
+        precision = data.get("precision")
         cfg = cls(
             p=data["p"], f=data["f"],
             weights=data["weights"], params=data["params"],
@@ -76,11 +76,11 @@ class JobConfig:
         return cfg
 
     def validate(self):
-        if not isinstance(self.p, int) or self.p < 3 or not _is_prime(self.p):
+        if not _is_int(self.p) or self.p < 3 or not _is_prime(self.p):
             raise ConfigError("p must be an odd prime >= 3")
-        if not isinstance(self.f, int) or self.f < 1:
+        if not _is_int(self.f) or self.f < 1:
             raise ConfigError("f must be a positive integer")
-        if self.r is not None and (not isinstance(self.r, int) or self.r < 1
+        if self.r is not None and (not _is_int(self.r) or self.r < 1
                                    or self.r % self.f != 0):
             raise ConfigError("r must be a positive multiple of f")
         if not isinstance(self.weights, list) or len(self.weights) != self.f:
@@ -181,14 +181,14 @@ def preflight_precision(cfg: JobConfig) -> dict:
 def _coord_to_of(ctx: PrimeContext, spec, prec=None) -> OFElem:
     """Parse a coordinate: an int, or {coeffs: [...], pexp: t} meaning
     p^t * (polynomial in the residue generator)."""
-    if isinstance(spec, int):
+    if _is_int(spec):
         return OFElem.from_int(ctx, spec, prec)
     if isinstance(spec, dict):
         coeffs = spec.get("coeffs")
         pexp = spec.get("pexp", 0)
         if not _is_int_seq(coeffs):
             raise ConfigError("coordinate coeffs must be a list of integers")
-        if not isinstance(pexp, int) or pexp < 0:
+        if not _is_int(pexp) or pexp < 0:
             raise ConfigError(f"coordinate pexp must be an integer >= 0, got {pexp!r}")
         if len(coeffs) > ctx.r:
             raise ConfigError(f"coordinate has {len(coeffs)} coeffs but r = {ctx.r}")
@@ -375,8 +375,13 @@ def _stage(report, name, fn):
         report.timings[name] = report.timings.get(name, 0.0) + time.perf_counter() - start
 
 
+def _is_int(v) -> bool:
+    """An integer that is not a bool (JSON true/false are not numbers here)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _is_int_seq(xs) -> bool:
-    return isinstance(xs, (list, tuple)) and all(isinstance(v, int) for v in xs)
+    return isinstance(xs, (list, tuple)) and all(_is_int(v) for v in xs)
 
 
 EXIT_OK = 0

@@ -381,17 +381,6 @@ class SElem:
         return SElem._reduced(self.ctx, tuple(v // pt for v in self.c), target,
                               self.prec - t)
 
-    def reduce_d(self) -> "SElem":
-        """Lower d as far as the numerator provably allows (exact)."""
-        t = 0
-        while t < self.d and self.prec - t > 1:
-            pt = self.ctx.ppow(t + 1)
-            if all(v % pt == 0 for v in self.c):
-                t += 1
-            else:
-                break
-        return self.normalize_d(self.d - t) if t else self
-
     def at_prec(self, prec: int) -> "SElem":
         if prec > self.prec:
             raise PrecisionExhausted("cannot raise precision")
@@ -690,8 +679,11 @@ def s_invert(x: SElem, seed: Optional[SElem] = None) -> SElem:
     it converges exactly when slot 0 of x*y is 1 mod p; other seeds are
     ignored, and the iteration starts from x's constant-term inverse.
     """
-    x = x.reduce_d()
-    if x.d != 0 or x.slot_val(0) != 0:
+    try:
+        x = x.normalize_d(0)
+    except (NotIntegral, PrecisionExhausted) as exc:
+        raise NotAUnit("s_invert: element is not a unit of S_F") from exc
+    if x.slot_val(0) != 0:
         raise NotAUnit("s_invert: element is not a unit of S_F")
     ctx = x.ctx
     x0 = x.coeff(0)
@@ -766,29 +758,23 @@ def _s_int_pow(x: SElem, n: int) -> SElem:
 def fil_membership(x: SElem, j: int) -> bool:
     """Membership in Fil^j S_F = E^j S_F, decided on the visible window.
 
-    Canonical criterion: c_i = 0 for i < j and
-    val(c_i) >= floor(i/p) - floor((i-j)/p) for i >= j.
+    Canonical criterion for x = p^(-d) sum c_i E^i: c_i = 0 for i < j and
+    val(c_i) >= floor(i/p) - floor((i-j)/p) + d for i >= j.
     """
-    x = x.reduce_d()
-    if x.d != 0:
-        return False
     p, r = x.ctx.p, x.ctx.r
     if any(x.c[:j * r]):
         return False
     for i in range(j, len(x.c) // r):
-        need = i // p - (i - j) // p
+        need = i // p - (i - j) // p + x.d
         if not x.slot_val_at_least(i, need):
             return False
     return True
 
 
 def in_p_pow_s(x: SElem, t: int) -> bool:
-    """Membership in p^t S_F (slotwise valuation >= t after normalization).
+    """Membership in p^t S_F: every numerator value divisible by p^(t + d).
 
     For unramified F this is also membership in the ideal I_t.
     """
-    x = x.reduce_d()
-    if x.d != 0:
-        return False
-    mod = x.ctx.ppow(min(t, x.prec))
+    mod = x.ctx.ppow(min(t + x.d, x.prec))
     return all(v % mod == 0 for v in x.c)

@@ -55,3 +55,18 @@ def test_unreadable_job_is_a_config_error(tmp_path):
     out = run_cli(path)
     assert out.returncode == EXIT_CONFIG
     assert out.stdout == "" and "job.json" in out.stderr
+
+
+def test_bool_and_empty_precision_jobs_exit_5(tmp_path):
+    path = tmp_path / "job.json"
+    for job in (dict(F1_JOB, precision=[]), dict(F1_JOB, f=True)):
+        path.write_text(json.dumps(job))
+        out = run_cli(path)
+        assert out.returncode == EXIT_CONFIG == 5
+        assert out.stdout == "" and "job.json" in out.stderr
+    a2_true = dict(F1_JOB, params=[{"type": "I", "a1": 1, "a2": True}])
+    path.write_text(json.dumps(a2_true))
+    out = run_cli(path)
+    assert out.returncode == EXIT_CONFIG
+    report = json.loads(out.stdout)
+    assert report["error"]["type"] == "ConfigError"

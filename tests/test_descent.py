@@ -263,6 +263,22 @@ class TestDescend:
                 assert row["next_h"] == 5 * (row["h"] - row["k_slot"]
                                              - row["h"] // 5 + 1)
 
+    @pytest.mark.parametrize("name", ["f2-r2-mixed", "f3-r3-p3-mixed"])
+    def test_clean_neighbour_makes_no_products(self, name, monkeypatch):
+        # each step costs one product (W) and its absorption two; a slot
+        # whose left neighbour is clean is left as it is
+        import crysred.descent as descent_mod
+        from crysred.pipeline import JobConfig, run_pipeline
+        from test_golden import GOLDEN
+
+        calls = []
+        monkeypatch.setattr(descent_mod, "mat_mul",
+                            lambda a, b: calls.append(1) or mat_mul(a, b))
+        report = run_pipeline(JobConfig.from_dict(GOLDEN[name][0]))
+        rows = sum(len(chain) for chain in report.stages["descent"]["chains"])
+        assert report.error is None and rows > 0
+        assert len(calls) == 3 * rows
+
     def test_estimate_iterations_sane(self):
         wd = WeightData((3,), (0,))
         budget = compute_budget(wd, 5)

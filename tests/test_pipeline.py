@@ -450,6 +450,29 @@ class TestBadInputs:
         with pytest.raises(ConfigError):
             JobConfig.from_dict(data)
 
+    # only a missing key or null means "no override", and a JSON true or
+    # false is not a number
+    @pytest.mark.parametrize("data", [
+        dict(P5_K4, precision=[]),
+        dict(P5_K4, precision=0),
+        dict(P5_K4, precision=False),
+        dict(P5_K4, precision=""),
+        dict(P5_K4, precision=[True, 8]),
+        dict(P5_K4, p=True),
+        dict(P5_K4, f=True),
+        dict(P5_K4, r=True),
+        dict(P5_K4, weights=[[True, False]]),
+        dict(P5_K4, weights=[[4, False]]),
+    ])
+    def test_empty_precision_and_bools_are_config_errors(self, data):
+        with pytest.raises(ConfigError):
+            JobConfig.from_dict(data)
+
+    def test_null_precision_is_no_override(self):
+        plain = run_pipeline(JobConfig.from_dict(P5_K4))
+        null = run_pipeline(JobConfig.from_dict(dict(P5_K4, precision=None)))
+        assert null.to_json() == plain.to_json()
+
     @pytest.mark.parametrize("data, stage, etype, code", [
         (with_a2({"coeffs": [1], "pexp": -1}), "config", "ConfigError", EXIT_CONFIG),
         (with_a2({"coeffs": [1], "pexp": 1.5}), "config", "ConfigError", EXIT_CONFIG),
@@ -458,6 +481,11 @@ class TestBadInputs:
          EXIT_CONVERGENCE),
         (dict(P5_K4, precision=[4, 8]), "preflight", "PrecisionExhausted",
          EXIT_CONVERGENCE),
+        (with_a2({"coeffs": [1], "pexp": True}), "config", "ConfigError", EXIT_CONFIG),
+        (with_a2({"coeffs": [True]}), "config", "ConfigError", EXIT_CONFIG),
+        (with_a2(True), "config", "ConfigError", EXIT_CONFIG),
+        (dict(P5_K4, params=[{"matrix": [[0, 1], [True, 25]]}]), "config",
+         "ConfigError", EXIT_CONFIG),
     ])
     def test_stage_tagged_errors(self, data, stage, etype, code):
         report = run_pipeline(JobConfig.from_dict(data))

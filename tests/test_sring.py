@@ -11,7 +11,6 @@ from crysred.arith import (
     USeries,
     _of_add_raw,
     _of_mul_raw,
-    _of_scale_raw,
     _of_sub_raw,
     _of_val_raw,
 )
@@ -545,6 +544,33 @@ class TestConversions:
         assert not in_p_pow_s(SElem.from_int(ctx5, 5), 2)
 
 
+class TestDenominators:
+    """Membership counts the denominator p^d: x = p^(-d) * numerator."""
+
+    def test_p_pow_membership(self, ctx5):
+        p = ctx5.p
+        x = SElem(ctx5, [p * p * 3], 1)              # p*3 written over p
+        assert in_p_pow_s(x, 1)
+        assert not in_p_pow_s(x, 2)
+        assert not in_p_pow_s(SElem(ctx5, [1], 1), 0)  # 1/p
+
+    def test_fil_membership(self, ctx5):
+        p, j = ctx5.p, 6
+        assert not fil_membership(SElem(ctx5, [0] * j + [p], 1), j)  # E^j/p
+        assert fil_membership(SElem(ctx5, [0] * j + [p * p], 1), j)  # p E^j/p
+
+    def test_zero_below_its_denominator_is_a_member(self, ctx5):
+        z = SElem(ctx5, [], 2, 1)
+        assert z.is_integral() and in_p_pow_s(z, 0) and fil_membership(z, 3)
+
+    def test_invert(self, ctx5):
+        p = ctx5.p
+        y = s_invert(SElem(ctx5, [p * 3], 1))
+        assert y.d == 0 and s_mul(SElem.from_int(ctx5, 3), y) == SElem.one(ctx5)
+        with pytest.raises(NotAUnit):
+            s_invert(SElem(ctx5, [3], 1))
+
+
 # ---------------------------------------------------------------------------
 # Trimmed storage
 # ---------------------------------------------------------------------------
@@ -613,7 +639,7 @@ class TestTrimmedInvariant:
             x * y, x * random_of(ctx, rng), x * 2, x * p ** ctx.n,
             y._lift_d(3),
             e4.div_e_pow(4), SElem.zero(ctx).div_e_pow(3), SElem.e_pow(ctx, p).div_e_pow(p),
-            SElem(ctx, slots(u * p), 1, u.prec).normalize_d(0), y.reduce_d(),
+            SElem(ctx, slots(u * p), 1, u.prec).normalize_d(0),
             x.at_prec(2), x.at_prec(1),
             x.slice_below(3), x.slice_below(0), x.slice_from(3), x.slice_from(m // 2),
             x.slice_from(m), SElem.zero(ctx).slice_from(0),
@@ -638,6 +664,11 @@ class TestTrimmedInvariant:
         assert x.slot_val_at_least(j, 10 ** 6)
 
 
+def scaled_values(a, s, mod):
+    """Reference: the r values of one slot times the integer s, mod `mod`."""
+    return tuple((v * s) % mod for v in a)
+
+
 def padded_to_useries(x):
     """Reference: the u-conversion summed over all M slots of the padded
     coefficient list, every term reduced, no early stop."""
@@ -657,7 +688,7 @@ def padded_to_useries(x):
             if any(c[j]):
                 s = (comb(j, l) * ctx.ppow(j - l + dmax - j // ctx.p)) % bigmod
                 if s:
-                    acc = _of_add_raw(acc, _of_scale_raw(c[j], s, bigmod), bigmod)
+                    acc = _of_add_raw(acc, scaled_values(c[j], s, bigmod), bigmod)
         if any(v % pd for v in acc):
             raise NotIntegral("element is not in O_F[[u]]")
         out.append(tuple((v // pd) % ctx.ppow(prec) for v in acc))
@@ -720,10 +751,10 @@ def frobenius_reference(x):
         pw = ctx.ppow(j - j // ctx.p) % mod
         if not any(c[j]) or pw == 0:
             continue
-        scaled = _of_scale_raw(c[j], pw, mod)
+        scaled = scaled_values(c[j], pw, mod)
         for l in range(min(j, len(powers) - 1) + 1):
             b = comb(j, l) % mod
-            T[l] = _of_add_raw(T[l], _of_scale_raw(scaled, b, mod), mod)
+            T[l] = _of_add_raw(T[l], scaled_values(scaled, b, mod), mod)
     out = [(0,) * ctx.r for _ in range(ctx.m)]
     for tl, w in zip(T, powers):
         for j, wj in enumerate(padded(w)):
