@@ -3,6 +3,10 @@
 Runs the job lists of perfbench/workloads.py at seeds 1-3 through
 JobConfig.from_dict -> run_pipeline -> to_json and hashes the reports
 concatenated in order, so a refactor can show that no report byte moved.
+Each list then runs again in reverse order in the same process; when a
+report differs from its forward-order run, the script names the first such
+job on stderr and exits 1, since a report must not depend on the jobs run
+before it.
 
 Usage: python3 scripts/report_digest.py
 """
@@ -17,11 +21,25 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 from crysred.pipeline import JobConfig, run_pipeline  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-digest, count = hashlib.sha256(), 0
-for make in WORKLOADS.values():
+
+def report(job):
+    return run_pipeline(JobConfig.from_dict(job["config"])).to_json()
+
+
+digest, count, differs = hashlib.sha256(), 0, None
+for name, make in WORKLOADS.items():
     for seed in (1, 2, 3):
-        for job in make(seed):
-            report = run_pipeline(JobConfig.from_dict(job["config"]))
-            digest.update(report.to_json().encode())
-            count += 1
+        jobs = make(seed)
+        forward = [report(job) for job in jobs]
+        for text in forward:
+            digest.update(text.encode())
+        count += len(forward)
+        backward = [report(job) for job in reversed(jobs)][::-1]
+        if differs is None:
+            differs = next((f"{name} seed {seed} job {j}"
+                            for j, (a, b) in enumerate(zip(forward, backward))
+                            if a != b), None)
 print(count, digest.hexdigest())
+if differs is not None:
+    print(f"report differs in reverse order: {differs}", file=sys.stderr)
+    sys.exit(1)

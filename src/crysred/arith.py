@@ -211,6 +211,12 @@ class PrimeContext:
         return rows
 
     def cache(self, key, builder):
+        """The value stored under `key`, built by `builder()` on first use.
+
+        Every job that reuses this context shares its cache, so a key names
+        everything its value depends on beyond the context, and a cached
+        value is never mutated: tables are tuples and elements immutable.
+        """
         if key not in self._caches:
             self._caches[key] = builder()
         return self._caches[key]
@@ -511,7 +517,7 @@ def _fold_rows(ctx):
     its largest value, and the largest sum of absolute values."""
     def build():
         rows, r = ctx._red_rows, ctx.r
-        neg = [sum(max(0, -row[i]) for row in rows) for i in range(r)]
+        neg = tuple(sum(max(0, -row[i]) for row in rows) for i in range(r))
         norm = max(sum(abs(row[i]) for row in rows) for i in range(r))
         return neg, max(neg), norm
 

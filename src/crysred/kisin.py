@@ -96,13 +96,10 @@ def build_kisin_frobenius(normalized, tags, weights: WeightData):
     """The raw partial Frobenius matrices over S_F (spec's first stage)."""
     ctx = normalized[0][0][0].ctx
     a1s, a2s = _extract_params(normalized, tags)
-    gam_inv = s_invert(gamma(ctx))
-    gam_inv_pows = {}
 
     def ginv(k):
-        if k not in gam_inv_pows:
-            gam_inv_pows[k] = _s_int_pow(gam_inv, k)
-        return gam_inv_pows[k]
+        gam_inv = ctx.cache(("gamma_inv",), lambda: s_invert(gamma(ctx)))
+        return ctx.cache(("gamma_inv_pow", k), lambda: _s_int_pow(gam_inv, k))
 
     out = []
     zero = SElem.zero(ctx)

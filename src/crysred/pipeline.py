@@ -11,10 +11,17 @@ stopping with a stage-tagged error at the first hard failure, and returns
 a deterministic report: an identical config gives byte-identical JSON
 (timings are only embedded on request).  A failed built-in self-check
 stops the job like any other failure, with exit code EXIT_INTERNAL.
+
+Consecutive jobs with the same context (p, f, r, N, M, nwork) share one
+`PrimeContext` and with it the work cached on it: gamma^(-1) and its
+powers, the lambda_b powers, the w-powers and the product tables.  Every
+cached value depends on the context and its key alone, so a report does
+not depend on the jobs run before it or on their order.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -62,9 +69,7 @@ class JobConfig:
         missing = required - set(data)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
-        unknown = set(data) - required - {"r", "precision"}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        _reject_unknown(data, required | {"r", "precision"})
         precision = data.get("precision")
         cfg = cls(
             p=data["p"], f=data["f"],
@@ -99,11 +104,13 @@ class JobConfig:
             if not isinstance(entry, dict):
                 raise ConfigError(f"params[{i}] must be a table")
             if "matrix" in entry:
+                _reject_unknown(entry, {"matrix"}, f"params[{i}]: ")
                 mat = entry["matrix"]
                 if not isinstance(mat, list) or len(mat) != 2 or any(
                         not isinstance(row, list) or len(row) != 2 for row in mat):
                     raise ConfigError(f"params[{i}].matrix must be 2x2")
             elif "type" in entry:
+                _reject_unknown(entry, {"type", "a1", "a2"}, f"params[{i}]: ")
                 if entry["type"] not in ("I", "II"):
                     raise ConfigError(f"params[{i}].type must be 'I' or 'II'")
                 if "a1" not in entry or "a2" not in entry:
@@ -184,6 +191,7 @@ def _coord_to_of(ctx: PrimeContext, spec, prec=None) -> OFElem:
     if _is_int(spec):
         return OFElem.from_int(ctx, spec, prec)
     if isinstance(spec, dict):
+        _reject_unknown(spec, {"coeffs", "pexp"}, "coordinate: ")
         coeffs = spec.get("coeffs")
         pexp = spec.get("pexp", 0)
         if not _is_int_seq(coeffs):
@@ -196,6 +204,13 @@ def _coord_to_of(ctx: PrimeContext, spec, prec=None) -> OFElem:
         # p^pexp is 0 mod p^prec once pexp >= prec
         return x * OFElem.from_int(ctx, ctx.ppow(min(pexp, x.prec)), prec)
     raise ConfigError(f"cannot parse coordinate {spec!r}")
+
+
+@functools.lru_cache(maxsize=1)
+def _prime_context(p, f, n, m, r, nwork) -> PrimeContext:
+    """The context of the last job, kept so that the next job with the
+    same parameters reuses it and its cache."""
+    return PrimeContext(p=p, f=f, n=n, m=m, r=r, nwork=nwork)
 
 
 def _build_lattice(ctx, cfg) -> tuple:
@@ -270,6 +285,9 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
     Degenerate, ReducibleAllII, GateFailed, NoConvergence, NonMonomial, a
     failed self-check, ...) abort with the stage recorded in the report's
     error block.
+
+    A job whose context equals the previous job's reuses that context and
+    the work cached on it; the report is the same in any job order.
     """
     report = RunReport(config=cfg.serial())
     try:
@@ -277,8 +295,8 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
         report.preflight = pf
         weights = _stage(report, "weights", lambda: normalize_weights(cfg.weights))
         report.stages["weights"] = weights.serial()
-        ctx = PrimeContext(p=cfg.p, f=cfg.f, n=pf["N"], m=pf["M"],
-                           r=cfg.r, nwork=pf["nwork"])
+        ctx = _prime_context(cfg.p, cfg.f, pf["N"], pf["M"], cfg.r or cfg.f,
+                             pf["nwork"])
         report.context = ctx.fingerprint()
 
         lattice, explicit = _stage(report, "config",
@@ -373,6 +391,12 @@ def _stage(report, name, fn):
         raise PipelineStop(name, exc) from exc
     finally:
         report.timings[name] = report.timings.get(name, 0.0) + time.perf_counter() - start
+
+
+def _reject_unknown(table: dict, allowed: set, where: str = ""):
+    unknown = set(table) - allowed
+    if unknown:
+        raise ConfigError(f"{where}unknown config keys: {sorted(unknown)}")
 
 
 def _is_int(v) -> bool:

@@ -553,13 +553,13 @@ def _rescaled(ctx: PrimeContext, c, lo: int, hi: int) -> tuple:
     return vals, s
 
 
-def _scales(ctx: PrimeContext, base: int) -> list:
+def _scales(ctx: PrimeContext, base: int) -> tuple:
     """p^|base + floor(k/p)| for the M*r values of slots k < M.  At
     base = -D these are the rescale factors p^(D - floor(k/p)) of
     `s_mul`; otherwise the exact divisor (exponent < 0) or the multiplier
     that `s_mul` applies to slot k of the convolution."""
-    return ctx.cache(("scale", base), lambda: [
-        ctx.ppow(abs(base + i // ctx.r // ctx.p)) for i in range(ctx.m * ctx.r)])
+    return ctx.cache(("scale", base), lambda: tuple(
+        ctx.ppow(abs(base + i // ctx.r // ctx.p)) for i in range(ctx.m * ctx.r)))
 
 
 # ---------------------------------------------------------------------------
@@ -593,14 +593,14 @@ def _w_power(ctx: PrimeContext, e: int, l: int) -> SElem:
     return SElem(ctx, coeffs, 0, nwork)
 
 
-def _w_power_cache(ctx: PrimeContext) -> List[SElem]:
+def _w_power_cache(ctx: PrimeContext) -> Tuple[SElem, ...]:
     """Powers of w = gamma - 1 = u^p/p until they vanish at (M, nwork)."""
     def build():
         powers = [SElem.one(ctx)]
         while True:
             w = _w_power(ctx, 1, len(powers))
             if w.is_zero():
-                return powers
+                return tuple(powers)
             powers.append(w)
 
     return ctx.cache(("wpow",), build)
@@ -613,7 +613,7 @@ def _packed_w_powers(ctx: PrimeContext, width: int) -> tuple:
     power's slot count."""
     def build():
         powers = _w_power_cache(ctx)
-        packed = [_pack(w.c[::ctx.r], width, 1, ctx.r - 1) for w in powers]
+        packed = tuple(_pack(w.c[::ctx.r], width, 1, ctx.r - 1) for w in powers)
         return packed, max(len(w.c) for w in powers) // ctx.r
 
     return ctx.cache(("wpack", width), build)
@@ -728,14 +728,18 @@ def _lambda_data(ctx, b, j=0):
 
 
 def lambda_power(e: PhiExpPoly, b: int, ctx: PrimeContext) -> SElem:
-    """lambda_b^(e(phi)) = prod_j phi^j(lambda_b)^(e_j); always a unit."""
-    out = SElem.one(ctx)
-    for j, cj in e.terms():
-        base = _lambda_data(ctx, b, j)[0]
-        if cj < 0:
-            base = ctx.cache(("lambda_inv", b, j), lambda: s_invert(base))
-        out = s_mul(out, _s_int_pow(base, abs(cj)))
-    return out
+    """lambda_b^(e(phi)) = prod_j phi^j(lambda_b)^(e_j); always a unit.
+    Cached per context."""
+    def build():
+        out = SElem.one(ctx)
+        for j, cj in e.terms():
+            base = _lambda_data(ctx, b, j)[0]
+            if cj < 0:
+                base = ctx.cache(("lambda_inv", b, j), lambda: s_invert(base))
+            out = s_mul(out, _s_int_pow(base, abs(cj)))
+        return out
+
+    return ctx.cache(("lambda_power", b, e.c), build)
 
 
 def _s_int_pow(x: SElem, n: int) -> SElem:

@@ -70,3 +70,20 @@ def test_bool_and_empty_precision_jobs_exit_5(tmp_path):
     assert out.returncode == EXIT_CONFIG
     report = json.loads(out.stdout)
     assert report["error"]["type"] == "ConfigError"
+
+
+def test_unknown_keys_exit_5(tmp_path):
+    path = tmp_path / "job.json"
+    slot = F1_JOB["params"][0]
+    for entry in (dict(slot, typo=0), dict(slot, matrix=[[0, 1], [1, 25]])):
+        path.write_text(json.dumps(dict(F1_JOB, params=[entry])))
+        out = run_cli(path)
+        assert out.returncode == EXIT_CONFIG == 5
+        assert out.stdout == "" and "params[0]: unknown config keys" in out.stderr
+    pexpp = dict(slot, a2={"coeffs": [1], "pexp": 2, "pexpp": 5})
+    path.write_text(json.dumps(dict(F1_JOB, params=[pexpp])))
+    out = run_cli(path)
+    assert out.returncode == EXIT_CONFIG
+    error = json.loads(out.stdout)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"] == "coordinate: unknown config keys: ['pexpp']"

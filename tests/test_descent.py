@@ -1,5 +1,7 @@
 """Preparation, descent assumptions and the successive approximation."""
 
+import sys
+
 import pytest
 
 from crysred.arith import OFElem, PrimeContext, mat_det, mat_mul
@@ -278,6 +280,36 @@ class TestDescend:
         rows = sum(len(chain) for chain in report.stages["descent"]["chains"])
         assert report.error is None and rows > 0
         assert len(calls) == 3 * rows
+
+    @pytest.mark.parametrize("name", ["f2-r2-mixed", "f3-r3-p3-mixed"])
+    def test_unchanged_slots_skip_the_det_check(self, name, monkeypatch):
+        # det(A) is taken once per initial unit, height partner and absorbed
+        # factor, and once per slot and check; from iteration 1 on, a slot
+        # whose left neighbour was clean is not checked again
+        import crysred.descent as descent_mod
+        from crysred.pipeline import JobConfig, run_pipeline
+        from test_golden import GOLDEN
+
+        calls, checked = [], []
+
+        def counted(a):
+            calls.append(1)
+            if sys._getframe(1).f_code.co_name == "check_dets":
+                checked.append(a)
+            return mat_det(a)
+
+        monkeypatch.setattr(descent_mod, "mat_det", counted)
+        config = GOLDEN[name][0]
+        descent = run_pipeline(JobConfig.from_dict(config)).stages["descent"]
+        f, iterations = config["f"], descent["iterations"]
+        rows = sum(len(chain) for chain in descent["chains"])
+        clean_neighbours = f * iterations - rows
+        assert clean_neighbours > 0
+        every_slot = f + 2 * rows + f * (iterations + 1)
+        assert len(calls) == every_slot - clean_neighbours
+        # each check sees a matrix no earlier check saw: every slot at
+        # iteration 0, then each absorbing slot's new matrix
+        assert len({id(a) for a in checked}) == len(checked) == f + rows
 
     def test_estimate_iterations_sane(self):
         wd = WeightData((3,), (0,))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import crysred.descent
 import crysred.kisin
 import crysred.reduction
+from crysred import pipeline
 from crysred.descent import compute_budget
 from crysred.errors import ConfigError
 from crysred.lattices import normalize_weights
@@ -468,6 +469,25 @@ class TestBadInputs:
         with pytest.raises(ConfigError):
             JobConfig.from_dict(data)
 
+    # a misspelt or extra key inside a params entry or a coordinate table
+    @pytest.mark.parametrize("data, where", [
+        (with_a2({"coeffs": [1], "pexp": 2, "pexpp": 5}), "coordinate"),
+        (dict(P5_K4, params=[dict(P5_K4["params"][0], typo=0)]), "params[0]"),
+        (dict(P5_K4, params=[dict(P5_K4["params"][0], matrix=[[0, 1], [1, 25]])]),
+         "params[0]"),
+    ])
+    def test_unknown_keys_are_config_errors(self, data, where):
+        try:
+            report = run_pipeline(JobConfig.from_dict(data))
+        except ConfigError as exc:
+            message = str(exc)
+        else:
+            assert report.result is None
+            assert (report.error["stage"], report.error["type"]) == ("config", "ConfigError")
+            assert exit_code_for(report) == EXIT_CONFIG
+            message = report.error["message"]
+        assert message.startswith(f"{where}: unknown config keys: [")
+
     def test_null_precision_is_no_override(self):
         plain = run_pipeline(JobConfig.from_dict(P5_K4))
         null = run_pipeline(JobConfig.from_dict(dict(P5_K4, precision=None)))
@@ -544,20 +564,24 @@ def bump_first_h(b, pairs, anchors):
     return b, ((g, h + PhiExpPoly.const(1)),) + rest, anchors
 
 
+# (module, name, broken, stage, etype): a self-check made to fail
+SELF_CHECK_BREAKS = [
+    # v and w swapped: the monomial-product oracle disagrees
+    (crysred.reduction, "assign_vw",
+     lambda orig: lambda mu: orig(mu)[::-1], "characterize", "DetCheckFailed"),
+    # a determinant unit off by a sign
+    (crysred.descent, "_det_unit_ratio",
+     lambda orig: lambda a, k, unit: orig(a, k, -unit), "descend", "SplitFailed"),
+    # slot 0's lambda-exponent h one too large: the twisted conjugation
+    # no longer gives the closed forms
+    (crysred.kisin, "solve_exponent_system",
+     lambda orig: lambda tags, weights: bump_first_h(*orig(tags, weights)),
+     "det_normalize", "DetCheckFailed"),
+]
+
+
 class TestSelfChecks:
-    @pytest.mark.parametrize("module, name, broken, stage, etype", [
-        # v and w swapped: the monomial-product oracle disagrees
-        (crysred.reduction, "assign_vw",
-         lambda orig: lambda mu: orig(mu)[::-1], "characterize", "DetCheckFailed"),
-        # a determinant unit off by a sign
-        (crysred.descent, "_det_unit_ratio",
-         lambda orig: lambda a, k, unit: orig(a, k, -unit), "descend", "SplitFailed"),
-        # slot 0's lambda-exponent h one too large: the twisted conjugation
-        # no longer gives the closed forms
-        (crysred.kisin, "solve_exponent_system",
-         lambda orig: lambda tags, weights: bump_first_h(*orig(tags, weights)),
-         "det_normalize", "DetCheckFailed"),
-    ])
+    @pytest.mark.parametrize("module, name, broken, stage, etype", SELF_CHECK_BREAKS)
     def test_failed_check_stops_the_job(self, monkeypatch, module, name, broken,
                                         stage, etype):
         monkeypatch.setattr(module, name, broken(getattr(module, name)))
@@ -604,3 +628,66 @@ def test_every_config_gives_a_report(data):
         return
     first = run_pipeline(cfg).to_json()
     assert run_pipeline(JobConfig.from_dict(data)).to_json() == first
+
+
+def same_datum(config, **slot):
+    """The config with `slot`'s keys replacing those of every params entry."""
+    return dict(config, params=[dict(entry, **slot) for entry in config["params"]])
+
+
+def fresh_report(config):
+    pipeline._prime_context.cache_clear()
+    return run_pipeline(JobConfig.from_dict(config)).to_json()
+
+
+class TestContextReuse:
+    """A job that reuses the previous job's context, and the values cached
+    on it, gives the report of a fresh process, whatever ran before it."""
+
+    def test_reports_do_not_depend_on_earlier_jobs(self):
+        from test_golden import GOLDEN
+
+        a = GOLDEN["f2-r4-p7"][0]
+        a_ii = same_datum(a, type="II")
+        explicit = dict(a, params=[{"matrix": [[0, e["a1"]], [1, e["a2"]]]}
+                                   for e in a["params"]])
+        mixed = GOLDEN["f2-r2-mixed"][0]
+        jobs = [
+            # the rotation partner shares the context, not the weights
+            a, mixed, rotate(mixed), a,
+            # new coefficients, the explicit twin and a gate stop on A's context
+            same_datum(a, a1={"coeffs": [3, 1, 4, 1]}, a2={"coeffs": [5, 9], "pexp": 2}),
+            explicit,
+            same_datum(a, a2={"coeffs": [2, 6], "pexp": 0}),
+            a_ii,
+        ]
+        pipeline._prime_context.cache_clear()
+        reports = [run_pipeline(JobConfig.from_dict(job)) for job in jobs]
+        assert len({json.dumps(r.context, sort_keys=True) for r in reports}) == 2
+        assert [r.error and r.error["stage"] for r in reports] == [
+            None, None, None, None, None, None, "gate", "reducibility"]
+        assert pipeline._prime_context.cache_info().hits == 5
+        assert [r.to_json() for r in reports] == [fresh_report(job) for job in jobs]
+
+    @pytest.mark.parametrize("case", range(len(SELF_CHECK_BREAKS)))
+    def test_failed_job_leaves_no_poisoned_cache(self, monkeypatch, case):
+        # the broken job fills a fresh context's cache; the next job reuses it
+        module, name, broken, stage, _ = SELF_CHECK_BREAKS[case]
+        monkeypatch.setattr(module, name, broken(getattr(module, name)))
+        pipeline._prime_context.cache_clear()
+        assert run_pipeline(JobConfig.from_dict(P5_K4)).error["stage"] == stage
+        monkeypatch.undo()
+        got = run_pipeline(JobConfig.from_dict(P5_K4)).to_json()
+        assert pipeline._prime_context.cache_info().hits == 1
+        assert got == fresh_report(P5_K4)
+
+    def test_second_same_context_job_builds_no_context(self, monkeypatch):
+        built = []
+        init = PrimeContext.__init__
+        monkeypatch.setattr(PrimeContext, "__init__",
+                            lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+        pipeline._prime_context.cache_clear()
+        run_pipeline(JobConfig.from_dict(P5_K4))
+        assert len(built) == 1
+        run_pipeline(JobConfig.from_dict(with_a2({"coeffs": [2], "pexp": 3})))
+        assert len(built) == 1

@@ -487,6 +487,18 @@ class TestLambda:
         assert lambda_power(PhiExpPoly(), 2, ctx5) == SElem.one(ctx5)
         assert lambda_power(PhiExpPoly((1,)), 2, ctx5) == _lambda_data(ctx5, 2)[0]
 
+    def test_lambda_power_is_cached_under_b_and_e(self):
+        # one context answers every (e, b) as a fresh context does, and a
+        # repeat returns the cached element
+        ctx = PrimeContext(p=5, f=1, n=8, m=30)
+        cases = [(PhiExpPoly((1, -1)), 1), (PhiExpPoly((1, -1)), 2),
+                 (PhiExpPoly((2, -1)), 2), (PhiExpPoly((0, 1)), 2)]
+        for e, b in cases:
+            got = lambda_power(e, b, ctx)
+            want = lambda_power(e, b, PrimeContext(p=5, f=1, n=8, m=30))
+            assert (got.c, got.d, got.prec) == (want.c, want.d, want.prec)
+            assert lambda_power(PhiExpPoly(e.c), b, ctx) is got
+
     def test_lambda_power_two_evaluation_orders(self, ctx5):
         # e = k(1 - phi): lambda^k * phi(lambda)^(-k) computed directly
         k = 3
@@ -616,8 +628,8 @@ class TestTrimmedInvariant:
             SElem.from_useries(USeries.zero(ctx)),
             gamma(ctx),
         ]
-        made += _w_power_cache(ctx) + [_w_power(ctx, e, l) for e in (1, 2, 5)
-                                       for l in range(4)]
+        made += list(_w_power_cache(ctx)) + [_w_power(ctx, e, l) for e in (1, 2, 5)
+                                             for l in range(4)]
         for z in made:
             assert_trimmed(z)
         assert SElem.from_int(ctx, mod, ctx.n).c == ()
