@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .arith import (OFElem, _entries, _mat_map, mat_add, mat_adj, mat_det, mat_mul,
-                    mat_sub)
+from .arith import _entries, _mat_map, mat_add, mat_adj, mat_det, mat_mul, mat_sub
 from .errors import (
     AssumptionViolated,
     GateFailed,
@@ -104,8 +103,6 @@ class PreparedSplit:
     conjugated: Tuple[Mat2, ...]      # the full X_1 *_phi B matrices
     x1: Tuple[SElem, ...]             # applied row-operation entries x^(i)
     weights: WeightData
-    det_signs: Tuple[int, ...]
-    a1: Tuple[OFElem, ...]
 
     @property
     def f(self):
@@ -134,7 +131,7 @@ def prepare(kisin: KisinFrobenius, budget: HeightBudget) -> PreparedSplit:
         xs.append(x)
         phi = s_frobenius(x)
         try:
-            phi = phi.normalize_d(0)
+            phi = phi.normalize_d()
         except NotIntegral as exc:
             raise SplitFailed(f"phi(x^({i})) not integral: {exc}") from exc
         if not in_p_pow_s(phi, budget.c_max):
@@ -158,13 +155,11 @@ def prepare(kisin: KisinFrobenius, budget: HeightBudget) -> PreparedSplit:
 
         head = kisin.lam_e[i].slice_below(c_i * ctx.p)
         t_entry = s_mul(head, SElem.from_of(ctx, kisin.a2[i]))
-        if kisin.tags[i].kind == "I":
-            a0 = ((e_zero, b_mat[0][1]), (SElem.one(ctx), t_entry))
-        else:
-            a0 = ((b_mat[0][0], e_zero), (t_entry, SElem.one(ctx)))
+        tag = kisin.tags[i]
+        a0 = tag.form(tag.params(b_mat)[0], t_entry, e_zero, SElem.one(ctx))
         a0s.append(a0)
         try:
-            cs.append(_mat_map(lambda e: e.normalize_d(0), mat_sub(m, a0)))
+            cs.append(_mat_map(lambda e: e.normalize_d(), mat_sub(m, a0)))
         except NotIntegral as exc:
             raise SplitFailed(
                 f"slot {i}: remainder entry has a denominator: {exc}") from exc
@@ -182,8 +177,7 @@ def prepare(kisin: KisinFrobenius, budget: HeightBudget) -> PreparedSplit:
 
     return PreparedSplit(
         a0=tuple(a0s), c_mats=tuple(cs), conjugated=tuple(conjs),
-        x1=tuple(xs), weights=weights,
-        det_signs=kisin.det_signs, a1=kisin.a1)
+        x1=tuple(xs), weights=weights)
 
 
 def check_descent_assumptions(split: PreparedSplit, budget: HeightBudget) -> None:
@@ -214,7 +208,7 @@ def _det_over_e_pow(a: Mat2, k: int) -> SElem:
     """det(A) / E^k at d = 0; HeightMismatch when the division or the
     denominator cannot be certified."""
     try:
-        return mat_det(a).div_e_pow(k).normalize_d(0)
+        return mat_det(a).div_e_pow(k).normalize_d()
     except (NotIntegral, PrecisionExhausted) as exc:
         raise HeightMismatch(f"det(A) is not divisible by E^{k}: {exc}") from exc
 
@@ -278,10 +272,10 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
     else (D1, D2, threshold), the head and the Fil^threshold tail of
     phi(C/E^k B).  Slot i then absorbs its left neighbour's step; a clean
     neighbour leaves its matrix, unit and depth as they are.
-    Per-slot determinant units are tracked and every iterate's determinant
-    is checked against +-E^(k_i) a1^(i) times the accumulated unit: every
-    slot before the first iteration, then every slot that changed.  A
-    failed check raises SplitFailed.
+    Per slot the unit det(A)/E^(k_i) of the first iterate is tracked, each
+    absorption multiplying it by det(I + D1), and det(A) is checked against
+    E^(k_i) times it: every slot before the first iteration, then every
+    slot that changed.  A failed check raises SplitFailed.
 
     The final entries are certified integral and their residues, read off
     the slots, must equal A0's; `final_prec` is their least precision less
@@ -304,14 +298,7 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
         a_mats.append(mat_add(a0, head))
         c_mats.append(_mat_map(lambda e: e.slice_from(h0), c_mat))
 
-    units = []
-    sign_a1 = []
-    for i in range(f):
-        expected = SElem.from_of(ctx, split.a1[i])
-        if split.det_signs[i] < 0:
-            expected = -expected
-        sign_a1.append(expected)
-        units.append(_det_unit_ratio(a_mats[i], weights.k[i], expected))
+    units = [_det_over_e_pow(a, k) for a, k in zip(a_mats, weights.k)]
 
     chains = [[] for _ in range(f)]
     hs = [h0] * f
@@ -323,11 +310,9 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
         for i in range(f):
             if steps is not None and steps[i - 1] is None:
                 continue
-            target = s_mul(SElem.e_pow(ctx, weights.k[i]),
-                           s_mul(sign_a1[i], units[i]))
+            target = s_mul(SElem.e_pow(ctx, weights.k[i]), units[i])
             if not mat_det(a_mats[i]) == target:
-                raise SplitFailed(
-                    f"iteration {n}, slot {i}: det != sign*E^k*a1*unit")
+                raise SplitFailed(f"iteration {n}, slot {i}: det != E^k*unit")
 
     def clean(c):
         return c is None or all(e.is_zero() for e in _entries(c))
@@ -352,7 +337,7 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
             threshold = p * (ell + 1)
             b_i, inv_seeds[i] = height_partner(a_mats[i], k_i, inv_seeds[i])
             w = mat_mul(_mat_map(lambda e: e.div_e_pow(k_i), c), b_i)
-            phi_w = _mat_map(lambda e: s_frobenius(e).normalize_d(0), w)
+            phi_w = _mat_map(lambda e: s_frobenius(e).normalize_d(), w)
             d1 = _mat_map(lambda e: e.slice_below(threshold), phi_w)
             d2 = _mat_map(lambda e: e.slice_from(threshold), phi_w)
             if not all(e.is_integral(margin=1) for e in _entries(d1)):
@@ -400,8 +385,8 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
     for i, (got, want) in enumerate(zip(residues, a0_residue)):
         if got != want:
             raise SplitFailed(f"slot {i}: descended matrix != prepared part mod p")
-    # residue() has just certified each normalize_d(0)
-    a_final = tuple(_mat_map(lambda e: e.normalize_d(0), m) for m in a_mats)
+    # residue() has just certified each normalize_d()
+    a_final = tuple(_mat_map(lambda e: e.normalize_d(), m) for m in a_mats)
     final_prec = min(e.prec for m in a_final for e in _entries(m))
     return DescentCertificate(
         a_final=a_final,
@@ -410,13 +395,3 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
         iterations=iteration,
         final_prec=final_prec - ctx.dmax,
     )
-
-
-def _det_unit_ratio(a, k, expected_unit) -> SElem:
-    """det(A) = E^k * expected_unit * ratio; returns the ratio.
-
-    The initial re-split perturbs the determinant by Fil^(c p)-level terms,
-    so this ratio is 1 up to E-adically small junk (not p-adically small);
-    only the iterate factors det(I + D1) are 1 mod p.
-    """
-    return s_mul(_det_over_e_pow(a, k), s_invert(expected_unit))

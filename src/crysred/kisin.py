@@ -47,7 +47,6 @@ class KisinFrobenius:
     a1: Tuple[OFElem, ...]
     a2: Tuple[OFElem, ...]
     lam_e: Tuple[SElem, ...]         # lambda_b^(h-g) per slot
-    det_signs: Tuple[int, ...]
     anchors: Tuple[Tuple[int, int], ...]
     lambda_nstar: int
 
@@ -67,24 +66,22 @@ class KisinFrobenius:
             "g": [g.serial() for g, _ in self.expo],
             "h": [h.serial() for _, h in self.expo],
             "e": [self.exponent(i).serial() for i in range(self.f)],
-            "det_signs": list(self.det_signs),
+            "det_signs": [t.det_sign for t in self.tags],
             "anchors": [list(a) for a in self.anchors],
             "lambda_truncation_index": self.lambda_nstar,
         }
 
 
 def _extract_params(normalized, tags):
-    """Pull (a1, a2) out of the Type-normal matrices; demand Type II_1."""
+    """(a1, a2) of each Type-normal matrix, as its tag reads them;
+    Degenerate unless every a1 is a unit and every Type II slot is II_1."""
     a1s, a2s = [], []
     for i, (mat, tag) in enumerate(zip(normalized, tags)):
-        if tag.kind == "I":
-            a1, a2 = mat[0][1], mat[1][1]
-        else:
-            a1, a2 = mat[0][0], mat[1][0]
-            if not (mat[1][1] == 1):
-                raise Degenerate(
-                    f"slot {i}: Type II_alpha with alpha != 1 is outside the "
-                    "irreducible pipeline (all-II tuples are reducible)")
+        a1, a2 = tag.params(mat)
+        if tag.kind == "II" and not (mat[1][1] == 1):
+            raise Degenerate(
+                f"slot {i}: Type II_alpha with alpha != 1 is outside the "
+                "irreducible pipeline (all-II tuples are reducible)")
         if not a1.is_unit():
             raise Degenerate(f"slot {i}: a1 must be a unit")
         a1s.append(a1)
@@ -102,17 +99,15 @@ def build_kisin_frobenius(normalized, tags, weights: WeightData):
         return ctx.cache(("gamma_inv_pow", k), lambda: _s_int_pow(gam_inv, k))
 
     out = []
-    zero = SElem.zero(ctx)
-    one = SElem.one(ctx)
-    for i in range(weights.f):
-        kp = weights.k_prev(i)
+    zero, one = SElem.zero(ctx), SElem.one(ctx)
+    for i, tag in enumerate(tags):
+        g = ginv(weights.k_prev(i))
         e_a1 = SElem.e_pow(ctx, weights.k[i]) * a1s[i]
-        if tags[i].kind == "I":
-            out.append(((zero, e_a1),
-                        (ginv(kp), SElem.from_of(ctx, a2s[i]))))
+        # gamma^(-k_(i-1)) scales the first column: in Type I that is the 1
+        if tag.kind == "I":
+            out.append(tag.form(e_a1, SElem.from_of(ctx, a2s[i]), zero, g))
         else:
-            out.append(((s_mul(ginv(kp), e_a1), zero),
-                        (ginv(kp) * a2s[i], one)))
+            out.append(tag.form(s_mul(g, e_a1), g * a2s[i], zero, one))
     return tuple(out)
 
 
@@ -134,16 +129,10 @@ def solve_exponent_system(tags, weights: WeightData):
     def successor(node):
         i, comp = node
         nxt = (i + 1) % f
-        if tags[nxt].kind == "I":
-            new_comp = 2 if comp == 1 else 1
-        else:
-            new_comp = comp
-        # entering slot nxt, component 1 carries the weight for Type II,
-        # component 2 for Type I
-        if tags[nxt].kind == "I":
-            wgt = weights.k_prev(nxt) if new_comp == 2 else 0
-        else:
-            wgt = weights.k_prev(nxt) if new_comp == 1 else 0
+        # the weight multiplies the first column of slot nxt, so the step
+        # out of component 1 carries it, whichever component it enters
+        new_comp = 3 - comp if tags[nxt].kind == "I" else comp
+        wgt = weights.k_prev(nxt) if comp == 1 else 0
         return (nxt, new_comp), wgt
 
     nodes = [(i, comp) for i in range(f) for comp in (1, 2)]
@@ -205,23 +194,15 @@ def det_normalize(raw, tags, weights: WeightData,
     a1s, a2s = _extract_params(normalized_lattice, tags)
     b, pairs, anchors = solve_exponent_system(tags, weights)
 
-    lam_es = []
-    mats = []
-    zero = SElem.zero(ctx)
-    one = SElem.one(ctx)
-    signs = []
+    lam_es, mats = [], []
+    zero, one = SElem.zero(ctx), SElem.one(ctx)
     for i in range(f):
         g, h = pairs[i]
         lam_e = lambda_power(h - g, b, ctx)
         lam_es.append(lam_e)
         e_a1 = SElem.e_pow(ctx, weights.k[i]) * a1s[i]
         low = s_mul(lam_e, SElem.from_of(ctx, a2s[i]))
-        if tags[i].kind == "I":
-            mats.append(((zero, e_a1), (one, low)))
-            signs.append(-1)
-        else:
-            mats.append(((e_a1, zero), (low, one)))
-            signs.append(1)
+        mats.append(tags[i].form(e_a1, low, zero, one))
 
     _verify_conjugation(raw, mats, pairs, b, weights)
 
@@ -234,7 +215,6 @@ def det_normalize(raw, tags, weights: WeightData,
         a1=a1s,
         a2=a2s,
         lam_e=tuple(lam_es),
-        det_signs=tuple(signs),
         anchors=anchors,
         lambda_nstar=_lambda_data(ctx, b)[1],
     )

@@ -7,8 +7,8 @@ Z/fZ; the twisted conjugation
     Delta_i = Diag(p^(k_i), 1),  C upper triangular with unit diagonal,
 
 is the equivalence the normal forms live under.  The normalization routine
-produces exact Type I ([[0, a1], [1, a2]]) and Type II ([[a1, 0], [a2, x]])
-representatives together with the witness tuple (C).
+produces exact Type I and Type II representatives (`TypeTag` owns their
+shapes) together with the witness tuple (C).
 """
 
 from __future__ import annotations
@@ -46,10 +46,32 @@ class WeightData:
 
 @dataclass(frozen=True)
 class TypeTag:
-    """Per-embedding Type: "I" or "II" (with the latter's diagonal scalar)."""
+    """Per-embedding Type: "I" or "II" (with the latter's diagonal scalar).
+
+    The Type I normal form is [[0, a1], [1, a2]], with determinant -a1; the
+    Type II normal form is [[a1, 0], [a2, 1]], with determinant +a1.  Later
+    stages keep these shapes with other entries (E^(k_i) a1 for a1, say),
+    build them only through `form` and read a1, a2 only through `params`.
+    """
 
     kind: str
     alpha: Optional[OFElem] = None
+
+    @property
+    def det_sign(self) -> int:
+        return -1 if self.kind == "I" else 1
+
+    def params(self, m):
+        """(a1, a2) of a matrix of this Type's normal form."""
+        if self.kind == "I":
+            return m[0][1], m[1][1]
+        return m[0][0], m[1][0]
+
+    def form(self, a1, a2, zero, one):
+        """This Type's normal form with entries a1, a2, zero and one."""
+        if self.kind == "I":
+            return ((zero, a1), (one, a2))
+        return ((a1, zero), (a2, one))
 
     def serial(self):
         out = {"kind": self.kind}
@@ -136,17 +158,14 @@ def parabolic_normalize(lattice: Sequence, tags, weights: WeightData):
     a tuple with none is reducible (`reducibility_detect` says so from the
     tags alone) and has no normal form here.  One pass of length f starting
     at the first Type I index yields exact Type I / Type II_1 forms.
-    Returns (normalized tuple, witness tuple, tags tuple).
+    Returns (normalized tuple, witness tuple, their `classify_type` tags).
     """
     f = weights.f
     start = next((i for i in range(f) if tags[i].kind == "I"), None)
     if start is None:
         raise ValueError("an all-II tuple has no Type I slot to normalize from")
-    ctx = lattice[0][0][0].ctx
-    one = OFElem.one(ctx)
-    zero = OFElem.zero(ctx)
     mats = list(lattice)
-    witness = [((one, zero), (zero, one))] * f
+    witness = [None] * f
     for step in range(f):
         i = (start + step) % f
         ell = 1 if tags[i].kind == "I" else 2
@@ -155,10 +174,8 @@ def parabolic_normalize(lattice: Sequence, tags, weights: WeightData):
         nxt = (i + 1) % f
         adj = _delta_conj_upper(_upper_inv(c), weights.k[i])
         mats[nxt] = mat_mul(mats[nxt], adj)
-        witness[i] = mat_mul(c, witness[i])
-    out_tags = tuple(TypeTag("I") if t.kind == "I" else TypeTag("II", alpha=a[1][1])
-                     for t, a in zip(tags, mats))
-    return tuple(mats), tuple(witness), out_tags
+        witness[i] = c
+    return tuple(mats), tuple(witness), tuple(classify_type(a) for a in mats)
 
 
 def verify_parabolic_equiv(a_in, b_out, witness, weights: WeightData) -> None:
@@ -226,7 +243,7 @@ def reducibility_detect(normalized, tags, weights: WeightData) -> ReducibilityVe
     total = 0
     undecided = []
     for i in s_set:
-        a2 = normalized[i][1][1]
+        a2 = tags[i].params(normalized[i])[1]
         v = a2.valuation()
         if v is None:
             undecided.append(f"val(a_2^({i})) >= {a2.prec}")

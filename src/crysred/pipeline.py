@@ -41,6 +41,7 @@ from .descent import (
 from .kisin import build_kisin_frobenius, det_normalize
 from .lattices import (
     ReducibilityVerdict,
+    TypeTag,
     classify_lattice,
     classify_type,
     frobenius_f_product,
@@ -226,11 +227,8 @@ def _build_lattice(ctx, cfg) -> tuple:
             a2 = _coord_to_of(ctx, entry["a2"])
             if not a1.is_unit():
                 raise ConfigError("a1 must be a unit of O_F")
-            zero, one = OFElem.zero(ctx), OFElem.one(ctx)
-            if entry["type"] == "I":
-                mats.append(((zero, a1), (one, a2)))
-            else:
-                mats.append(((a1, zero), (a2, one)))
+            mats.append(TypeTag(entry["type"]).form(
+                a1, a2, OFElem.zero(ctx), OFElem.one(ctx)))
     return tuple(mats), explicit
 
 
@@ -338,9 +336,7 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
 
         budget = compute_budget(weights, cfg.p)
         report.stages["budget"] = budget.serial()
-        a2_params = tuple(
-            (m[1][1] if t.kind == "I" else m[1][0])
-            for m, t in zip(normalized, tags))
+        a2_params = tuple(t.params(m)[1] for m, t in zip(normalized, tags))
         gate = _stage(report, "gate",
                       lambda: valuation_gate(a2_params, weights, budget))
         report.stages["gate"] = gate.serial()

@@ -361,13 +361,13 @@ class SElem:
                 out += [v // pt for v in x]
         return SElem._flat(ctx, out, self.d + extra, prec)
 
-    def normalize_d(self, target: int = 0) -> "SElem":
-        """Divide the numerator by p^(d - target); an honest precision drop.
+    def normalize_d(self) -> "SElem":
+        """Divide the numerator by p^d; an honest precision drop.
 
-        Raises NotIntegral when the element genuinely lies outside
-        p^(-target) S_F, PrecisionExhausted when the question is undecidable.
+        Raises NotIntegral when the element genuinely lies outside S_F,
+        PrecisionExhausted when the question is undecidable.
         """
-        t = self.d - target
+        t = self.d
         if t <= 0:
             return self
         if self.prec <= t:
@@ -378,7 +378,7 @@ class SElem:
             raise NotIntegral(f"denominator p^{t} does not divide the numerator")
         # exact quotients of values below p^prec: below p^(prec - t), and
         # nonzero where the values are
-        return SElem._reduced(self.ctx, tuple(v // pt for v in self.c), target,
+        return SElem._reduced(self.ctx, tuple(v // pt for v in self.c), 0,
                               self.prec - t)
 
     def at_prec(self, prec: int) -> "SElem":
@@ -406,7 +406,7 @@ class SElem:
         Costs floor((M-1)/p) digits of precision: canonical coefficients
         over-weight high slots by exactly that much.
         """
-        x = self.normalize_d(0)
+        x = self.normalize_d()
         ctx, p, r = self.ctx, self.ctx.p, self.ctx.r
         dmax = ctx.dmax
         if x.prec <= dmax:
@@ -441,7 +441,7 @@ class SElem:
         c_l / p^floor(l/p) mod p.  The values and errors are those of
         `to_useries().residue()`, without its change of coordinates.
         """
-        x = self.normalize_d(0)
+        x = self.normalize_d()
         ctx, p, r = self.ctx, self.ctx.p, self.ctx.r
         if x.prec <= ctx.dmax:
             raise PrecisionExhausted("precision too low for u-coordinates")
@@ -680,7 +680,7 @@ def s_invert(x: SElem, seed: Optional[SElem] = None) -> SElem:
     ignored, and the iteration starts from x's constant-term inverse.
     """
     try:
-        x = x.normalize_d(0)
+        x = x.normalize_d()
     except (NotIntegral, PrecisionExhausted) as exc:
         raise NotAUnit("s_invert: element is not a unit of S_F") from exc
     if x.slot_val(0) != 0:

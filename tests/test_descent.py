@@ -244,13 +244,13 @@ class TestDescend:
         # a determinant unit off by a sign must fail the iterate det check
         import crysred.descent as descent_mod
 
-        ratio = descent_mod._det_unit_ratio
-        monkeypatch.setattr(descent_mod, "_det_unit_ratio",
-                            lambda a, k, unit: ratio(a, k, -unit))
+        over = descent_mod._det_over_e_pow
+        monkeypatch.setattr(descent_mod, "_det_over_e_pow",
+                            lambda a, k: -over(a, k))
         ctx = make_ctx(5, 1, [3])
         kf, wd = make_kisin(ctx, [3], [("I", 3, 5)])
         budget = compute_budget(wd, 5)
-        with pytest.raises(SplitFailed, match="det != sign"):
+        with pytest.raises(SplitFailed, match="det != E"):
             descend(prepare(kf, budget), budget)
 
     def test_f2_mixed_types(self):

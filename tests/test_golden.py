@@ -66,6 +66,16 @@ GOLDEN = {
              {"type": "II", "a1": {"coeffs": [1, 0, 2]},
               "a2": {"coeffs": [2, 2], "pexp": 1}}]},
         "c9bcd5e06bcdf4dbe1a2124d4f756e412cc118bb58c6b4331f486ea9f63f5e6a"),
+    # explicit matrices, one of each Type, so normalization brings a Type II
+    # slot to [[a1, 0], [a2, 1]]; the answer is f2-r2-mixed's ind w_4^55
+    "f2-explicit-mixed": (
+        {"p": 3, "f": 2, "r": 2, "weights": [[1, 0], [2, 0]],
+         "params": [
+             {"matrix": [[{"coeffs": [1, 1], "pexp": 1}, {"coeffs": [1, 1]}],
+                         [1, {"coeffs": [2, 1], "pexp": 1}]]},
+             {"matrix": [[{"coeffs": [2, 1]}, 4],
+                         [{"coeffs": [1, 2], "pexp": 2}, 7]]}]},
+        "4a535f2b93e14deab471c26710368317dcf6326c20679b1132d267984e69c6c7"),
 }
 
 

@@ -154,7 +154,7 @@ class TestDetNormalize:
                 assert m[0][1].is_zero() and m[1][1] == SElem.one(ctx)
                 assert m[0][0] == e_a1
             det = mat_det(m)
-            expected = e_a1 if kf.det_signs[i] > 0 else -e_a1
+            expected = e_a1 if kf.tags[i].det_sign > 0 else -e_a1
             assert det == expected
 
     def test_det_exact_e_pow_pattern(self, kctx):

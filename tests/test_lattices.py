@@ -8,6 +8,7 @@ import pytest
 from crysred.arith import OFElem, PrimeContext, mat_det, mat_mul
 from crysred.errors import Degenerate, DetCheckFailed, IrregularWeights, PrecisionExhausted
 from crysred.lattices import (
+    TypeTag,
     WeightData,
     classify_lattice,
     classify_type,
@@ -17,6 +18,8 @@ from crysred.lattices import (
     reducibility_detect,
     verify_parabolic_equiv,
 )
+
+from conftest import random_of
 
 
 def of(ctx, v, prec=None):
@@ -91,6 +94,17 @@ class TestClassifyType:
     def test_degenerate(self, ctx5):
         with pytest.raises(Degenerate):
             classify_type(mat(ctx5, [[1, 0], [5, 10]]))
+
+
+@pytest.mark.parametrize("kind, sign", [("I", -1), ("II", 1)])
+def test_type_form_round_trip(ctx5r2, rng, kind, sign):
+    tag = TypeTag(kind)
+    a1, a2 = random_of(ctx5r2, rng, unit=True), random_of(ctx5r2, rng)
+    m = tag.form(a1, a2, OFElem.zero(ctx5r2), OFElem.one(ctx5r2))
+    got1, got2 = tag.params(m)
+    assert got1 == a1 and got2 == a2
+    assert tag.det_sign == sign
+    assert mat_det(m) == a1 * OFElem.from_int(ctx5r2, sign)
 
 
 class TestParabolicNormalize:

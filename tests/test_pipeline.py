@@ -570,8 +570,8 @@ SELF_CHECK_BREAKS = [
     (crysred.reduction, "assign_vw",
      lambda orig: lambda mu: orig(mu)[::-1], "characterize", "DetCheckFailed"),
     # a determinant unit off by a sign
-    (crysred.descent, "_det_unit_ratio",
-     lambda orig: lambda a, k, unit: orig(a, k, -unit), "descend", "SplitFailed"),
+    (crysred.descent, "_det_over_e_pow",
+     lambda orig: lambda a, k: -orig(a, k), "descend", "SplitFailed"),
     # slot 0's lambda-exponent h one too large: the twisted conjugation
     # no longer gives the closed forms
     (crysred.kisin, "solve_exponent_system",

@@ -651,7 +651,7 @@ class TestTrimmedInvariant:
             x * y, x * random_of(ctx, rng), x * 2, x * p ** ctx.n,
             y._lift_d(3),
             e4.div_e_pow(4), SElem.zero(ctx).div_e_pow(3), SElem.e_pow(ctx, p).div_e_pow(p),
-            SElem(ctx, slots(u * p), 1, u.prec).normalize_d(0),
+            SElem(ctx, slots(u * p), 1, u.prec).normalize_d(),
             x.at_prec(2), x.at_prec(1),
             x.slice_below(3), x.slice_below(0), x.slice_from(3), x.slice_from(m // 2),
             x.slice_from(m), SElem.zero(ctx).slice_from(0),
@@ -684,7 +684,7 @@ def scaled_values(a, s, mod):
 def padded_to_useries(x):
     """Reference: the u-conversion summed over all M slots of the padded
     coefficient list, every term reduced, no early stop."""
-    x = x.normalize_d(0)
+    x = x.normalize_d()
     ctx = x.ctx
     c = padded(x)
     dmax = (ctx.m - 1) // ctx.p
