@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import NotAUnit, NotIntegral, PrecisionExhausted
+from .errors import NotAUnit, PrecisionExhausted
 
 # ---------------------------------------------------------------------------
 # F_p[x] helpers (residue polynomial search)
@@ -133,14 +133,7 @@ def find_residue_poly(p: int, r: int) -> tuple:
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 class PrimeContext:
@@ -398,22 +391,6 @@ class OFElem:
         s = self.ctx.ppow(t)
         mod = self.ctx.ppow(prec)
         return OFElem(self.ctx, tuple((x * s) % mod for x in self.c), prec)
-
-    def div_p_pow(self, t: int) -> "OFElem":
-        """Exact division by p^t; lowers precision by t."""
-        if t == 0:
-            return self
-        if self.prec <= t:
-            raise PrecisionExhausted(f"cannot divide by p^{t} at precision {self.prec}")
-        pt = self.ctx.ppow(t)
-        if any(x % pt for x in self.c):
-            raise NotIntegral(f"element not divisible by p^{t}")
-        return OFElem(self.ctx, tuple(x // pt for x in self.c), self.prec - t)
-
-    def at_prec(self, prec: int) -> "OFElem":
-        if prec > self.prec:
-            raise PrecisionExhausted("cannot raise precision")
-        return OFElem(self.ctx, self.c, prec)
 
     def residue(self) -> tuple:
         """Image in k_F as a coefficient tuple mod p."""

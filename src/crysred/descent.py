@@ -205,25 +205,26 @@ def check_descent_assumptions(split: PreparedSplit, budget: HeightBudget) -> Non
 
 
 def _det_over_e_pow(a: Mat2, k: int) -> SElem:
-    """det(A) / E^k at d = 0; HeightMismatch when the division or the
-    denominator cannot be certified."""
+    """The unit det(A) / E^k at d = 0; HeightMismatch when the division or
+    the denominator cannot be certified, or the quotient is not a unit."""
     try:
-        return mat_det(a).div_e_pow(k).normalize_d()
+        unit = mat_det(a).div_e_pow(k).normalize_d()
     except (NotIntegral, PrecisionExhausted) as exc:
         raise HeightMismatch(f"det(A) is not divisible by E^{k}: {exc}") from exc
+    if not unit.is_unit():
+        raise HeightMismatch(f"det / E^{k} is not a unit")
+    return unit
 
 
-def height_partner(a: Mat2, h: int, seed: Optional[SElem] = None):
+def height_partner(a: Mat2, unit: SElem, seed: Optional[SElem] = None):
     """(B, inverse) with A B = B A = E^h * Id, via the unit-scaled adjugate.
 
-    B = adj(A) * inverse, where inverse is the inverse of the unit
-    det(A) / E^h; `seed` warm-starts its Newton iteration.  The identity
-    needs no separate check: the E^h division is exact and s_invert
+    `unit` is det(A) / E^h, as `_det_over_e_pow` gives it; B = adj(A) *
+    inverse, where inverse is the inverse of `unit`, and `seed`
+    warm-starts its Newton iteration.  The identity needs no separate
+    check: the caller certifies `unit` against det(A), and s_invert
     certifies the inverse at the unit's precision.
     """
-    unit = _det_over_e_pow(a, h)
-    if not unit.is_unit():
-        raise HeightMismatch(f"det / E^{h} is not a unit")
     inv = s_invert(unit, seed=seed)
     b = tuple(tuple(s_mul(entry, inv) for entry in row) for row in mat_adj(a))
     return b, inv
@@ -275,7 +276,9 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
     Per slot the unit det(A)/E^(k_i) of the first iterate is tracked, each
     absorption multiplying it by det(I + D1), and det(A) is checked against
     E^(k_i) times it: every slot before the first iteration, then every
-    slot that changed.  A failed check raises SplitFailed.
+    slot that changed.  A failed check raises SplitFailed.  The height
+    partner inverts this tracked unit, so det(A) is not taken again; it
+    stays a unit because each det(I + D1) is checked to be 1 mod p.
 
     The final entries are certified integral and their residues, read off
     the slots, must equal A0's; `final_prec` is their least precision less
@@ -335,7 +338,7 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
             k_i = weights.k[i]
             ell = hs[i] - k_i - hs[i] // p
             threshold = p * (ell + 1)
-            b_i, inv_seeds[i] = height_partner(a_mats[i], k_i, inv_seeds[i])
+            b_i, inv_seeds[i] = height_partner(a_mats[i], units[i], inv_seeds[i])
             w = mat_mul(_mat_map(lambda e: e.div_e_pow(k_i), c), b_i)
             phi_w = _mat_map(lambda e: s_frobenius(e).normalize_d(), w)
             d1 = _mat_map(lambda e: e.slice_below(threshold), phi_w)

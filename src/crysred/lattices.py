@@ -8,7 +8,9 @@ Z/fZ; the twisted conjugation
 
 is the equivalence the normal forms live under.  The normalization routine
 produces exact Type I and Type II representatives (`TypeTag` owns their
-shapes) together with the witness tuple (C).
+shapes) together with the witness tuple (C).  Each witness is built with its
+closed-form inverse, which the normalization applies; the check
+`verify_parabolic_equiv` multiplies both inverses out and so uses neither.
 """
 
 from __future__ import annotations
@@ -113,27 +115,28 @@ def _check_invertible(mats):
             raise Degenerate(f"matrix {i} is not invertible over O_F")
 
 
-def _upper_inv(c):
-    """Inverse of an upper-triangular 2x2 with unit diagonal entries."""
-    a, b, d = c[0][0], c[0][1], c[1][1]
-    ai, di = a.unit_inverse(), d.unit_inverse()
-    return ((ai, -(ai * b * di)), (OFElem.zero(a.ctx, a.prec), di))
-
-
 def _delta_conj_upper(m, k: int):
     """Delta_k M Delta_k^(-1) for upper-triangular M: scales the upper-right
     entry by p^k; stays integral."""
     return ((m[0][0], m[0][1].times_p_pow(k)), (m[1][0], m[1][1]))
 
 
+def _times_delta(m, k: int):
+    """M Delta_k: scales the first column of M by p^k."""
+    return ((m[0][0].times_p_pow(k), m[0][1]), (m[1][0].times_p_pow(k), m[1][1]))
+
+
 def _single_slot_witness(a, ell: int):
-    """The elementary parabolic matrix clearing column ell of a."""
-    a1 = a[0][ell - 1]
-    a2 = a[1][ell - 1]
-    inv = a2.unit_inverse()
-    one = OFElem.one(a1.ctx, a1.prec)
-    zero = OFElem.zero(a1.ctx, a1.prec)
-    return ((one, -(a1 * inv)), (zero, inv))
+    """(C, C^(-1)) for the elementary parabolic matrix C clearing column ell.
+
+    With (x, y) that column of a and y a unit, C = [[1, -x/y], [0, 1/y]]
+    sends it to (0, 1) and its inverse is [[1, x], [0, y]], read off a.
+    """
+    x, y = a[0][ell - 1], a[1][ell - 1]
+    inv = y.unit_inverse()
+    one = OFElem.one(x.ctx, x.prec)
+    zero = OFElem.zero(x.ctx, x.prec)
+    return ((one, -(x * inv)), (zero, inv)), ((one, x), (zero, y))
 
 
 def classify_lattice(lattice: Sequence, weights: WeightData):
@@ -169,22 +172,24 @@ def parabolic_normalize(lattice: Sequence, tags, weights: WeightData):
     for step in range(f):
         i = (start + step) % f
         ell = 1 if tags[i].kind == "I" else 2
-        c = _single_slot_witness(mats[i], ell)
+        c, c_inv = _single_slot_witness(mats[i], ell)
         mats[i] = mat_mul(c, mats[i])
         nxt = (i + 1) % f
-        adj = _delta_conj_upper(_upper_inv(c), weights.k[i])
-        mats[nxt] = mat_mul(mats[nxt], adj)
+        mats[nxt] = mat_mul(mats[nxt], _delta_conj_upper(c_inv, weights.k[i]))
         witness[i] = c
     return tuple(mats), tuple(witness), tuple(classify_type(a) for a in mats)
 
 
 def verify_parabolic_equiv(a_in, b_out, witness, weights: WeightData) -> None:
-    """Check B = C A Delta C'^(-1) Delta^(-1) entrywise per embedding.
+    """Check B Delta C' = C A Delta entrywise per embedding.
 
-    The right side is evaluated with the final Delta^(-1) column division
-    performed on representatives, so the comparison runs at reduced
-    precision N - k_(i-1) per slot.  Raises DetCheckFailed on a mismatch;
-    a column that p^k does not divide raises NotIntegral.
+    Here C = witness[i], C' = witness[i-1] and Delta = Delta_(i-1); the
+    identity is B = C A Delta C'^(-1) Delta^(-1) with both inverses
+    multiplied out, so the check takes no inverse and no division and
+    shares nothing with the inverse `parabolic_normalize` applied.  Delta
+    scales the first column by p^k, so that column is compared only mod
+    p^(N - k_(i-1)); N <= max k_i raises PrecisionExhausted.  Raises
+    DetCheckFailed on a mismatch.
     """
     f = weights.f
     n_eff = min(x.prec for m in a_in for row in m for x in row)
@@ -193,21 +198,13 @@ def verify_parabolic_equiv(a_in, b_out, witness, weights: WeightData) -> None:
             f"verification needs N > max k_i = {weights.k_max}, have {n_eff}")
     for i in range(f):
         k = weights.k_prev(i)
-        rhs = mat_mul(witness[i], a_in[i])
-        # multiply by Delta on the right: scales column 1 by p^k
-        rhs = ((rhs[0][0].times_p_pow(k), rhs[0][1]),
-               (rhs[1][0].times_p_pow(k), rhs[1][1]))
-        rhs = mat_mul(rhs, _upper_inv(witness[(i - 1) % f]))
-        # multiply by Delta^(-1): divides column 1 representatives by p^k
-        rhs = ((rhs[0][0].div_p_pow(k), rhs[0][1]),
-               (rhs[1][0].div_p_pow(k), rhs[1][1]))
-        cmp_prec = n_eff - k
+        lhs = mat_mul(_times_delta(b_out[i], k), witness[(i - 1) % f])
+        rhs = _times_delta(mat_mul(witness[i], a_in[i]), k)
         for r in range(2):
             for c in range(2):
-                if rhs[r][c].at_prec(min(cmp_prec, rhs[r][c].prec)) != \
-                        b_out[i][r][c].at_prec(min(cmp_prec, b_out[i][r][c].prec)):
+                if lhs[r][c] != rhs[r][c]:
                     raise DetCheckFailed(
-                        f"slot {i} entry ({r},{c}): B != C A Delta C'^(-1) Delta^(-1)")
+                        f"slot {i} entry ({r},{c}): B Delta C' != C A Delta")
 
 
 @dataclass(frozen=True)
@@ -276,10 +273,7 @@ def frobenius_f_product(lattice, weights: WeightData):
     """
     prod = None
     for i in range(weights.f):
-        k = weights.k_prev(i)
-        m = lattice[i]
-        m = ((m[0][0].times_p_pow(k), m[0][1]),
-             (m[1][0].times_p_pow(k), m[1][1]))
+        m = _times_delta(lattice[i], weights.k_prev(i))
         prod = m if prod is None else mat_mul(prod, m)
     v_det = sum(weights.k)
     tr = prod[0][0] + prod[1][1]

@@ -186,11 +186,11 @@ def preflight_precision(cfg: JobConfig) -> dict:
     return {"M": m, "N": n, "nwork": nwork, "iterations_estimate": iters}
 
 
-def _coord_to_of(ctx: PrimeContext, spec, prec=None) -> OFElem:
+def _coord_to_of(ctx: PrimeContext, spec) -> OFElem:
     """Parse a coordinate: an int, or {coeffs: [...], pexp: t} meaning
     p^t * (polynomial in the residue generator)."""
     if _is_int(spec):
-        return OFElem.from_int(ctx, spec, prec)
+        return OFElem.from_int(ctx, spec)
     if isinstance(spec, dict):
         _reject_unknown(spec, {"coeffs", "pexp"}, "coordinate: ")
         coeffs = spec.get("coeffs")
@@ -201,9 +201,9 @@ def _coord_to_of(ctx: PrimeContext, spec, prec=None) -> OFElem:
             raise ConfigError(f"coordinate pexp must be an integer >= 0, got {pexp!r}")
         if len(coeffs) > ctx.r:
             raise ConfigError(f"coordinate has {len(coeffs)} coeffs but r = {ctx.r}")
-        x = OFElem(ctx, coeffs, prec)
+        x = OFElem(ctx, coeffs)
         # p^pexp is 0 mod p^prec once pexp >= prec
-        return x * OFElem.from_int(ctx, ctx.ppow(min(pexp, x.prec)), prec)
+        return x * OFElem.from_int(ctx, ctx.ppow(min(pexp, x.prec)))
     raise ConfigError(f"cannot parse coordinate {spec!r}")
 
 

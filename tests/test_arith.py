@@ -11,7 +11,7 @@ from crysred.arith import (
     USeries,
     find_residue_poly,
 )
-from crysred.errors import NotAUnit, NotIntegral, PrecisionExhausted
+from crysred.errors import NotAUnit
 
 from conftest import random_of, random_useries
 
@@ -89,19 +89,6 @@ class TestOFElem:
     def test_invert_nonunit(self, ctx5):
         with pytest.raises(NotAUnit):
             OFElem.from_int(ctx5, 5).unit_inverse()
-
-    def test_div_p_pow(self, ctx5):
-        x = OFElem.from_int(ctx5, 50, 6)
-        y = x.div_p_pow(2)
-        assert y.prec == 4 and y.c[0] == 2
-
-    def test_div_p_pow_not_divisible(self, ctx5):
-        with pytest.raises(NotIntegral):
-            OFElem.from_int(ctx5, 7, 6).div_p_pow(1)
-
-    def test_div_p_pow_precision_guard(self, ctx5):
-        with pytest.raises(PrecisionExhausted):
-            OFElem.from_int(ctx5, 25, 2).div_p_pow(2)
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)

@@ -7,6 +7,7 @@ import pytest
 from crysred.arith import OFElem, PrimeContext, mat_det, mat_mul
 from crysred.errors import AssumptionViolated, GateFailed, HeightMismatch, SplitFailed
 from crysred.descent import (
+    _det_over_e_pow,
     check_descent_assumptions,
     compute_budget,
     descend,
@@ -102,20 +103,20 @@ class TestHeightPartner:
     def test_diagonal(self, ctx5):
         a = ((SElem.e_pow(ctx5, 3), SElem.zero(ctx5)),
              (SElem.zero(ctx5), SElem.one(ctx5)))
-        b, _ = height_partner(a, 3)
+        b, _ = height_partner(a, _det_over_e_pow(a, 3))
         assert b[0][0] == SElem.one(ctx5) and b[1][1] == SElem.e_pow(ctx5, 3)
 
     def test_type_i_shape(self, ctx5):
         a = ((SElem.zero(ctx5), SElem.e_pow(ctx5, 2) * OFElem.from_int(ctx5, 3)),
              (SElem.one(ctx5), SElem.from_int(ctx5, 5)))
-        b, _ = height_partner(a, 2)
+        b, _ = height_partner(a, _det_over_e_pow(a, 2))
         assert_height_identity(a, b, 2)
 
     def test_unit_det_height_zero(self, ctx5):
         # det = 1: the partner is the inverse
         a = ((SElem.from_int(ctx5, 2), SElem.one(ctx5)),
              (SElem.one(ctx5), SElem.from_int(ctx5, 1)))
-        b, inv = height_partner(a, 0)
+        b, inv = height_partner(a, _det_over_e_pow(a, 0))
         assert inv == SElem.one(ctx5)
         assert_height_identity(a, b, 0)
 
@@ -129,7 +130,7 @@ class TestHeightPartner:
         unit_prec = mat_det(a).div_e_pow(h).prec
         assert unit_prec == ctx5.nwork - 1
         seed = s_invert(unit + SElem.from_int(ctx5, p ** unit_prec))
-        b, inv = height_partner(a, h, seed=seed)
+        b, inv = height_partner(a, _det_over_e_pow(a, h), seed=seed)
         assert inv.prec <= unit_prec
         assert all(e.prec <= unit_prec for row in b for e in row)
         assert_height_identity(a, b, h)
@@ -138,7 +139,15 @@ class TestHeightPartner:
         a = ((SElem.one(ctx5), SElem.zero(ctx5)),
              (SElem.zero(ctx5), SElem.one(ctx5)))
         with pytest.raises(HeightMismatch):
-            height_partner(a, 1)
+            height_partner(a, _det_over_e_pow(a, 1))
+
+    def test_non_unit_quotient(self, ctx5):
+        # det(A) / E^h = p divides exactly but is not a unit
+        h = 2
+        a = ((SElem.from_int(ctx5, ctx5.p), SElem.zero(ctx5)),
+             (SElem.zero(ctx5), SElem.e_pow(ctx5, h)))
+        with pytest.raises(HeightMismatch, match="not a unit"):
+            _det_over_e_pow(a, h)
 
 
 class TestPrepare:
@@ -283,9 +292,10 @@ class TestDescend:
 
     @pytest.mark.parametrize("name", ["f2-r2-mixed", "f3-r3-p3-mixed"])
     def test_unchanged_slots_skip_the_det_check(self, name, monkeypatch):
-        # det(A) is taken once per initial unit, height partner and absorbed
-        # factor, and once per slot and check; from iteration 1 on, a slot
-        # whose left neighbour was clean is not checked again
+        # det(A) is taken once per initial unit and absorbed factor, and
+        # once per slot and check (the height partner inverts the checked
+        # unit); from iteration 1 on, a slot whose left neighbour was clean
+        # is not checked again
         import crysred.descent as descent_mod
         from crysred.pipeline import JobConfig, run_pipeline
         from test_golden import GOLDEN
@@ -305,7 +315,7 @@ class TestDescend:
         rows = sum(len(chain) for chain in descent["chains"])
         clean_neighbours = f * iterations - rows
         assert clean_neighbours > 0
-        every_slot = f + 2 * rows + f * (iterations + 1)
+        every_slot = f + rows + f * (iterations + 1)
         assert len(calls) == every_slot - clean_neighbours
         # each check sees a matrix no earlier check saw: every slot at
         # iteration 0, then each absorbing slot's new matrix

@@ -10,6 +10,7 @@ from crysred.errors import Degenerate, DetCheckFailed, IrregularWeights, Precisi
 from crysred.lattices import (
     TypeTag,
     WeightData,
+    _single_slot_witness,
     classify_lattice,
     classify_type,
     frobenius_f_product,
@@ -54,15 +55,23 @@ def normalize(lattice, weights):
     return parabolic_normalize(lattice, classify_lattice(lattice, weights), weights)
 
 
+def upper_inv(c):
+    """Inverse of an upper-triangular 2x2 with unit diagonal entries."""
+    a, b, d = c[0][0], c[0][1], c[1][1]
+    ai, di = a.unit_inverse(), d.unit_inverse()
+    return ((ai, -(ai * b * di)), (OFElem.zero(a.ctx, a.prec), di))
+
+
 def apply_parabolic(witness, lattice, weights):
     """Reference implementation of the twisted conjugation (test oracle)."""
-    from crysred.lattices import _delta_conj_upper, _upper_inv
-
     f = weights.f
     out = []
     for i in range(f):
         m = mat_mul(witness[i], lattice[i])
-        adj = _delta_conj_upper(_upper_inv(witness[(i - 1) % f]), weights.k_prev(i))
+        inv = upper_inv(witness[(i - 1) % f])
+        # Delta C'^(-1) Delta^(-1): the upper-right entry times p^k
+        adj = ((inv[0][0], inv[0][1].times_p_pow(weights.k_prev(i))),
+               (inv[1][0], inv[1][1]))
         out.append(mat_mul(m, adj))
     return tuple(out)
 
@@ -177,6 +186,39 @@ class TestParabolicNormalize:
         out, wit, _ = normalize(lattice, wd)
         bad = (((wit[0][0][0] + 1, wit[0][0][1]), wit[0][1]),)
         with pytest.raises(DetCheckFailed):
+            verify_parabolic_equiv(lattice, out, bad, wd)
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_witness_comes_with_its_inverse(self, ctx5r2, rng, ell):
+        one, zero = OFElem.one(ctx5r2), OFElem.zero(ctx5r2)
+        eye = ((one, zero), (zero, one))
+        for _ in range(10):
+            x, y = random_of(ctx5r2, rng), random_of(ctx5r2, rng, unit=True)
+            other = (random_of(ctx5r2, rng), random_of(ctx5r2, rng))
+            cols = [(x, y), other] if ell == 1 else [other, (x, y)]
+            a = ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
+            c, c_inv = _single_slot_witness(a, ell)
+            assert mat_mul(c, c_inv) == eye and mat_mul(c_inv, c) == eye
+            cleared = mat_mul(c, a)
+            assert cleared[0][ell - 1].is_zero() and cleared[1][ell - 1] == one
+
+    def test_verify_accepts_the_reference_conjugation(self, ctx5r2, rng):
+        # witnesses with general unit diagonals, conjugated by the oracle
+        wd = WeightData((2, 3), (0, 0))
+        for _ in range(5):
+            lattice = (random_gl2(ctx5r2, rng), random_gl2(ctx5r2, rng))
+            wit = (random_parabolic(ctx5r2, rng), random_parabolic(ctx5r2, rng))
+            moved = apply_parabolic(wit, lattice, wd)
+            assert verify_parabolic_equiv(lattice, moved, wit, wd) is None
+
+    def test_verify_checks_the_left_neighbours_witness(self, ctx5, rng):
+        # at f = 2, witness[1] is C' of slot 0, which is checked first
+        wd = WeightData((2, 3), (0, 0))
+        lattice = (random_gl2(ctx5, rng), random_gl2(ctx5, rng))
+        out, wit, _ = normalize(lattice, wd)
+        c = wit[1]
+        bad = (wit[0], ((c[0][0], c[0][1] + 1), c[1]))
+        with pytest.raises(DetCheckFailed, match="slot 0 "):
             verify_parabolic_equiv(lattice, out, bad, wd)
 
     def test_verify_needs_precision(self, ctx5):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import crysred.descent
 import crysred.kisin
+import crysred.lattices
 import crysred.reduction
 from crysred import pipeline
 from crysred.descent import compute_budget
@@ -588,6 +589,24 @@ class TestSelfChecks:
         report = run_pipeline(JobConfig.from_dict(P5_K4))
         assert report.result is None
         assert (report.error["stage"], report.error["type"]) == (stage, etype)
+        assert exit_code_for(report) == EXIT_INTERNAL
+
+    def test_wrong_witness_inverse_stops_the_explicit_job(self, monkeypatch):
+        # the inverse the normalization applies is off by 1 in its
+        # upper-right entry; the check takes no inverse, so it sees this
+        from test_golden import GOLDEN
+
+        witness = crysred.lattices._single_slot_witness
+
+        def broken(a, ell):
+            c, ((one, x), low) = witness(a, ell)
+            return c, ((one, x + 1), low)
+
+        monkeypatch.setattr(crysred.lattices, "_single_slot_witness", broken)
+        report = run_pipeline(JobConfig.from_dict(GOLDEN["f2-explicit-mixed"][0]))
+        assert report.result is None
+        assert (report.error["stage"], report.error["type"]) == ("normalize",
+                                                                 "DetCheckFailed")
         assert exit_code_for(report) == EXIT_INTERNAL
 
 

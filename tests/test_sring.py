@@ -55,7 +55,7 @@ def naive_s_mul(x, y):
     for i in range(ctx.m):
         for j in range(ctx.m - i):
             carry = (i + j) // p - i // p - j // p
-            term = x.coeff(i).at_prec(prec) * y.coeff(j).at_prec(prec)
+            term = OFElem(ctx, x.coeff(i).c, prec) * OFElem(ctx, y.coeff(j).c, prec)
             out[i + j] = out[i + j] + term * ctx.ppow(carry)
     slots = [v.c for v in out]
     while slots and not any(slots[-1]):
