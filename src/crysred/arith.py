@@ -3,8 +3,9 @@
 O_F, the unramified extension of Z_p of degree r, is represented as
 Z[w]/(g(w), p^prec) for a fixed monic degree-r lift g of an irreducible
 polynomial over F_p; the lift is chosen deterministically per context and
-recorded in reports.  Power series live in O_F[[u]] truncated at u^M, and
-their residue images in k_F[[u]] are the same series at precision 1.
+recorded in reports.  `USeries` records a series of O_F[[u]] truncated at
+u^M, or at precision 1 its residue image in k_F[[u]]; it has no arithmetic,
+and S_F (`sring`) is the only series ring.
 
 Precision is absolute and per element: an element stored at precision q is
 known modulo p^q.  Binary operations take the minimum of the operand
@@ -33,14 +34,26 @@ def _fp_trim(a):
     return a
 
 
-def _fp_mulmod(a, b, g, p):
-    # a, b, g: coefficient lists over F_p, g monic
+def _fp_mul(a, b, p):
+    """Product of two coefficient lists over F_p."""
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] = (out[i + j] + x * y) % p
-    return _fp_divmod(out, g, p)[1]
+    return out
+
+
+def _fp_sub(a, b, p):
+    """a - b over F_p, trimmed."""
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _fp_trim([(x - y) % p for x, y in zip(a, b)])
+
+
+def _fp_mulmod(a, b, g, p):
+    # a, b, g: coefficient lists over F_p, g monic
+    return _fp_divmod(_fp_mul(a, b, p), g, p)[1]
 
 
 def _fp_divmod(a, g, p):
@@ -90,17 +103,14 @@ def _prime_factors(n):
 
 
 def _is_irreducible(g, p):
+    """Rabin's test: x^(p^r) = x mod g, and x^(p^(r/q)) - x is prime to g
+    for every prime q dividing r = deg g."""
     r = len(g) - 1
     x = [0, 1]
-    # x^(p^r) == x mod g
-    t = _fp_powmod(x, p ** r, g, p)
-    if _fp_trim(list(t)) != [0, 1]:
+    if _fp_sub(_fp_powmod(x, p ** r, g, p), x, p):
         return False
     for q in _prime_factors(r):
-        t = _fp_powmod(x, p ** (r // q), g, p)
-        diff = list(t) + [0] * (2 - len(t))
-        diff[1] = (diff[1] - 1) % p
-        if len(_fp_gcd(_fp_trim(diff), g, p)) > 1:
+        if len(_fp_gcd(_fp_sub(_fp_powmod(x, p ** (r // q), g, p), x, p), g, p)) > 1:
             return False
     return True
 
@@ -354,9 +364,6 @@ class OFElem:
         mod = self.ctx.ppow(prec)
         return all((x - y) % mod == 0 for x, y in zip(self.c, other.c))
 
-    def __hash__(self):
-        raise TypeError("OFElem compares at precision; not hashable")
-
     def is_zero(self) -> bool:
         mod = self.ctx.ppow(self.prec)
         return all(x % mod == 0 for x in self.c)
@@ -411,16 +418,7 @@ def _fp_poly_invmod(a, g, p):
     while len(r1) > 1:
         q, rem = _fp_divmod(r0, r1, p)
         r0, r1 = r1, rem
-        qs1 = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-        for i, x in enumerate(q):
-            for j, y in enumerate(s1):
-                qs1[i + j] = (qs1[i + j] + x * y) % p
-        new_s = [0] * max(len(s0), len(qs1))
-        for i in range(len(new_s)):
-            v0 = s0[i] if i < len(s0) else 0
-            v1 = qs1[i] if i < len(qs1) else 0
-            new_s[i] = (v0 - v1) % p
-        s0, s1 = s1, _fp_trim(new_s)
+        s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1, p), p)
     if not r1:
         raise NotAUnit("not invertible mod p")
     lead_inv = pow(r1[0], -1, p)
@@ -440,8 +438,8 @@ def _fp_poly_invmod(a, g, p):
 # positions: a product has w-degree <= 2r-2, so it never bleeds into the
 # next u-slot.  Every position sum is at most
 # cap = min(la, lb) * r * max(a) * max(b), with la, lb the operands' slot
-# counts and the maxima taken over the operands after reduction mod `mod`:
-# S_F elements pass the slots of their support, USeries all M slots.
+# counts and the maxima taken over the operands after reduction mod `mod`;
+# `s_mul`, the one caller, passes the slots of the operands' supports.
 #
 # The w-fold runs on the packed product as well (the multipoint layout of
 # Harvey, J. Symbolic Comput. 44, 2009).  For each reduction row t, the row
@@ -552,92 +550,29 @@ def _fold_w(ctx, slot, mod):
 
 
 # ---------------------------------------------------------------------------
-# USeries: O_F[[u]] / u^M
+# USeries: a series in O_F[[u]] / u^M, as a record
 # ---------------------------------------------------------------------------
 
 
-def _flat_values(ctx, coeffs, mod) -> list:
-    """Per-slot entries (an int, an OFElem or r values) as one flat list
-    of values mod `mod`, r per slot."""
-    r = ctx.r
-    pad = (0,) * (r - 1)
-    out = []
-    for cj in coeffs:
-        if isinstance(cj, OFElem):
-            cj = cj.c
-        elif isinstance(cj, int):
-            cj = (cj,) + pad
-        out += [v % mod for v in cj]
-    if len(out) != r * len(coeffs):
-        raise ValueError(f"every slot takes r = {r} values")
-    return out
-
-
 class USeries:
-    """Truncated power series over O_F (the ring written O_F[[u]]).
+    """A truncated series in O_F[[u]], or at precision 1 its residue image
+    in k_F[[u]], as `SElem.residue` and `SElem.to_useries` return it.
 
-    The constructor takes one entry per u-slot (an int, an OFElem or r
-    values).  `c` stores them flat and padded to M slots: M*r values in
-    [0, p^prec), slot j being c[j*r:(j+1)*r].
+    `c` holds M*r values in [0, p^prec), slot j being c[j*r:(j+1)*r], the
+    w-coefficients of the coefficient of u^j.  A record compares and reports
+    its u-order; it has no arithmetic.
     """
 
     __slots__ = ("ctx", "c", "prec")
 
-    def __init__(self, ctx: PrimeContext, coeffs, prec: Optional[int] = None):
-        self.ctx = ctx
-        self.prec = ctx.nwork if prec is None else prec
-        if self.prec < 1:
+    def __init__(self, ctx: PrimeContext, values, prec: int):
+        """At most M*r flat values, reduced mod p^prec and padded to M
+        slots."""
+        if prec < 1:
             raise PrecisionExhausted("USeries at precision < 1")
-        c = _flat_values(ctx, coeffs[:ctx.m], ctx.ppow(self.prec))
-        self.c = tuple(c) + (0,) * (ctx.m * ctx.r - len(c))
-
-    @classmethod
-    def _flat(cls, ctx: PrimeContext, values, prec: int) -> "USeries":
-        """Internal: at most M*r flat values, reduced mod p^prec and padded;
-        prec >= 1 is not checked."""
         mod = ctx.ppow(prec)
-        out = object.__new__(cls)
-        out.ctx, out.prec = ctx, prec
-        out.c = tuple(v % mod for v in values) + (0,) * (ctx.m * ctx.r - len(values))
-        return out
-
-    @classmethod
-    def zero(cls, ctx, prec=None):
-        return cls(ctx, (), prec)
-
-    @classmethod
-    def one(cls, ctx, prec=None):
-        return cls(ctx, (1,), prec)
-
-    def coeff(self, j: int) -> OFElem:
-        r = self.ctx.r
-        return OFElem(self.ctx, self.c[j * r:(j + 1) * r], self.prec)
-
-    def _join(self, other):
-        if isinstance(other, int):
-            other = USeries(self.ctx, (other,), self.prec)
-        return other, min(self.prec, other.prec)
-
-    def __add__(self, other):
-        other, prec = self._join(other)
-        return USeries._flat(self.ctx, [x + y for x, y in zip(self.c, other.c)], prec)
-
-    def __sub__(self, other):
-        other, prec = self._join(other)
-        return USeries._flat(self.ctx, [x - y for x, y in zip(self.c, other.c)], prec)
-
-    def __neg__(self):
-        return USeries._flat(self.ctx, [-v for v in self.c], self.prec)
-
-    def __mul__(self, other):
-        if isinstance(other, OFElem):
-            other = USeries(self.ctx, (other,), other.prec)
-        other, prec = self._join(other)
-        return USeries._flat(self.ctx, _conv2_raw(self.ctx, self.c, other.c,
-                                                  self.ctx.ppow(prec), self.ctx.m),
-                             prec)
-
-    __rmul__ = __mul__
+        self.ctx, self.prec = ctx, prec
+        self.c = tuple(v % mod for v in values) + (0,) * (ctx.m * ctx.r - len(values))
 
     def __eq__(self, other):
         if not isinstance(other, USeries):
@@ -645,18 +580,13 @@ class USeries:
         mod = self.ctx.ppow(min(self.prec, other.prec))
         return all((x - y) % mod == 0 for x, y in zip(self.c, other.c))
 
-    def __hash__(self):
-        raise TypeError("USeries compares at precision; not hashable")
-
     def is_zero(self) -> bool:
-        mod = self.ctx.ppow(self.prec)
-        return all(v % mod == 0 for v in self.c)
+        return not any(self.c)
 
     def u_order(self) -> Optional[int]:
         """Lowest u-exponent with a nonzero coefficient; None if zero."""
-        mod = self.ctx.ppow(self.prec)
         for i, v in enumerate(self.c):
-            if v % mod:
+            if v:
                 return i // self.ctx.r
         return None
 
@@ -666,34 +596,9 @@ class USeries:
         j, r = self.u_order(), self.ctx.r
         return None if j is None else self.c[j * r:(j + 1) * r]
 
-    def frobenius(self) -> "USeries":
-        """u -> u^p; coefficients are fixed (the embedding shift carries
-        the semilinearity)."""
-        ctx, r = self.ctx, self.ctx.r
-        out = [0] * (ctx.m * r)
-        for j in range(0, ctx.m, ctx.p):
-            i = j // ctx.p
-            out[j * r:(j + 1) * r] = self.c[i * r:(i + 1) * r]
-        return USeries._flat(ctx, out, self.prec)
-
-    def residue(self) -> "USeries":
-        """Image in k_F[[u]]: the series at precision 1."""
-        return self.at_prec(1)
-
-    def at_prec(self, prec):
-        if prec > self.prec:
-            raise PrecisionExhausted("cannot raise precision")
-        if prec < 1:
-            raise PrecisionExhausted("USeries at precision < 1")
-        return USeries._flat(self.ctx, self.c, prec)
-
-    def serial(self):
-        r = self.ctx.r
-        return {"u_coeffs": [list(self.c[i:i + r]) for i in range(0, len(self.c), r)],
-                "prec": self.prec}
-
     def __repr__(self):
-        head = self.serial()["u_coeffs"][:4]
+        r = self.ctx.r
+        head = [list(self.c[i:i + r]) for i in range(0, len(self.c), r)][:4]
         return f"USeries({head}... @p^{self.prec}, M={self.ctx.m})"
 
 

@@ -248,6 +248,13 @@ class DescentCertificate:
         }
 
 
+def _gain_step(h: int, k: int, p: int) -> Tuple[int, int]:
+    """The gain law at depth h and weight k: ell = h - k - floor(h/p) and
+    the next depth p * (ell + 1)."""
+    ell = h - k - h // p
+    return ell, p * (ell + 1)
+
+
 def estimate_iterations(weights: WeightData, budget: HeightBudget, p: int, m: int) -> int:
     """Simulate the gain map until the slowest chain clears depth m."""
     f = weights.f
@@ -256,8 +263,7 @@ def estimate_iterations(weights: WeightData, budget: HeightBudget, p: int, m: in
     while min(hs) <= m and steps < 10_000:
         nxt = [0] * f
         for i in range(f):
-            ell = hs[i] - weights.k[i] - hs[i] // p
-            nxt[(i + 1) % f] = p * (ell + 1)
+            nxt[(i + 1) % f] = _gain_step(hs[i], weights.k[i], p)[1]
         hs = nxt
         steps += 1
     return steps
@@ -336,8 +342,7 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
                 steps.append(None)
                 continue
             k_i = weights.k[i]
-            ell = hs[i] - k_i - hs[i] // p
-            threshold = p * (ell + 1)
+            ell, threshold = _gain_step(hs[i], k_i, p)
             b_i, inv_seeds[i] = height_partner(a_mats[i], units[i], inv_seeds[i])
             w = mat_mul(_mat_map(lambda e: e.div_e_pow(k_i), c), b_i)
             phi_w = _mat_map(lambda e: s_frobenius(e).normalize_d(), w)

@@ -31,10 +31,6 @@ class ReductionData:
     mu: Tuple[Tuple[str, Tuple[int, int]], ...]   # ("I"|"S", (n_i, m_i))
     units: Tuple[tuple, ...]                      # leading k_F coefficients
 
-    @property
-    def f(self):
-        return len(self.mu)
-
     def p_set(self) -> Tuple[int, ...]:
         """Indices whose shape is the antidiagonal S."""
         return tuple(i for i, (shape, _) in enumerate(self.mu) if shape == "S")

@@ -41,7 +41,7 @@ def random_of(ctx, rng, unit=False):
 
 
 def random_useries(ctx, rng):
-    from crysred.arith import USeries
+    from useries_ref import series
 
-    return USeries(ctx, [[rng.randrange(ctx.ppow(ctx.n)) for _ in range(ctx.r)]
-                         for _ in range(ctx.m)])
+    return series(ctx, [[rng.randrange(ctx.ppow(ctx.n)) for _ in range(ctx.r)]
+                        for _ in range(ctx.m)])

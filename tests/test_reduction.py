@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from crysred.arith import PrimeContext, USeries
+from crysred.arith import PrimeContext
 from crysred.errors import DetCheckFailed, NonMonomial
 from crysred.reduction import (
     CAVEAT_INDUCED,
@@ -17,13 +17,15 @@ from crysred.reduction import (
     monomial_product,
 )
 
+from useries_ref import series
+
 
 def rs(ctx, order, unit=1):
-    return USeries(ctx, [0] * order + [unit], 1)
+    return series(ctx, [0] * order + [unit], 1)
 
 
 def zero(ctx):
-    return USeries.zero(ctx, 1)
+    return series(ctx, (), 1)
 
 
 def mono(*pairs):
@@ -43,7 +45,7 @@ class TestExtract:
         assert data.mu == (("I", (2, 0)),)
 
     def test_non_monomial(self, ctx5):
-        full = USeries(ctx5, [0, 1, 1], 1)
+        full = series(ctx5, [0, 1, 1], 1)
         one = rs(ctx5, 0)
         m = ((full, one), (one, one))
         with pytest.raises(NonMonomial):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from crysred.arith import (
     OFElem,
     PrimeContext,
-    USeries,
     _of_add_raw,
     _of_mul_raw,
     _of_sub_raw,
@@ -33,6 +32,7 @@ from crysred.sring import (
 )
 
 from conftest import random_of, random_useries
+from useries_ref import at_prec, from_useries, frobenius, mul, residue, series
 
 
 def random_selem(ctx, rng, d=0, prec=None):
@@ -98,8 +98,8 @@ class TestGamma:
         # gamma * p == u^p + p as elements of S_F
         ctx = ctx5
         lhs = gamma(ctx) * ctx.p
-        u_poly = USeries(ctx, [ctx.p] + [0] * (ctx.p - 1) + [1])
-        assert lhs == SElem.from_useries(u_poly)
+        u_poly = series(ctx, [ctx.p] + [0] * (ctx.p - 1) + [1])
+        assert lhs == from_useries(u_poly)
 
 
 class TestSMul:
@@ -126,12 +126,12 @@ class TestSMul:
         # truncation-free) and multiply both ways
         ctx = ctx5r2
         for _ in range(4):
-            a, b = (USeries(ctx, [[rng.randrange(ctx.ppow(ctx.n))
-                                   for _ in range(ctx.r)]
-                                  for _ in range(ctx.m // 2)])
+            a, b = (series(ctx, [[rng.randrange(ctx.ppow(ctx.n))
+                                  for _ in range(ctx.r)]
+                                 for _ in range(ctx.m // 2)])
                     for _ in range(2))
-            lhs = s_mul(SElem.from_useries(a), SElem.from_useries(b))
-            assert lhs == SElem.from_useries(a * b)
+            lhs = s_mul(from_useries(a), from_useries(b))
+            assert lhs == from_useries(mul(a, b))
 
     @given(data=st.data())
     @settings(max_examples=10, deadline=None)
@@ -148,8 +148,8 @@ class TestSMul:
 
     def test_canonical_uniqueness_roundtrip(self, ctx5, rng):
         u = random_useries(ctx5, rng)
-        x = SElem.from_useries(u)
-        assert SElem.from_useries(x.to_useries()) == x
+        x = from_useries(u)
+        assert from_useries(x.to_useries()) == x
 
 
 class TestSMulExact:
@@ -183,7 +183,7 @@ class TestSMulExact:
         m, n, dmax = ctx.m, ctx.n, ctx.dmax
 
         def integral():
-            x = SElem.from_useries(random_useries(ctx, rng))
+            x = from_useries(random_useries(ctx, rng))
             # at r > 1 the operand drops all its carry padding
             assert ctx.r == 1 or _rescaled(ctx, x.c, 0, m)[1] >= dmax
             return x
@@ -196,11 +196,11 @@ class TestSMulExact:
         pairs = [
             (integral(), integral()),
             (integral(), dense),
-            (integral().at_prec(n), random_selem(ctx, rng)),
+            (at_prec(integral(), n), random_selem(ctx, rng)),
             (times_p(integral(), 2), integral()),
-            (times_p(integral(), half), times_p(integral().at_prec(n), half)),
-            (times_p(integral(), n - 1), integral().at_prec(n)),
-            (times_p(integral(), n), integral().at_prec(n)),
+            (times_p(integral(), half), times_p(at_prec(integral(), n), half)),
+            (times_p(integral(), n - 1), at_prec(integral(), n)),
+            (times_p(integral(), n), at_prec(integral(), n)),
             (dense.slice_from(m // 2), random_selem(ctx, rng).slice_from(m - m // 2)),
             (dense.slice_from(m // 2), random_selem(ctx, rng).slice_from(m - m // 2 - 1)),
             (dense.slice_from(m - 1), dense.slice_from(1)),
@@ -360,11 +360,11 @@ class TestFrobenius:
         # phi is u -> u^p on u-coordinates
         ctx = ctx5r2
         for _ in range(3):
-            u = USeries(ctx, [[rng.randrange(ctx.ppow(ctx.n))
-                               for _ in range(ctx.r)]
-                              for _ in range(ctx.m // ctx.p)])
-            via_s = s_frobenius(SElem.from_useries(u))
-            via_u = SElem.from_useries(u.frobenius())
+            u = series(ctx, [[rng.randrange(ctx.ppow(ctx.n))
+                              for _ in range(ctx.r)]
+                             for _ in range(ctx.m // ctx.p)])
+            via_s = s_frobenius(from_useries(u))
+            via_u = from_useries(frobenius(u))
             assert via_s == via_u
 
     def test_phi_iterated_equals_phi_power(self, ctx3, ctx5):
@@ -428,7 +428,7 @@ class TestInvert:
         seed = s_invert(g)
         for prec in (ctx5.n, ctx5.n + 1, ctx5.nwork - 1):
             nudge = SElem.from_int(ctx5, 1 + ctx5.p * rng.randrange(1, 99), prec)
-            for x in (g.at_prec(prec), s_mul(g, nudge)):
+            for x in (at_prec(g, prec), s_mul(g, nudge)):
                 assert seed.prec > x.prec
                 y = s_invert(x, seed=seed)
                 assert y.prec <= x.prec
@@ -543,11 +543,11 @@ class TestConversions:
                              for _ in range(ctx5.m - k)], 0, ctx5.n)
             shifted = s_mul(SElem.e_pow(ctx5, k), x)
             back = shifted.div_e_pow(k)
-            assert back == x.at_prec(min(back.prec, x.prec))
+            assert back == at_prec(x, min(back.prec, x.prec))
 
     def test_integrality_detection(self, ctx5, rng):
         u = random_useries(ctx5, rng)
-        assert SElem.from_useries(u).is_integral()
+        assert from_useries(u).is_integral()
         non_integral = SElem(ctx5, [0] * ctx5.p + [1])  # E^p/p
         assert not non_integral.is_integral()
 
@@ -623,9 +623,9 @@ class TestTrimmedInvariant:
             SElem.from_int(ctx, mod, ctx.n),
             SElem.from_of(ctx, random_of(ctx, rng)),
             SElem.e_pow(ctx, 3), SElem.e_pow(ctx, ctx.m - 1), SElem.e_pow(ctx, ctx.m),
-            SElem.from_useries(random_useries(ctx, rng)),
-            SElem.from_useries(USeries(ctx, [0, 0, 1])),
-            SElem.from_useries(USeries.zero(ctx)),
+            from_useries(random_useries(ctx, rng)),
+            from_useries(series(ctx, [0, 0, 1])),
+            from_useries(series(ctx)),
             gamma(ctx),
         ]
         made += list(_w_power_cache(ctx)) + [_w_power(ctx, e, l) for e in (1, 2, 5)
@@ -641,7 +641,7 @@ class TestTrimmedInvariant:
         p, m = ctx.p, ctx.m
         x = short_selem(ctx, rng, m // 2)
         y = short_selem(ctx, rng, m - 3, d=1, prec=ctx.nwork)
-        u = SElem.from_useries(random_useries(ctx, rng))
+        u = from_useries(random_useries(ctx, rng))
         tail = short_selem(ctx, rng, 2)
         cancel = x + tail
         e4 = s_mul(SElem.e_pow(ctx, 4), u)
@@ -652,7 +652,7 @@ class TestTrimmedInvariant:
             y._lift_d(3),
             e4.div_e_pow(4), SElem.zero(ctx).div_e_pow(3), SElem.e_pow(ctx, p).div_e_pow(p),
             SElem(ctx, slots(u * p), 1, u.prec).normalize_d(),
-            x.at_prec(2), x.at_prec(1),
+            at_prec(x, 2), at_prec(x, 1),
             x.slice_below(3), x.slice_below(0), x.slice_from(3), x.slice_from(m // 2),
             x.slice_from(m), SElem.zero(ctx).slice_from(0),
             s_mul(x, y), s_mul(x, SElem.zero(ctx)), s_mul(SElem.e_pow(ctx, m - 1), x),
@@ -704,7 +704,7 @@ def padded_to_useries(x):
         if any(v % pd for v in acc):
             raise NotIntegral("element is not in O_F[[u]]")
         out.append(tuple((v // pd) % ctx.ppow(prec) for v in acc))
-    return USeries(ctx, out, prec)
+    return series(ctx, out, prec)
 
 
 def outcome(fn, x):
@@ -721,15 +721,15 @@ class TestUConversion:
     def test_matches_padded_loop(self, name, request, rng):
         ctx = request.getfixturevalue(name)
         dmax = (ctx.m - 1) // ctx.p
-        ints = [SElem.from_useries(random_useries(ctx, rng)) for _ in range(3)]
-        ints.append(SElem.from_useries(USeries(ctx, [0] * 5 + [1])))
+        ints = [from_useries(random_useries(ctx, rng)) for _ in range(3)]
+        ints.append(from_useries(series(ctx, [0] * 5 + [1])))
         cases = [(z, None) for z in ints]
         cases += [
             (ints[0]._lift_d(2), None),                  # d > 0, integral
             (ints[1] * ctx.p, None),
-            (ints[0].at_prec(dmax + 1), None),           # prec = dmax + 1
-            (ints[1].at_prec(dmax + 2), None),
-            (ints[0].at_prec(dmax), PrecisionExhausted),  # prec = dmax
+            (at_prec(ints[0], dmax + 1), None),           # prec = dmax + 1
+            (at_prec(ints[1], dmax + 2), None),
+            (at_prec(ints[0], dmax), PrecisionExhausted),  # prec = dmax
             (SElem(ctx, [0] * ctx.p + [1]), NotIntegral),   # E^p/p
             (random_selem(ctx, rng, d=1), NotIntegral),
             (SElem.zero(ctx), None),
@@ -740,7 +740,7 @@ class TestUConversion:
         head = ints[2].slice_below(ctx.m - 1)
         short = SElem(ctx, [0] * (ctx.m - 1) + [ctx.ppow(dmax - 1)])
         edges = [(head + short, NotIntegral),
-                 ((head + SElem.e_pow(ctx, ctx.m - 1)).at_prec(dmax + 1), None)]
+                 (at_prec(head + SElem.e_pow(ctx, ctx.m - 1), dmax + 1), None)]
         assert all(len(slots(x)) == ctx.m for x, _ in edges)
         cases += edges
         for x, err in cases:
@@ -748,7 +748,7 @@ class TestUConversion:
             assert outcome(SElem.to_useries, x) == want
             if err is not None:
                 assert want is err
-            want_res = outcome(lambda z: padded_to_useries(z).residue(), x)
+            want_res = outcome(lambda z: residue(padded_to_useries(z)), x)
             assert outcome(SElem.residue, x) == want_res
 
 
