@@ -1,17 +1,21 @@
-"""Print the job count and one SHA-256 over every benchmark report.
+"""Print the job count and two SHA-256 digests over every benchmark report.
 
 Runs the job lists of perfbench/workloads.py at seeds 1-3 through
-JobConfig.from_dict -> run_pipeline -> to_json and hashes the reports
-concatenated in order, so a refactor can show that no report byte moved.
-Each list then runs again in reverse order in the same process; when a
-report differs from its forward-order run, the script names the first such
-job on stderr and exits 1, since a report must not depend on the jobs run
-before it.
+JobConfig.from_dict -> run_pipeline -> to_json.  The first line hashes the
+reports concatenated in order, so a refactor can show that no report byte
+moved.  The second line hashes only the answers: each report's `result`
+block and its error `stage` and `type`.  A change that moves `context`,
+`preflight` or `final_prec` changes the first line; the second shows
+whether any answer moved.  Each list then runs again in reverse order in
+the same process; when a report differs from its forward-order run, the
+script names the first such job on stderr and exits 1, since a report must
+not depend on the jobs run before it.
 
 Usage: python3 scripts/report_digest.py
 """
 
 import hashlib
+import json
 import os
 import sys
 
@@ -26,13 +30,20 @@ def report(job):
     return run_pipeline(JobConfig.from_dict(job["config"])).to_json()
 
 
-digest, count, differs = hashlib.sha256(), 0, None
+def answer(text):
+    out = json.loads(text)
+    error = out["error"] and {k: out["error"][k] for k in ("stage", "type")}
+    return json.dumps({"result": out["result"], "error": error}, sort_keys=True)
+
+
+digest, answers, count, differs = hashlib.sha256(), hashlib.sha256(), 0, None
 for name, make in WORKLOADS.items():
     for seed in (1, 2, 3):
         jobs = make(seed)
         forward = [report(job) for job in jobs]
         for text in forward:
             digest.update(text.encode())
+            answers.update(answer(text).encode())
         count += len(forward)
         backward = [report(job) for job in reversed(jobs)][::-1]
         if differs is None:
@@ -40,6 +51,7 @@ for name, make in WORKLOADS.items():
                             for j, (a, b) in enumerate(zip(forward, backward))
                             if a != b), None)
 print(count, digest.hexdigest())
+print(count, answers.hexdigest(), "answers")
 if differs is not None:
     print(f"report differs in reverse order: {differs}", file=sys.stderr)
     sys.exit(1)

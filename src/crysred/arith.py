@@ -151,13 +151,14 @@ class PrimeContext:
 
     `n` is the reporting p-precision, `m` the u/E-adic truncation order.
     `dmax` = floor((m-1)/p) is the largest canonical-form denominator
-    exponent of a slot below m, so u-coordinates cost dmax digits.
-    `nwork` is the internal construction precision.  Its default is
-    n + dmax + 1 + 4: `residue()` needs one digit beyond the dmax, so an
-    element held at nwork converts to O_F[[u]] at precision n + 5.  The
-    pipeline passes the nwork that `preflight_precision` chooses, which
-    adds the descent's division depth and stays within the digits of phi
-    that the truncation at E^m leaves exact.
+    exponent of a slot below m, so u-coordinates of every slot cost dmax
+    digits.  `nwork` is the internal construction precision.  Its default
+    is n + dmax + 1 + 4, so an element held at nwork converts to O_F[[u]]
+    at precision n + 5, and its residue can be read off any window.  The
+    pipeline passes the nwork that `preflight_precision` chooses: it
+    reserves only the floor((L-1)/p) + 1 digits that a residue read below
+    the window L needs, adds the descent's division depth and stays within
+    the digits of phi that the truncation at E^m leaves exact.
     """
 
     def __init__(self, p: int, f: int, n: int, m: int, r: Optional[int] = None,
@@ -559,8 +560,9 @@ class USeries:
     in k_F[[u]], as `SElem.residue` and `SElem.to_useries` return it.
 
     `c` holds M*r values in [0, p^prec), slot j being c[j*r:(j+1)*r], the
-    w-coefficients of the coefficient of u^j.  A record compares and reports
-    its u-order; it has no arithmetic.
+    w-coefficients of the coefficient of u^j.  A residue read below a
+    window L < M holds zeros from slot L on.  A record compares and
+    reports its u-order; it has no arithmetic.
     """
 
     __slots__ = ("ctx", "c", "prec")

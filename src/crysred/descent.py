@@ -235,7 +235,7 @@ class DescentCertificate:
     """Output of `descend`: the integral tuple plus the iteration log."""
 
     a_final: Tuple                      # tuple of 2x2 integral SElem matrices
-    a_final_mod_p: Tuple                # their residues, checked against A0's
+    a_final_mod_p: Tuple                # their residues below the window L
     chains: List[List[dict]]            # per-chain (slot, h, ell, next_h) rows
     iterations: int
     final_prec: int
@@ -253,6 +253,14 @@ def _gain_step(h: int, k: int, p: int) -> Tuple[int, int]:
     the next depth p * (ell + 1)."""
     ell = h - k - h // p
     return ell, p * (ell + 1)
+
+
+def read_off_window(p: int, k_max: int) -> int:
+    """L = floor(p k_max / (p - 1)) + 2, the u-adic window that the
+    reduction is read off: the least integer above p k_max / (p - 1), plus
+    one.  `preflight_precision` proves that the answer depends on the
+    descended matrices only mod (p, u^L)."""
+    return p * k_max // (p - 1) + 2
 
 
 def estimate_iterations(weights: WeightData, budget: HeightBudget, p: int, m: int) -> int:
@@ -286,9 +294,11 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
     partner inverts this tracked unit, so det(A) is not taken again; it
     stays a unit because each det(I + D1) is checked to be 1 mod p.
 
-    The final entries are certified integral and their residues, read off
-    the slots, must equal A0's; `final_prec` is their least precision less
-    the floor((M-1)/p) digits that u-coordinates would cost.
+    Each final entry must differ from A0's in p*O_F[[u]], checked on every
+    slot at the entry's precision.  Its residue is read off the slots
+    below the window L = `read_off_window(p, k_max)`; `final_prec` is the
+    least precision of the final entries less the floor((L-1)/p) digits
+    that u-coordinates below L cost.
     """
     ctx = split.a0[0][0][0].ctx
     p, f = ctx.p, split.f
@@ -327,7 +337,6 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
         return c is None or all(e.is_zero() for e in _entries(c))
 
     check_dets(0)
-    a0_residue = [_mat_map(SElem.residue, m) for m in split.a0]
 
     iteration = 0
     while not all(clean(c) for c in c_mats):
@@ -383,15 +392,16 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
         iteration = n
         check_dets(iteration, steps)
 
+    window = read_off_window(p, weights.k_max)
     residues = []
     for m in a_mats:
         try:
-            residues.append(_mat_map(SElem.residue, m))
+            residues.append(_mat_map(lambda e: e.residue(window), m))
         except (NotIntegral, PrecisionExhausted) as exc:
             raise PrecisionExhausted(
                 f"descended entry not certifiably integral: {exc}") from exc
-    for i, (got, want) in enumerate(zip(residues, a0_residue)):
-        if got != want:
+    for i, (a, a0) in enumerate(zip(a_mats, split.a0)):
+        if not all(e.is_integral(margin=1) for e in _entries(mat_sub(a, a0))):
             raise SplitFailed(f"slot {i}: descended matrix != prepared part mod p")
     # residue() has just certified each normalize_d()
     a_final = tuple(_mat_map(lambda e: e.normalize_d(), m) for m in a_mats)
@@ -401,5 +411,5 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
         a_final_mod_p=tuple(residues),
         chains=chains,
         iterations=iteration,
-        final_prec=final_prec - ctx.dmax,
+        final_prec=final_prec - (window - 1) // p,
     )

@@ -36,6 +36,7 @@ from .descent import (
     descend,
     estimate_iterations,
     prepare,
+    read_off_window,
     valuation_gate,
 )
 from .kisin import build_kisin_frobenius, det_normalize
@@ -131,6 +132,31 @@ class JobConfig:
 def preflight_precision(cfg: JobConfig) -> dict:
     """Choose (M, N) and the working precision nwork from (p, k, c_max).
 
+    Read-off window.  The answer is read off the descended Frobenius tuple
+    mod (p, u^L) with L = `read_off_window(p, k_max)` > p k_max / (p-1).
+    Proof that this suffices: let (A_i) and (A'_i) be tuples over
+    k_F[[u]] of E-height <= h (E = u mod p), so A_i B_i = u^h for some
+    B_i, with A'_i = A_i + u^L D_i and L > p h / (p-1).  The phi-modules
+    they define are isomorphic if X_i A_i = A'_i phi(X_(i-1)) for some
+    X_i = I + Y_i, that is Y_i = (u^L D_i + A'_i phi(Y_(i-1))) B_i u^(-h).
+    If every Y_j lies in u^(L-h), then phi(Y_(i-1)) lies in u^(p(L-h)),
+    which is inside u^L since (p-1) L > p h, so the right side lies in
+    u^(L-h) again.  The map is a contraction: two choices of Y that differ
+    in u^t, t >= L - h, give right sides that differ in u^(pt-h), and
+    pt - h > t since (p-1) t >= (p-1)(L-h) > p h - (p-1) h = h.  Only
+    A_i's height is used, through B_i.  So the successive
+    approximation converges u-adically, and X_i is invertible since
+    L - h >= 1.  L also exceeds every exponent n_i, m_i <= k_i that
+    `extract_reduction_data` reads: if A_i mod u^L has monomial shape with
+    exponents n_i, m_i < L, then dropping the entries that vanish mod u^L
+    gives a monomial matrix with determinant of u-order n_i + m_i = k_i
+    (det A_i is a unit times u^(k_i), k_i < L), so of E-height k_i <= h,
+    and it agrees with A_i mod u^L.  With h = k_max the shape and the
+    exponents read mod u^L therefore decide the answer, and
+    `SElem.residue` reads only the slots below L.  The default M has
+    b(M) >= N >= k_max + 2 (below), so M >= 2 k_max + 2 >= L; an override
+    M < L stops with PrecisionExhausted.
+
     Certificate.  The pipeline applies phi in two places, `prepare`'s
     phi(x^(i)) and `descend`'s phi(C/E^(k_i) B).  In both the input has
     just been divided by E^(k_i), so it is known only modulo
@@ -143,8 +169,8 @@ def preflight_precision(cfg: JobConfig) -> dict:
     digit the run claims is one the truncation at E^M could reach.  Sums,
     products and multiplication by E^k stay exact modulo Fil^M.
 
-    nwork(M) = N + floor((M-1)/p) + 1 + c_max + ceil(k_max/p) (iters + 2) + 4:
-    `residue()` needs precision above floor((M-1)/p), the preparation's
+    nwork(M) = N + floor((L-1)/p) + 1 + c_max + ceil(k_max/p) (iters + 2) + 4:
+    `residue()` needs precision above floor((L-1)/p), the preparation's
     x^(i) carry denominators up to p^(c_max), each E^(k_i) division of the
     `iters` descent steps (`estimate_iterations` at M) costs at most
     ceil(k_max/p) digits, and 4 digits are spare.
@@ -158,6 +184,7 @@ def preflight_precision(cfg: JobConfig) -> dict:
     weights = normalize_weights(cfg.weights)
     budget = compute_budget(weights, cfg.p)
     p, k_max, c_max = cfg.p, weights.k_max, budget.c_max
+    window = read_off_window(p, k_max)
 
     def exact_digits(m):
         j = m - k_max
@@ -165,7 +192,7 @@ def preflight_precision(cfg: JobConfig) -> dict:
 
     def nwork_at(m, n):
         iters = estimate_iterations(weights, budget, p, m)
-        guard = (m - 1) // p + 1 + c_max + -(-k_max // p) * (iters + 2) + 4
+        guard = (window - 1) // p + 1 + c_max + -(-k_max // p) * (iters + 2) + 4
         return n + guard, iters
 
     if cfg.precision is not None:
@@ -174,6 +201,10 @@ def preflight_precision(cfg: JobConfig) -> dict:
             raise PrecisionExhausted(
                 f"E-adic precision M = {m} leaves {max(exact_digits(m), 0)} "
                 f"exact digits of phi after division by E^{k_max}; N = {n}")
+        if m < window:
+            raise PrecisionExhausted(
+                f"E-adic precision M = {m} is below the read-off window "
+                f"L = {window}")
         nwork, iters = nwork_at(m, n)
         nwork = min(nwork, exact_digits(m))
     else:

@@ -27,7 +27,10 @@ Writing gamma = 1 + w with w = u^p/p, phi becomes a finite linear
 combination of cached powers of w, which is how it is evaluated here.
 
 Since E = u + p is u mod p, `SElem.residue` reads the image in k_F[[u]]
-straight off the slots, with no change of coordinates to O_F[[u]].
+straight off the slots, with no change of coordinates to O_F[[u]].  It
+reads only the slots below a window L, which costs floor((L-1)/p) digits
+of precision, not floor((M-1)/p); `descent.read_off_window` gives the L
+that the answer needs.
 
 Every power w_e^l of w_e = phi^(e-1)(gamma) - 1 = u^(p^e)/p has a closed
 canonical form (`_w_power`).  It gives gamma = 1 + w_1, the powers of w
@@ -419,22 +422,28 @@ class SElem:
             out += [v // pd for v in acc]
         return USeries(ctx, out, prec)
 
-    def residue(self):
-        """Mod-p image in k_F[[u]] (requires integrality), read off the slots.
+    def residue(self, window: int) -> USeries:
+        """Mod-p image in k_F[[u]] of the slots below `window`, read off the
+        slots; the record holds zeros from slot `window` on.
 
         With E = u + p, u-coordinate l of an integral x is
         sum_(j>=l) binom(j, l) p^(j-l) c_j / p^floor(j/p), and every j > l
         term is a multiple of p^(j-l); so slot l of the residue is
-        c_l / p^floor(l/p) mod p.  The values and errors are those of
-        `to_useries()` reduced mod p, without its change of coordinates.
+        c_l / p^floor(l/p) mod p.  Only slots l < window are read: they
+        need precision above floor((window-1)/p), else PrecisionExhausted,
+        and must be integral, else NotIntegral.  On those slots the values
+        are those of `to_useries()` reduced mod p, without its change of
+        coordinates.  The pipeline passes `descent.read_off_window`.
         """
         x = self.normalize_d()
         ctx, p, r = self.ctx, self.ctx.p, self.ctx.r
-        if x.prec <= ctx.dmax:
-            raise PrecisionExhausted("precision too low for u-coordinates")
-        if not x.is_integral():
+        if x.prec <= (window - 1) // p:
+            raise PrecisionExhausted("precision too low for u-coordinates "
+                                     f"below u^{window}")
+        head = x.slice_below(window)
+        if not head.is_integral():
             raise NotIntegral("element is not in O_F[[u]]")
-        return USeries(ctx, [v // ctx.ppow(i // r // p) for i, v in enumerate(x.c)], 1)
+        return USeries(ctx, [v // ctx.ppow(i // r // p) for i, v in enumerate(head.c)], 1)
 
     def __repr__(self):
         nz = [(j, list(self._slot(j))) for j in range(len(self.c) // self.ctx.r)

@@ -14,6 +14,7 @@ from crysred.descent import (
     estimate_iterations,
     height_partner,
     prepare,
+    read_off_window,
     valuation_gate,
 )
 from crysred.kisin import build_kisin_frobenius, det_normalize
@@ -162,9 +163,9 @@ class TestPrepare:
         assert a0[0][1] == SElem.e_pow(ctx, 3) * OFElem.from_int(ctx, 3)
         assert a0[1][0] == SElem.one(ctx)
         assert a0[1][1].is_integral(margin=1)   # in p * O_F[[u]]
-        red = a0[1][1].residue()
+        red = a0[1][1].residue(ctx.m)
         assert red.is_zero()
-        top = a0[0][1].residue()
+        top = a0[0][1].residue(ctx.m)
         assert top.u_order() == 3
 
     def test_zero_a2_trivial_split(self):
@@ -186,7 +187,7 @@ class TestPrepare:
         assert a0[0][1].is_zero() and a0[1][1] == SElem.one(ctx)
         assert a0[0][0] == SElem.e_pow(ctx, 3) * OFElem.from_int(ctx, 2)
         # mod p: [[u^3 a1, 0], [0, 1]]
-        assert a0[1][0].residue().is_zero()
+        assert a0[1][0].residue(ctx.m).is_zero()
 
     def test_assumptions_pass(self):
         ctx = make_ctx(5, 1, [3])
@@ -241,12 +242,16 @@ class TestDescend:
         budget = compute_budget(wd, 5)
         split = prepare(kf, budget)
         cert = descend(split, budget)
+        window = read_off_window(5, 3)
         for i in range(1):
             for r in range(2):
                 for c in range(2):
-                    assert cert.a_final[i][r][c].residue() == split.a0[i][r][c].residue()
+                    got, want = cert.a_final[i][r][c], split.a0[i][r][c]
+                    assert got.residue(ctx.m) == want.residue(ctx.m)
+                    assert cert.a_final_mod_p[i][r][c] == want.residue(window)
         assert cert.final_prec >= ctx.n
-        assert cert.final_prec == min(e.to_useries().prec for m in cert.a_final
+        # the digits left after reading u-coordinates below the window
+        assert cert.final_prec == min(e.prec - (window - 1) // ctx.p for m in cert.a_final
                                       for row in m for e in row)
 
     def test_det_mismatch_raises(self, monkeypatch):

@@ -13,8 +13,8 @@ import crysred.kisin
 import crysred.lattices
 import crysred.reduction
 from crysred import pipeline
-from crysred.descent import compute_budget
-from crysred.errors import ConfigError
+from crysred.descent import compute_budget, read_off_window
+from crysred.errors import ConfigError, PrecisionExhausted
 from crysred.lattices import normalize_weights
 from crysred.pipeline import (
     EXIT_CONFIG,
@@ -184,13 +184,15 @@ class TestSmallEAdicPrecision:
     E^k division stops at `preflight`; every other M reaches the lambda
     closed form and gives the Berger-Li-Zhu answer, or stops honestly.
     At the first ten windows a truncated Frobenius once built lambda_b
-    wrongly and the jobs stopped with DetCheckFailed."""
+    wrongly and the jobs stopped with DetCheckFailed.  At (3, 4, 15) the
+    descended entries once lacked the digits to read u-coordinates of
+    every slot below M, and the job stopped at `descend`; the read-off
+    window L = 8 needs fewer."""
 
     # windows that stop, with the stage; every other window gives BLZ
     STOPS = {(3, 1, 4): "preflight", (3, 4, 5): "preflight",
              (5, 8, 15): "preflight", (5, 12, 13): "preflight",
-             (5, 12, 25): "preflight", (7, 20, 44): "preflight",
-             (3, 4, 15): "descend"}
+             (5, 12, 25): "preflight", (7, 20, 44): "preflight"}
 
     @pytest.mark.parametrize("p, k, m", [
         (3, 1, 4), (3, 1, 9), (3, 4, 5), (3, 4, 28), (5, 8, 15), (5, 8, 25),
@@ -251,14 +253,26 @@ class TestCertifiedPrecision:
         assert phi_agreement(3, 24, 24, 1, random.Random(1))[1] == 16
 
     def test_default_m_is_least(self):
-        # p = 5, k = 4: nwork(M) = 23 at M = 31..35, and
-        # b(M) = (M - 4) - floor((M - 4)/5) reaches 23 first at M = 32;
-        # at M = 31 the override's nwork is capped at b(31) = 22
+        # p = 5, k = 4: the window is L = 7, so nwork(M) = 18 at
+        # M = 25..35, and b(M) = (M - 4) - floor((M - 4)/5) reaches 18
+        # first at M = 26; at M = 25 the override's nwork is capped at
+        # b(25) = 17
         cfg = f1_type_i_job(5, 4)
         pf = preflight_precision(cfg)
-        assert (pf["M"], pf["N"], pf["nwork"]) == (32, 6, 23)
-        lower = dict(cfg.serial(), precision=[31, 6])
-        assert preflight_precision(JobConfig.from_dict(lower))["nwork"] == 22
+        assert (pf["M"], pf["N"], pf["nwork"]) == (26, 6, 18)
+        lower = dict(cfg.serial(), precision=[25, 6])
+        assert preflight_precision(JobConfig.from_dict(lower))["nwork"] == 17
+
+    def test_override_below_the_window_stops(self):
+        # p = 3, k = 4: L = 8, and M = 7 leaves b(7) = 2 >= N = 1 digits
+        cfg = dict(f1_type_i_job(3, 4).serial(), precision=[7, 1])
+        with pytest.raises(PrecisionExhausted, match="window L = 8"):
+            preflight_precision(JobConfig.from_dict(cfg))
+        report = run_pipeline(JobConfig.from_dict(cfg))
+        assert (report.error["stage"], report.error["type"]) == (
+            "preflight", "PrecisionExhausted")
+        cfg["precision"] = [8, 1]
+        assert preflight_precision(JobConfig.from_dict(cfg))["M"] == 8
 
     def test_override_keeps_m_and_n_and_caps_nwork(self):
         cfg = JobConfig.from_dict(dict(f1_type_i_job(5, 4).serial(),
@@ -266,6 +280,27 @@ class TestCertifiedPrecision:
         # (20 - 4) - floor(16/5) = 13 exact digits
         assert preflight_precision(cfg) == {
             "M": 20, "N": 6, "nwork": 13, "iterations_estimate": 1}
+
+
+class TestReadOffWindow:
+    """The answer does not depend on the E-adic truncation past the
+    read-off window: a default run gives the `result` block of a run at
+    the (M, N) that the preflight chose when it reserved digits for
+    u-coordinates of every slot below M."""
+
+    @pytest.mark.parametrize("data, old", [
+        (f1_type_i_job(3, 1).serial(), (51, 5)),
+        (f1_type_i_job(3, 4).serial(), (96, 8)),
+        (f1_type_i_job(5, 3).serial(), (27, 5)),
+        (mixed_job(3, (1, 2), ("I", "II")), (57, 6)),
+        (mixed_job(5, (2, 3), ("II", "I")), (27, 5)),
+    ], ids=["p3-k1", "p3-k4", "p5-k3", "p3-k12-mixed", "p5-k23-mixed"])
+    def test_result_matches_the_earlier_default(self, data, old):
+        got = run_pipeline(JobConfig.from_dict(data))
+        wide = run_pipeline(JobConfig.from_dict(dict(data, precision=list(old))))
+        assert got.preflight["M"] < old[0] and got.preflight["N"] == old[1]
+        assert got.error is None and wide.error is None
+        assert got.result == wide.result
 
 
 class TestRotation:
@@ -329,10 +364,15 @@ class TestSlopesAreReportOnly:
     product's determinant then reads as 0 at the working precision; its
     valuation is sum k_i by construction, and the job goes on."""
 
-    # the smallest such k for every (p, f) of p <= 13, f <= 5 that has one
+    # the smallest such k below 3p for every (p, f) of p <= 13, f <= 5
+    # that has one; the first nine were that list when the preflight
+    # reserved digits for u-coordinates of every slot below M, so nwork
+    # was larger
     @pytest.mark.parametrize("p, f, k", [
         (5, 5, 5), (7, 4, 5), (7, 5, 4), (11, 3, 7), (11, 4, 4), (11, 5, 3),
-        (13, 3, 6), (13, 4, 4), (13, 5, 3)])
+        (13, 3, 6), (13, 4, 4), (13, 5, 3),
+        (5, 3, 14), (5, 4, 5), (5, 5, 3), (7, 3, 7), (7, 4, 4), (7, 5, 3),
+        (11, 2, 16), (11, 3, 6), (13, 2, 13)])
     def test_answer_is_the_base_change(self, p, f, k):
         report = run_pipeline(type_i_job(p, [[k, 0]] * f))
         assert f * k >= report.context["N_work"]
@@ -346,11 +386,11 @@ class TestReducibilityPrecision:
 
     @pytest.mark.parametrize("v", range(11, 24))
     def test_p5_f2_k4_at_every_valuation(self, v):
-        # nwork is 23; v = 23 makes a_2 zero at precision
+        # nwork is 18; from v = 18 on, a_2 is zero at precision
         slot = {"type": "I", "a1": 1, "a2": {"coeffs": [1], "pexp": v}}
         report = run_pipeline(JobConfig.from_dict(
             {"p": 5, "f": 2, "weights": [[4, 0]] * 2, "params": [slot] * 2}))
-        assert report.context["N_work"] == 23
+        assert report.context["N_work"] == 18
         assert report.stages["reducibility"]["kind"] == "NotDetected"
         assert answer(report) == ("Split", (4, 20))
 
@@ -550,14 +590,14 @@ class TestStageTimings:
 
 class TestReduceStage:
     def test_residues_read_once(self, monkeypatch):
-        # A0's residues and the descended entries' residues, 4 each; the
-        # reduce stage reuses the ones `descend` compared
+        # the 4 descended entries' residues, below the window; the reduce
+        # stage reuses them, and A0 is compared without residues
         calls = []
         residue = SElem.residue
-        monkeypatch.setattr(SElem, "residue",
-                            lambda self: calls.append(1) or residue(self))
+        monkeypatch.setattr(SElem, "residue", lambda self, window: calls.append(
+            window) or residue(self, window))
         assert run_pipeline(JobConfig.from_dict(P5_K4)).error is None
-        assert len(calls) == 8
+        assert calls == [read_off_window(5, 4)] * 4
 
 
 def bump_first_h(b, pairs, anchors):
@@ -590,6 +630,27 @@ class TestSelfChecks:
         assert report.result is None
         assert (report.error["stage"], report.error["type"]) == (stage, etype)
         assert exit_code_for(report) == EXIT_INTERNAL
+
+    def test_descended_matrix_off_mod_p_past_the_window_stops(self, monkeypatch):
+        # every absorption factor I + D1 gains E^10 in its upper-right
+        # entry.  E^10 lies in p*S_F, so the mod-p stability and det checks
+        # pass; mod p it is u^10, past the window L = 7 that the residues
+        # read, so only the comparison with A0 on every slot sees it
+        add = crysred.descent.mat_add
+
+        def broken(a, b):
+            out = add(a, b)
+            if all(e == int(i == j) for i, row in enumerate(a) for j, e in enumerate(row)):
+                corner = out[0][1] + SElem.e_pow(out[0][1].ctx, 10)
+                out = ((out[0][0], corner), out[1])
+            return out
+
+        monkeypatch.setattr(crysred.descent, "mat_add", broken)
+        report = run_pipeline(JobConfig.from_dict(P5_K4))
+        assert report.result is None
+        assert report.error == {"stage": "descend", "type": "SplitFailed",
+                                "message": "slot 0: descended matrix != "
+                                           "prepared part mod p"}
 
     def test_wrong_witness_inverse_stops_the_explicit_job(self, monkeypatch):
         # the inverse the normalization applies is off by 1 in its

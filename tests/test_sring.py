@@ -749,7 +749,50 @@ class TestUConversion:
             if err is not None:
                 assert want is err
             want_res = outcome(lambda z: residue(padded_to_useries(z)), x)
-            assert outcome(SElem.residue, x) == want_res
+            assert outcome(lambda z: z.residue(ctx.m), x) == want_res
+
+
+def window_residue(y, window):
+    """Reference: the residue of the O_F[[u]] series y, zero from slot
+    `window` on."""
+    r = y.ctx.r
+    return residue(series(y.ctx, [y.c[j * r:(j + 1) * r] for j in range(window)], 1))
+
+
+class TestWindowedResidue:
+    """`SElem.residue(L)` on the embedding of a series y of O_F[[u]] (by
+    `from_useries`, the opposite direction): the residue of y on the slots
+    below L, and PrecisionExhausted exactly when prec <= floor((L-1)/p)."""
+
+    @pytest.mark.parametrize("name", ["ctx3", "ctx5", "ctx5r2"])
+    def test_matches_reference_below_the_window(self, name, request, rng):
+        ctx = request.getfixturevalue(name)
+        for window in (1, 2, ctx.p, ctx.p + 1, 2 * ctx.p + 2, ctx.m - 1, ctx.m):
+            need = (window - 1) // ctx.p
+            for prec in range(1, need + 3):
+                y = series(ctx, [[rng.randrange(ctx.ppow(prec)) for _ in range(ctx.r)]
+                                 for _ in range(ctx.m)], prec)
+                x = from_useries(y)
+                for z in (x, x._lift_d(2)):
+                    if prec <= need:
+                        with pytest.raises(PrecisionExhausted):
+                            z.residue(window)
+                    else:
+                        got = z.residue(window)
+                        assert got == window_residue(y, window)
+                        assert got.prec == 1
+
+    def test_slots_past_the_window_are_not_read(self, ctx5, rng):
+        window = 7
+        x = from_useries(random_useries(ctx5, rng))
+        # E^10 / p^2 is not in O_F[[u]], and lies past the window
+        beyond = x + SElem(ctx5, [0] * 10 + [1])
+        assert beyond.residue(window) == x.residue(window)
+        with pytest.raises(NotIntegral):
+            beyond.residue(ctx5.m)
+        # inside the window it is read: E^6 / p
+        with pytest.raises(NotIntegral):
+            (x + SElem(ctx5, [0] * 6 + [1])).residue(window)
 
 
 def frobenius_reference(x):
