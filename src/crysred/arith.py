@@ -19,6 +19,9 @@ threads.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import repeat
+from struct import Struct
 from typing import Optional, Sequence
 
 from .errors import NotAUnit, PrecisionExhausted
@@ -152,7 +155,9 @@ class PrimeContext:
     `n` is the reporting p-precision, `m` the u/E-adic truncation order.
     `dmax` = floor((m-1)/p) is the largest canonical-form denominator
     exponent of a slot below m, so u-coordinates of every slot cost dmax
-    digits.  `nwork` is the internal construction precision.  Its default
+    digits; it is also the rescale exponent D of `sring.s_sums` and
+    `s_mul`, which take slot j to c_j p^(D - floor(j/p)).  `nwork` is the
+    internal construction precision.  Its default
     is n + dmax + 1 + 4, so an element held at nwork converts to O_F[[u]]
     at precision n + 5, and its residue can be read off any window.  The
     pipeline passes the nwork that `preflight_precision` chooses: it
@@ -200,7 +205,7 @@ class PrimeContext:
         """
         r, g = self.r, self.residue_poly
         if r == 1:
-            return []
+            return ()
         base = [-g[i] for i in range(r)]  # w^r
         rows = [tuple(base)]
         cur = base
@@ -212,7 +217,7 @@ class PrimeContext:
                     nxt[i] += carry * base[i]
             rows.append(tuple(nxt))
             cur = nxt
-        return rows
+        return tuple(rows)
 
     def cache(self, key, builder):
         """The value stored under `key`, built by `builder()` on first use.
@@ -224,6 +229,10 @@ class PrimeContext:
         if key not in self._caches:
             self._caches[key] = builder()
         return self._caches[key]
+
+    def clear_cache(self):
+        """Drop every cached value; later lookups build it again."""
+        self._caches.clear()
 
     def fingerprint(self) -> dict:
         return {
@@ -365,10 +374,6 @@ class OFElem:
         mod = self.ctx.ppow(prec)
         return all((x - y) % mod == 0 for x, y in zip(self.c, other.c))
 
-    def is_zero(self) -> bool:
-        mod = self.ctx.ppow(self.prec)
-        return all(x % mod == 0 for x in self.c)
-
     def valuation(self) -> Optional[int]:
         """p-adic valuation; None means indistinguishable from 0 (>= prec)."""
         return _of_val_raw(self.ctx, self.c, self.prec)
@@ -432,17 +437,28 @@ def _fp_poly_invmod(a, g, p):
 #
 # Series store their coefficients flat, r values per u-slot: slot j of `c`
 # is c[j*r:(j+1)*r], the w-coefficients of c_j from w^0 up (an OFElem is
-# one slot).  `_conv2_raw` multiplies two such sequences as a full 2D
-# convolution over O_F: the u-index and the w-index are flattened into one
-# big integer (Kronecker substitution) so a single Python bignum
-# multiplication performs the whole convolution.  Each u-slot takes 2r-1
-# positions: a product has w-degree <= 2r-2, so it never bleeds into the
-# next u-slot.  Every position sum is at most
-# cap = min(la, lb) * r * max(a) * max(b), with la, lb the operands' slot
-# counts and the maxima taken over the operands after reduction mod `mod`;
-# `s_mul`, the one caller, passes the slots of the operands' supports.
+# one slot).  `_conv2_sums` evaluates sums of products of such sequences,
+# each product a full 2D convolution over O_F: the u-index and the w-index
+# are flattened into one big integer (Kronecker substitution; Schoenhage,
+# 1982) so a single Python bignum multiplication performs a whole
+# convolution.  Each u-slot takes 2r-1 positions: a product has w-degree
+# <= 2r-2, so it never bleeds into the next u-slot.  The products of one
+# sum are added as packed integers, each times its multiplier and shifted
+# up to its first slot, so a sum is folded and unpacked once however many
+# products it has.  Every position of a sum is at most
+# cap = sum of mult * min(la, lb) * r * max(a) * max(b) over its products,
+# with la, lb the operands' slot counts below the sum's last slot and the
+# maxima taken after reduction.  Each distinct operand is reduced once,
+# modulo the largest mod // mult of its products (a multiple of the others,
+# since moduli and multipliers are powers of one prime, so each product is
+# right modulo its own mod // mult and, times mult, modulo `mod`), and
+# packed once, at one width for the whole batch.  `sring.s_sums` is the
+# caller: its multipliers p^(g_i - beta) bring each product of a sum to the
+# sum's common scale p^beta, and it sets the sum's d and prec by the rule
+# of `SElem._plus`, so a sum has the values of its products added with `+`.
+# `_conv2_raw` is the one-product case, which a lone `s_mul` calls.
 #
-# The w-fold runs on the packed product as well (the multipoint layout of
+# The w-fold runs on the packed sum as well (the multipoint layout of
 # Harvey, J. Symbolic Comput. 44, 2009).  For each reduction row t, the row
 # of w^(r+t) mod g over Z, one shift and one periodic mask move position
 # r+t of every u-slot to position 0, and one multiply by the row, packed as
@@ -452,40 +468,50 @@ def _fp_poly_invmod(a, g, p):
 # least multiple of `mod` that is >= cap: no position goes negative, so
 # none borrows from its neighbour.  The offset is a multiple of `mod`, so
 # it changes nothing mod `mod`, and it keeps a value's divisibility by
-# every divisor of `mod`, which `s_mul` divides by.  A position then holds
+# every divisor of `mod`, which `s_sums` divides by.  A position then holds
 # at most cap * (1 + norm) + neg * mod, with norm and neg the largest
 # column sums of |row| and of the negative entries; the untouched positions
 # r..2r-2 stay below cap.  At r = 1 there are no rows, norm and neg are 0
-# and the slots are the positions.  Only the r folded positions of each
-# slot are unpacked.  `_pack` and `_unpack` are the only conversions
-# between integers and bytes; `s_frobenius` packs through them and shifts
-# and masks its own packed Horner accumulator.
+# and the slots are the positions.  The lift mask, the negative-mass
+# pattern and the packed rows depend only on the residue polynomial, M and
+# the width: they are packed once (`_fold_pack`, a bounded cache) for M
+# slots and shifted down to a product's slots.
+# Only the r folded positions of each slot are unpacked.  `_pack` and
+# `_unpack` are the only conversions between integers and bytes;
+# `s_frobenius` packs through them and shifts and masks its own packed
+# Horner accumulator.
 
 
 def _pack(values, width, group=1, pad=0, times=1):
     """Pack `values` as little-endian digits of `width` bytes, with `pad`
     zero digits after every `group` values (len(values) is a multiple of
     `group`), the whole layout repeated `times` times."""
-    chunks = [v.to_bytes(width, "little") for v in values]
+    chunks = map(int.to_bytes, values, repeat(width), repeat("little"))
     if pad:
-        spaced = [bytes(width * pad)] * (len(chunks) // group * (group + 1))
-        for i in range(group):
-            spaced[i::group + 1] = chunks[i::group]
-        chunks = spaced
-    return int.from_bytes(b"".join(chunks) * times, "little")
+        raw = _layout(width, len(values), group, pad).pack(*chunks)
+    else:
+        raw = b"".join(chunks)
+    return int.from_bytes(raw * times, "little")
+
+
+@lru_cache(maxsize=64)
+def _layout(width, count, group, pad):
+    """The struct layout of `count` digits of `width` bytes with `pad`
+    padding digits after every `group` of them.  A layout depends on no
+    context.  The cache is bounded because a run meets hundreds of
+    (width, count) pairs, and a miss costs one format compile."""
+    field = f"{width}s" * group + (f"{width * pad}x" if pad else "")
+    return Struct("<" + field * (count // group))
 
 
 def _unpack(n, width, count, group=None, pad=0):
     """`count` little-endian digits of `width` bytes of n >= 0, read from
     the lowest up, skipping `pad` digits after every `group` digits read
     (`count` >= 1 is a multiple of `group`; without padding all `count`
-    digits form one group)."""
-    group = group if pad else count
-    step = width * (group + pad)
-    need = step * (count // group)
-    raw = n.to_bytes(max(need, (n.bit_length() + 7) // 8), "little")
-    return [int.from_bytes(raw[j:j + width], "little")
-            for i in range(0, need, step) for j in range(i, i + width * group, width)]
+    digits form one group), split by one cached struct layout."""
+    layout = _layout(width, count, group if pad else count, pad)
+    raw = n.to_bytes(max(layout.size, (n.bit_length() + 7) // 8), "little")
+    return list(map(int.from_bytes, layout.unpack_from(raw), repeat("little")))
 
 
 def _fold_rows(ctx):
@@ -500,38 +526,140 @@ def _fold_rows(ctx):
     return ctx.cache(("fold",), build)
 
 
+def _conv_width(ctx, cap, mod):
+    """Digit width in bytes that holds a folded position of a sum whose
+    positions are at most `cap`, modulo `mod`."""
+    _, neg_max, norm = _fold_rows(ctx)
+    return max(1, ((cap * (1 + norm) + neg_max * mod).bit_length() + 7) // 8)
+
+
+@lru_cache(maxsize=16)
+def _fold_pack(red_rows, neg, width, slots):
+    """The lift mask (position 0 of every slot) and the negative-mass
+    pattern (neg_i at position i of every slot), `slots` slots long, and
+    the reduction rows as signed integers, at `width`.  Packed once per
+    residue polynomial, width and slot count (M, or more only for a direct
+    `_conv2_raw` call with out_len > M), and shifted down to a product's
+    slots.  The cache is not kept on the context, whose cache lives as
+    long as the context and every element that refers to it; 16 entries
+    hold the widths of a job."""
+    r = len(neg)
+    pad, bits = r - 1, 8 * width
+    return (_pack([(1 << bits) - 1] + [0] * pad, width, r, pad, slots),
+            _pack(neg, width, r, pad, slots),
+            tuple(sum(v << bits * i for i, v in enumerate(row)) for row in red_rows))
+
+
+def _fold_unpack(ctx, acc, cap, mod, n_u, width):
+    """The first n_u slots of the packed sum `acc`, whose positions lie in
+    [0, cap], folded mod the residue polynomial: n_u * r values, each
+    congruent mod `mod` to the folded exact sum and not reduced."""
+    r = ctx.r
+    if ctx._red_rows:
+        bits = 8 * width
+        slots = max(n_u, ctx.m)
+        lift, neg, rows = _fold_pack(ctx._red_rows, _fold_rows(ctx)[0], width, slots)
+        drop = bits * (2 * r - 1) * (slots - n_u)
+        lift, neg = lift >> drop, neg >> drop
+        prod = acc
+        acc += neg * (-(-cap // mod) * mod)
+        for t, row in enumerate(rows):
+            acc += ((prod >> bits * (r + t)) & lift) * row
+    return _unpack(acc, width, n_u * r, r, r - 1)
+
+
+def _conv2_sums(ctx, sums):
+    """Sums of products of flat sequences, each sum folded and unpacked
+    once.
+
+    `sums` holds (terms, mod, out_len) triples, and each term is
+    (a, b, mult, shift): two nonempty flat operands of values >= 0, an
+    integer multiplier and a slot shift below out_len.  The moduli and
+    multipliers are powers of one prime, and mult divides mod.  For each
+    sum the result is its first min(out_len, last product slot + 1) slots
+    of sum(mult * a b, moved up `shift` slots), flat, folded mod the
+    residue polynomial, each value congruent mod `mod` to the exact folded
+    sum but not reduced.  An operand is identified by its object: each is
+    reduced modulo the largest mod // mult of its terms and packed once, at
+    one width for the batch.
+    """
+    r = ctx.r
+    moduli = {}
+    for terms, mod, _ in sums:
+        for a, b, mult, _ in terms:
+            q = mod // mult
+            for v in (a, b):
+                if moduli.get(id(v), (0, 0))[1] < q:
+                    moduli[id(v)] = (v, q)
+    ops = {}
+    for key, (v, q) in moduli.items():
+        top = max(v)
+        if top >= q:
+            v = [x % q for x in v]
+            top = max(v)
+        ops[key] = (v, top)
+
+    # products with an operand that is 0 after reduction drop out; every
+    # other operand value is at most its product's share of the cap
+    width, plans = 1, []
+    for terms, mod, out_len in sums:
+        cap = n_u = 0
+        live = []
+        for a, b, mult, shift in terms:
+            (va, ma), (vb, mb) = ops[id(a)], ops[id(b)]
+            if ma and mb:
+                la, lb = len(va) // r, len(vb) // r
+                cap += mult * min(la, lb, out_len - shift) * r * ma * mb
+                n_u = max(n_u, shift + la + lb - 1)
+                live.append((a, b, mult, shift))
+        n_u = min(n_u, out_len)
+        width = max(width, _conv_width(ctx, cap, mod))
+        plans.append((live, cap, n_u))
+
+    packed = {}
+    slot_bits = 8 * width * (2 * r - 1)
+    out = []
+    for (_, mod, _), (live, cap, n_u) in zip(sums, plans):
+        acc = 0
+        for a, b, mult, shift in live:
+            for v in (a, b):
+                if id(v) not in packed:
+                    packed[id(v)] = _pack(ops[id(v)][0], width, r, r - 1)
+            keep = slot_bits * (n_u - shift)
+            pa, pb = packed[id(a)], packed[id(b)]
+            if pa.bit_length() > keep:
+                pa &= (1 << keep) - 1
+            if pb.bit_length() > keep:
+                pb &= (1 << keep) - 1
+            acc += (pa * pb * mult) << slot_bits * shift
+        out.append(_fold_unpack(ctx, acc, cap, mod, n_u, width) if live else [])
+    return out
+
+
 def _conv2_raw(ctx, a, b, mod, out_len):
-    """a, b: flat coefficient sequences, r values per u-slot.  Returns
-    their product, capped at out_len slots, as a flat list mod `mod`,
-    folded mod the residue polynomial on the packed product; the fold is
-    linear over Z with integer rows, so the values keep the exact sums'
-    divisibility, which `s_mul` uses."""
+    """a, b: flat coefficient sequences of values >= 0, r values per
+    u-slot.  Returns their product, capped at out_len slots, as a flat list
+    mod `mod`, folded mod the residue polynomial on the packed product; the
+    fold is linear over Z with integer rows, so the values keep the exact
+    sums' divisibility, which `s_sums` uses.  The one-product case of
+    `_conv2_sums`, without its bookkeeping of shared operands."""
     r = ctx.r
     la, lb = len(a) // r, len(b) // r
     if la == 0 or lb == 0:
         return []
     # coefficients may be stored at a higher precision than the product's
     # modulus; reduce before sizing so the width bounds the true sums
-    fa = [v % mod for v in a]
-    fb = [v % mod for v in b]
+    fa = a if max(a) < mod else [v % mod for v in a]
+    fb = b if max(b) < mod else [v % mod for v in b]
     n_u = min(la + lb - 1, out_len)
     ma, mb = max(fa), max(fb)
     if not ma or not mb:
         return [0] * (n_u * r)
     # with both maxima >= 1 the width also holds every operand value
     cap = min(la, lb) * r * ma * mb
-    neg, neg_max, norm = _fold_rows(ctx)
-    width = ((cap * (1 + norm) + neg_max * mod).bit_length() + 7) // 8
-    pad, bits = r - 1, 8 * width
-    acc = prod = _pack(fa, width, r, pad) * _pack(fb, width, r, pad)
-    if ctx._red_rows:
-        m_cap = -(-cap // mod) * mod
-        acc += _pack([v * m_cap for v in neg], width, r, pad, n_u)
-        lift = _pack([(1 << bits) - 1] + [0] * pad, width, r, pad, n_u)
-        for t, row in enumerate(ctx._red_rows):
-            acc += ((prod >> bits * (r + t)) & lift) * \
-                sum(v << bits * i for i, v in enumerate(row))
-    return [v % mod for v in _unpack(acc, width, n_u * r, r, pad)]
+    width = _conv_width(ctx, cap, mod)
+    acc = _pack(fa, width, r, r - 1) * _pack(fb, width, r, r - 1)
+    return [v % mod for v in _fold_unpack(ctx, acc, cap, mod, n_u, width)]
 
 
 def _fold_w(ctx, slot, mod):
@@ -628,10 +756,6 @@ def mat_sub(a, b):
 
 def mat_det(a):
     return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-
-
-def mat_adj(a):
-    return ((a[1][1], -a[0][1]), (-a[1][0], a[0][0]))
 
 
 def _entries(m):

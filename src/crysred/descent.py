@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .arith import _entries, _mat_map, mat_add, mat_adj, mat_det, mat_mul, mat_sub
+from .arith import _entries, _mat_map, mat_add, mat_sub
 from .errors import (
     AssumptionViolated,
     GateFailed,
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .kisin import KisinFrobenius
 from .lattices import WeightData
-from .sring import SElem, fil_membership, in_p_pow_s, s_frobenius, s_invert, s_mul
+from .sring import SElem, fil_membership, in_p_pow_s, s_frobenius, s_invert, s_mul, s_sums
 
 
 @dataclass(frozen=True)
@@ -204,6 +204,19 @@ def check_descent_assumptions(split: PreparedSplit, budget: HeightBudget) -> Non
             raise AssumptionViolated("c", f"slot {i}: reassembly mismatch")
 
 
+def mat_mul(a: Mat2, b: Mat2) -> Mat2:
+    """The 2x2 product over S_F, each entry one packed sum of two products
+    (`s_sums`): the values, d and prec of `arith.mat_mul`."""
+    v = s_sums([((a[i][0], b[0][j]), (a[i][1], b[1][j])) for i in (0, 1) for j in (0, 1)])
+    return ((v[0], v[1]), (v[2], v[3]))
+
+
+def mat_det(a: Mat2) -> SElem:
+    """det(a) over S_F as one packed sum: the values, d and prec of
+    `arith.mat_det`."""
+    return s_sums((((a[0][0], a[1][1]), (-a[0][1], a[1][0])),))[0]
+
+
 def _det_over_e_pow(a: Mat2, k: int) -> SElem:
     """The unit det(A) / E^k at d = 0; HeightMismatch when the division or
     the denominator cannot be certified, or the quotient is not a unit."""
@@ -226,8 +239,8 @@ def height_partner(a: Mat2, unit: SElem, seed: Optional[SElem] = None):
     certifies the inverse at the unit's precision.
     """
     inv = s_invert(unit, seed=seed)
-    b = tuple(tuple(s_mul(entry, inv) for entry in row) for row in mat_adj(a))
-    return b, inv
+    v = s_sums([((e, inv),) for e in (a[1][1], a[0][1], a[1][0], a[0][0])])
+    return ((v[0], -v[1]), (-v[2], v[3])), inv
 
 
 @dataclass

@@ -12,14 +12,18 @@ and lie in [0, p^prec), so every loop runs over an element's support,
 not over M.
 
 Canonical coefficients multiply by plain convolution with a carry factor
-p^(floor((i+j)/p) - floor(i/p) - floor(j/p)) in {1, p}.  `s_mul` rescales
-c_j by p^(D - floor(j/p)), D = floor((M-1)/p), and at r > 1 divides each
-operand by the largest power p^s of p common to its rescaled values, so
-an element of O_F[[u]] (s >= D) carries no padding digits.  A product is
-then one Kronecker convolution over the operands' supports, modulo
-p^(prec + 2D - s_x - s_y), followed by an exact division or a
-multiplication of each slot by a power of p.  The packed layout and the
-w-fold belong to `arith` (`_conv2_raw`, `_pack`, `_unpack`).
+p^(floor((i+j)/p) - floor(i/p) - floor(j/p)) in {1, p}.  `s_sums`
+evaluates sums of such products, and `s_mul` is its one-pair case.  Each
+operand is rescaled once, c_j -> c_j p^(D - floor(j/p)) with
+D = floor((M-1)/p) = `ctx.dmax`, and at r > 1 divided by the largest
+power p^s of p common to its rescaled values, so an element of O_F[[u]]
+(s >= D) carries no padding digits.  Each product of a sum is then a
+Kronecker convolution over the operands' supports, brought to the sum's
+common scale by an integer power of p; the products are added packed,
+folded and unpacked once, and an exact division or a multiplication by a
+power of p finishes each slot.  d and prec follow the rule of `+`.  The
+packed layout and the w-fold belong to `arith` (`_conv2_sums`,
+`_conv2_raw`, `_pack`, `_unpack`).
 
 The Frobenius phi fixes coefficients, sends u to u^p, and therefore sends
 E^j/p^floor(j/p) to p^(j - floor(j/p)) * gamma^j with gamma = phi(E)/p.
@@ -49,6 +53,7 @@ from .arith import (
     PrimeContext,
     USeries,
     _conv2_raw,
+    _conv2_sums,
     _of_val_raw,
     _pack,
     _unpack,
@@ -92,15 +97,6 @@ class PhiExpPoly:
         if not self.c:
             return self
         return PhiExpPoly((0,) * j + self.c)
-
-    def __eq__(self, other):
-        return isinstance(other, PhiExpPoly) and self.c == other.c
-
-    def __hash__(self):
-        return hash(self.c)
-
-    def is_zero(self) -> bool:
-        return not self.c
 
     def terms(self) -> List[Tuple[int, int]]:
         return [(j, cj) for j, cj in enumerate(self.c) if cj]
@@ -458,61 +454,122 @@ class SElem:
 # ---------------------------------------------------------------------------
 
 
-def s_mul(x: SElem, y: SElem) -> SElem:
-    """Canonical-form product by one Kronecker convolution.
+def s_sums(sums) -> List[SElem]:
+    """For each sum, a sequence of pairs (x, y) of one context, the
+    element sum of x y: values, d and prec as `s_mul` of each pair added
+    with `+`, from one packed sum of products folded and unpacked once.
 
     (E^a/p^floor(a/p)) (E^b/p^floor(b/p)) = p^car E^(a+b)/p^floor((a+b)/p)
     with car = floor((a+b)/p) - floor(a/p) - floor(b/p) >= 0, so slot k of
-    the product is the integer T_k = sum_(i+j=k) c_i c'_j p^car.
+    a product is the integer T_k = sum_(i+j=k) c_i c'_j p^car.
 
-    Each operand is rescaled, c_j -> c_j p^(D - floor(j/p)) with
-    D = `ctx.dmax`, and then divided by p^s, the largest power of p that
+    Each distinct operand is rescaled once, c_j -> c_j p^(D - floor(j/p))
+    with D = `ctx.dmax`, and divided by p^s, the largest power of p that
     divides all its rescaled values (one gcd; `_rescaled` keeps s = 0 at
     r = 1).  An element of O_F[[u]] has s >= D, so it carries no padding
     digits.  What follows holds for any s with p^s dividing the rescaled
     values.  With s_x, s_y for the two operands, every term of slot k of
     the plain convolution of the rescaled operands is
-    c_i c'_j p^(2D - floor(i/p) - floor(j/p) - s_x - s_y), so that slot
-    is conv_k = T_k p^(2D - floor(k/p) - s_x - s_y), and
-    T_k = conv_k p^(e_k), e_k = s_x + s_y + floor(k/p) - 2D.
+    c_i c'_j p^(2D - floor(i/p) - floor(j/p) - s_x - s_y), so that slot is
+    conv_k = T_k p^(2D - floor(k/p) - s_x - s_y).
 
-    The kernel works mod p^K, K = prec + 2D - s_x - s_y.  When e_k >= 0,
-    conv_k p^(e_k) is right mod p^(K + e_k) = p^(prec + floor(k/p)).  When
-    e_k < 0, p^(-e_k) divides the exact conv_k, since T_k is an integer;
-    it divides p^K too, as -e_k <= K - prec, so it also divides the value
-    reduced mod p^K, and the quotient is right mod p^(K + e_k), again a
-    multiple of p^prec.  The kernel returns slots folded mod the residue
+    `+` follows `_plus`: the sum has d = max d_i, with d_i = d_x + d_y,
+    and prec P = min(prec_i + d - d_i), with prec_i = min(prec_x, prec_y);
+    the product i enters as T_i p^(d - d_i), known modulo p^P.  So slot k
+    of the sum is S_k = sum_i T_(i,k) p^(d - d_i) = Q_k p^(e_k), with
+    g_i = s_x + s_y - 2D + d - d_i, beta = min_i g_i, e_k = beta + floor(k/p)
+    and Q_k = sum_i conv_(i,k) p^(g_i - beta): the products are brought to
+    the sum's common scale p^beta by the integer multipliers p^(g_i - beta)
+    and shifted to their first slot.  A product with g_i >= P is 0 mod p^P
+    and drops out, as do zero products, but each pair counts towards d and
+    P.
+
+    The kernel works mod p^K, K = P - beta, and reduces the operands of
+    product i mod p^(K - (g_i - beta)): p^(g_i - beta) times the product is
+    then right mod p^K, and these moduli divide one another, so each
+    operand is reduced once, modulo the largest.  When e_k >= 0, Q_k p^(e_k)
+    is right mod p^(K + e_k) = p^(P + floor(k/p)), a multiple of p^P.
+    When e_k < 0, p^(-e_k) divides the exact Q_k, since S_k is an integer;
+    it divides p^K too, as -e_k <= -beta < K, so it also divides the
+    kernel's value, and the quotient is right mod p^(K + e_k), again
+    p^(P + floor(k/p)).  The kernel folds the sum mod the residue
     polynomial; the fold is linear over Z with integer rows, so the folded
-    values keep that divisibility.  When K <= 0, every e_k >= prec and the
-    product is 0 at prec.
+    values keep that divisibility.
 
-    Only the support counts: leading zero slots (which `slice_from` keeps)
-    are skipped, and slots at or above M minus the other operand's first
-    nonzero slot reach no product slot below M.
+    Only the supports count: leading zero slots (which `slice_from` keeps)
+    are skipped, and an operand's slots at or above M minus its partners'
+    least first nonzero slot reach no product slot below M.  A batch of
+    one pair (`s_mul`) skips the bookkeeping of shared operands and goes
+    through `_conv2_raw`.
     """
-    ctx, r = x.ctx, x.ctx.r
-    prec = min(x.prec, y.prec)
-    d = x.d + y.d
-    if not x.c or not y.c:
-        return SElem._reduced(ctx, (), d, prec)
-    m = ctx.m
-    lx, ly = _first_nonzero(x.c) // r, _first_nonzero(y.c) // r
-    lo = lx + ly
-    if lo >= m:
-        return SElem._reduced(ctx, (), d, prec)
-    a, sx = _rescaled(ctx, x.c, lx, m - ly)
-    b, sy = _rescaled(ctx, y.c, ly, m - lx)
-    base = sx + sy - 2 * ctx.dmax
-    if base >= prec:
-        return SElem._reduced(ctx, (), d, prec)
-    raw = _conv2_raw(ctx, a, b, ctx.ppow(prec - base), m - lo)
-    mod = ctx.ppow(prec)
-    # e_k < 0 exactly for the slots k < p * (-base)
-    split = min(max(ctx.p * -base - lo, 0) * r, len(raw))
-    scale = _scales(ctx, base)[lo * r:]
-    vals = [0] * (lo * r) + [v // q % mod for v, q in zip(raw[:split], scale)]
-    vals += [v * q % mod for v, q in zip(raw[split:], scale[split:])]
-    return SElem._reduced(ctx, _trimmed(vals, r), d, prec)
+    if len(sums) == 1 and len(sums[0]) == 1:
+        return [_lone_product(*sums[0][0])]
+    ctx = sums[0][0][0].ctx
+    r, m, two_d = ctx.r, ctx.m, 2 * ctx.dmax
+    # per nonzero operand: the element, its first nonzero slot, and the
+    # least first nonzero slot of its partners
+    lows = {}
+    for terms in sums:
+        for x, y in terms:
+            if x.c and y.c:
+                ex = lows.get(id(x)) or lows.setdefault(id(x), [x, _first_nonzero(x.c) // r, m])
+                ey = lows.get(id(y)) or lows.setdefault(id(y), [y, _first_nonzero(y.c) // r, m])
+                ex[2], ey[2] = min(ex[2], ey[1]), min(ey[2], ex[1])
+    ops = {key: (lo,) + _rescaled(ctx, e.c, lo, m - reach)
+           for key, (e, lo, reach) in lows.items() if lo + reach < m}
+
+    heads, jobs = [], []
+    for terms in sums:
+        d = max(x.d + y.d for x, y in terms)
+        prec = d + min(min(x.prec, y.prec) - x.d - y.d for x, y in terms)
+        live = []
+        for x, y in terms:
+            a, b = ops.get(id(x)), ops.get(id(y))
+            if a and b and a[0] + b[0] < m:
+                g = a[2] + b[2] - two_d + d - x.d - y.d
+                if g < prec:
+                    live.append((a[1], b[1], a[0] + b[0], g))
+        if not live:
+            heads.append((d, prec, None, 0))
+            continue
+        beta = min(t[3] for t in live)
+        lo = min(t[2] for t in live)
+        jobs.append(([(a, b, ctx.ppow(g - beta), k - lo) for a, b, k, g in live],
+                     ctx.ppow(prec - beta), m - lo))
+        heads.append((d, prec, beta, lo))
+    raws = iter(_conv2_sums(ctx, jobs))
+    out = []
+    for d, prec, beta, lo in heads:
+        vals = () if beta is None else _trimmed(_descaled(ctx, next(raws), beta, lo, prec), r)
+        out.append(SElem._reduced(ctx, vals, d, prec))
+    return out
+
+
+def _lone_product(x: SElem, y: SElem) -> SElem:
+    """`s_sums` of the one pair (x, y): d = d_x + d_y, prec = min of the
+    two and beta = g = s_x + s_y - 2D."""
+    ctx, r, m = x.ctx, x.ctx.r, x.ctx.m
+    prec, d = min(x.prec, y.prec), x.d + y.d
+    if x.c and y.c:
+        lx, ly = _first_nonzero(x.c) // r, _first_nonzero(y.c) // r
+        if lx + ly < m:
+            a, sx = _rescaled(ctx, x.c, lx, m - ly)
+            b, sy = _rescaled(ctx, y.c, ly, m - lx)
+            base = sx + sy - 2 * ctx.dmax
+            if base < prec:
+                raw = _conv2_raw(ctx, a, b, ctx.ppow(prec - base), m - lx - ly)
+                vals = _descaled(ctx, raw, base, lx + ly, prec)
+                return SElem._reduced(ctx, _trimmed(vals, r), d, prec)
+    return SElem._reduced(ctx, (), d, prec)
+
+
+def s_mul(x: SElem, y: SElem) -> SElem:
+    """Canonical-form product by one Kronecker convolution: the one-pair
+    case of `s_sums`, whose docstring has the exactness argument.  With one
+    pair, d = d_x + d_y, prec = min(prec_x, prec_y) and
+    beta = s_x + s_y - 2D, so the kernel works mod p^(prec - beta) and slot
+    k is divided exactly by, or multiplied with, p^|beta + floor(k/p)|."""
+    return s_sums((((x, y),),))[0]
 
 
 def _first_nonzero(c) -> int:
@@ -544,11 +601,24 @@ def _rescaled(ctx: PrimeContext, c, lo: int, hi: int) -> tuple:
     return vals, s
 
 
+def _descaled(ctx: PrimeContext, raw, base: int, lo: int, prec: int) -> list:
+    """The flat values of slots lo.. of a product or sum at scale p^base:
+    slot k of `raw` times p^(base + floor(k/p)), exactly divided where the
+    exponent is negative, mod p^prec, after lo * r zeros."""
+    r, mod = ctx.r, ctx.ppow(prec)
+    # the exponent is negative exactly for the slots k < p * (-base)
+    split = min(max(ctx.p * -base - lo, 0) * r, len(raw))
+    scale = _scales(ctx, base)[lo * r:]
+    vals = [0] * (lo * r) + [v // q % mod for v, q in zip(raw[:split], scale)]
+    vals += [v * q % mod for v, q in zip(raw[split:], scale[split:])]
+    return vals
+
+
 def _scales(ctx: PrimeContext, base: int) -> tuple:
     """p^|base + floor(k/p)| for the M*r values of slots k < M.  At
     base = -D these are the rescale factors p^(D - floor(k/p)) of
-    `s_mul`; otherwise the exact divisor (exponent < 0) or the multiplier
-    that `s_mul` applies to slot k of the convolution."""
+    `s_sums`; otherwise the exact divisor (exponent < 0) or the multiplier
+    that `s_sums` applies to slot k of a packed sum at scale p^base."""
     return ctx.cache(("scale", base), lambda: tuple(
         ctx.ppow(abs(base + i // ctx.r // ctx.p)) for i in range(ctx.m * ctx.r)))
 
@@ -610,6 +680,13 @@ def _packed_w_powers(ctx: PrimeContext, width: int) -> tuple:
     return ctx.cache(("wpack", width), build)
 
 
+def _frobenius_scales(ctx: PrimeContext) -> tuple:
+    """p^(j - floor(j/p)) for the M*r values of slots j < M: the factor
+    that takes c_j to a_j in `s_frobenius`."""
+    return ctx.cache(("frobscale",), lambda: tuple(
+        ctx.ppow(i // ctx.r - i // ctx.r // ctx.p) for i in range(ctx.m * ctx.r)))
+
+
 def s_frobenius(x: SElem) -> SElem:
     """phi on S_F: phi(E^j/p^floor(j/p)) = p^(j - floor(j/p)) gamma^j.
 
@@ -639,12 +716,12 @@ def s_frobenius(x: SElem) -> SElem:
     # every Horner partial of T_l is at most (mod - 1) binom(n, l + 1)
     digit = (((mod - 1) * comb(n, max(1, min(L, n // 2)))).bit_length() + 7) // 8
     shift = 8 * digit * r
-    mask = (1 << shift * L) - 1
+    mask, low = (1 << shift * L) - 1, (1 << shift) - 1
+    # the a_j, packed once: a_j is digits j*r .. j*r + r - 1
+    a = _pack([v * q % mod for v, q in zip(x.c[:n * r], _frobenius_scales(ctx))], digit)
     acc = 0
     for j in range(n - 1, -1, -1):
-        s = ctx.ppow(j - j // p)
-        a_j = _pack([v * s % mod for v in x._slot(j)], digit)
-        acc = ((acc + (acc << shift)) & mask) + a_j
+        acc = ((acc + (acc << shift)) & mask) + ((a >> shift * j) & low)
     T = [t % mod for t in _unpack(acc, digit, r * L)]
     # digit j*r + i of the sum is sum_l T_l[i] (slot j of w^l): L terms,
     # each below top^2, as T_l < p^prec and w^l is stored mod p^nwork

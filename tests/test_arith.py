@@ -227,6 +227,42 @@ class TestPackedConvolution:
         self.check(ctx, b, a, mod, ctx.m)
 
 
+class TestPacking:
+    @pytest.mark.parametrize("r", [1, 2, 3, 5])
+    @pytest.mark.parametrize("width", [1, 3, 8, 13])
+    def test_padded_round_trip(self, r, width, rng):
+        from crysred.arith import _pack, _unpack
+
+        top = 1 << 8 * width
+        for slots in (1, 4, 9):
+            values = [rng.randrange(top) for _ in range(slots * r)]
+            values[-1] = top - 1
+            n = _pack(values, width, r, r - 1)
+            assert _unpack(n, width, len(values), r, r - 1) == values
+            # the pad digits are zero: unpacked without skipping, each
+            # group is followed by r - 1 zeros
+            flat = _unpack(n, width, slots * (2 * r - 1))
+            assert flat == [v for i in range(slots)
+                            for v in values[i * r:(i + 1) * r] + [0] * (r - 1)]
+            # repeated layouts, and an integer with more digits than read
+            twice = _pack(values, width, r, r - 1, 2)
+            assert _unpack(twice, width, len(values), r, r - 1) == values
+            assert _unpack(twice, width, 2 * len(values), r, r - 1) == values * 2
+            high = n + (rng.randrange(1, top) << 8 * width * slots * (2 * r - 1))
+            assert _unpack(high, width, len(values), r, r - 1) == values
+
+    def test_unpadded_round_trip_and_short_integer(self, rng):
+        from crysred.arith import _pack, _unpack
+
+        values = [rng.randrange(1 << 40) for _ in range(7)]
+        n = _pack(values, 5)
+        assert _unpack(n, 5, 7) == values
+        assert _unpack(n, 5, 3) == values[:3]
+        # digits past the integer's top read as zeros
+        assert _unpack(n, 5, 9) == values + [0, 0]
+        assert _unpack(0, 5, 2, 1, 1) == [0, 0]
+
+
 class TestUSeries:
     """The reference ring of `useries_ref`, which the S_F tests compare
     against."""

@@ -1,11 +1,15 @@
 """Preparation, descent assumptions and the successive approximation."""
 
+import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crysred.arith import OFElem, PrimeContext, mat_det, mat_mul
 from crysred.errors import AssumptionViolated, GateFailed, HeightMismatch, SplitFailed
+import crysred.descent as descent_mod
+import crysred.sring as sring_mod
 from crysred.descent import (
     _det_over_e_pow,
     check_descent_assumptions,
@@ -19,7 +23,7 @@ from crysred.descent import (
 )
 from crysred.kisin import build_kisin_frobenius, det_normalize
 from crysred.lattices import TypeTag, WeightData
-from crysred.sring import SElem, fil_membership, s_invert, s_mul
+from crysred.sring import SElem, fil_membership, s_invert, s_mul, s_sums
 
 from test_lattices import mat
 
@@ -330,3 +334,95 @@ class TestDescend:
         wd = WeightData((3,), (0,))
         budget = compute_budget(wd, 5)
         assert 2 <= estimate_iterations(wd, budget, 5, 40) <= 6
+
+
+# p in {3, 5}, r in {1, 2, 3}; M = 12 keeps first slots >= M within reach
+FUSED_CTXS = {(p, r): PrimeContext(p=p, f=r, n=3, m=12, r=r, nwork=8)
+              for p in (3, 5) for r in (1, 2, 3)}
+
+
+def fused_entry(ctx, rng):
+    """An entry of one of the shapes the fused products must handle: dense,
+    zero, with leading zero slots (`slice_from`), sparse, or with every
+    value a multiple of p^t, so that the rescaled operand divides by a
+    power of p; at a random precision and d in {0, 1, 2}."""
+    kind = rng.choice(("dense", "zero", "tail", "sparse", "p-power"))
+    prec, d = rng.randint(1, ctx.nwork), rng.choice((0, 0, 1, 2))
+    if kind == "zero":
+        return SElem(ctx, (), d, prec)
+    mod = ctx.ppow(prec)
+    slots = [[rng.randrange(mod) for _ in range(ctx.r)] for _ in range(rng.randint(1, ctx.m))]
+    if kind == "sparse":
+        slots = [s if rng.random() < 0.3 else [0] * ctx.r for s in slots]
+    if kind == "p-power":
+        q = ctx.ppow(rng.randint(1, ctx.dmax + 1))
+        slots = [[v * q for v in s] for s in slots]
+    x = SElem(ctx, [tuple(s) for s in slots], d, prec)
+    return x.slice_from(rng.randint(1, ctx.m - 1)) if kind == "tail" else x
+
+
+def fused_case(ctx, seed):
+    rng = random.Random(seed)
+    a, b = (((e[0], e[1]), (e[2], e[3]))
+            for e in ([fused_entry(ctx, rng) for _ in range(4)] for _ in range(2)))
+    return a, b, [fused_entry(ctx, rng) for _ in range(3)]
+
+
+def as_stored(x):
+    return x.c, x.d, x.prec
+
+
+class TestFusedProducts:
+    """`descent.mat_mul`/`mat_det` and `s_sums` against the products and
+    sums taken one `s_mul` and one `_plus` at a time."""
+
+    @pytest.mark.parametrize("p, r", sorted(FUSED_CTXS))
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_same_values_d_and_prec(self, p, r, seed):
+        ctx = FUSED_CTXS[p, r]
+        a, b, (x, y, z) = fused_case(ctx, seed)
+        got, want = descent_mod.mat_mul(a, b), mat_mul(a, b)
+        for i in range(2):
+            for j in range(2):
+                assert as_stored(got[i][j]) == as_stored(want[i][j])
+        assert as_stored(descent_mod.mat_det(a)) == as_stored(mat_det(a))
+        # three products in one sum, with an operand shared between them
+        # and a negated one, as check_dets forms det(A) - E^k * unit
+        got = s_sums([((x, y), (-z, x), (y, y))])[0]
+        assert as_stored(got) == as_stored(s_mul(x, y) + s_mul(-z, x) + s_mul(y, y))
+
+    @pytest.mark.parametrize("p, r", sorted(FUSED_CTXS))
+    def test_cases_cover_the_branches(self, p, r, monkeypatch):
+        # the generated cases reach entries with d > 0, zero entries,
+        # leading zero slots, products whose first slot is >= M, and slots
+        # that the kernel's sum exactly divides (e_k < 0)
+        ctx = FUSED_CTXS[p, r]
+        descaled, divided = sring_mod._descaled, []
+
+        def spy(ctx, raw, base, lo, prec):
+            divided.append(raw and p * -base > lo)
+            return descaled(ctx, raw, base, lo, prec)
+
+        monkeypatch.setattr(sring_mod, "_descaled", spy)
+        seen = set()
+        for seed in range(200):
+            a, b, _ = fused_case(ctx, seed)
+            descent_mod.mat_mul(a, b)
+            entries = [e for m in (a, b) for row in m for e in row]
+            seen.update({"d > 0"} if any(e.d for e in entries) else ())
+            seen.update({"zero"} if any(not e.c for e in entries) else ())
+            seen.update({"leading zeros"} if any(e.c and not any(e.c[:ctx.r])
+                                                 for e in entries) else ())
+            for i in range(2):
+                for j in range(2):
+                    for k in range(2):
+                        x, y = a[i][k], b[k][j]
+                        if x.c and y.c and (first_slot(x) + first_slot(y) >= ctx.m):
+                            seen.add("first slot >= M")
+        assert any(divided)
+        assert seen == {"d > 0", "zero", "leading zeros", "first slot >= M"}
+
+
+def first_slot(x):
+    return next(i for i, v in enumerate(x.c) if v) // x.ctx.r

@@ -68,7 +68,7 @@ class TestPhiExpPoly:
         a = PhiExpPoly((1, 2))
         b = PhiExpPoly((0, 0, 3))
         assert (a + b).c == (1, 2, 3)
-        assert (a - a).is_zero()
+        assert (a - a).c == ()
         assert a.phi_shifted(2).c == (0, 0, 1, 2)
 
     def test_terms(self):
@@ -83,7 +83,7 @@ class TestGamma:
         assert g.coeff(1) == 9
         assert g.coeff(2) == -3
         assert g.coeff(3) == 1
-        assert all(g.coeff(j).is_zero() for j in range(4, ctx3.m))
+        assert all(not any(g.coeff(j).c) for j in range(4, ctx3.m))
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_constant_term(self, p):
@@ -113,13 +113,13 @@ class TestSMul:
         y = SElem.e_pow(ctx3, ctx3.p - 1)
         prod = s_mul(x, y)
         assert prod.coeff(ctx3.p) == ctx3.p
-        assert all(prod.coeff(j).is_zero() for j in range(ctx3.m) if j != ctx3.p)
+        assert all(not any(prod.coeff(j).c) for j in range(ctx3.m) if j != ctx3.p)
 
     def test_e2_squared_p3(self, ctx3):
         # brute-force oracle: E^4 = (u+3)^4 expanded, re-expanded in E
         prod = s_mul(SElem.e_pow(ctx3, 2), SElem.e_pow(ctx3, 2))
         assert prod.coeff(4) == 3
-        assert all(prod.coeff(j).is_zero() for j in range(ctx3.m) if j != 4)
+        assert all(not any(prod.coeff(j).c) for j in range(ctx3.m) if j != 4)
 
     def test_matches_useries_mul(self, ctx5r2, rng):
         # embed two integral polynomials of degree < M/2 (so the product is
@@ -671,7 +671,7 @@ class TestTrimmedInvariant:
         x = short_selem(ctx5, rng, 4)
         assert len(x.c) <= 4
         j = ctx5.m - 1
-        assert x.coeff(j).is_zero() and x.coeff(j).prec == x.prec
+        assert not any(x.coeff(j).c) and x.coeff(j).prec == x.prec
         assert x.slot_val(j) is None
         assert x.slot_val_at_least(j, 10 ** 6)
 

@@ -84,3 +84,31 @@ def test_every_nonzero_product_reaches_the_kernel(tracing, monkeypatch):
         r = ctx.r
         assert len(a) % r == 0 and len(b) % r == 0
         assert len(out) == r * min(len(a) // r + len(b) // r - 1, out_len)
+
+
+def test_leaf_accepts_every_kernel_call(tracing, monkeypatch):
+    # `--trace 1` wraps `_conv2_raw` in the tracer's own leaf, which takes
+    # positional arguments only and applies `conv2_packed_bytes` to them;
+    # a kernel call that the leaf or the size rule rejected would stop the
+    # traced run, so run jobs at r = 1 and r > 1 through that leaf
+    from crysred.pipeline import JobConfig, run_pipeline
+
+    tracer = tracing.Tracer()
+    leaf = tracer.leaf("arith.conv2", crysred_module("arith")._conv2_raw,
+                       tracing.conv2_packed_bytes)
+    for name in tracing.MODULES:
+        module = crysred_module(name)
+        if getattr(module, "_conv2_raw", None) is not None:
+            monkeypatch.setattr(module, "_conv2_raw", leaf)
+    for config in ({"p": 5, "f": 1, "weights": [[3, 0]],
+                    "params": [{"type": "I", "a1": 1, "a2": {"coeffs": [1], "pexp": 2}}]},
+                   {"p": 3, "f": 2, "r": 2, "weights": [[1, 0], [2, 0]],
+                    "params": [{"type": "I", "a1": {"coeffs": [1, 1]},
+                                "a2": {"coeffs": [2, 1], "pexp": 1}},
+                               {"type": "II", "a1": {"coeffs": [2, 1]},
+                                "a2": {"coeffs": [1, 2], "pexp": 2}}]}):
+        before = tracer.stats["arith.conv2"][0]
+        report = run_pipeline(JobConfig.from_dict(config))
+        assert report.error is None
+        assert tracer.stats["arith.conv2"][0] > before
+    assert tracer.counts["arith.conv2.packed_bytes"] > 0
