@@ -230,10 +230,6 @@ class PrimeContext:
             self._caches[key] = builder()
         return self._caches[key]
 
-    def clear_cache(self):
-        """Drop every cached value; later lookups build it again."""
-        self._caches.clear()
-
     def fingerprint(self) -> dict:
         return {
             "p": self.p,
@@ -267,11 +263,11 @@ def _of_mul_raw(ctx, a, b, mod):
 
 
 def _of_add_raw(a, b, mod):
-    return tuple((x + y) % mod for x, y in zip(a, b))
+    return tuple([(x + y) % mod for x, y in zip(a, b)])
 
 
 def _of_sub_raw(a, b, mod):
-    return tuple((x - y) % mod for x, y in zip(a, b))
+    return tuple([(x - y) % mod for x, y in zip(a, b)])
 
 
 def _of_val_raw(ctx, a, prec):
@@ -313,7 +309,10 @@ class OFElem:
         if len(c) > ctx.r:
             raise ValueError("coefficient vector longer than the residue degree")
         c += [0] * (ctx.r - len(c))
-        self.c = tuple(v % mod for v in c)
+        # tuples of values are built from lists here and in `sring`:
+        # tuple() of a generator allocates 10 slots and resizes, so the
+        # free list of the final size grows until a full collection
+        self.c = tuple([v % mod for v in c])
 
     # -- constructors -------------------------------------------------------
 
@@ -363,7 +362,7 @@ class OFElem:
 
     def __neg__(self):
         mod = self.ctx.ppow(self.prec)
-        return OFElem(self.ctx, tuple((-x) % mod for x in self.c), self.prec)
+        return OFElem(self.ctx, tuple([(-x) % mod for x in self.c]), self.prec)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -403,11 +402,11 @@ class OFElem:
         prec = min(self.prec + t, self.ctx.nwork)
         s = self.ctx.ppow(t)
         mod = self.ctx.ppow(prec)
-        return OFElem(self.ctx, tuple((x * s) % mod for x in self.c), prec)
+        return OFElem(self.ctx, tuple([(x * s) % mod for x in self.c]), prec)
 
     def residue(self) -> tuple:
         """Image in k_F as a coefficient tuple mod p."""
-        return tuple(x % self.ctx.p for x in self.c)
+        return tuple([x % self.ctx.p for x in self.c])
 
     def serial(self) -> dict:
         return {"c": list(self.c), "prec": self.prec}
@@ -456,7 +455,7 @@ def _fp_poly_invmod(a, g, p):
 # caller: its multipliers p^(g_i - beta) bring each product of a sum to the
 # sum's common scale p^beta, and it sets the sum's d and prec by the rule
 # of `SElem._plus`, so a sum has the values of its products added with `+`.
-# `_conv2_raw` is the one-product case, which a lone `s_mul` calls.
+# `_conv2_raw` is the one-product case, reduced, which a lone `s_mul` calls.
 #
 # The w-fold runs on the packed sum as well (the multipoint layout of
 # Harvey, J. Symbolic Comput. 44, 2009).  For each reduction row t, the row
@@ -486,7 +485,9 @@ def _pack(values, width, group=1, pad=0, times=1):
     """Pack `values` as little-endian digits of `width` bytes, with `pad`
     zero digits after every `group` values (len(values) is a multiple of
     `group`), the whole layout repeated `times` times."""
-    chunks = map(int.to_bytes, values, repeat(width), repeat("little"))
+    # a list, not an iterator: `pack(*chunks)` then takes an argument tuple
+    # of the exact size, and no resized tuple fills a free list
+    chunks = list(map(int.to_bytes, values, repeat(width), repeat("little")))
     if pad:
         raw = _layout(width, len(values), group, pad).pack(*chunks)
     else:
@@ -607,10 +608,10 @@ def _conv2_sums(ctx, sums):
         live = []
         for a, b, mult, shift in terms:
             (va, ma), (vb, mb) = ops[id(a)], ops[id(b)]
+            la, lb = len(va) // r, len(vb) // r
+            n_u = max(n_u, shift + la + lb - 1)
             if ma and mb:
-                la, lb = len(va) // r, len(vb) // r
                 cap += mult * min(la, lb, out_len - shift) * r * ma * mb
-                n_u = max(n_u, shift + la + lb - 1)
                 live.append((a, b, mult, shift))
         n_u = min(n_u, out_len)
         width = max(width, _conv_width(ctx, cap, mod))
@@ -632,7 +633,7 @@ def _conv2_sums(ctx, sums):
             if pb.bit_length() > keep:
                 pb &= (1 << keep) - 1
             acc += (pa * pb * mult) << slot_bits * shift
-        out.append(_fold_unpack(ctx, acc, cap, mod, n_u, width) if live else [])
+        out.append(_fold_unpack(ctx, acc, cap, mod, n_u, width) if live else [0] * (n_u * r))
     return out
 
 
@@ -642,24 +643,10 @@ def _conv2_raw(ctx, a, b, mod, out_len):
     mod `mod`, folded mod the residue polynomial on the packed product; the
     fold is linear over Z with integer rows, so the values keep the exact
     sums' divisibility, which `s_sums` uses.  The one-product case of
-    `_conv2_sums`, without its bookkeeping of shared operands."""
-    r = ctx.r
-    la, lb = len(a) // r, len(b) // r
-    if la == 0 or lb == 0:
+    `_conv2_sums`, reduced."""
+    if not a or not b:
         return []
-    # coefficients may be stored at a higher precision than the product's
-    # modulus; reduce before sizing so the width bounds the true sums
-    fa = a if max(a) < mod else [v % mod for v in a]
-    fb = b if max(b) < mod else [v % mod for v in b]
-    n_u = min(la + lb - 1, out_len)
-    ma, mb = max(fa), max(fb)
-    if not ma or not mb:
-        return [0] * (n_u * r)
-    # with both maxima >= 1 the width also holds every operand value
-    cap = min(la, lb) * r * ma * mb
-    width = _conv_width(ctx, cap, mod)
-    acc = _pack(fa, width, r, r - 1) * _pack(fb, width, r, r - 1)
-    return [v % mod for v in _fold_unpack(ctx, acc, cap, mod, n_u, width)]
+    return [v % mod for v in _conv2_sums(ctx, (([(a, b, 1, 0)], mod, out_len),))[0]]
 
 
 def _fold_w(ctx, slot, mod):
@@ -675,7 +662,7 @@ def _fold_w(ctx, slot, mod):
             row = rows[t]
             for i in range(r):
                 out[i] += c * row[i]
-    return tuple(v % mod for v in out)
+    return tuple([v % mod for v in out])
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +689,7 @@ class USeries:
             raise PrecisionExhausted("USeries at precision < 1")
         mod = ctx.ppow(prec)
         self.ctx, self.prec = ctx, prec
-        self.c = tuple(v % mod for v in values) + (0,) * (ctx.m * ctx.r - len(values))
+        self.c = tuple([v % mod for v in values]) + (0,) * (ctx.m * ctx.r - len(values))
 
     def __eq__(self, other):
         if not isinstance(other, USeries):

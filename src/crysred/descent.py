@@ -204,11 +204,19 @@ def check_descent_assumptions(split: PreparedSplit, budget: HeightBudget) -> Non
             raise AssumptionViolated("c", f"slot {i}: reassembly mismatch")
 
 
+def mat_muls(a: Mat2, bs) -> List[Mat2]:
+    """The 2x2 products a b over S_F for each b of `bs`, each entry one
+    packed sum of two products, all in one `s_sums` batch, so each entry
+    of a is rescaled and packed once: the values, d and prec of
+    `arith.mat_mul`."""
+    v = s_sums([((a[i][0], b[0][j]), (a[i][1], b[1][j]))
+                for b in bs for i in (0, 1) for j in (0, 1)])
+    return [((v[k], v[k + 1]), (v[k + 2], v[k + 3])) for k in range(0, len(v), 4)]
+
+
 def mat_mul(a: Mat2, b: Mat2) -> Mat2:
-    """The 2x2 product over S_F, each entry one packed sum of two products
-    (`s_sums`): the values, d and prec of `arith.mat_mul`."""
-    v = s_sums([((a[i][0], b[0][j]), (a[i][1], b[1][j])) for i in (0, 1) for j in (0, 1)])
-    return ((v[0], v[1]), (v[2], v[3]))
+    """The 2x2 product over S_F (`mat_muls` of one matrix)."""
+    return mat_muls(a, (b,))[0]
 
 
 def mat_det(a: Mat2) -> SElem:
@@ -392,8 +400,7 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
                 continue
             d1, d2, threshold = step
             factor = mat_add(eye, d1)
-            new_a = mat_mul(a_mats[i], factor)
-            c_mats[i] = mat_mul(a_mats[i], d2)
+            new_a, c_mats[i] = mat_muls(a_mats[i], (factor, d2))
             fdet = mat_det(factor)
             if not in_p_pow_s(fdet - SElem.one(ctx, fdet.prec), 1):
                 raise SplitFailed(f"iteration {n}: det(I + D1) != 1 mod p")

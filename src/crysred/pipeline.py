@@ -238,22 +238,11 @@ def _coord_to_of(ctx: PrimeContext, spec) -> OFElem:
     raise ConfigError(f"cannot parse coordinate {spec!r}")
 
 
-# the context that `_prime_context` built last
-_held_context = []
-
-
 @functools.lru_cache(maxsize=1)
 def _prime_context(p, f, n, m, r, nwork) -> PrimeContext:
     """The context of the last job, kept so that the next job with the
-    same parameters reuses it and its cache.  A new context replaces the
-    held one, whose cache is cleared: cached elements refer to their
-    context, so a dropped context with a full cache would wait for a full
-    garbage collection, and on a workload that changes context every job
-    those waiting caches set the peak memory."""
-    for old in _held_context:
-        old.clear_cache()
-    _held_context[:] = [PrimeContext(p=p, f=f, n=n, m=m, r=r, nwork=nwork)]
-    return _held_context[0]
+    same parameters reuses it and its cache."""
+    return PrimeContext(p=p, f=f, n=n, m=m, r=r, nwork=nwork)
 
 
 def _build_lattice(ctx, cfg) -> tuple:

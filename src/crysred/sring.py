@@ -257,7 +257,7 @@ class SElem:
         s = self.ctx.ppow(t)
         # v < p^self.prec, so v * p^t < p^(prec + t): reduced, and nonzero
         # when v is
-        return SElem._reduced(self.ctx, tuple(v * s for v in self.c), d_new,
+        return SElem._reduced(self.ctx, tuple([v * s for v in self.c]), d_new,
                               self.prec + t)
 
     def _plus(self, other, sign):
@@ -286,7 +286,7 @@ class SElem:
     def __neg__(self):
         mod = self.ctx.ppow(self.prec)
         # -v is 0 mod p^prec exactly when v is, so the end slot stays nonzero
-        return SElem._reduced(self.ctx, tuple(-v % mod for v in self.c),
+        return SElem._reduced(self.ctx, tuple([-v % mod for v in self.c]),
                               self.d, self.prec)
 
     def __mul__(self, other):
@@ -365,7 +365,7 @@ class SElem:
             raise NotIntegral(f"denominator p^{t} does not divide the numerator")
         # exact quotients of values below p^prec: below p^(prec - t), and
         # nonzero where the values are
-        return SElem._reduced(self.ctx, tuple(v // pt for v in self.c), 0,
+        return SElem._reduced(self.ctx, tuple([v // pt for v in self.c]), 0,
                               self.prec - t)
 
     # -- slicing (canonical slots) -------------------------------------------
@@ -499,13 +499,28 @@ def s_sums(sums) -> List[SElem]:
     Only the supports count: leading zero slots (which `slice_from` keeps)
     are skipped, and an operand's slots at or above M minus its partners'
     least first nonzero slot reach no product slot below M.  A batch of
-    one pair (`s_mul`) skips the bookkeeping of shared operands and goes
-    through `_conv2_raw`.
+    one pair (`s_mul`) has multiplier 1 and shift 0; it skips the
+    bookkeeping of shared operands and calls `_conv2_raw`, the one-product
+    case of `_conv2_sums`.
     """
-    if len(sums) == 1 and len(sums[0]) == 1:
-        return [_lone_product(*sums[0][0])]
     ctx = sums[0][0][0].ctx
     r, m, two_d = ctx.r, ctx.m, 2 * ctx.dmax
+    if len(sums) == 1 and len(sums[0]) == 1:
+        # one pair (`s_mul`): nothing is shared, beta = g, so the multiplier
+        # is 1 and the shift 0, and the kernel is `_conv2_raw`
+        (x, y), = sums[0]
+        d, prec = x.d + y.d, min(x.prec, y.prec)
+        vals = ()
+        if x.c and y.c:
+            lx, ly = _first_nonzero(x.c) // r, _first_nonzero(y.c) // r
+            if lx + ly < m:
+                a, sx = _rescaled(ctx, x.c, lx, m - ly)
+                b, sy = _rescaled(ctx, y.c, ly, m - lx)
+                beta = sx + sy - two_d
+                if beta < prec:
+                    raw = _conv2_raw(ctx, a, b, ctx.ppow(prec - beta), m - lx - ly)
+                    vals = _trimmed(_descaled(ctx, raw, beta, lx + ly, prec), r)
+        return [SElem._reduced(ctx, vals, d, prec)]
     # per nonzero operand: the element, its first nonzero slot, and the
     # least first nonzero slot of its partners
     lows = {}
@@ -543,24 +558,6 @@ def s_sums(sums) -> List[SElem]:
         vals = () if beta is None else _trimmed(_descaled(ctx, next(raws), beta, lo, prec), r)
         out.append(SElem._reduced(ctx, vals, d, prec))
     return out
-
-
-def _lone_product(x: SElem, y: SElem) -> SElem:
-    """`s_sums` of the one pair (x, y): d = d_x + d_y, prec = min of the
-    two and beta = g = s_x + s_y - 2D."""
-    ctx, r, m = x.ctx, x.ctx.r, x.ctx.m
-    prec, d = min(x.prec, y.prec), x.d + y.d
-    if x.c and y.c:
-        lx, ly = _first_nonzero(x.c) // r, _first_nonzero(y.c) // r
-        if lx + ly < m:
-            a, sx = _rescaled(ctx, x.c, lx, m - ly)
-            b, sy = _rescaled(ctx, y.c, ly, m - lx)
-            base = sx + sy - 2 * ctx.dmax
-            if base < prec:
-                raw = _conv2_raw(ctx, a, b, ctx.ppow(prec - base), m - lx - ly)
-                vals = _descaled(ctx, raw, base, lx + ly, prec)
-                return SElem._reduced(ctx, _trimmed(vals, r), d, prec)
-    return SElem._reduced(ctx, (), d, prec)
 
 
 def s_mul(x: SElem, y: SElem) -> SElem:

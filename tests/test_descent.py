@@ -291,9 +291,9 @@ class TestDescend:
         from crysred.pipeline import JobConfig, run_pipeline
         from test_golden import GOLDEN
 
-        calls = []
-        monkeypatch.setattr(descent_mod, "mat_mul",
-                            lambda a, b: calls.append(1) or mat_mul(a, b))
+        calls, batch = [], descent_mod.mat_muls
+        monkeypatch.setattr(descent_mod, "mat_muls",
+                            lambda a, bs: calls.extend(bs) or batch(a, bs))
         report = run_pipeline(JobConfig.from_dict(GOLDEN[name][0]))
         rows = sum(len(chain) for chain in report.stages["descent"]["chains"])
         assert report.error is None and rows > 0
@@ -387,6 +387,12 @@ class TestFusedProducts:
             for j in range(2):
                 assert as_stored(got[i][j]) == as_stored(want[i][j])
         assert as_stored(descent_mod.mat_det(a)) == as_stored(mat_det(a))
+        # two products that share a, in one batch, as the absorption forms
+        # A (I + D1) and A D2
+        for got, b2 in zip(descent_mod.mat_muls(a, (b, a)), (b, a)):
+            want = mat_mul(a, b2)
+            assert [as_stored(e) for row in got for e in row] == \
+                [as_stored(e) for row in want for e in row]
         # three products in one sum, with an operand shared between them
         # and a negated one, as check_dets forms det(A) - E^k * unit
         got = s_sums([((x, y), (-z, x), (y, y))])[0]

@@ -761,25 +761,6 @@ class TestContextReuse:
         assert pipeline._prime_context.cache_info().hits == 1
         assert got == fresh_report(P5_K4)
 
-    def test_replaced_context_drops_its_cache(self):
-        # cached elements refer to their context; a context that the next
-        # job replaces keeps no cache, so nothing holds the pair in a cycle
-        pipeline._prime_context.cache_clear()
-        run_pipeline(JobConfig.from_dict(P5_K4))
-        first = pipeline._prime_context(*self.key(P5_K4))
-        assert first._caches
-        other = dict(P5_K4, weights=[[3, 0]])
-        assert run_pipeline(JobConfig.from_dict(other)).error is None
-        assert pipeline._prime_context(*self.key(other)) is not first
-        assert not first._caches
-        assert run_pipeline(JobConfig.from_dict(P5_K4)).to_json() == fresh_report(P5_K4)
-
-    @staticmethod
-    def key(config):
-        cfg = JobConfig.from_dict(config)
-        pf = preflight_precision(cfg)
-        return cfg.p, cfg.f, pf["N"], pf["M"], cfg.r or cfg.f, pf["nwork"]
-
     def test_second_same_context_job_builds_no_context(self, monkeypatch):
         built = []
         init = PrimeContext.__init__
