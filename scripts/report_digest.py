@@ -1,4 +1,5 @@
-"""Print the job count and two SHA-256 digests over every benchmark report.
+"""Print the job count and two SHA-256 digests over every benchmark report,
+then the line counts of the package and of the tests.
 
 Runs the job lists of perfbench/workloads.py at seeds 1-3 through
 JobConfig.from_dict -> run_pipeline -> to_json.  The first line hashes the
@@ -9,11 +10,14 @@ block and its error `stage` and `type`.  A change that moves `context`,
 whether any answer moved.  Each list then runs again in reverse order in
 the same process; when a report differs from its forward-order run, the
 script names the first such job on stderr and exits 1, since a report must
-not depend on the jobs run before it.
+not depend on the jobs run before it.  The third line counts the lines of
+src/crysred/*.py and of tests/*.py, so a refactor reports its size with
+its digests.
 
 Usage: python3 scripts/report_digest.py
 """
 
+import glob
 import hashlib
 import json
 import os
@@ -28,6 +32,14 @@ from workloads import WORKLOADS  # noqa: E402
 
 def report(job):
     return run_pipeline(JobConfig.from_dict(job["config"])).to_json()
+
+
+def line_count(pattern):
+    total = 0
+    for path in glob.glob(os.path.join(ROOT, pattern)):
+        with open(path) as fh:
+            total += sum(1 for _ in fh)
+    return total
 
 
 def answer(text):
@@ -52,6 +64,8 @@ for name, make in WORKLOADS.items():
                             if a != b), None)
 print(count, digest.hexdigest())
 print(count, answers.hexdigest(), "answers")
+print(", ".join(f"{line_count(part)} lines in {part}"
+                for part in ("src/crysred/*.py", "tests/*.py")))
 if differs is not None:
     print(f"report differs in reverse order: {differs}", file=sys.stderr)
     sys.exit(1)

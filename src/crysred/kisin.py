@@ -9,8 +9,9 @@ matrices are
 and a diagonal phi-twisted base change Diag(lambda_b^g, lambda_b^h) makes
 every determinant exactly +-E^(k_i) a1^(i).  The exponents g, h solve a
 recursion around the slot permutation; they are accumulated symbolically
-in Z[phi] and materialized once, which avoids precision loss from repeated
-unit inversions.
+in Z[phi] and materialized once.  The stage takes no inverse at all:
+gamma^(-k) and every lambda_b power are products of the finite binomial
+sums (1 + w_e)^c of `sring._unit_power`.
 """
 
 from __future__ import annotations
@@ -21,16 +22,7 @@ from typing import Tuple
 from .arith import OFElem
 from .errors import Degenerate, DetCheckFailed
 from .lattices import TypeTag, WeightData
-from .sring import (
-    PhiExpPoly,
-    SElem,
-    _lambda_data,
-    _s_int_pow,
-    gamma,
-    lambda_power,
-    s_invert,
-    s_mul,
-)
+from .sring import PhiExpPoly, SElem, _unit_power, lambda_factor_count, lambda_power, s_mul
 
 Mat2S = Tuple[Tuple[SElem, SElem], Tuple[SElem, SElem]]
 
@@ -93,15 +85,10 @@ def build_kisin_frobenius(normalized, tags, weights: WeightData):
     """The raw partial Frobenius matrices over S_F (spec's first stage)."""
     ctx = normalized[0][0][0].ctx
     a1s, a2s = _extract_params(normalized, tags)
-
-    def ginv(k):
-        gam_inv = ctx.cache(("gamma_inv",), lambda: s_invert(gamma(ctx)))
-        return ctx.cache(("gamma_inv_pow", k), lambda: _s_int_pow(gam_inv, k))
-
     out = []
     zero, one = SElem.zero(ctx), SElem.one(ctx)
     for i, tag in enumerate(tags):
-        g = ginv(weights.k_prev(i))
+        g = _unit_power(ctx, 1, -weights.k_prev(i))   # gamma = 1 + w_1
         e_a1 = SElem.e_pow(ctx, weights.k[i]) * a1s[i]
         # gamma^(-k_(i-1)) scales the first column: in Type I that is the 1
         if tag.kind == "I":
@@ -216,7 +203,7 @@ def det_normalize(raw, tags, weights: WeightData,
         a2=a2s,
         lam_e=tuple(lam_es),
         anchors=anchors,
-        lambda_nstar=_lambda_data(ctx, b)[1],
+        lambda_nstar=lambda_factor_count(ctx, b),
     )
 
 

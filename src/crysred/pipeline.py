@@ -13,8 +13,8 @@ a deterministic report: an identical config gives byte-identical JSON
 stops the job like any other failure, with exit code EXIT_INTERNAL.
 
 Consecutive jobs with the same context (p, f, r, N, M, nwork) share one
-`PrimeContext` and with it the work cached on it: gamma^(-1) and its
-powers, the lambda_b powers, the w-powers and the product tables.  Every
+`PrimeContext` and with it the work cached on it: the w-powers, the units
+(1 + w_e)^c, the lambda_b powers and the product tables.  Every
 cached value depends on the context and its key alone, so a report does
 not depend on the jobs run before it or on their order.
 """
@@ -258,6 +258,9 @@ def _build_lattice(ctx, cfg) -> tuple:
             a2 = _coord_to_of(ctx, entry["a2"])
             if not a1.is_unit():
                 raise ConfigError("a1 must be a unit of O_F")
+            # [[a1, 0], [a2, 1]] with a unit a2 is Type I, not II
+            if entry["type"] == "II" and a2.is_unit():
+                raise ConfigError("a Type II shorthand's a2 must not be a unit of O_F")
             mats.append(TypeTag(entry["type"]).form(
                 a1, a2, OFElem.zero(ctx), OFElem.one(ctx)))
     return tuple(mats), explicit

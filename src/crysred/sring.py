@@ -37,10 +37,11 @@ of precision, not floor((M-1)/p); `descent.read_off_window` gives the L
 that the answer needs.
 
 Every power w_e^l of w_e = phi^(e-1)(gamma) - 1 = u^(p^e)/p has a closed
-canonical form (`_w_power`).  It gives gamma = 1 + w_1, the powers of w
-used by phi, and the units phi^j(lambda_b) = prod_n (1 + w_(bn+j+1)) of
-lambda_b = prod_n phi^(bn)(gamma), without iterating a truncated phi.
-Exponents of the unit lambda_b live in Z[phi] (PhiExpPoly).
+canonical form (`_w_power`), and only finitely many are nonzero at
+(M, nwork).  So every unit (1 + w_e)^c, c in Z, is a finite binomial sum
+(`_unit_power`): gamma^(-k) = (1 + w_1)^(-k), and the powers of
+lambda_b = prod_n phi^(bn)(gamma) with exponents in Z[phi] (PhiExpPoly)
+are products of them, with no inverse and no iterated phi.
 """
 
 from __future__ import annotations
@@ -621,18 +622,13 @@ def _scales(ctx: PrimeContext, base: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# gamma, w-powers and the Frobenius
+# w-powers, the units (1 + w_e)^c and the Frobenius
 # ---------------------------------------------------------------------------
 
 
-def gamma(ctx: PrimeContext) -> SElem:
-    """The unit gamma = phi(E)/p = (u^p + p)/p = 1 + w_1, in canonical
-    E-expansion at (M, nwork)."""
-    return SElem.one(ctx) + _w_power(ctx, 1, 1)
-
-
 def _w_power(ctx: PrimeContext, e: int, l: int) -> SElem:
-    """w_e^l at (M, nwork), where w_e = phi^(e-1)(gamma) - 1 = u^(p^e)/p.
+    """w_e^l at (M, nwork), where w_e = phi^(e-1)(gamma) - 1 = u^(p^e)/p;
+    `_w_powers` caches them and `_unit_power` sums them.
 
     With n = p^e l and u = E - p, the canonical slot i of w_e^l holds
     binom(n, i) (-p)^(n-i) p^(floor(i/p) - l); the exponent
@@ -651,26 +647,57 @@ def _w_power(ctx: PrimeContext, e: int, l: int) -> SElem:
     return SElem(ctx, coeffs, 0, nwork)
 
 
-def _w_power_cache(ctx: PrimeContext) -> Tuple[SElem, ...]:
-    """Powers of w = gamma - 1 = u^p/p until they vanish at (M, nwork)."""
+def _w_powers(ctx: PrimeContext, e: int) -> Tuple[SElem, ...]:
+    """w_e^0 = 1, w_e, w_e^2, ... until they vanish at (M, nwork); the
+    truncation's kernel is an ideal, so every higher power does too."""
     def build():
         powers = [SElem.one(ctx)]
         while True:
-            w = _w_power(ctx, 1, len(powers))
+            w = _w_power(ctx, e, len(powers))
             if w.is_zero():
                 return tuple(powers)
             powers.append(w)
 
-    return ctx.cache(("wpow",), build)
+    return ctx.cache(("wpow", e), build)
+
+
+def _unit_power(ctx: PrimeContext, e: int, c: int) -> SElem:
+    """(1 + w_e)^c = sum_l binom(c, l) w_e^l at (M, nwork) for any integer
+    c, cached per context.  w_e is nilpotent at (M, nwork), so the sum over
+    `_w_powers` is exact; at c < 0, binom(c, l) = c (c-1) ... (c-l+1) / l!
+    is still an integer and the sum is the inverse of (1 + w_e)^(-c)."""
+    def build():
+        acc = [0] * (ctx.m * ctx.r)
+        coef = 1
+        for l, w in enumerate(_w_powers(ctx, e)):
+            if not coef:
+                break
+            for i, v in enumerate(w.c):
+                acc[i] += coef * v
+            coef = coef * (c - l) // (l + 1)
+        return SElem._flat(ctx, acc, 0, ctx.nwork)
+
+    return ctx.cache(("unit", e, c), build)
+
+
+def _w_end(ctx: PrimeContext) -> int:
+    """The least e >= 1 with w_e = 0 at (M, nwork).  Every later w_e is 0
+    too: for 0 < i <= p^e, slot i of w_e has valuation
+    e - v(i) + p^e - i + floor(i/p) - 1, which grows with e and is at least
+    floor(i/p) - 1, and slot 0 has p^e - 1."""
+    e = 1
+    while len(_w_powers(ctx, e)) > 1:
+        e += 1
+    return e
 
 
 def _packed_w_powers(ctx: PrimeContext, width: int) -> tuple:
-    """The powers w^l of `_w_power_cache` as integers: slot j of w^l in the
+    """The powers w^l of `_w_powers(ctx, 1)` as integers: slot j of w^l in the
     `width`-byte digit j*r, so that scaling by an integer with r such
     digits puts coordinate i of slot j at digit j*r + i.  Also the longest
     power's slot count."""
     def build():
-        powers = _w_power_cache(ctx)
+        powers = _w_powers(ctx, 1)
         packed = tuple(_pack(w.c[::ctx.r], width, 1, ctx.r - 1) for w in powers)
         return packed, max(len(w.c) for w in powers) // ctx.r
 
@@ -709,7 +736,7 @@ def s_frobenius(x: SElem) -> SElem:
         n -= 1
     if not n:
         return SElem._reduced(ctx, (), x.d, prec)
-    L = len(_w_power_cache(ctx))
+    L = len(_w_powers(ctx, 1))
     # every Horner partial of T_l is at most (mod - 1) binom(n, l + 1)
     digit = (((mod - 1) * comb(n, max(1, min(L, n // 2)))).bit_length() + 7) // 8
     shift = 8 * digit * r
@@ -771,52 +798,26 @@ def s_invert(x: SElem, seed: Optional[SElem] = None) -> SElem:
 # ---------------------------------------------------------------------------
 
 
-def _lambda_data(ctx, b, j=0):
-    """phi^j(lambda_b) = prod_n (1 + w_(bn+j+1)), since phi^m(gamma) =
-    1 + w_(m+1), and the number of factors kept, for the unit
-    lambda_b = prod_(n>=0) phi^(bn)(gamma).
-
-    w_e vanishes at (M, nwork) once p^e is large, and then so does every
-    later factor's w, so the product stops at the first factor equal to 1.
-    """
-    def build():
-        lam, count = SElem.one(ctx), 0
-        while True:
-            w = _w_power(ctx, b * count + j + 1, 1)
-            if w.is_zero():
-                return lam, count
-            fac = SElem.one(ctx) + w
-            lam = s_mul(lam, fac) if count else fac
-            count += 1
-
-    return ctx.cache(("lambda", b, j), build)
+def lambda_factor_count(ctx: PrimeContext, b: int) -> int:
+    """The number of factors phi^(bn)(gamma) = 1 + w_(bn+1) of
+    lambda_b = prod_(n>=0) phi^(bn)(gamma) that are not 1 at (M, nwork)."""
+    return len(range(1, _w_end(ctx), b))
 
 
 def lambda_power(e: PhiExpPoly, b: int, ctx: PrimeContext) -> SElem:
-    """lambda_b^(e(phi)) = prod_j phi^j(lambda_b)^(e_j); always a unit.
-    Cached per context."""
+    """lambda_b^(e(phi)) = prod_j phi^j(lambda_b)^(e_j) = prod_m (1 + w_m)^(c_m)
+    with c_m = sum_n e_(m-1-bn), as phi^j(lambda_b) = prod_n (1 + w_(bn+j+1)),
+    over the m with w_m != 0; always a unit.  Cached per context."""
     def build():
-        out = SElem.one(ctx)
-        for j, cj in e.terms():
-            base = _lambda_data(ctx, b, j)[0]
-            if cj < 0:
-                base = ctx.cache(("lambda_inv", b, j), lambda: s_invert(base))
-            out = s_mul(out, _s_int_pow(base, abs(cj)))
-        return out
+        out = None
+        for m in range(1, _w_end(ctx)):
+            cm = sum(e.c[j] for j in range(m - 1, -1, -b) if j < len(e.c))
+            if cm:
+                unit = _unit_power(ctx, m, cm)
+                out = unit if out is None else s_mul(out, unit)
+        return SElem.one(ctx) if out is None else out
 
     return ctx.cache(("lambda_power", b, e.c), build)
-
-
-def _s_int_pow(x: SElem, n: int) -> SElem:
-    out = SElem.one(x.ctx, x.prec)
-    acc = x
-    while n:
-        if n & 1:
-            out = s_mul(out, acc)
-        n >>= 1
-        if n:
-            acc = s_mul(acc, acc)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,20 +2,31 @@
 
 import pytest
 
+import crysred.kisin
+import crysred.sring
 from crysred.arith import OFElem, PrimeContext, mat_det
 from crysred.errors import DetCheckFailed
-from crysred.lattices import TypeTag, WeightData, classify_lattice, parabolic_normalize
+from crysred.lattices import (
+    TypeTag,
+    WeightData,
+    classify_lattice,
+    classify_type,
+    normalize_weights,
+    parabolic_normalize,
+)
 from crysred.kisin import build_kisin_frobenius, det_normalize, solve_exponent_system
+from crysred.pipeline import JobConfig, _build_lattice, preflight_precision, run_pipeline
 from crysred.sring import (
     SElem,
-    gamma,
     lambda_power,
     s_frobenius,
     s_invert,
     s_mul,
 )
 
+from test_golden import GOLDEN
 from test_lattices import mat, random_gl2
+from test_sring import gamma
 
 
 @pytest.fixture(scope="module")
@@ -173,3 +184,25 @@ class TestDetNormalize:
         raw = build_kisin_frobenius(norm, tags, wd)
         kf = det_normalize(raw, tags, wd, norm)
         assert kf.b in (1, 2)
+
+
+def test_kisin_stages_take_no_inverse(monkeypatch):
+    """`build` and `det_normalize` of a golden job, on a fresh context, finish
+    while s_invert raises: every unit there is a binomial sum
+    (`sring._unit_power`), and the stage data are the pipeline's."""
+    cfg = JobConfig.from_dict(GOLDEN["f2-r2-mixed"][0])
+    want = run_pipeline(cfg).stages["kisin"]
+    pf = preflight_precision(cfg)
+    ctx = PrimeContext(p=cfg.p, f=cfg.f, n=pf["N"], m=pf["M"], r=cfg.r, nwork=pf["nwork"])
+    weights = normalize_weights(cfg.weights)
+    lattice, _ = _build_lattice(ctx, cfg)
+    tags = tuple(classify_type(m) for m in lattice)
+
+    def no_inverse(*args, **kwargs):
+        raise AssertionError("s_invert called")
+
+    monkeypatch.setattr(crysred.sring, "s_invert", no_inverse)
+    monkeypatch.setattr(crysred.kisin, "s_invert", no_inverse, raising=False)
+    raw = build_kisin_frobenius(lattice, tags, weights)
+    kf = det_normalize(raw, tags, weights, lattice)
+    assert kf.serial() == want

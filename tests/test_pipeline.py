@@ -547,6 +547,12 @@ class TestBadInputs:
         (with_a2(True), "config", "ConfigError", EXIT_CONFIG),
         (dict(P5_K4, params=[{"matrix": [[0, 1], [True, 25]]}]), "config",
          "ConfigError", EXIT_CONFIG),
+        # [[2, 0], [1, 1]] is Type I: the shorthand would run as a slot the
+        # config never gave
+        ({"p": 5, "f": 2, "weights": [[2, 0], [2, 0]],
+          "params": [{"type": "I", "a1": 1, "a2": {"coeffs": [1], "pexp": 3}},
+                     {"type": "II", "a1": 2, "a2": {"coeffs": [1], "pexp": 0}}]},
+         "config", "ConfigError", EXIT_CONFIG),
     ])
     def test_stage_tagged_errors(self, data, stage, etype, code):
         report = run_pipeline(JobConfig.from_dict(data))

@@ -1,4 +1,5 @@
-"""Canonical S_F arithmetic: gamma, the Frobenius, lambda units, ideals."""
+"""Canonical S_F arithmetic: gamma, the Frobenius, the units (1 + w_e)^c,
+lambda units, ideals."""
 
 from math import comb
 
@@ -17,14 +18,13 @@ from crysred.errors import NotAUnit, NotIntegral, PrecisionExhausted
 from crysred.sring import (
     PhiExpPoly,
     SElem,
-    _lambda_data,
     _rescaled,
-    _s_int_pow,
+    _unit_power,
     _w_power,
-    _w_power_cache,
+    _w_powers,
     fil_membership,
-    gamma,
     in_p_pow_s,
+    lambda_factor_count,
     lambda_power,
     s_frobenius,
     s_invert,
@@ -33,6 +33,11 @@ from crysred.sring import (
 
 from conftest import random_of, random_useries
 from useries_ref import at_prec, from_useries, frobenius, mul, residue, series
+
+
+def gamma(ctx):
+    """Reference: gamma = phi(E)/p = 1 + w_1."""
+    return SElem.one(ctx) + _w_power(ctx, 1, 1)
 
 
 def random_selem(ctx, rng, d=0, prec=None):
@@ -313,11 +318,10 @@ class TestWPowers:
         assert all(w.prec == prec for w in want[1:])
         for x in got[len(want):]:
             assert capped(ctx, (slots(x), x.d, x.prec), prec)[0] == ()
-        pairs = list(zip(got, want))
+        assert [(x.c, x.prec) for x in _w_powers(ctx, e)] == [(x.c, x.prec) for x in got]
         if e == 1:
-            assert len(_w_power_cache(ctx)) == len(want)
-            pairs += zip(_w_power_cache(ctx), want)
-        for x, y in pairs:
+            assert len(got) == len(want)
+        for x, y in zip(got, want):
             assert capped(ctx, (slots(x), x.d, x.prec), y.prec) == (slots(y), y.d, y.prec)
 
     @pytest.mark.parametrize("r", [1, 4])
@@ -372,9 +376,9 @@ class TestFrobenius:
         # at the precision phi keeps (16 of nwork = 18 digits for ctx3)
         for ctx in (ctx3, ctx5):
             for b in (1, 2):
-                lam = _lambda_data(ctx, b)[0]
+                lam = lambda_power(PhiExpPoly((1,)), b, ctx)
                 for j in range(4):
-                    got = _lambda_data(ctx, b, j)[0]
+                    got = lambda_power(PhiExpPoly((0,) * j + (1,)), b, ctx)
                     assert got.prec == ctx.nwork
                     assert lam.prec == (ctx.nwork if j == 0 else phi_prec(ctx))
                     assert capped(ctx, (slots(got), got.d, got.prec), lam.prec) == (
@@ -435,8 +439,36 @@ class TestInvert:
                 assert s_mul(x, y) == SElem.one(ctx5)
 
 
+class TestUnitPower:
+    """`_unit_power(ctx, e, c)`, the binomial sum for (1 + w_e)^c, against
+    the c-fold product of 1 + w_e, and s_invert of it for c < 0."""
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("e", [1, 2, 3])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_matches_products_and_inverses(self, p, e, r):
+        # M = p^e + 2 keeps w_e = u^(p^e)/p nonzero at (M, nwork)
+        ctx = PrimeContext(p=p, f=r, n=4, m=p ** e + 2, r=r)
+        base = SElem.one(ctx) + _w_power(ctx, e, 1)
+        assert base != SElem.one(ctx)
+        power = SElem.one(ctx)
+        for c in range(1, 5):
+            power = s_mul(power, base)
+            for got, want in ((_unit_power(ctx, e, c), power),
+                              (_unit_power(ctx, e, -c), s_invert(power))):
+                assert (got.c, got.d, got.prec) == (want.c, want.d, want.prec)
+
+    @pytest.mark.parametrize("name", ["ctx3", "ctx5", "ctx5r2"])
+    def test_first_power_is_gamma(self, name, request):
+        ctx = request.getfixturevalue(name)
+        got, want = _unit_power(ctx, 1, 1), gamma(ctx)
+        assert (got.c, got.d, got.prec) == (want.c, want.d, want.prec)
+        assert _unit_power(ctx, 1, 0).c == SElem.one(ctx).c
+
+
 def lambda_by_iteration(ctx, b):
-    """Reference for `_lambda_data`: lambda_b = gamma * phi^b(gamma) ...,
+    """Reference for `lambda_power` at e = 1 and for `lambda_factor_count`:
+    lambda_b = gamma * phi^b(gamma) ...,
     each factor by b more applications of s_frobenius, until a factor is 1;
     also the number of factors kept."""
     lam = fac = gamma(ctx)
@@ -458,7 +490,7 @@ class TestLambda:
         ctx = PrimeContext(p=p, f=1, n=6, m=m)
         assert m - m // p >= ctx.nwork
         lam, count = lambda_by_iteration(ctx, b)
-        got, got_count = _lambda_data(ctx, b)
+        got, got_count = lambda_power(PhiExpPoly((1,)), b, ctx), lambda_factor_count(ctx, b)
         assert (got.c, got.d, got.prec) == (lam.c, lam.d, lam.prec)
         assert got_count == count
         if (p, b) == (3, 1):
@@ -466,7 +498,7 @@ class TestLambda:
 
     @pytest.mark.parametrize("b", [1, 2])
     def test_functional_equation(self, ctx5, b):
-        lam = _lambda_data(ctx5, b)[0]
+        lam = lambda_power(PhiExpPoly((1,)), b, ctx5)
         phi_b = lam
         for _ in range(b):
             phi_b = s_frobenius(phi_b)
@@ -474,18 +506,18 @@ class TestLambda:
 
     def test_leading_factor_is_gamma(self, ctx5):
         # lambda_b = gamma * (factors fixed by higher phi-powers)
-        lam, count = _lambda_data(ctx5, 2)
+        lam, count = lambda_power(PhiExpPoly((1,)), 2, ctx5), lambda_factor_count(ctx5, 2)
         rest = s_mul(lam, s_invert(gamma(ctx5)))
         # the functional equation lambda_b = gamma * phi^b(lambda_b)
         assert rest == s_frobenius(s_frobenius(lam))
         assert count >= 1
 
     def test_stabilization_finite(self, ctx3):
-        assert _lambda_data(ctx3, 1)[1] < 30
+        assert lambda_factor_count(ctx3, 1) < 30
 
     def test_lambda_power_zero_and_one(self, ctx5):
         assert lambda_power(PhiExpPoly(), 2, ctx5) == SElem.one(ctx5)
-        assert lambda_power(PhiExpPoly((1,)), 2, ctx5) == _lambda_data(ctx5, 2)[0]
+        assert lambda_power(PhiExpPoly((1,)), 2, ctx5) == lambda_by_iteration(ctx5, 2)[0]
 
     def test_lambda_power_is_cached_under_b_and_e(self):
         # one context answers every (e, b) as a fresh context does, and a
@@ -503,7 +535,7 @@ class TestLambda:
         # e = k(1 - phi): lambda^k * phi(lambda)^(-k) computed directly
         k = 3
         e = PhiExpPoly((k, -k))
-        lam = _lambda_data(ctx5, 2)[0]
+        lam = lambda_by_iteration(ctx5, 2)[0]
         direct = lambda_power(e, 2, ctx5)
         lk = SElem.one(ctx5)
         for _ in range(k):
@@ -628,7 +660,7 @@ class TestTrimmedInvariant:
             from_useries(series(ctx)),
             gamma(ctx),
         ]
-        made += list(_w_power_cache(ctx)) + [_w_power(ctx, e, l) for e in (1, 2, 5)
+        made += list(_w_powers(ctx, 1)) + [_w_power(ctx, e, l) for e in (1, 2, 5)
                                              for l in range(4)]
         for z in made:
             assert_trimmed(z)
@@ -658,7 +690,8 @@ class TestTrimmedInvariant:
             s_mul(x, y), s_mul(x, SElem.zero(ctx)), s_mul(SElem.e_pow(ctx, m - 1), x),
             s_frobenius(x), s_frobenius(s_frobenius(y)), s_frobenius(SElem.zero(ctx)),
             s_invert(unit), s_invert(unit, seed=SElem.one(ctx)),
-            _s_int_pow(x, 3), _lambda_data(ctx, 1)[0], _lambda_data(ctx, 2, 3)[0],
+            _unit_power(ctx, 1, -3), _unit_power(ctx, 2, 3),
+            lambda_power(PhiExpPoly((1,)), 1, ctx), lambda_power(PhiExpPoly((0, 0, 0, 1)), 2, ctx),
             lambda_power(PhiExpPoly((2, -1)), 1, ctx),
         ]
         for z in results:
@@ -798,7 +831,7 @@ class TestWindowedResidue:
 def frobenius_reference(x):
     """Reference: phi through _of_mul_raw on every padded w-power slot."""
     ctx = x.ctx
-    powers = _w_power_cache(ctx)
+    powers = _w_powers(ctx, 1)
     mod = ctx.ppow(x.prec)
     c = padded(x)
     T = [(0,) * ctx.r for _ in powers]
