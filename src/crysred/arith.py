@@ -10,8 +10,8 @@ and S_F (`sring`) is the only series ring.
 Precision is absolute and per element: an element stored at precision q is
 known modulo p^q.  Binary operations take the minimum of the operand
 precisions; division by p lowers precision.  Contexts carry a working
-precision `nwork` >= the reporting precision N so that the divisions
-performed downstream still leave N certified digits.
+precision `nwork` = N + guard: the guard pays for the digits the divisions
+downstream spend, and N for what the reads of the run need beyond it.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -152,7 +152,11 @@ def _is_prime(n):
 class PrimeContext:
     """Shared parameters: p, f, r, precisions, and the residue polynomial.
 
-    `n` is the reporting p-precision, `m` the u/E-adic truncation order.
+    `n` is N, the part of `nwork` that `preflight_precision` sizes to the
+    reads of the run (the valuation gate, the reducibility sum, the
+    residue read, the explicit-matrix check and the certified precision
+    the report states) beyond the guard; `m` is the u/E-adic truncation
+    order.
     `dmax` = floor((m-1)/p) is the largest canonical-form denominator
     exponent of a slot below m, so u-coordinates of every slot cost dmax
     digits; it is also the rescale exponent D of `sring.s_sums` and
@@ -231,6 +235,8 @@ class PrimeContext:
         return self._caches[key]
 
     def fingerprint(self) -> dict:
+        """The context as the report records it: N is `n`, the part of
+        N_work = `nwork` beyond the guard (see `preflight_precision`)."""
         return {
             "p": self.p,
             "f": self.f,

@@ -284,16 +284,48 @@ def read_off_window(p: int, k_max: int) -> int:
     return p * k_max // (p - 1) + 2
 
 
-def estimate_iterations(weights: WeightData, budget: HeightBudget, p: int, m: int) -> int:
-    """Simulate the gain map until the slowest chain clears depth m."""
-    f = weights.f
-    hs = [budget.c_max * p] * f
+def estimate_iterations(weights: WeightData, budget: HeightBudget, p: int, m: int,
+                        nwork: Optional[int] = None) -> int:
+    """A bound on `descend`'s iterations: the steps until every chain's
+    remainder is zero, u-adically (the gain law takes its depth past m)
+    or, when nwork is given, p-adically, whichever comes first per chain.
+
+    The p-adic half.  phi(E) = p gamma with gamma a unit, and phi takes
+    c_j E^j / p^floor(j/p) to c_j p^(j - floor(j/p)) gamma^j, where
+    j - floor(j/p) never decreases in j; so an element of p^v S_F that is
+    zero below slot h has its phi in p^(v + h - floor(h/p)) S_F, and
+    phi(Fil^h) lies there too.  The chain that `descend` starts at slot i
+    begins with the remainder C = -(column 2 of A0) phi(x') in column 1,
+    x' = x^(i-1) of `prepare` (X_1 B = A0 for both Type forms).  There
+    x' = -(a2/a1) (tail from slot c p) / E^k at the previous slot, with
+    v(a2) > the gate's bound, so v(a2) >= max(c, c_max - c), and
+    phi(x') = phi(-(a2/a1) tail) / (p^k gamma^k); hence C lies in p^(v_0)
+    S_F with v_0 = max(c, c_max - c) + c (p - 1) - k, and in
+    I_(c_max) = p^(c_max) S_F, which `prepare` checks.  `descend` keeps
+    its slots from h_0 = p c_max on.  A step at a slot of weight k takes
+    W = C/E^k B with B the integral height partner, so
+    phi(W) = phi(C) phi(B) / (p^k gamma^k), keeps the tail of phi(W) from
+    the next depth and multiplies it by the integral A: the next remainder
+    is zero below the next depth and lies in p^(v + h - floor(h/p) - k)
+    S_F.  Every element the descent holds has prec - d <= nwork, so a
+    remainder in p^nwork S_F is zero at its precision.  Each chain is
+    counted until the first step where h > m or v >= nwork, and `descend`
+    iterates until every remainder is zero: at most the largest count.
+    """
+    f, c_max = weights.f, budget.c_max
+    top = float("inf") if nwork is None else nwork
+    chains = []
+    for i in range(f):
+        c, k = budget.c[i - 1], weights.k[i - 1]
+        chains.append((c_max * p, max(c_max, max(c, c_max - c) + c * (p - 1) - k)))
     steps = 0
-    while min(hs) <= m and steps < 10_000:
-        nxt = [0] * f
-        for i in range(f):
-            nxt[(i + 1) % f] = _gain_step(hs[i], weights.k[i], p)[1]
-        hs = nxt
+    while any(h <= m and v < top for h, v in chains) and steps < 10_000:
+        nxt = [(float("inf"), 0)] * f
+        for i, (h, v) in enumerate(chains):
+            if h <= m and v < top:
+                k = weights.k[i]
+                nxt[(i + 1) % f] = (_gain_step(h, k, p)[1], v + h - h // p - k)
+        chains = nxt
         steps += 1
     return steps
 
@@ -303,11 +335,12 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
 
     Runs the ideal re-split, the absorption step, and then the gain-law
     iteration until the remainder vanishes at precision (NoConvergence
-    after six iterations beyond `estimate_iterations`).  Each iteration
-    records one step per slot: None when the slot's remainder is clean,
-    else (D1, D2, threshold), the head and the Fil^threshold tail of
-    phi(C/E^k B).  Slot i then absorbs its left neighbour's step; a clean
-    neighbour leaves its matrix, unit and depth as they are.
+    after six iterations beyond `estimate_iterations` at (M, nwork)).
+    Each iteration records one step per slot: None when the slot's
+    remainder is clean, else (D1, D2, threshold), the head and the
+    Fil^threshold tail of phi(C/E^k B).  Slot i then absorbs its left
+    neighbour's step; a clean neighbour leaves its matrix, unit and depth
+    as they are.
     Per slot the unit det(A)/E^(k_i) of the first iterate is tracked, each
     absorption multiplying it by det(I + D1), and det(A) is checked against
     E^(k_i) times it: every slot before the first iteration, then every
@@ -324,7 +357,7 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
     ctx = split.a0[0][0][0].ctx
     p, f = ctx.p, split.f
     weights = split.weights
-    max_iter = estimate_iterations(weights, budget, p, ctx.m) + 6
+    max_iter = estimate_iterations(weights, budget, p, ctx.m, ctx.nwork) + 6
     one, zero = SElem.one(ctx), SElem.zero(ctx)
     eye = ((one, zero), (zero, one))
 

@@ -130,7 +130,7 @@ class JobConfig:
 
 
 def preflight_precision(cfg: JobConfig) -> dict:
-    """Choose (M, N) and the working precision nwork from (p, k, c_max).
+    """Choose (M, N) and the working precision nwork = N + guard(iters).
 
     Read-off window.  The answer is read off the descended Frobenius tuple
     mod (p, u^L) with L = `read_off_window(p, k_max)` > p k_max / (p-1).
@@ -153,9 +153,9 @@ def preflight_precision(cfg: JobConfig) -> dict:
     (det A_i is a unit times u^(k_i), k_i < L), so of E-height k_i <= h,
     and it agrees with A_i mod u^L.  With h = k_max the shape and the
     exponents read mod u^L therefore decide the answer, and
-    `SElem.residue` reads only the slots below L.  The default M has
-    b(M) >= N >= k_max + 2 (below), so M >= 2 k_max + 2 >= L; an override
-    M < L stops with PrecisionExhausted.
+    `SElem.residue` reads only the slots below L.  So the default M is at
+    least L, a term of its own below, and an override M < L stops with
+    PrecisionExhausted.
 
     Certificate.  The pipeline applies phi in two places, `prepare`'s
     phi(x^(i)) and `descend`'s phi(C/E^(k_i) B).  In both the input has
@@ -169,17 +169,51 @@ def preflight_precision(cfg: JobConfig) -> dict:
     digit the run claims is one the truncation at E^M could reach.  Sums,
     products and multiplication by E^k stay exact modulo Fil^M.
 
-    nwork(M) = N + floor((L-1)/p) + 1 + c_max + ceil(k_max/p) (iters + 2) + 4:
-    `residue()` needs precision above floor((L-1)/p), the preparation's
-    x^(i) carry denominators up to p^(c_max), each E^(k_i) division of the
-    `iters` descent steps (`estimate_iterations` at M) costs at most
-    ceil(k_max/p) digits, and 4 digits are spare.
+    Guard.  guard(iters) = spend + floor((L-1)/p) + 1 + 4 with
+    spend = c_max + ceil(k_max/p) (iters + 2), the digits the stages can
+    lose before the last read: the preparation's x^(i) carry denominators
+    up to p^(c_max), and each E^(k_i) division (x^(i), det(A)/E^(k_i) and
+    one per descent iteration) costs at most ceil(k_max/p).  So the
+    descended entries keep nwork - spend = N + floor((L-1)/p) + 5 digits.
 
-    Default: N = max(k_max + 2, c_max + 4) and the least
-    M > max(k_max, p c_max) with b(M) >= nwork(M).  An override (M, N)
-    keeps its M and N and gets nwork = min(nwork(M), b(M)); it stops with
-    PrecisionExhausted when b(M) < N.  That covers M <= k_max, where
-    E^(k_i) = 0 mod E^M and b(M) <= 0.
+    Needs.  Each line names a read of the run and what it asks of N:
+      - gate decision: `valuation_gate` reads v(a2^(i)) at nwork and
+        decides v > bound_i, bound_i <= c_max - 1, so it needs
+        nwork >= c_max, which the spend's c_max already gives: N >= 0;
+      - reducibility subset sum: `reducibility_detect` reads v(a2^(i))
+        at nwork on the Type I slots S and compares their sum with the
+        subset sums of their k_i.  An a2 nonzero at nwork gives its exact
+        valuation; when every a2 of S vanishes there (a_p = 0), the sum is
+        only known to be at least |S| nwork, which decides the verdict once
+        nwork > k_max: N >= k_max + 1 - guard.  (A tuple that mixes
+        vanishing and nonzero a2 may still stop with PrecisionExhausted.)
+      - residue read: `SElem.residue` needs the descended entries above
+        floor((L-1)/p), and they keep N + floor((L-1)/p) + 5: N >= 0;
+      - explicit-matrix check: `verify_parabolic_equiv` compares the
+        first columns mod p^(n_eff - k_(i-1)), n_eff the element
+        precision nwork of the explicit input, so it needs n_eff > k_max:
+        the reducibility line's N >= k_max + 1 - guard again;
+      - the certificate: the report's `final_prec`, the digits certified
+        past the residue read, is at least N + 5 (the read's extra digit
+        and the 4 spare); N >= 5 holds it at 10 or more, the floor every
+        weight-1 job has had and the one `final_prec_min` tracks.
+    N is the largest of these: 5, until k_max + 1 exceeds 5 + guard and
+    the reducibility and explicit lines set it.
+
+    Iterations.  iters = `estimate_iterations` at (M, nwork): the smaller,
+    chain by chain, of the u-adic gain-law count and the p-adic count
+    from phi's gain (proof there).  The count depends on nwork and nwork
+    on the count, each nondecreasing in the other, so the preflight starts
+    at iters = 0 and recomputes nwork and the count until the count
+    repeats: the counts increase and the u-adic count caps them, so the
+    loop stops, at the least fixed point.  There the descent, run at that
+    nwork, takes at most iters iterations, the number the guard charged.
+
+    Default: the least M > max(k_max, p c_max, L - 1) with b(M) >= nwork.
+    An override (M, N) keeps its M and N and gets nwork =
+    min(N + guard, b(M)); it stops with PrecisionExhausted when b(M) < N
+    or M < L.  That covers M <= k_max, where E^(k_i) = 0 mod E^M and
+    b(M) <= 0.
     """
     weights = normalize_weights(cfg.weights)
     budget = compute_budget(weights, cfg.p)
@@ -190,10 +224,17 @@ def preflight_precision(cfg: JobConfig) -> dict:
         j = m - k_max
         return j - j // p
 
-    def nwork_at(m, n):
-        iters = estimate_iterations(weights, budget, p, m)
-        guard = (window - 1) // p + 1 + c_max + -(-k_max // p) * (iters + 2) + 4
-        return n + guard, iters
+    def settle(m, n=None):
+        """(N, nwork, iters) at the least fixed point of the count."""
+        iters = 0
+        while True:
+            guard = c_max + -(-k_max // p) * (iters + 2) + (window - 1) // p + 5
+            n_at = max(5, k_max + 1 - guard) if n is None else n
+            nwork = n_at + guard
+            bound = estimate_iterations(weights, budget, p, m, nwork)
+            if bound == iters:
+                return n_at, nwork, iters
+            iters = bound
 
     if cfg.precision is not None:
         m, n = cfg.precision
@@ -205,15 +246,17 @@ def preflight_precision(cfg: JobConfig) -> dict:
             raise PrecisionExhausted(
                 f"E-adic precision M = {m} is below the read-off window "
                 f"L = {window}")
-        nwork, iters = nwork_at(m, n)
+        _, nwork, iters = settle(m, n)
         nwork = min(nwork, exact_digits(m))
     else:
-        n = max(k_max + 2, c_max + 4)
-        m = max(k_max, p * c_max) + 1
-        nwork, iters = nwork_at(m, n)
+        # nwork never decreases in M, so no M below the least one with
+        # b(M) >= nwork(m) can meet its own nwork: jump there
+        m = max(k_max, p * c_max, window - 1) + 1
+        n, nwork, iters = settle(m)
         while exact_digits(m) < nwork:
-            m += 1
-            nwork, iters = nwork_at(m, n)
+            while exact_digits(m) < nwork:
+                m += 1
+            n, nwork, iters = settle(m)
     return {"M": m, "N": n, "nwork": nwork, "iterations_estimate": iters}
 
 

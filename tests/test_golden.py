@@ -10,7 +10,7 @@ GOLDEN = {
     "f1-p5-k4": (
         {"p": 5, "f": 1, "r": 1, "weights": [[4, 0]],
          "params": [{"type": "I", "a1": 1, "a2": {"coeffs": [1], "pexp": 2}}]},
-        "3f418e44569545c1917413b31c959c328125f078f37c9bc68d900fa0187dfcd4"),
+        "c2c2aa6551c77eec99a790f3207555e0f59058d43736f666a3e026ea45953762"),
     "f2-r2-mixed": (
         {"p": 3, "f": 2, "r": 2, "weights": [[1, 0], [2, 0]],
          "params": [
@@ -18,7 +18,7 @@ GOLDEN = {
               "a2": {"coeffs": [2, 1], "pexp": 1}},
              {"type": "II", "a1": {"coeffs": [2, 1]},
               "a2": {"coeffs": [1, 2], "pexp": 2}}]},
-        "02d941ce2005c6acd1f44b77d0267e22d7ae8b2381394d089400b91360850591"),
+        "e2aeaff9deeec48cd5902c67138e29ea51807e22dcd69fad28125c24575c701c"),
     # the p = 5, k = 3 Type I job with a2 = 10 under the parabolic
     # transform x = 3
     "f1-explicit": (
@@ -28,7 +28,7 @@ GOLDEN = {
     "gate-stop": (
         {"p": 5, "f": 1, "weights": [[4, 0]],
          "params": [{"type": "I", "a1": 1, "a2": {"coeffs": [1], "pexp": 1}}]},
-        "3c7353daf8a4490195ad2e498734b7601b11f70edc767e7222ecf3b1f2320793"),
+        "9582e7a29ce16c8386f98b38ea9c33ec9b22d01875f8c9e1d817f2b727947c68"),
     "equal-weights": (
         {"p": 5, "f": 1, "weights": [[2, 2]],
          "params": [{"type": "I", "a1": 1, "a2": 25}]},
@@ -44,7 +44,7 @@ GOLDEN = {
     "f1-p3-k4": (
         {"p": 3, "f": 1, "r": 1, "weights": [[4, 0]],
          "params": [{"type": "I", "a1": 2, "a2": {"coeffs": [1], "pexp": 4}}]},
-        "45ef87b378e2421fc28e9accc21e93a2c2a916ba38c21f13f943002fe602483c"),
+        "ddf4bf955b61e4d7650debbc11cfb2783f1d51d283d753d1834fc0fd979054f5"),
     # r = 4 > f: every O_F product goes through the residue-polynomial fold
     "f2-r4-p7": (
         {"p": 7, "f": 2, "r": 4, "weights": [[3, 0], [3, 0]],
@@ -65,7 +65,7 @@ GOLDEN = {
               "a2": {"coeffs": [1, 1, 2], "pexp": 1}},
              {"type": "II", "a1": {"coeffs": [1, 0, 2]},
               "a2": {"coeffs": [2, 2], "pexp": 1}}]},
-        "f32244e825a422446b8c3fc0881a67a4d8895ef2b6da75e0d86fd95ba948c6b2"),
+        "b74da3f23fa3890c24c2961063d74d3c79a8bc168249f12deb972f787b2bf686"),
     # explicit matrices, one of each Type, so normalization brings a Type II
     # slot to [[a1, 0], [a2, 1]]; the answer is f2-r2-mixed's ind w_4^55
     "f2-explicit-mixed": (
@@ -75,7 +75,7 @@ GOLDEN = {
                          [1, {"coeffs": [2, 1], "pexp": 1}]]},
              {"matrix": [[{"coeffs": [2, 1]}, 4],
                          [{"coeffs": [1, 2], "pexp": 2}, 7]]}]},
-        "071232d519a4f276f2d94998e6dcf5a9f59a9ba2828aeb01dba7950a2ef310e2"),
+        "a0ecd3a61dff5e09c76493a26d8db7e09a1dc6040e4057b45c0696134c188906"),
 }
 
 

@@ -13,7 +13,7 @@ import crysred.kisin
 import crysred.lattices
 import crysred.reduction
 from crysred import pipeline
-from crysred.descent import compute_budget, read_off_window
+from crysred.descent import compute_budget, estimate_iterations, read_off_window
 from crysred.errors import ConfigError, PrecisionExhausted
 from crysred.lattices import normalize_weights
 from crysred.pipeline import (
@@ -171,36 +171,53 @@ def rotate(config):
 
 def least_certifying_m(p, k, n):
     """The least M whose phi truncation leaves N exact digits after a
-    division by E^k: (M - k) - floor((M - k)/p) >= N."""
+    division by E^k, (M - k) - floor((M - k)/p) >= N, and that reaches
+    the read-off window L."""
     m = k + 1
     while (m - k) - (m - k) // p < n:
         m += 1
-    return m
+    return max(m, read_off_window(p, k))
 
 
 class TestSmallEAdicPrecision:
     """f = 1 Type I jobs with an E-adic precision override far below the
     default.  An M that leaves fewer than N exact digits of phi after the
-    E^k division stops at `preflight`; every other M reaches the lambda
-    closed form and gives the Berger-Li-Zhu answer, or stops honestly.
+    E^k division, or that lies below the read-off window L, stops at
+    `preflight`; every other M reaches the lambda closed form and gives
+    the Berger-Li-Zhu answer, or stops honestly.
     At the first ten windows a truncated Frobenius once built lambda_b
     wrongly and the jobs stopped with DetCheckFailed.  At (3, 4, 15) the
     descended entries once lacked the digits to read u-coordinates of
     every slot below M, and the job stopped at `descend`; the read-off
-    window L = 8 needs fewer."""
+    window L = 8 needs fewer.  (5, 8, 15), (5, 12, 25) and (7, 20, 44)
+    stopped at `preflight` while the default N was max(k + 2, c_max + 4),
+    10, 14 and 22 there; N is now sized by its readers and is 5 at all
+    three, so these windows certify and give the BLZ answer.  Each least
+    certifying M is listed with the window one below it, which stops."""
 
     # windows that stop, with the stage; every other window gives BLZ
     STOPS = {(3, 1, 4): "preflight", (3, 4, 5): "preflight",
-             (5, 8, 15): "preflight", (5, 12, 13): "preflight",
-             (5, 12, 25): "preflight", (7, 20, 44): "preflight"}
+             (5, 12, 13): "preflight",
+             (3, 1, 7): "preflight", (3, 2, 8): "preflight",
+             (3, 4, 10): "preflight", (5, 4, 9): "preflight",
+             (5, 8, 13): "preflight", (5, 12, 17): "preflight",
+             (7, 6, 10): "preflight", (7, 20, 24): "preflight",
+             (11, 12, 16): "preflight", (11, 24, 29): "preflight",
+             (13, 13, 17): "preflight", (13, 14, 18): "preflight"}
 
     @pytest.mark.parametrize("p, k, m", [
         (3, 1, 4), (3, 1, 9), (3, 4, 5), (3, 4, 28), (5, 8, 15), (5, 8, 25),
         (5, 12, 13), (5, 12, 25), (7, 20, 44), (7, 20, 49),
-        # the least certifying M
-        (3, 1, 8), (3, 2, 10), (3, 4, 15), (5, 4, 11), (5, 8, 20), (5, 12, 29),
+        # windows above the least certifying M
+        (3, 2, 10), (3, 4, 15), (5, 4, 11), (5, 8, 20), (5, 12, 29),
         (7, 6, 15), (7, 20, 45), (11, 12, 27), (11, 24, 52), (13, 13, 29),
-        (13, 14, 31)])
+        (13, 14, 31),
+        # the least certifying M, and the window one below it
+        (3, 1, 7), (3, 1, 8), (3, 2, 8), (3, 2, 9), (3, 4, 10), (3, 4, 11),
+        (5, 4, 9), (5, 4, 10), (5, 8, 13), (5, 8, 14), (5, 12, 17),
+        (5, 12, 18), (7, 6, 10), (7, 6, 11), (7, 20, 24), (7, 20, 25),
+        (11, 12, 16), (11, 12, 17), (11, 24, 29), (11, 24, 30),
+        (13, 13, 17), (13, 13, 18), (13, 14, 18), (13, 14, 19)])
     def test_blz_answer(self, p, k, m):
         cfg = f1_type_i_job(p, k)
         n = preflight_precision(cfg)["N"]
@@ -253,15 +270,15 @@ class TestCertifiedPrecision:
         assert phi_agreement(3, 24, 24, 1, random.Random(1))[1] == 16
 
     def test_default_m_is_least(self):
-        # p = 5, k = 4: the window is L = 7, so nwork(M) = 18 at
-        # M = 25..35, and b(M) = (M - 4) - floor((M - 4)/5) reaches 18
-        # first at M = 26; at M = 25 the override's nwork is capped at
-        # b(25) = 17
+        # p = 5, k = 4: the window is L = 7 and N = 5, so nwork(M) = 16
+        # at M = 21..24 (one iteration), and b(M) = (M - 4) - floor((M - 4)/5)
+        # reaches 16 first at M = 23; at M = 22 the override's nwork is
+        # capped at b(22) = 15
         cfg = f1_type_i_job(5, 4)
         pf = preflight_precision(cfg)
-        assert (pf["M"], pf["N"], pf["nwork"]) == (26, 6, 18)
-        lower = dict(cfg.serial(), precision=[25, 6])
-        assert preflight_precision(JobConfig.from_dict(lower))["nwork"] == 17
+        assert (pf["M"], pf["N"], pf["nwork"]) == (23, 5, 16)
+        lower = dict(cfg.serial(), precision=[22, 5])
+        assert preflight_precision(JobConfig.from_dict(lower))["nwork"] == 15
 
     def test_override_below_the_window_stops(self):
         # p = 3, k = 4: L = 8, and M = 7 leaves b(7) = 2 >= N = 1 digits
@@ -286,21 +303,112 @@ class TestReadOffWindow:
     """The answer does not depend on the E-adic truncation past the
     read-off window: a default run gives the `result` block of a run at
     the (M, N) that the preflight chose when it reserved digits for
-    u-coordinates of every slot below M."""
+    u-coordinates of every slot below M.  The default N of each job is
+    `n`; at p3-k4 and p3-k12-mixed it is below the earlier N."""
 
-    @pytest.mark.parametrize("data, old", [
-        (f1_type_i_job(3, 1).serial(), (51, 5)),
-        (f1_type_i_job(3, 4).serial(), (96, 8)),
-        (f1_type_i_job(5, 3).serial(), (27, 5)),
-        (mixed_job(3, (1, 2), ("I", "II")), (57, 6)),
-        (mixed_job(5, (2, 3), ("II", "I")), (27, 5)),
+    @pytest.mark.parametrize("data, old, n", [
+        (f1_type_i_job(3, 1).serial(), (51, 5), 5),
+        (f1_type_i_job(3, 4).serial(), (96, 8), 5),
+        (f1_type_i_job(5, 3).serial(), (27, 5), 5),
+        (mixed_job(3, (1, 2), ("I", "II")), (57, 6), 5),
+        (mixed_job(5, (2, 3), ("II", "I")), (27, 5), 5),
     ], ids=["p3-k1", "p3-k4", "p5-k3", "p3-k12-mixed", "p5-k23-mixed"])
-    def test_result_matches_the_earlier_default(self, data, old):
+    def test_result_matches_the_earlier_default(self, data, old, n):
         got = run_pipeline(JobConfig.from_dict(data))
         wide = run_pipeline(JobConfig.from_dict(dict(data, precision=list(old))))
-        assert got.preflight["M"] < old[0] and got.preflight["N"] == old[1]
+        assert got.preflight["M"] < old[0] and got.preflight["N"] == n
         assert got.error is None and wide.error is None
         assert got.result == wide.result
+
+
+def parabolic_twin(config, xs):
+    """Explicit matrices equivalent to an all-Type-I job: slot i becomes
+    C_i A_i [[1, -p^k_(i-1) x_(i-1)], [0, 1]] with A_i = [[0, a1], [1, a2]]
+    and C_i = [[1, x_i], [0, 1]], for integers x_i.  A copy of the
+    benchmark oracle's transform, so these tests do not depend on it."""
+    p = config["p"]
+    ks = [max(w) - min(w) for w in config["weights"]]
+
+    def coords(spec, n):
+        if isinstance(spec, int):
+            spec = {"coeffs": [spec]}
+        c = [v * p ** spec.get("pexp", 0) for v in spec["coeffs"]]
+        return c + [0] * (n - len(c))
+
+    n = config.get("r") or config["f"]
+    mats = []
+    for i, slot in enumerate(config["params"]):
+        a1, a2 = coords(slot["a1"], n), coords(slot["a2"], n)
+        x, y = xs[i], -(p ** ks[i - 1]) * xs[i - 1]
+        top_right = [u + x * w for u, w in zip(a1, a2)]
+        top_right[0] += x * y
+        bottom_right = list(a2)
+        bottom_right[0] += y
+        mats.append({"matrix": [[x, {"coeffs": top_right}],
+                                [1, {"coeffs": bottom_right}]]})
+    return dict(config, params=mats)
+
+
+class TestExplicitMatrixPrecision:
+    """`verify_parabolic_equiv` reads the explicit input at element
+    precision nwork and needs nwork > k_max.  At high weight the guard
+    alone does not give that, so N must: an N of c_max + 4 gives nwork 29
+    at p = 13, k = 39, and the twin stops at `normalize`."""
+
+    @pytest.mark.parametrize("p, k", [(5, 15), (7, 21), (13, 39)])
+    def test_twin_gives_the_shorthand_answer(self, p, k):
+        data = f1_type_i_job(p, k).serial()
+        twin = run_pipeline(JobConfig.from_dict(parabolic_twin(data, [3])))
+        assert twin.preflight["nwork"] > k
+        assert answer(twin) == answer(run_pipeline(JobConfig.from_dict(data)))
+        assert answer(twin) == classical(p, k)
+
+
+def preflight_needs(p, pairs):
+    """Check every need `preflight_precision` names on the default
+    (M, N, nwork) of a Type I job and of its explicit twin."""
+    weights = normalize_weights(pairs)
+    budget = compute_budget(weights, p)
+    k_max, c_max = weights.k_max, budget.c_max
+    window = read_off_window(p, k_max)
+    data = {"p": p, "f": len(pairs), "weights": pairs,
+            "params": [{"type": "I", "a1": 1, "a2": p ** c_max}] * len(pairs)}
+    twin = dict(data, params=[{"matrix": [[0, 1], [1, p ** c_max]]}] * len(pairs))
+    for job in (data, twin):
+        pf = preflight_precision(JobConfig.from_dict(job))
+        m, n, nwork, iters = pf["M"], pf["N"], pf["nwork"], pf["iterations_estimate"]
+        j = m - k_max
+        # the digits the preparation and the descent may spend
+        spend = c_max + -(-k_max // p) * (iters + 2)
+        assert m >= window
+        assert j - j // p >= nwork
+        assert nwork - spend >= (window - 1) // p + 1
+        assert nwork - spend - (window - 1) // p >= 10 and n >= 5
+        assert nwork >= c_max
+        assert nwork > k_max
+        assert iters == estimate_iterations(weights, budget, p, m, nwork)
+        assert iters <= estimate_iterations(weights, budget, p, m)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_preflight_meets_every_need(p):
+    for k in range(1, 3 * p + 1):
+        preflight_needs(p, [[k, 0]])
+        for k2 in range(1, 3 * p + 1):
+            preflight_needs(p, [[k, 0], [k2, 0]])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_descent_stays_within_the_preflight(p):
+    """The descent runs at most the iterations the guard charged, and keeps
+    the N + 5 digits past the read that the certificate promises."""
+    for k in (1, p, 2 * p, 3 * p):
+        for a2 in (None, 0):
+            report = run_pipeline(f1_type_i_job(p, k, a2))
+            assert answer(report) == classical(p, k)
+            pf, descent = report.preflight, report.stages["descent"]
+            assert descent["iterations"] <= pf["iterations_estimate"]
+            assert descent["final_prec"] >= pf["N"] + 5
 
 
 class TestRotation:
@@ -386,11 +494,11 @@ class TestReducibilityPrecision:
 
     @pytest.mark.parametrize("v", range(11, 24))
     def test_p5_f2_k4_at_every_valuation(self, v):
-        # nwork is 18; from v = 18 on, a_2 is zero at precision
+        # nwork is 16; from v = 16 on, a_2 is zero at precision
         slot = {"type": "I", "a1": 1, "a2": {"coeffs": [1], "pexp": v}}
         report = run_pipeline(JobConfig.from_dict(
             {"p": 5, "f": 2, "weights": [[4, 0]] * 2, "params": [slot] * 2}))
-        assert report.context["N_work"] == 18
+        assert report.context["N_work"] == 16
         assert report.stages["reducibility"]["kind"] == "NotDetected"
         assert answer(report) == ("Split", (4, 20))
 
