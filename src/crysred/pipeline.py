@@ -181,24 +181,32 @@ def preflight_precision(cfg: JobConfig) -> dict:
         decides v > bound_i, bound_i <= c_max - 1, so it needs
         nwork >= c_max, which the spend's c_max already gives: N >= 0;
       - reducibility subset sum: `reducibility_detect` reads v(a2^(i))
-        at nwork on the Type I slots S and compares their sum with the
-        subset sums of their k_i.  An a2 nonzero at nwork gives its exact
-        valuation; when every a2 of S vanishes there (a_p = 0), the sum is
-        only known to be at least |S| nwork, which decides the verdict once
-        nwork > k_max: N >= k_max + 1 - guard.  (A tuple that mixes
-        vanishing and nonzero a2 may still stop with PrecisionExhausted.)
+        at nwork on the Type I slots S.  An a2 nonzero at nwork gives its
+        exact valuation; one that vanishes there (v >= nwork, a_p = 0
+        among them) counts nwork, and then the verdict is decided only when
+        the sum, sum over S of min(v_i, nwork), exceeds sum over S of k_i.
+        So it needs the least nwork at which every v_i < nwork or that sum
+        exceeds sum_S k_i, `_reducibility_need`: N >= that - guard.  A
+        shorthand gives S and every v_i.  Explicit matrices give S (the
+        slots whose bottom-left entry c is a unit) but a2 only after
+        `normalize`, which makes slot i's a2 p^(k_(i-1)) x + d y / c, with
+        d the bottom-right entry, x integral and y a unit: v_i = v(d) when
+        v(d) < k_(i-1), and else only v_i >= k_(i-1) is known.  So the need
+        is taken over every a2 that such a bound allows, at least one of
+        them vanishing;
       - residue read: `SElem.residue` needs the descended entries above
         floor((L-1)/p), and they keep N + floor((L-1)/p) + 5: N >= 0;
       - explicit-matrix check: `verify_parabolic_equiv` compares the
         first columns mod p^(n_eff - k_(i-1)), n_eff the element
         precision nwork of the explicit input, so it needs n_eff > k_max:
-        the reducibility line's N >= k_max + 1 - guard again;
+        `_reducibility_need` starts its search there for explicit input;
       - the certificate: the report's `final_prec`, the digits certified
         past the residue read, is at least N + 5 (the read's extra digit
         and the 4 spare); N >= 5 holds it at 10 or more, the floor every
         weight-1 job has had and the one `final_prec_min` tracks.
-    N is the largest of these: 5, until k_max + 1 exceeds 5 + guard and
-    the reducibility and explicit lines set it.
+    N is the largest of these: 5, until the reducibility need exceeds
+    5 + guard and sets it.  No read needs nwork > k_max of a shorthand
+    whose Type I a2 are nonzero below nwork.
 
     Iterations.  iters = `estimate_iterations` at (M, nwork): the smaller,
     chain by chain, of the u-adic gain-law count and the p-adic count
@@ -210,15 +218,18 @@ def preflight_precision(cfg: JobConfig) -> dict:
     nwork, takes at most iters iterations, the number the guard charged.
 
     Default: the least M > max(k_max, p c_max, L - 1) with b(M) >= nwork.
-    An override (M, N) keeps its M and N and gets nwork =
-    min(N + guard, b(M)); it stops with PrecisionExhausted when b(M) < N
-    or M < L.  That covers M <= k_max, where E^(k_i) = 0 mod E^M and
-    b(M) <= 0.
+    nwork never decreases in M, so the search steps from each M to the
+    least M' with b(M') >= nwork(M), k_max + nwork + floor((nwork-1)/(p-1)),
+    until nwork holds still.  An override (M, N) keeps its M and N and gets
+    nwork = min(N + guard, b(M)); it stops with PrecisionExhausted when
+    b(M) < N or M < L.  That covers M <= k_max, where E^(k_i) = 0 mod E^M
+    and b(M) <= 0.
     """
     weights = normalize_weights(cfg.weights)
     budget = compute_budget(weights, cfg.p)
     p, k_max, c_max = cfg.p, weights.k_max, budget.c_max
     window = read_off_window(p, k_max)
+    need = _reducibility_need(cfg, weights)
 
     def exact_digits(m):
         j = m - k_max
@@ -229,7 +240,7 @@ def preflight_precision(cfg: JobConfig) -> dict:
         iters = 0
         while True:
             guard = c_max + -(-k_max // p) * (iters + 2) + (window - 1) // p + 5
-            n_at = max(5, k_max + 1 - guard) if n is None else n
+            n_at = max(5, need - guard) if n is None else n
             nwork = n_at + guard
             bound = estimate_iterations(weights, budget, p, m, nwork)
             if bound == iters:
@@ -249,15 +260,66 @@ def preflight_precision(cfg: JobConfig) -> dict:
         _, nwork, iters = settle(m, n)
         nwork = min(nwork, exact_digits(m))
     else:
-        # nwork never decreases in M, so no M below the least one with
-        # b(M) >= nwork(m) can meet its own nwork: jump there
         m = max(k_max, p * c_max, window - 1) + 1
         n, nwork, iters = settle(m)
         while exact_digits(m) < nwork:
-            while exact_digits(m) < nwork:
-                m += 1
+            m = k_max + nwork + (nwork - 1) // (p - 1)
             n, nwork, iters = settle(m)
     return {"M": m, "N": n, "nwork": nwork, "iterations_estimate": iters}
+
+
+def _coord_valuation(p: int, spec):
+    """v_p of a coordinate as `_coord_to_of` reads it: inf for 0, and for a
+    spec it rejects (the config stage stops that job)."""
+    if _is_int(spec):
+        coeffs, pexp = [spec], 0
+    elif (isinstance(spec, dict) and _is_int_seq(spec.get("coeffs"))
+          and _is_int(spec.get("pexp", 0))):
+        coeffs, pexp = spec["coeffs"], spec.get("pexp", 0)
+    else:
+        return float("inf")
+    vals = []
+    for x in coeffs:
+        v = 0
+        while x and x % p == 0:
+            x //= p
+            v += 1
+        if x:
+            vals.append(v)
+    return pexp + min(vals) if vals else float("inf")
+
+
+def _reducibility_need(cfg: JobConfig, weights) -> int:
+    """The least nwork at which `reducibility_detect` decides whatever the
+    valuations the config leaves open are; see the needs in
+    `preflight_precision`."""
+    explicit = any("matrix" in entry for entry in cfg.params)
+    slots = []                     # (k_i, v_i or its lower bound, exact)
+    for i, entry in enumerate(cfg.params):
+        if "matrix" in entry:
+            c, d = entry["matrix"][1]
+        elif entry["type"] == "I":
+            c, d = 1, entry["a2"]
+        else:
+            continue
+        if _coord_valuation(cfg.p, c) != 0:
+            continue
+        v, k_prev = _coord_valuation(cfg.p, d), weights.k_prev(i)
+        exact = not explicit or v < k_prev
+        slots.append((weights.k[i], v if exact else k_prev, exact))
+    total = sum(k for k, _, _ in slots)
+    n = weights.k_max + 1 if explicit else 1
+    while True:
+        low = sum(min(v, n) for _, v, _ in slots)
+        if not any(exact and v >= n for _, v, exact in slots):
+            bounds = [v for _, v, exact in slots if not exact]
+            if not bounds:
+                return n
+            # one of the bounded a2 vanishes, and counts n
+            low += n - min(max(bounds), n)
+        if low > total:
+            return n
+        n += 1
 
 
 def _coord_to_of(ctx: PrimeContext, spec) -> OFElem:

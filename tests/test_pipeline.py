@@ -1,5 +1,6 @@
 """End-to-end runs of `run_pipeline` against known answers."""
 
+import itertools
 import json
 import random
 import time
@@ -29,6 +30,7 @@ from crysred.pipeline import (
 from crysred.arith import PrimeContext
 from crysred.sring import PhiExpPoly, SElem, s_frobenius
 
+from test_golden import GOLDEN
 from test_sring import agreement
 
 
@@ -192,7 +194,10 @@ class TestSmallEAdicPrecision:
     window L = 8 needs fewer.  (5, 8, 15), (5, 12, 25) and (7, 20, 44)
     stopped at `preflight` while the default N was max(k + 2, c_max + 4),
     10, 14 and 22 there; N is now sized by its readers and is 5 at all
-    three, so these windows certify and give the BLZ answer.  Each least
+    three, so these windows certify and give the BLZ answer.  At (11, 24)
+    N was 6 while the reducibility need counted nwork > k_max for every
+    job; that need holds only where an a2 vanishes at nwork, so N is 5 and
+    the least certifying M moves from 30 to 29.  Each least
     certifying M is listed with the window one below it, which stops."""
 
     # windows that stop, with the stage; every other window gives BLZ
@@ -202,7 +207,7 @@ class TestSmallEAdicPrecision:
              (3, 4, 10): "preflight", (5, 4, 9): "preflight",
              (5, 8, 13): "preflight", (5, 12, 17): "preflight",
              (7, 6, 10): "preflight", (7, 20, 24): "preflight",
-             (11, 12, 16): "preflight", (11, 24, 29): "preflight",
+             (11, 12, 16): "preflight", (11, 24, 28): "preflight",
              (13, 13, 17): "preflight", (13, 14, 18): "preflight"}
 
     @pytest.mark.parametrize("p, k, m", [
@@ -210,13 +215,13 @@ class TestSmallEAdicPrecision:
         (5, 12, 13), (5, 12, 25), (7, 20, 44), (7, 20, 49),
         # windows above the least certifying M
         (3, 2, 10), (3, 4, 15), (5, 4, 11), (5, 8, 20), (5, 12, 29),
-        (7, 6, 15), (7, 20, 45), (11, 12, 27), (11, 24, 52), (13, 13, 29),
-        (13, 14, 31),
+        (7, 6, 15), (7, 20, 45), (11, 12, 27), (11, 24, 30), (11, 24, 52),
+        (13, 13, 29), (13, 14, 31),
         # the least certifying M, and the window one below it
         (3, 1, 7), (3, 1, 8), (3, 2, 8), (3, 2, 9), (3, 4, 10), (3, 4, 11),
         (5, 4, 9), (5, 4, 10), (5, 8, 13), (5, 8, 14), (5, 12, 17),
         (5, 12, 18), (7, 6, 10), (7, 6, 11), (7, 20, 24), (7, 20, 25),
-        (11, 12, 16), (11, 12, 17), (11, 24, 29), (11, 24, 30),
+        (11, 12, 16), (11, 12, 17), (11, 24, 28), (11, 24, 29),
         (13, 13, 17), (13, 13, 18), (13, 14, 18), (13, 14, 19)])
     def test_blz_answer(self, p, k, m):
         cfg = f1_type_i_job(p, k)
@@ -364,18 +369,32 @@ class TestExplicitMatrixPrecision:
         assert answer(twin) == classical(p, k)
 
 
+def reducibility_decides(nwork, ks, vals):
+    """Whether `reducibility_detect` decides at nwork on Type I slots of
+    weights ks and a2 valuations vals (inf for 0): an a2 with v >= nwork
+    vanishes there and counts nwork in the sum."""
+    return (all(v < nwork for v in vals)
+            or sum(min(v, nwork) for v in vals) > sum(ks))
+
+
 def preflight_needs(p, pairs):
     """Check every need `preflight_precision` names on the default
-    (M, N, nwork) of a Type I job and of its explicit twin."""
+    (M, N, nwork) of Type I jobs with a2 nonzero, zero and (f > 1) mixed,
+    and of an explicit twin."""
     weights = normalize_weights(pairs)
     budget = compute_budget(weights, p)
-    k_max, c_max = weights.k_max, budget.c_max
+    k_max, c_max, f = weights.k_max, budget.c_max, len(pairs)
     window = read_off_window(p, k_max)
-    data = {"p": p, "f": len(pairs), "weights": pairs,
-            "params": [{"type": "I", "a1": 1, "a2": p ** c_max}] * len(pairs)}
-    twin = dict(data, params=[{"matrix": [[0, 1], [1, p ** c_max]]}] * len(pairs))
-    for job in (data, twin):
-        pf = preflight_precision(JobConfig.from_dict(job))
+    inf = float("inf")
+    jobs = [[c_max] * f, [inf] * f] + ([[inf] + [c_max] * (f - 1)] if f > 1 else [])
+    for vals in jobs + ["twin"]:
+        if vals == "twin":
+            params = [{"matrix": [[0, 1], [1, p ** c_max]]}] * f
+        else:
+            params = [{"type": "I", "a1": 1, "a2": 0 if v == inf else p ** v}
+                      for v in vals]
+        pf = preflight_precision(JobConfig.from_dict(
+            {"p": p, "f": f, "weights": pairs, "params": params}))
         m, n, nwork, iters = pf["M"], pf["N"], pf["nwork"], pf["iterations_estimate"]
         j = m - k_max
         # the digits the preparation and the descent may spend
@@ -385,7 +404,17 @@ def preflight_needs(p, pairs):
         assert nwork - spend >= (window - 1) // p + 1
         assert nwork - spend - (window - 1) // p >= 10 and n >= 5
         assert nwork >= c_max
-        assert nwork > k_max
+        if vals == "twin":
+            assert nwork > k_max
+            # normalization adds p^(k_(i-1)) x to the bottom-right entry
+            # p^c_max, so a2 is exact below k_(i-1) and else anything from
+            # there on, 0 included
+            options = [[c_max] if c_max < weights.k_prev(i)
+                       else [weights.k_prev(i), inf] for i in range(f)]
+            for choice in itertools.product(*options):
+                assert reducibility_decides(nwork, weights.k, choice)
+        else:
+            assert reducibility_decides(nwork, weights.k, vals)
         assert iters == estimate_iterations(weights, budget, p, m, nwork)
         assert iters <= estimate_iterations(weights, budget, p, m)
 
@@ -398,6 +427,24 @@ def test_preflight_meets_every_need(p):
             preflight_needs(p, [[k, 0], [k2, 0]])
 
 
+def gate_edge_job(p, ks, types):
+    """Lower weights 0, a1 = 1, and each v(a2) the least the gate lets
+    through at its own slot, max(c_i, c_max - c_i)."""
+    pairs = [[k, 0] for k in ks]
+    budget = compute_budget(normalize_weights(pairs), p)
+    return {"p": p, "f": len(ks), "weights": pairs,
+            "params": [{"type": t, "a1": 1,
+                        "a2": {"coeffs": [1], "pexp": max(c, budget.c_max - c)}}
+                       for t, c in zip(types, budget.c)]}
+
+
+def check_within_the_preflight(report):
+    pf, descent = report.preflight, report.stages["descent"]
+    assert report.error is None
+    assert descent["iterations"] <= pf["iterations_estimate"]
+    assert descent["final_prec"] >= pf["N"] + 5
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 13])
 def test_descent_stays_within_the_preflight(p):
     """The descent runs at most the iterations the guard charged, and keeps
@@ -406,9 +453,66 @@ def test_descent_stays_within_the_preflight(p):
         for a2 in (None, 0):
             report = run_pipeline(f1_type_i_job(p, k, a2))
             assert answer(report) == classical(p, k)
-            pf, descent = report.preflight, report.stages["descent"]
-            assert descent["iterations"] <= pf["iterations_estimate"]
-            assert descent["final_prec"] >= pf["N"] + 5
+            check_within_the_preflight(report)
+
+
+# f = 2 and 3 with unequal weights, Type II slots and v(a2) at the gate's
+# edge: chains cross slots of different weight, and at the slot after a
+# lighter one max(c, c_max - c) is c_max - c
+MULTI_SLOT = [
+    (3, (1, 4), "I I"), (3, (4, 1), "II I"), (3, (1, 4), "I II"),
+    (3, (3, 1, 1), "II I II"), (3, (1, 6, 2), "I II I"),
+    (5, (1, 7), "I I"), (5, (7, 1), "I II"), (5, (2, 10), "II I"),
+    (5, (1, 5, 12), "I II I"), (7, (1, 11), "II I"), (7, (14, 1), "I I"),
+    (7, (5, 2, 12), "II I II"), (13, (1, 23), "I II"), (13, (34, 1), "I I"),
+]
+
+
+@pytest.mark.parametrize("p, ks, pattern", MULTI_SLOT)
+def test_multi_slot_descent_stays_within_the_preflight(p, ks, pattern):
+    data = gate_edge_job(p, ks, pattern.split())
+    report = run_pipeline(JobConfig.from_dict(data))
+    check_within_the_preflight(report)
+    budget = compute_budget(normalize_weights(data["weights"]), p)
+    assert any(budget.c_max - c > c for c in budget.c)
+    for rotated in (rotate(data), mixed_job(p, ks, pattern.split())):
+        check_within_the_preflight(run_pipeline(JobConfig.from_dict(rotated)))
+    if "II" not in pattern:
+        twin = parabolic_twin(data, [3] * len(ks))
+        got = run_pipeline(JobConfig.from_dict(twin))
+        check_within_the_preflight(got)
+        assert answer(got) == answer(report)
+
+
+@pytest.mark.parametrize("name", ["f2-r2-mixed", "f3-r3-p3-mixed",
+                                  "f2-explicit-mixed", "f2-r4-p7"])
+def test_golden_descent_stays_within_the_preflight(name):
+    check_within_the_preflight(run_pipeline(JobConfig.from_dict(GOLDEN[name][0])))
+
+
+class TestMixedVanishingA2:
+    """Type I tuples where some a2 vanish at nwork and others do not: the
+    reducibility sum decides only when nwork exceeds sum_S k_i less the
+    nonzero valuations, which the preflight charges."""
+
+    def test_p13_k10_10(self):
+        data = {"p": 13, "f": 2, "weights": [[10, 0]] * 2,
+                "params": [{"type": "I", "a1": 1, "a2": 0},
+                           {"type": "I", "a1": 1, "a2": 13 ** 2}]}
+        report = run_pipeline(JobConfig.from_dict(data))
+        assert report.preflight["nwork"] > 20 - 2
+        assert answer(report) == ("Split", (10, 130))
+        twin = run_pipeline(JobConfig.from_dict(parabolic_twin(data, [3, 5])))
+        assert answer(twin) == ("Split", (10, 130))
+
+    def test_p13_k20_20_matches_a_wide_run(self):
+        data = {"p": 13, "f": 2, "weights": [[20, 0]] * 2,
+                "params": [{"type": "I", "a1": 1, "a2": 0},
+                           {"type": "I", "a1": 1, "a2": 13 ** 3}]}
+        report = run_pipeline(JobConfig.from_dict(data))
+        wide = run_pipeline(JobConfig.from_dict(dict(data, precision=[150, 60])))
+        assert report.preflight["nwork"] > 40 - 3
+        assert answer(report) == answer(wide)
 
 
 class TestRotation:
