@@ -109,17 +109,44 @@ class PreparedSplit:
         return self.weights.f
 
 
+def _stored(elems) -> tuple:
+    """(c, d, prec) of each S_F element: equal keys mean equal elements."""
+    return tuple((e.c, e.d, e.prec) for e in elems)
+
+
+def _rotation_period(keys) -> int:
+    """The least d dividing f = len(keys) with keys[i] == keys[i mod d] for
+    every slot i: the period of the tuple under the rotation i -> i + 1."""
+    f = len(keys)
+    return next(d for d in range(1, f + 1) if f % d == 0 and keys[d:] == keys[:f - d])
+
+
 def prepare(kisin: KisinFrobenius, budget: HeightBudget) -> PreparedSplit:
     """Strip the lambda tails via X_1 = [[1, 0], [x, 1]] and split.
 
     x^(i) = -(a2/a1)^(i) * (tail of lambda^(h-g) past block c^(i)) / E^(k_i);
     the conjugated matrix splits exactly into the integral head A0 and a
     remainder whose entries are multiples of phi(x^(i-1)) in I_(c_max).
+
+    Rotation.  Slot i's x, phi(x) and split read only slot i's matrix,
+    lambda power, a1, a2, Type, k_i and c^(i), and slot i - 1's phi(x),
+    by the same rule for every slot.  So when those inputs are invariant
+    under i -> i + d for some d | f, slot i + d computes what slot i does,
+    and each check on it repeats slot i's with equal values.  Only slots
+    0..d-1 are computed, d the least such period (`_rotation_period`;
+    d = f on an aperiodic tuple), slot i's left neighbour being slot
+    (i - 1) mod d, and slot i's outputs are slot (i mod d)'s.  The checks
+    run in slot order, so the first that fails is on a slot below d, with
+    the message the full loop gives.
     """
     ctx = kisin.amat[0][0][0].ctx
     weights, f = kisin.heights, kisin.f
+    period = _rotation_period([
+        (k, c, tag.kind, _stored(_entries(b_mat) + (lam_e,)), a1.c, a1.prec, a2.c, a2.prec)
+        for k, c, tag, b_mat, lam_e, a1, a2 in zip(
+            weights.k, budget.c, kisin.tags, kisin.amat, kisin.lam_e, kisin.a1, kisin.a2)])
     xs, phis = [], []
-    for i in range(f):
+    for i in range(period):
         c_i = budget.c[i]
         tail = kisin.lam_e[i].slice_from(c_i * ctx.p)
         if tail.is_zero():
@@ -141,10 +168,10 @@ def prepare(kisin: KisinFrobenius, budget: HeightBudget) -> PreparedSplit:
 
     a0s, cs, conjs = [], [], []
     e_zero = SElem.zero(ctx)
-    for i in range(f):
+    for i in range(period):
         k_i, c_i = weights.k[i], budget.c[i]
         b_mat = kisin.amat[i]
-        x, phi_prev = xs[i], phis[(i - 1) % f]
+        x, phi_prev = xs[i], phis[i - 1]
         # X_1 B: add x * (row 1) to row 2
         m = ((b_mat[0][0], b_mat[0][1]),
              (b_mat[1][0] + x * b_mat[0][0], b_mat[1][1] + x * b_mat[0][1]))
@@ -175,9 +202,10 @@ def prepare(kisin: KisinFrobenius, budget: HeightBudget) -> PreparedSplit:
             raise SplitFailed(
                 f"slot {i}: surviving entry not in p*O_F[[u]] (gate margin)")
 
+    copies = f // period
     return PreparedSplit(
-        a0=tuple(a0s), c_mats=tuple(cs), conjugated=tuple(conjs),
-        x1=tuple(xs), weights=weights)
+        a0=tuple(a0s) * copies, c_mats=tuple(cs) * copies,
+        conjugated=tuple(conjs) * copies, x1=tuple(xs) * copies, weights=weights)
 
 
 def check_descent_assumptions(split: PreparedSplit, budget: HeightBudget) -> None:
@@ -353,10 +381,27 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
     below the window L = `read_off_window(p, k_max)`; `final_prec` is the
     least precision of the final entries less the floor((L-1)/p) digits
     that u-coordinates below L cost.
+
+    Rotation.  Slot i's update reads only its own state (matrix, unit,
+    remainder, depth, inverse seed) and its left neighbour's step, by the
+    same rule for every slot, and its first state only A0^(i), C^(i) and
+    k_i.  So when those inputs are invariant under i -> i + d for some
+    d | f, by induction on the iterations every state is too, and every
+    check on slot i + d repeats the check on slot i with equal values.
+    The descent therefore runs slots 0..d-1 only, d the least such period
+    (`_rotation_period`; d = f on an aperiodic tuple), slot i's left
+    neighbour being slot (i - 1) mod d, and slot i's outputs are slot
+    (i mod d)'s.  Each step's chain row is written for every slot it
+    stands for, the NoConvergence message lists all f depths, and the
+    checks run in slot order, so the first that fails is on a slot below
+    d, with the message the full loop gives.
     """
     ctx = split.a0[0][0][0].ctx
     p, f = ctx.p, split.f
     weights = split.weights
+    period = _rotation_period([(k, _stored(_entries(a0) + _entries(c)))
+                               for k, a0, c in zip(weights.k, split.a0, split.c_mats)])
+    copies = f // period
     max_iter = estimate_iterations(weights, budget, p, ctx.m, ctx.nwork) + 6
     one, zero = SElem.one(ctx), SElem.zero(ctx)
     eye = ((one, zero), (zero, one))
@@ -364,7 +409,7 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
     # (1) re-split C in I_c into p*integral + Fil^(cp) tail; fold the head in
     h0 = budget.c_max * p
     a_mats, c_mats = [], []
-    for a0, c_mat in zip(split.a0, split.c_mats):
+    for a0, c_mat in zip(split.a0[:period], split.c_mats[:period]):
         head = _mat_map(lambda e: e.slice_below(h0), c_mat)
         if not all(e.is_integral(margin=1) for e in _entries(head)):
             raise SplitFailed("re-split head not in p*O_F[[u]]")
@@ -374,13 +419,13 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
     units = [_det_over_e_pow(a, k) for a, k in zip(a_mats, weights.k)]
 
     chains = [[] for _ in range(f)]
-    hs = [h0] * f
-    inv_seeds = [None] * f
+    hs = [h0] * period
+    inv_seeds = [None] * period
 
     def check_dets(n, steps=None):
         # a slot whose left neighbour was clean kept its matrix and unit,
         # which the previous check already compared
-        for i in range(f):
+        for i in range(period):
             if steps is not None and steps[i - 1] is None:
                 continue
             target = s_mul(SElem.e_pow(ctx, weights.k[i]), units[i])
@@ -397,7 +442,7 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
         if iteration >= max_iter:
             raise NoConvergence(
                 f"descent did not terminate in {max_iter} iterations; "
-                f"depths {hs}, precision may be exhausted")
+                f"depths {hs * copies}, precision may be exhausted")
         n = iteration + 1
         steps = []
         for i, c in enumerate(c_mats):
@@ -419,13 +464,14 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
                                   f"phi(C'B) not in Fil^{threshold}")
             steps.append((d1, d2, threshold))
             # chain j started at slot j and moves one slot per iteration
-            chains[(i - iteration) % f].append({
-                "step": n, "slot": i, "h": hs[i], "ell": ell,
-                "next_h": threshold, "k_slot": k_i,
-            })
+            for slot in range(i, f, period):
+                chains[(slot - iteration) % f].append({
+                    "step": n, "slot": slot, "h": hs[i], "ell": ell,
+                    "next_h": threshold, "k_slot": k_i,
+                })
         # The absorption factor (I + W^(i))^(-1) clears slot i's own
         # remainder; slot i takes in its left neighbour's split instead.
-        for i in range(f):
+        for i in range(period):
             step = steps[i - 1]
             if step is None:
                 # nothing arrives, and slot i's own remainder has moved on
@@ -460,8 +506,8 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
     a_final = tuple(_mat_map(lambda e: e.normalize_d(), m) for m in a_mats)
     final_prec = min(e.prec for m in a_final for e in _entries(m))
     return DescentCertificate(
-        a_final=a_final,
-        a_final_mod_p=tuple(residues),
+        a_final=a_final * copies,
+        a_final_mod_p=tuple(residues) * copies,
         chains=chains,
         iterations=iteration,
         final_prec=final_prec - (window - 1) // p,

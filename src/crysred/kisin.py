@@ -35,6 +35,7 @@ class KisinFrobenius:
     heights: WeightData
     b: int                           # lambda level: f or 2f
     expo: Tuple[Tuple[PhiExpPoly, PhiExpPoly], ...]   # (g^(i), h^(i))
+    e: Tuple[PhiExpPoly, ...]        # h^(i) - g^(i), the exponent of lam_e
     tags: Tuple[TypeTag, ...]
     a1: Tuple[OFElem, ...]
     a2: Tuple[OFElem, ...]
@@ -46,10 +47,6 @@ class KisinFrobenius:
     def f(self):
         return self.heights.f
 
-    def exponent(self, i: int) -> PhiExpPoly:
-        g, h = self.expo[i]
-        return h - g
-
     def serial(self):
         return {
             "b": self.b,
@@ -57,7 +54,7 @@ class KisinFrobenius:
             "tags": [t.serial() for t in self.tags],
             "g": [g.serial() for g, _ in self.expo],
             "h": [h.serial() for _, h in self.expo],
-            "e": [self.exponent(i).serial() for i in range(self.f)],
+            "e": [e.serial() for e in self.e],
             "det_signs": [t.det_sign for t in self.tags],
             "anchors": [list(a) for a in self.anchors],
             "lambda_truncation_index": self.lambda_nstar,
@@ -181,11 +178,11 @@ def det_normalize(raw, tags, weights: WeightData,
     a1s, a2s = _extract_params(normalized_lattice, tags)
     b, pairs, anchors = solve_exponent_system(tags, weights)
 
+    es = tuple(h - g for g, h in pairs)
     lam_es, mats = [], []
     zero, one = SElem.zero(ctx), SElem.one(ctx)
     for i in range(f):
-        g, h = pairs[i]
-        lam_e = lambda_power(h - g, b, ctx)
+        lam_e = lambda_power(es[i], b, ctx)
         lam_es.append(lam_e)
         e_a1 = SElem.e_pow(ctx, weights.k[i]) * a1s[i]
         low = s_mul(lam_e, SElem.from_of(ctx, a2s[i]))
@@ -198,6 +195,7 @@ def det_normalize(raw, tags, weights: WeightData,
         heights=weights,
         b=b,
         expo=pairs,
+        e=es,
         tags=tuple(tags),
         a1=a1s,
         a2=a2s,

@@ -3,7 +3,7 @@
 A job fixes (p, f, r), the raw weight pairs, and per-embedding parameters
 (Type shorthand or explicit matrices).  `run_pipeline` executes the stages
 
-    preflight -> weights -> config -> normalize -> reducibility -> slopes ->
+    preflight -> config -> normalize -> reducibility -> slopes ->
     gate -> build -> det_normalize -> prepare -> assumptions -> descend ->
     reduce -> extract -> characterize
 
@@ -31,6 +31,7 @@ from . import __version__
 from .arith import OFElem, PrimeContext, _is_prime
 from .errors import ConfigError, CrysredError, PrecisionExhausted
 from .descent import (
+    HeightBudget,
     check_descent_assumptions,
     compute_budget,
     descend,
@@ -43,6 +44,7 @@ from .kisin import build_kisin_frobenius, det_normalize
 from .lattices import (
     ReducibilityVerdict,
     TypeTag,
+    WeightData,
     classify_lattice,
     classify_type,
     frobenius_f_product,
@@ -119,6 +121,17 @@ class JobConfig:
                     raise ConfigError(f"params[{i}] needs a1 and a2")
             else:
                 raise ConfigError(f"params[{i}] needs 'type' or 'matrix'")
+
+    @functools.cached_property
+    def heights(self) -> WeightData:
+        """The normalized weights, computed once per config; IrregularWeights
+        when a pair is equal."""
+        return normalize_weights(self.weights)
+
+    @functools.cached_property
+    def budget(self) -> HeightBudget:
+        """The height budget of `heights`, computed once per config."""
+        return compute_budget(self.heights, self.p)
 
     def serial(self):
         return {
@@ -225,8 +238,7 @@ def preflight_precision(cfg: JobConfig) -> dict:
     b(M) < N or M < L.  That covers M <= k_max, where E^(k_i) = 0 mod E^M
     and b(M) <= 0.
     """
-    weights = normalize_weights(cfg.weights)
-    budget = compute_budget(weights, cfg.p)
+    weights, budget = cfg.heights, cfg.budget
     p, k_max, c_max = cfg.p, weights.k_max, budget.c_max
     window = read_off_window(p, k_max)
     need = _reducibility_need(cfg, weights)
@@ -337,9 +349,9 @@ def _coord_to_of(ctx: PrimeContext, spec) -> OFElem:
             raise ConfigError(f"coordinate pexp must be an integer >= 0, got {pexp!r}")
         if len(coeffs) > ctx.r:
             raise ConfigError(f"coordinate has {len(coeffs)} coeffs but r = {ctx.r}")
-        x = OFElem(ctx, coeffs)
-        # p^pexp is 0 mod p^prec once pexp >= prec
-        return x * OFElem.from_int(ctx, ctx.ppow(min(pexp, x.prec)))
+        # p^pexp is 0 mod p^nwork once pexp >= nwork
+        t = ctx.ppow(min(pexp, ctx.nwork))
+        return OFElem(ctx, [v * t for v in coeffs])
     raise ConfigError(f"cannot parse coordinate {spec!r}")
 
 
@@ -430,7 +442,8 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
     try:
         pf = _stage(report, "preflight", lambda: preflight_precision(cfg))
         report.preflight = pf
-        weights = _stage(report, "weights", lambda: normalize_weights(cfg.weights))
+        # the preflight has normalized the weights and sized the budget
+        weights, budget = cfg.heights, cfg.budget
         report.stages["weights"] = weights.serial()
         ctx = _prime_context(cfg.p, cfg.f, pf["N"], pf["M"], cfg.r or cfg.f,
                              pf["nwork"])
@@ -473,7 +486,6 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
             "det_valuation": sum(weights.k),
         }
 
-        budget = compute_budget(weights, cfg.p)
         report.stages["budget"] = budget.serial()
         a2_params = tuple(t.params(m)[1] for m, t in zip(normalized, tags))
         gate = _stage(report, "gate",

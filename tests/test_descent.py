@@ -1,5 +1,6 @@
 """Preparation, descent assumptions and the successive approximation."""
 
+import os
 import random
 import sys
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crysred.arith import OFElem, PrimeContext, mat_det, mat_mul
-from crysred.errors import AssumptionViolated, GateFailed, HeightMismatch, SplitFailed
+from crysred.errors import (AssumptionViolated, GateFailed, HeightMismatch, NoConvergence,
+                            SplitFailed)
 import crysred.descent as descent_mod
 import crysred.sring as sring_mod
 from crysred.descent import (
@@ -432,3 +434,131 @@ class TestFusedProducts:
 
 def first_slot(x):
     return next(i for i, v in enumerate(x.c) if v) // x.ctx.r
+
+
+def base_change_configs():
+    """The ten period-1 base-change jobs of the embeddings workload, seed 1."""
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(perfbench)
+    n = len(workloads.BASE_CHANGE)
+    return {f"base-change-{i}": job["config"]
+            for i, job in enumerate(workloads.embeddings(1)[:n])}
+
+
+def periodic(p, ks, slots, copies):
+    """The tuple of weights `ks` and Type slots `slots`, (type, a1, a2,
+    v(a2)), repeated `copies` times; r = f."""
+    params = [{"type": t, "a1": {"coeffs": a1}, "a2": {"coeffs": a2, "pexp": v}}
+              for t, a1, a2, v in slots]
+    f = len(ks) * copies
+    return {"p": p, "f": f, "r": f, "weights": [[k, 0] for k in ks] * copies,
+            "params": params * copies}
+
+
+# p = 7, c = (2, 1, 1): v(a2) one above the gate bounds (1, 0, 0)
+I_II = ([6, 2], [("I", [3, 1], [2, 5], 2), ("II", [1, 4], [6, 1], 1)])
+I_II_I = ([6, 2, 4], [("I", [3, 1], [2, 5], 2), ("II", [1, 4], [6, 1], 1),
+                      ("I", [5], [1, 3], 1)])
+PERIODIC = dict(base_change_configs(),
+                **{"I II x 2": periodic(7, *I_II, 2), "I II x 3": periodic(7, *I_II, 3),
+                   "I II I x 2": periodic(7, *I_II_I, 2)})
+# the least period of each
+PERIODS = dict.fromkeys(PERIODIC, 1) | {"I II x 2": 2, "I II x 3": 2, "I II I x 2": 3}
+
+
+def stage_inputs(config, monkeypatch):
+    """(kisin, budget), the input that `run_pipeline` hands to `prepare`."""
+    import crysred.pipeline as pipeline
+    from crysred.pipeline import JobConfig
+
+    seen = []
+    monkeypatch.setattr(pipeline, "prepare",
+                        lambda kf, budget: seen.append((kf, budget)) or prepare(kf, budget))
+    report = pipeline.run_pipeline(JobConfig.from_dict(config))
+    assert report.error is None
+    return seen[0]
+
+
+def stored_mats(mats):
+    return [as_stored(e) for m in mats for row in m for e in row]
+
+
+def outputs(kf, budget):
+    """Everything `prepare` and `descend` return, as stored values."""
+    split = prepare(kf, budget)
+    cert = descend(split, budget)
+    return {
+        "split": [stored_mats(mats) for mats in (split.a0, split.c_mats, split.conjugated)]
+        + [[as_stored(x) for x in split.x1]],
+        "a_final": stored_mats(cert.a_final),
+        "residues": [(e.c, e.prec) for m in cert.a_final_mod_p for row in m for e in row],
+        "chains": cert.chains,
+        "iterations": cert.iterations,
+        "final_prec": cert.final_prec,
+    }
+
+
+class TestRotationPeriod:
+    @pytest.mark.parametrize("keys, period", [
+        ([1], 1), ([1, 1, 1, 1], 1), ([1, 2, 1, 2], 2), ([1, 2, 3, 1, 2, 3], 3),
+        ([1, 2, 1, 2, 1], 5), ([1, 1, 2, 1, 1, 2], 3), ([1, 2, 2, 1], 4),
+        ([1, 1, 1, 2], 4)])
+    def test_least_period_dividing_f(self, keys, period):
+        assert descent_mod._rotation_period(keys) == period
+
+    @pytest.mark.parametrize("name", sorted(PERIODIC))
+    def test_period_path_equals_the_full_loop(self, name, monkeypatch):
+        kf, budget = stage_inputs(PERIODIC[name], monkeypatch)
+        periods, find = [], descent_mod._rotation_period
+        monkeypatch.setattr(descent_mod, "_rotation_period",
+                            lambda keys: periods.append(find(keys)) or periods[-1])
+        short = outputs(kf, budget)
+        assert periods == [PERIODS[name]] * 2
+        assert short["iterations"] > 0
+        monkeypatch.setattr(descent_mod, "_rotation_period", len)
+        assert outputs(kf, budget) == short
+
+    @pytest.mark.parametrize("name", ["base-change-2", "I II x 3", "I II I x 2"])
+    def test_one_height_partner_per_computed_slot(self, name, monkeypatch):
+        # a live iteration inverts d units on a tuple of period d, and f on
+        # the full loop; every slot of these tuples is live until the end
+        kf, budget = stage_inputs(PERIODIC[name], monkeypatch)
+        calls, partner = [], descent_mod.height_partner
+        monkeypatch.setattr(descent_mod, "height_partner",
+                            lambda *args: calls.append(1) or partner(*args))
+        cert = descend(prepare(kf, budget), budget)
+        rows = sum(len(chain) for chain in cert.chains)
+        assert rows == kf.f * cert.iterations
+        assert len(calls) == PERIODS[name] * cert.iterations
+        calls.clear()
+        monkeypatch.setattr(descent_mod, "_rotation_period", len)
+        cert = descend(prepare(kf, budget), budget)
+        assert len(calls) == kf.f * cert.iterations == rows
+
+    def test_aperiodic_tuple_runs_every_slot(self, monkeypatch):
+        from test_golden import GOLDEN
+
+        kf, budget = stage_inputs(GOLDEN["f3-r3-p3-mixed"][0], monkeypatch)
+        calls, partner = [], descent_mod.height_partner
+        monkeypatch.setattr(descent_mod, "height_partner",
+                            lambda *args: calls.append(1) or partner(*args))
+        cert = descend(prepare(kf, budget), budget)
+        assert len(calls) == sum(len(chain) for chain in cert.chains) > cert.iterations
+
+    @pytest.mark.parametrize("name", ["base-change-0", "I II x 2", "I II I x 2"])
+    def test_no_convergence_message_lists_every_depth(self, name, monkeypatch):
+        kf, budget = stage_inputs(PERIODIC[name], monkeypatch)
+        monkeypatch.setattr(descent_mod, "estimate_iterations", lambda *args: -6)
+        messages = []
+        for period in (descent_mod._rotation_period, len):
+            monkeypatch.setattr(descent_mod, "_rotation_period", period)
+            with pytest.raises(NoConvergence, match="in 0 iterations") as info:
+                descend(prepare(kf, budget), budget)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert f"depths {[budget.c_max * PERIODIC[name]['p']] * kf.f}," in messages[0]

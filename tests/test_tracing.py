@@ -1,10 +1,16 @@
-"""The benchmark's tracer binds program names by string; each must exist."""
+"""The benchmark's tracer binds program names by string; each must exist,
+and installing it must leave every report byte as it is."""
 
 import importlib
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 import pytest
+
+from test_descent import PERIODIC
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "tracing.py")
@@ -112,3 +118,52 @@ def test_leaf_accepts_every_kernel_call(tracing, monkeypatch):
         assert report.error is None
         assert tracer.stats["arith.conv2"][0] > before
     assert tracer.counts["arith.conv2.packed_bytes"] > 0
+
+
+# Each job list runs in a fresh interpreter, with or without the tracer
+# installed, and prints its reports as one JSON list.
+REPORTS_SCRIPT = """
+import json, sys
+if sys.argv[1] == "traced":
+    from tracing import Tracer
+    tracer = Tracer()
+    tracer.install()
+from crysred.pipeline import JobConfig, run_pipeline
+reports = [run_pipeline(JobConfig.from_dict(c)).to_json() for c in json.load(sys.stdin)]
+spans = len(tracer.spans) if sys.argv[1] == "traced" else 0
+json.dump({"reports": reports, "spans": spans}, sys.stdout)
+"""
+
+
+TRACED_JOBS = {
+    "f = 1": {"p": 5, "f": 1, "r": 1, "weights": [[4, 0]],
+              "params": [{"type": "I", "a1": 1, "a2": {"coeffs": [1], "pexp": 2}}]},
+    # a base change from Q_3 to Q_(3^4): every slot the same
+    "period 1, f = 4": PERIODIC["base-change-2"],
+    "period 2, f = 4": PERIODIC["I II x 2"],
+    "explicit": {"p": 5, "f": 1, "weights": [[3, 0]],
+                 "params": [{"matrix": [[3, -1094], [1, -365]]}]},
+    "gate stop": {"p": 5, "f": 1, "weights": [[4, 0]],
+                  "params": [{"type": "I", "a1": 1, "a2": {"coeffs": [1], "pexp": 1}}]},
+}
+
+
+def run_reports(mode):
+    perfbench = os.path.dirname(TRACING)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(perfbench), "src"), perfbench]))
+    out = subprocess.run([sys.executable, "-c", REPORTS_SCRIPT, mode],
+                         input=json.dumps(list(TRACED_JOBS.values())),
+                         capture_output=True, text=True, env=env, check=True)
+    return json.loads(out.stdout)
+
+
+def test_tracer_leaves_report_bytes_unchanged():
+    # `perfbench/run.py --trace 1` compares the digest of a traced run with
+    # an untraced one; the tracer only wraps, so every byte must agree
+    plain, traced = run_reports("plain"), run_reports("traced")
+    assert traced["spans"] > 0
+    for name, a, b in zip(TRACED_JOBS, plain["reports"], traced["reports"]):
+        assert a == b, name
+    errors = [json.loads(text)["error"] for text in plain["reports"]]
+    assert [e and e["stage"] for e in errors] == [None] * 4 + ["gate"]
