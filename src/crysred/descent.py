@@ -27,9 +27,9 @@ from .errors import (
     PrecisionExhausted,
     SplitFailed,
 )
-from .kisin import KisinFrobenius
+from .kisin import KisinFrobenius, _rotation_period, _stored
 from .lattices import WeightData
-from .sring import SElem, fil_membership, in_p_pow_s, s_frobenius, s_invert, s_mul, s_sums
+from .sring import SElem, fil_membership, in_p_pow_s, s_frobenius, s_invert, s_sums
 
 
 @dataclass(frozen=True)
@@ -109,24 +109,15 @@ class PreparedSplit:
         return self.weights.f
 
 
-def _stored(elems) -> tuple:
-    """(c, d, prec) of each S_F element: equal keys mean equal elements."""
-    return tuple((e.c, e.d, e.prec) for e in elems)
-
-
-def _rotation_period(keys) -> int:
-    """The least d dividing f = len(keys) with keys[i] == keys[i mod d] for
-    every slot i: the period of the tuple under the rotation i -> i + 1."""
-    f = len(keys)
-    return next(d for d in range(1, f + 1) if f % d == 0 and keys[d:] == keys[:f - d])
-
-
 def prepare(kisin: KisinFrobenius, budget: HeightBudget) -> PreparedSplit:
     """Strip the lambda tails via X_1 = [[1, 0], [x, 1]] and split.
 
     x^(i) = -(a2/a1)^(i) * (tail of lambda^(h-g) past block c^(i)) / E^(k_i);
     the conjugated matrix splits exactly into the integral head A0 and a
     remainder whose entries are multiples of phi(x^(i-1)) in I_(c_max).
+    A0's surviving entry a2 (head of lambda^(h-g)) is the matrix's entry
+    a2 lambda^(h-g) below slot c^(i) p, taken with no product: a2 is a
+    constant of O_F, so its product with lambda^(h-g) has no carries.
 
     Rotation.  Slot i's x, phi(x) and split read only slot i's matrix,
     lambda power, a1, a2, Type, k_i and c^(i), and slot i - 1's phi(x),
@@ -180,10 +171,10 @@ def prepare(kisin: KisinFrobenius, budget: HeightBudget) -> PreparedSplit:
              (m[1][0] - m[1][1] * phi_prev, m[1][1]))
         conjs.append(m)
 
-        head = kisin.lam_e[i].slice_below(c_i * ctx.p)
-        t_entry = s_mul(head, SElem.from_of(ctx, kisin.a2[i]))
         tag = kisin.tags[i]
-        a0 = tag.form(tag.params(b_mat)[0], t_entry, e_zero, SElem.one(ctx))
+        b_a1, b_a2 = tag.params(b_mat)
+        t_entry = b_a2.slice_below(c_i * ctx.p)
+        a0 = tag.form(b_a1, t_entry, e_zero, SElem.one(ctx))
         a0s.append(a0)
         try:
             cs.append(_mat_map(lambda e: e.normalize_d(), mat_sub(m, a0)))
@@ -216,6 +207,14 @@ def check_descent_assumptions(split: PreparedSplit, budget: HeightBudget) -> Non
     A0 integral and C in I_(c_max) are not re-tested: `prepare` raises
     SplitFailed on each entry that fails them.  Raises AssumptionViolated
     on failure.
+
+    Rotation.  Clause (c) on slot i reads only slot i's A0, C and
+    conjugated matrix, so when those are invariant under i -> i + d for
+    some d | f, its check on slot i + d repeats slot i's with equal values.
+    It runs on slots 0..d-1 only, d the least such period
+    (`_rotation_period`), in slot order, so the first that fails is on a
+    slot below d, with the message the full loop gives.  Clauses (a) and
+    (b) compare integers and run on every slot.
     """
     ctx = split.a0[0][0][0].ctx
     p = ctx.p
@@ -227,37 +226,50 @@ def check_descent_assumptions(split: PreparedSplit, budget: HeightBudget) -> Non
         if x.d > budget.c_max:
             raise AssumptionViolated(
                 "b", f"x^({i}) has denominator p^{x.d} > p^{budget.c_max}")
-    for i in range(split.f):
+    period = _rotation_period([_stored(_entries(a0) + _entries(c) + _entries(m))
+                               for a0, c, m in zip(split.a0, split.c_mats, split.conjugated)])
+    for i in range(period):
         if mat_add(split.a0[i], split.c_mats[i]) != split.conjugated[i]:
             raise AssumptionViolated("c", f"slot {i}: reassembly mismatch")
 
 
-def mat_muls(a: Mat2, bs) -> List[Mat2]:
-    """The 2x2 products a b over S_F for each b of `bs`, each entry one
-    packed sum of two products, all in one `s_sums` batch, so each entry
-    of a is rescaled and packed once: the values, d and prec of
-    `arith.mat_mul`."""
-    v = s_sums([((a[i][0], b[0][j]), (a[i][1], b[1][j]))
-                for b in bs for i in (0, 1) for j in (0, 1)])
+def _product_sums(a: Mat2, bs) -> list:
+    """The `s_sums` entries of the 2x2 products a b for each b of `bs`,
+    row by row: each entry is one sum of two products.  In one batch, each
+    entry of a is rescaled and packed once for all of `bs`."""
+    return [((a[i][0], b[0][j]), (a[i][1], b[1][j]))
+            for b in bs for i in (0, 1) for j in (0, 1)]
+
+
+def _det_sum(a: Mat2) -> tuple:
+    """det(a) as one `s_sums` entry."""
+    return ((a[0][0], a[1][1]), (-a[0][1], a[1][0]))
+
+
+def _as_mats(v) -> List[Mat2]:
+    """Values of `_product_sums`, four per matrix, as matrices."""
     return [((v[k], v[k + 1]), (v[k + 2], v[k + 3])) for k in range(0, len(v), 4)]
 
 
 def mat_mul(a: Mat2, b: Mat2) -> Mat2:
-    """The 2x2 product over S_F (`mat_muls` of one matrix)."""
-    return mat_muls(a, (b,))[0]
+    """The 2x2 product over S_F, each entry one packed sum of two products,
+    all in one `s_sums` batch, so each entry of a is rescaled and packed
+    once: the values, d and prec of `arith.mat_mul`."""
+    return _as_mats(s_sums(_product_sums(a, (b,))))[0]
 
 
 def mat_det(a: Mat2) -> SElem:
     """det(a) over S_F as one packed sum: the values, d and prec of
     `arith.mat_det`."""
-    return s_sums((((a[0][0], a[1][1]), (-a[0][1], a[1][0])),))[0]
+    return s_sums((_det_sum(a),))[0]
 
 
-def _det_over_e_pow(a: Mat2, k: int) -> SElem:
-    """The unit det(A) / E^k at d = 0; HeightMismatch when the division or
-    the denominator cannot be certified, or the quotient is not a unit."""
+def _det_over_e_pow(det: SElem, k: int) -> SElem:
+    """The unit det / E^k at d = 0, for det = det(A); HeightMismatch when
+    the division or the denominator cannot be certified, or the quotient
+    is not a unit."""
     try:
-        unit = mat_det(a).div_e_pow(k).normalize_d()
+        unit = det.div_e_pow(k).normalize_d()
     except (NotIntegral, PrecisionExhausted) as exc:
         raise HeightMismatch(f"det(A) is not divisible by E^{k}: {exc}") from exc
     if not unit.is_unit():
@@ -265,18 +277,25 @@ def _det_over_e_pow(a: Mat2, k: int) -> SElem:
     return unit
 
 
-def height_partner(a: Mat2, unit: SElem, seed: Optional[SElem] = None):
-    """(B, inverse) with A B = B A = E^h * Id, via the unit-scaled adjugate.
+def _times_partner(c: Mat2, a: Mat2, inv: SElem) -> Mat2:
+    """W = C B for the height partner B = adj(A) inv of A, where inv is the
+    inverse of the unit det(A) / E^h, so that A B = B A = E^h Id and
+    W A = E^h C.  The identity needs no separate check: the caller
+    certifies the unit against det(A), and s_invert certifies inv at the
+    unit's precision.
 
-    `unit` is det(A) / E^h, as `_det_over_e_pow` gives it; B = adj(A) *
-    inverse, where inverse is the inverse of `unit`, and `seed`
-    warm-starts its Newton iteration.  The identity needs no separate
-    check: the caller certifies `unit` against det(A), and s_invert
-    certifies the inverse at the unit's precision.
+    W is formed as (inv C) adj(A), and B never is: only the nonzero entries
+    of C are multiplied by inv, in one batch.  A zero entry of C still
+    counts as the product it stands for, with d = d_C + d_inv and
+    prec = min(prec_C, prec_inv), so every entry of W has the values, d and
+    prec of `mat_mul(C, B)`: both sides are the same sums of the same
+    triple products under the rule of `s_sums`, and S_F/Fil^M is a ring.
     """
-    inv = s_invert(unit, seed=seed)
-    v = s_sums([((e, inv),) for e in (a[1][1], a[0][1], a[1][0], a[0][0])])
-    return ((v[0], -v[1]), (-v[2], v[3])), inv
+    nonzero = [e for e in _entries(c) if e.c]
+    scaled = iter(s_sums([((e, inv),) for e in nonzero]) if nonzero else ())
+    x = _mat_map(lambda e: next(scaled) if e.c else
+                 SElem._reduced(inv.ctx, (), e.d + inv.d, min(e.prec, inv.prec)), c)
+    return mat_mul(x, ((a[1][1], -a[0][1]), (-a[1][0], a[0][0])))
 
 
 @dataclass
@@ -371,10 +390,15 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
     as they are.
     Per slot the unit det(A)/E^(k_i) of the first iterate is tracked, each
     absorption multiplying it by det(I + D1), and det(A) is checked against
-    E^(k_i) times it: every slot before the first iteration, then every
-    slot that changed.  A failed check raises SplitFailed.  The height
-    partner inverts this tracked unit, so det(A) is not taken again; it
-    stays a unit because each det(I + D1) is checked to be 1 mod p.
+    E^(k_i) times it, a shift (`SElem.mul_e_pow`): every slot before the
+    first iteration, then every slot that changed.  A failed check raises
+    SplitFailed.  The height partner inverts this tracked unit, so det(A)
+    is not taken again; it stays a unit because each det(I + D1) is
+    checked to be 1 mod p.  No value is computed twice: the first
+    iterate's det(A) gives both its unit and the first check; W is
+    (inv C/E^k) adj(A) (`_times_partner`), with no height partner formed;
+    det(I + D1) is one more sum in the batch of A (I + D1) and A D2, and
+    unit det(I + D1) and det(new A) share one batch.
 
     Each final entry must differ from A0's in p*O_F[[u]], checked on every
     slot at the entry's precision.  Its residue is read off the slots
@@ -416,7 +440,9 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
         a_mats.append(mat_add(a0, head))
         c_mats.append(_mat_map(lambda e: e.slice_from(h0), c_mat))
 
-    units = [_det_over_e_pow(a, k) for a, k in zip(a_mats, weights.k)]
+    # det(A) of the first iterate gives the initial unit and the first check
+    dets = [mat_det(a) for a in a_mats]
+    units = [_det_over_e_pow(det, k) for det, k in zip(dets, weights.k)]
 
     chains = [[] for _ in range(f)]
     hs = [h0] * period
@@ -428,8 +454,7 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
         for i in range(period):
             if steps is not None and steps[i - 1] is None:
                 continue
-            target = s_mul(SElem.e_pow(ctx, weights.k[i]), units[i])
-            if not mat_det(a_mats[i]) == target:
+            if not dets[i] == units[i].mul_e_pow(weights.k[i]):
                 raise SplitFailed(f"iteration {n}, slot {i}: det != E^k*unit")
 
     def clean(c):
@@ -451,8 +476,9 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
                 continue
             k_i = weights.k[i]
             ell, threshold = _gain_step(hs[i], k_i, p)
-            b_i, inv_seeds[i] = height_partner(a_mats[i], units[i], inv_seeds[i])
-            w = mat_mul(_mat_map(lambda e: e.div_e_pow(k_i), c), b_i)
+            inv_seeds[i] = s_invert(units[i], seed=inv_seeds[i])
+            w = _times_partner(_mat_map(lambda e: e.div_e_pow(k_i), c), a_mats[i],
+                               inv_seeds[i])
             phi_w = _mat_map(lambda e: s_frobenius(e).normalize_d(), w)
             d1 = _mat_map(lambda e: e.slice_below(threshold), phi_w)
             d2 = _mat_map(lambda e: e.slice_from(threshold), phi_w)
@@ -479,11 +505,11 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
                 continue
             d1, d2, threshold = step
             factor = mat_add(eye, d1)
-            new_a, c_mats[i] = mat_muls(a_mats[i], (factor, d2))
-            fdet = mat_det(factor)
+            v = s_sums(_product_sums(a_mats[i], (factor, d2)) + [_det_sum(factor)])
+            (new_a, c_mats[i]), fdet = _as_mats(v[:8]), v[8]
             if not in_p_pow_s(fdet - SElem.one(ctx, fdet.prec), 1):
                 raise SplitFailed(f"iteration {n}: det(I + D1) != 1 mod p")
-            units[i] = s_mul(units[i], fdet)
+            units[i], dets[i] = s_sums([((units[i], fdet),), _det_sum(new_a)])
             diff = mat_sub(new_a, a_mats[i])
             if not all(in_p_pow_s(e, 1) for e in _entries(diff)):
                 raise SplitFailed(f"iteration {n}: mod-p stability broken")

@@ -11,7 +11,10 @@ every determinant exactly +-E^(k_i) a1^(i).  The exponents g, h solve a
 recursion around the slot permutation; they are accumulated symbolically
 in Z[phi] and materialized once.  The stage takes no inverse at all:
 gamma^(-k) and every lambda_b power are products of the finite binomial
-sums (1 + w_e)^c of `sring._unit_power`.
+sums (1 + w_e)^c of `sring._unit_power`, and E^(k_i) a1 is a shift of
+a1's slots (`SElem.mul_e_pow`), not a product.  Both functions compute
+one rotation orbit of slots: on a tuple of period d only slots 0..d-1
+(the argument is in each docstring).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .arith import OFElem
+from .arith import OFElem, _entries
 from .errors import Degenerate, DetCheckFailed
 from .lattices import TypeTag, WeightData
 from .sring import PhiExpPoly, SElem, _unit_power, lambda_factor_count, lambda_power, s_mul
@@ -61,6 +64,18 @@ class KisinFrobenius:
         }
 
 
+def _stored(elems) -> tuple:
+    """(c, d, prec) of each S_F element: equal keys mean equal elements."""
+    return tuple((e.c, e.d, e.prec) for e in elems)
+
+
+def _rotation_period(keys) -> int:
+    """The least d dividing f = len(keys) with keys[i] == keys[i mod d] for
+    every slot i: the period of the tuple under the rotation i -> i + 1."""
+    f = len(keys)
+    return next(d for d in range(1, f + 1) if f % d == 0 and keys[d:] == keys[:f - d])
+
+
 def _extract_params(normalized, tags):
     """(a1, a2) of each Type-normal matrix, as its tag reads them;
     Degenerate unless every a1 is a unit and every Type II slot is II_1."""
@@ -79,20 +94,33 @@ def _extract_params(normalized, tags):
 
 
 def build_kisin_frobenius(normalized, tags, weights: WeightData):
-    """The raw partial Frobenius matrices over S_F (spec's first stage)."""
+    """The raw partial Frobenius matrices over S_F (spec's first stage).
+
+    Rotation.  Slot i's matrix and its checks in `_extract_params` read
+    only slot i's normalized entries and Type, k_i and k_(i-1), by the same
+    rule for every slot.  So when (entries, Type, k_i) is invariant under
+    i -> i + d for some d | f (then so is k_(i-1)), slot i + d computes
+    what slot i does.  Only slots 0..d-1 are computed, d the least such
+    period (`_rotation_period`; d = f on an aperiodic tuple), and slot i's
+    matrix is slot (i mod d)'s.  The checks run in slot order, so the first
+    that fails is on a slot below d, with the message the full loop gives.
+    """
     ctx = normalized[0][0][0].ctx
-    a1s, a2s = _extract_params(normalized, tags)
+    period = _rotation_period([
+        (tag.kind, k, tuple((e.c, e.prec) for e in _entries(m)))
+        for tag, k, m in zip(tags, weights.k, normalized)])
+    a1s, a2s = _extract_params(normalized[:period], tags[:period])
     out = []
     zero, one = SElem.zero(ctx), SElem.one(ctx)
-    for i, tag in enumerate(tags):
+    for i, tag in enumerate(tags[:period]):
         g = _unit_power(ctx, 1, -weights.k_prev(i))   # gamma = 1 + w_1
-        e_a1 = SElem.e_pow(ctx, weights.k[i]) * a1s[i]
+        e_a1 = SElem.from_of(ctx, a1s[i]).mul_e_pow(weights.k[i])
         # gamma^(-k_(i-1)) scales the first column: in Type I that is the 1
         if tag.kind == "I":
             out.append(tag.form(e_a1, SElem.from_of(ctx, a2s[i]), zero, g))
         else:
             out.append(tag.form(s_mul(g, e_a1), g * a2s[i], zero, one))
-    return tuple(out)
+    return tuple(out) * (weights.f // period)
 
 
 def solve_exponent_system(tags, weights: WeightData):
@@ -172,26 +200,44 @@ def det_normalize(raw, tags, weights: WeightData,
     indicates an arithmetic bug).
     Their determinant is +-E^(k_i) a1^(i) by shape alone, so it is not
     re-checked; the conjugation check is what guards the closed forms.
+
+    Rotation.  Slot i's closed form and conjugation check read only slot
+    i's a1, a2, Type, k_i, raw entries and exponent pair (g_i, h_i), and
+    slot i - 1's pair, by the same rule for every slot.  The pairs come
+    from a recursion around the slot permutation whose anchors (the least
+    node of each cycle) can break a symmetry of the tuple, so the period
+    is keyed on the pairs themselves, not only on the lattice: when
+    (a1, a2, Type, k_i, raw entries, g_i, h_i) is invariant under
+    i -> i + d for some d | f, slot i + d computes and checks what slot i
+    does.  Only slots 0..d-1 are computed, d the least such period
+    (`_rotation_period`; d = f when the anchors break the symmetry), slot
+    i's left neighbour being slot (i - 1) mod d, and slot i's matrix and
+    lambda power are slot (i mod d)'s.  The checks run in slot order, so
+    the first that fails is on a slot below d, with the message the full
+    loop gives.
     """
     ctx = raw[0][0][0].ctx
-    f = weights.f
     a1s, a2s = _extract_params(normalized_lattice, tags)
     b, pairs, anchors = solve_exponent_system(tags, weights)
+    period = _rotation_period([
+        (tag.kind, k, _stored(_entries(m)), a1.c, a1.prec, a2.c, a2.prec, g.c, h.c)
+        for tag, k, m, a1, a2, (g, h) in zip(tags, weights.k, raw, a1s, a2s, pairs)])
 
     es = tuple(h - g for g, h in pairs)
     lam_es, mats = [], []
     zero, one = SElem.zero(ctx), SElem.one(ctx)
-    for i in range(f):
+    for i in range(period):
         lam_e = lambda_power(es[i], b, ctx)
         lam_es.append(lam_e)
-        e_a1 = SElem.e_pow(ctx, weights.k[i]) * a1s[i]
+        e_a1 = SElem.from_of(ctx, a1s[i]).mul_e_pow(weights.k[i])
         low = s_mul(lam_e, SElem.from_of(ctx, a2s[i]))
         mats.append(tags[i].form(e_a1, low, zero, one))
 
     _verify_conjugation(raw, mats, pairs, b, weights)
 
+    copies = weights.f // period
     return KisinFrobenius(
-        amat=tuple(mats),
+        amat=tuple(mats) * copies,
         heights=weights,
         b=b,
         expo=pairs,
@@ -199,17 +245,18 @@ def det_normalize(raw, tags, weights: WeightData,
         tags=tuple(tags),
         a1=a1s,
         a2=a2s,
-        lam_e=tuple(lam_es),
+        lam_e=tuple(lam_es) * copies,
         anchors=anchors,
         lambda_nstar=lambda_factor_count(ctx, b),
     )
 
 
 def _verify_conjugation(raw, target, pairs, b, weights):
-    """Entrywise check of X *_phi raw == target with X = Diag(l^g, l^h)."""
+    """Entrywise check of X *_phi raw == target with X = Diag(l^g, l^h), on
+    the slots of `target`: the first d of a tuple of period d."""
     ctx = raw[0][0][0].ctx
     f = weights.f
-    for i in range(f):
+    for i in range(len(target)):
         gi, hi = pairs[i]
         gp, hp = pairs[(i - 1) % f]
         row_exp = (gi, hi)

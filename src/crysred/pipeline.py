@@ -46,7 +46,6 @@ from .lattices import (
     TypeTag,
     WeightData,
     classify_lattice,
-    classify_type,
     frobenius_f_product,
     normalize_weights,
     parabolic_normalize,
@@ -363,24 +362,33 @@ def _prime_context(p, f, n, m, r, nwork) -> PrimeContext:
 
 
 def _build_lattice(ctx, cfg) -> tuple:
-    mats = []
-    explicit = False
+    """The config's matrices, and their Type tags when every slot is a
+    shorthand (None when a slot is explicit).  A shorthand's Type is the
+    one `classify_type` gives its matrix: [[0, a1], [1, a2]] has the unit 1
+    bottom left, and [[a1, 0], [a2, 1]] a non-unit a2 there and 1 beside
+    it."""
+    mats, tags = [], []
+    zero = one = None
     for entry in cfg.params:
         if "matrix" in entry:
-            explicit = True
+            tags = None
             mats.append(tuple(tuple(_coord_to_of(ctx, v) for v in row)
                               for row in entry["matrix"]))
-        else:
-            a1 = _coord_to_of(ctx, entry["a1"])
-            a2 = _coord_to_of(ctx, entry["a2"])
-            if not a1.is_unit():
-                raise ConfigError("a1 must be a unit of O_F")
-            # [[a1, 0], [a2, 1]] with a unit a2 is Type I, not II
-            if entry["type"] == "II" and a2.is_unit():
-                raise ConfigError("a Type II shorthand's a2 must not be a unit of O_F")
-            mats.append(TypeTag(entry["type"]).form(
-                a1, a2, OFElem.zero(ctx), OFElem.one(ctx)))
-    return tuple(mats), explicit
+            continue
+        a1 = _coord_to_of(ctx, entry["a1"])
+        a2 = _coord_to_of(ctx, entry["a2"])
+        if not a1.is_unit():
+            raise ConfigError("a1 must be a unit of O_F")
+        # [[a1, 0], [a2, 1]] with a unit a2 is Type I, not II
+        if entry["type"] == "II" and a2.is_unit():
+            raise ConfigError("a Type II shorthand's a2 must not be a unit of O_F")
+        if zero is None:
+            zero, one = OFElem.zero(ctx), OFElem.one(ctx)
+        tag = TypeTag("I") if entry["type"] == "I" else TypeTag("II", alpha=one)
+        mats.append(tag.form(a1, a2, zero, one))
+        if tags is not None:
+            tags.append(tag)
+    return tuple(mats), None if tags is None else tuple(tags)
 
 
 @dataclass
@@ -449,10 +457,9 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
                              pf["nwork"])
         report.context = ctx.fingerprint()
 
-        lattice, explicit = _stage(report, "config",
-                                   lambda: _build_lattice(ctx, cfg))
+        lattice, tags = _stage(report, "config", lambda: _build_lattice(ctx, cfg))
         normalized = lattice
-        if explicit:
+        if tags is None:
             tags = _stage(report, "normalize",
                           lambda: classify_lattice(lattice, weights))
             if any(t.kind == "I" for t in tags):
@@ -461,8 +468,6 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
                     lambda: parabolic_normalize(lattice, tags, weights))
                 _stage(report, "normalize", lambda: verify_parabolic_equiv(
                     lattice, normalized, witness, weights))
-        else:
-            tags = tuple(classify_type(m) for m in lattice)
         report.stages["normalize"] = {"tags": [t.serial() for t in tags]}
         report.stages["lattice"] = {
             "normalized": [[[e.serial() for e in row] for row in m]
@@ -471,8 +476,9 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
 
         verdict = _stage(report, "reducibility",
                          lambda: reducibility_detect(normalized, tags, weights))
+        verdict_serial = verdict.serial()
         report.stages["reducibility"] = dict(
-            verdict.serial(),
+            verdict_serial,
             note="NotDetected is not a proof of irreducibility; the detector "
                  "implements sufficient conditions only.")
         if verdict.kind == "ReducibleAllII":
@@ -512,7 +518,7 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
         char = _stage(report, "characterize",
                       lambda: characterize(mu, cfg.p, weights.shifts))
         report.stages["character"] = char.serial()
-        report.result = dict(char.serial(), reducibility=verdict.serial())
+        report.result = dict(report.stages["character"], reducibility=verdict_serial)
         return report
     except PipelineStop as stop:
         report.error = {

@@ -308,6 +308,22 @@ class SElem:
             return NotImplemented
         return (self - other).is_zero()
 
+    def mul_e_pow(self, k: int) -> "SElem":
+        """Exact multiplication by E^k, the inverse of `div_e_pow`: slot j
+        moves to slot j + k times the carry p^(floor((j+k)/p) - floor(j/p)),
+        slots from M on are cut, and d and prec are kept.  For
+        prec <= nwork these are the values, d and prec of
+        `s_mul(SElem.e_pow(ctx, k), self)`, with no product."""
+        ctx, r, p = self.ctx, self.ctx.r, self.ctx.p
+        if not k:
+            return self
+        mod = ctx.ppow(self.prec)
+        vals = [0] * (k * r)
+        for j in range(min(len(self.c) // r, ctx.m - k)):
+            q = ctx.ppow((j + k) // p - j // p)
+            vals += [v * q % mod for v in self.c[j * r:(j + 1) * r]]
+        return SElem._reduced(ctx, _trimmed(vals, r), self.d, self.prec)
+
     def div_e_pow(self, k: int) -> "SElem":
         """Exact division by E^k, raising d when the carries demand it.
 

@@ -7,18 +7,18 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crysred.arith import OFElem, PrimeContext, mat_det, mat_mul
+from crysred.arith import OFElem, PrimeContext, _entries, _mat_map, mat_det, mat_mul
 from crysred.errors import (AssumptionViolated, GateFailed, HeightMismatch, NoConvergence,
                             SplitFailed)
 import crysred.descent as descent_mod
 import crysred.sring as sring_mod
 from crysred.descent import (
     _det_over_e_pow,
+    _times_partner,
     check_descent_assumptions,
     compute_budget,
     descend,
     estimate_iterations,
-    height_partner,
     prepare,
     read_off_window,
     valuation_gate,
@@ -106,26 +106,52 @@ def assert_height_identity(a, b, h):
     assert prod[0][1].is_zero() and prod[1][0].is_zero()
 
 
+def height_partner(a, h, seed=None):
+    """(B, inverse): the height partner B = adj(A) inverse of A, formed by
+    `_times_partner` from C = Id, and the inverse of det(A)/E^h."""
+    ctx = a[0][0].ctx
+    inv = s_invert(_det_over_e_pow(descent_mod.mat_det(a), h), seed=seed)
+    eye = ((SElem.one(ctx), SElem.zero(ctx)), (SElem.zero(ctx), SElem.one(ctx)))
+    return _times_partner(eye, a, inv), inv
+
+
+def assert_absorbs(a, h, c):
+    """W A = C for W = `_times_partner(C / E^h, A, inverse)`, as `descend`
+    forms W from a remainder C in Fil^h."""
+    _, inv = height_partner(a, h)
+    w = _times_partner(_mat_map(lambda e: e.div_e_pow(h), c), a, inv)
+    assert all(x == y for x, y in zip(_entries(mat_mul(w, a)), _entries(c)))
+
+
 class TestHeightPartner:
     def test_diagonal(self, ctx5):
         a = ((SElem.e_pow(ctx5, 3), SElem.zero(ctx5)),
              (SElem.zero(ctx5), SElem.one(ctx5)))
-        b, _ = height_partner(a, _det_over_e_pow(a, 3))
+        b, _ = height_partner(a, 3)
         assert b[0][0] == SElem.one(ctx5) and b[1][1] == SElem.e_pow(ctx5, 3)
+        c = ((SElem.e_pow(ctx5, 4), SElem.zero(ctx5)),
+             (SElem.e_pow(ctx5, 3) * OFElem.from_int(ctx5, 7), SElem.zero(ctx5)))
+        assert_absorbs(a, 3, c)
 
     def test_type_i_shape(self, ctx5):
         a = ((SElem.zero(ctx5), SElem.e_pow(ctx5, 2) * OFElem.from_int(ctx5, 3)),
              (SElem.one(ctx5), SElem.from_int(ctx5, 5)))
-        b, _ = height_partner(a, _det_over_e_pow(a, 2))
+        b, _ = height_partner(a, 2)
         assert_height_identity(a, b, 2)
+        e2 = SElem.e_pow(ctx5, 2)
+        c = ((e2 * OFElem.from_int(ctx5, 4), SElem.e_pow(ctx5, 5)),
+             (SElem.zero(ctx5), e2 * SElem(ctx5, [1, 2, 3])))
+        assert_absorbs(a, 2, c)
 
     def test_unit_det_height_zero(self, ctx5):
         # det = 1: the partner is the inverse
         a = ((SElem.from_int(ctx5, 2), SElem.one(ctx5)),
              (SElem.one(ctx5), SElem.from_int(ctx5, 1)))
-        b, inv = height_partner(a, _det_over_e_pow(a, 0))
+        b, inv = height_partner(a, 0)
         assert inv == SElem.one(ctx5)
         assert_height_identity(a, b, 0)
+        assert_absorbs(a, 0, ((SElem(ctx5, [3, 1]), SElem.zero(ctx5)),
+                              (SElem.one(ctx5), SElem.from_int(ctx5, 2))))
 
     def test_seed_claims_no_extra_digits(self, ctx5):
         # det(A) = E^3 (1 + E^2): dividing by E^3 undoes a carry, so the unit
@@ -137,7 +163,7 @@ class TestHeightPartner:
         unit_prec = mat_det(a).div_e_pow(h).prec
         assert unit_prec == ctx5.nwork - 1
         seed = s_invert(unit + SElem.from_int(ctx5, p ** unit_prec))
-        b, inv = height_partner(a, _det_over_e_pow(a, h), seed=seed)
+        b, inv = height_partner(a, h, seed=seed)
         assert inv.prec <= unit_prec
         assert all(e.prec <= unit_prec for row in b for e in row)
         assert_height_identity(a, b, h)
@@ -146,7 +172,7 @@ class TestHeightPartner:
         a = ((SElem.one(ctx5), SElem.zero(ctx5)),
              (SElem.zero(ctx5), SElem.one(ctx5)))
         with pytest.raises(HeightMismatch):
-            height_partner(a, _det_over_e_pow(a, 1))
+            height_partner(a, 1)
 
     def test_non_unit_quotient(self, ctx5):
         # det(A) / E^h = p divides exactly but is not a unit
@@ -154,7 +180,7 @@ class TestHeightPartner:
         a = ((SElem.from_int(ctx5, ctx5.p), SElem.zero(ctx5)),
              (SElem.zero(ctx5), SElem.e_pow(ctx5, h)))
         with pytest.raises(HeightMismatch, match="not a unit"):
-            _det_over_e_pow(a, h)
+            _det_over_e_pow(descent_mod.mat_det(a), h)
 
 
 class TestPrepare:
@@ -266,7 +292,7 @@ class TestDescend:
 
         over = descent_mod._det_over_e_pow
         monkeypatch.setattr(descent_mod, "_det_over_e_pow",
-                            lambda a, k: -over(a, k))
+                            lambda det, k: -over(det, k))
         ctx = make_ctx(5, 1, [3])
         kf, wd = make_kisin(ctx, [3], [("I", 3, 5)])
         budget = compute_budget(wd, 5)
@@ -293,8 +319,8 @@ class TestDescend:
         from crysred.pipeline import JobConfig, run_pipeline
         from test_golden import GOLDEN
 
-        calls, batch = [], descent_mod.mat_muls
-        monkeypatch.setattr(descent_mod, "mat_muls",
+        calls, batch = [], descent_mod._product_sums
+        monkeypatch.setattr(descent_mod, "_product_sums",
                             lambda a, bs: calls.extend(bs) or batch(a, bs))
         report = run_pipeline(JobConfig.from_dict(GOLDEN[name][0]))
         rows = sum(len(chain) for chain in report.stages["descent"]["chains"])
@@ -305,21 +331,24 @@ class TestDescend:
     def test_unchanged_slots_skip_the_det_check(self, name, monkeypatch):
         # det(A) is taken once per initial unit and absorbed factor, and
         # once per slot and check (the height partner inverts the checked
-        # unit); from iteration 1 on, a slot whose left neighbour was clean
-        # is not checked again
+        # unit), except that the first iterate's det(A) serves both its
+        # unit and the check at iteration 0; from iteration 1 on, a slot
+        # whose left neighbour was clean is not checked again
         import crysred.descent as descent_mod
         from crysred.pipeline import JobConfig, run_pipeline
         from test_golden import GOLDEN
 
         calls, checked = [], []
+        det_sum, eq = descent_mod._det_sum, SElem.__eq__
 
-        def counted(a):
-            calls.append(1)
+        def compared(x, y):
             if sys._getframe(1).f_code.co_name == "check_dets":
-                checked.append(a)
-            return mat_det(a)
+                checked.append(x)
+            return eq(x, y)
 
-        monkeypatch.setattr(descent_mod, "mat_det", counted)
+        monkeypatch.setattr(descent_mod, "_det_sum",
+                            lambda a: calls.append(1) or det_sum(a))
+        monkeypatch.setattr(SElem, "__eq__", compared)
         config = GOLDEN[name][0]
         descent = run_pipeline(JobConfig.from_dict(config)).stages["descent"]
         f, iterations = config["f"], descent["iterations"]
@@ -327,10 +356,31 @@ class TestDescend:
         clean_neighbours = f * iterations - rows
         assert clean_neighbours > 0
         every_slot = f + rows + f * (iterations + 1)
-        assert len(calls) == every_slot - clean_neighbours
-        # each check sees a matrix no earlier check saw: every slot at
-        # iteration 0, then each absorbing slot's new matrix
+        assert len(calls) == every_slot - clean_neighbours - f
+        # each check sees a determinant no earlier check saw: every slot's
+        # at iteration 0, then each absorbing slot's new matrix's
         assert len({id(a) for a in checked}) == len(checked) == f + rows
+
+    def test_products_per_slot_iteration(self, monkeypatch):
+        # A guard on the products `descend` asks for on a golden job: the
+        # first iterate's det(A) per slot (2 pairs), then per computed slot
+        # and iteration inv C on the nonzero entries of C/E^k, W (8), the
+        # absorption's A (I + D1), A D2 and det(I + D1) in one batch (18),
+        # and unit det(I + D1) with det(new A) in another (3).  E^k unit
+        # is a shift, and the height partner is never formed
+        from test_golden import GOLDEN
+
+        kf, budget = stage_inputs(GOLDEN["f3-r3-p3-mixed"][0], monkeypatch)
+        pairs, nonzero = [], []
+        batch, times_partner = descent_mod.s_sums, descent_mod._times_partner
+        monkeypatch.setattr(descent_mod, "s_sums",
+                            lambda sums: pairs.extend(t for s in sums for t in s) or batch(sums))
+        monkeypatch.setattr(descent_mod, "_times_partner", lambda c, a, inv: nonzero.append(
+            sum(1 for e in _entries(c) if e.c)) or times_partner(c, a, inv))
+        cert = descend(prepare(kf, budget), budget)
+        rows = sum(len(chain) for chain in cert.chains)
+        assert len(nonzero) == rows == 8 and cert.iterations == 3
+        assert len(pairs) == 2 * kf.f + 29 * rows + sum(nonzero) == 255
 
     def test_estimate_iterations_sane(self):
         wd = WeightData((3,), (0,))
@@ -391,7 +441,8 @@ class TestFusedProducts:
         assert as_stored(descent_mod.mat_det(a)) == as_stored(mat_det(a))
         # two products that share a, in one batch, as the absorption forms
         # A (I + D1) and A D2
-        for got, b2 in zip(descent_mod.mat_muls(a, (b, a)), (b, a)):
+        both = descent_mod._as_mats(s_sums(descent_mod._product_sums(a, (b, a))))
+        for got, b2 in zip(both, (b, a)):
             want = mat_mul(a, b2)
             assert [as_stored(e) for row in got for e in row] == \
                 [as_stored(e) for row in want for e in row]
@@ -399,6 +450,23 @@ class TestFusedProducts:
         # and a negated one, as check_dets forms det(A) - E^k * unit
         got = s_sums([((x, y), (-z, x), (y, y))])[0]
         assert as_stored(got) == as_stored(s_mul(x, y) + s_mul(-z, x) + s_mul(y, y))
+
+    @pytest.mark.parametrize("p, r", sorted(FUSED_CTXS))
+    @given(seed=st.integers(0, 2 ** 32 - 1), zeros=st.sampled_from([(), (1, 3), (0, 1, 2)]))
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_reassociated_w_equals_c_times_the_partner(self, p, r, seed, zeros):
+        # W = (inv C) adj(A) against C B with B = adj(A) inv formed first,
+        # as one batch of four products; `zeros` empties entries of C, as
+        # the first iteration's zero column 2 does
+        ctx = FUSED_CTXS[p, r]
+        a, c, (inv, _, _) = fused_case(ctx, seed)
+        c = [e for row in c for e in row]
+        c = [SElem(ctx, (), e.d, e.prec) if n in zeros else e for n, e in enumerate(c)]
+        c = ((c[0], c[1]), (c[2], c[3]))
+        v = s_sums([((e, inv),) for e in (a[1][1], a[0][1], a[1][0], a[0][0])])
+        partner = ((v[0], -v[1]), (-v[2], v[3]))
+        got, want = _times_partner(c, a, inv), descent_mod.mat_mul(c, partner)
+        assert stored_mats([got]) == stored_mats([want])
 
     @pytest.mark.parametrize("p, r", sorted(FUSED_CTXS))
     def test_cases_cover_the_branches(self, p, r, monkeypatch):
@@ -526,11 +594,12 @@ class TestRotationPeriod:
     @pytest.mark.parametrize("name", ["base-change-2", "I II x 3", "I II I x 2"])
     def test_one_height_partner_per_computed_slot(self, name, monkeypatch):
         # a live iteration inverts d units on a tuple of period d, and f on
-        # the full loop; every slot of these tuples is live until the end
+        # the full loop; every slot of these tuples is live until the end.
+        # Each height partner is the inverse of one unit
         kf, budget = stage_inputs(PERIODIC[name], monkeypatch)
-        calls, partner = [], descent_mod.height_partner
-        monkeypatch.setattr(descent_mod, "height_partner",
-                            lambda *args: calls.append(1) or partner(*args))
+        calls, partner = [], descent_mod.s_invert
+        monkeypatch.setattr(descent_mod, "s_invert",
+                            lambda *args, **kw: calls.append(1) or partner(*args, **kw))
         cert = descend(prepare(kf, budget), budget)
         rows = sum(len(chain) for chain in cert.chains)
         assert rows == kf.f * cert.iterations
@@ -544,9 +613,9 @@ class TestRotationPeriod:
         from test_golden import GOLDEN
 
         kf, budget = stage_inputs(GOLDEN["f3-r3-p3-mixed"][0], monkeypatch)
-        calls, partner = [], descent_mod.height_partner
-        monkeypatch.setattr(descent_mod, "height_partner",
-                            lambda *args: calls.append(1) or partner(*args))
+        calls, partner = [], descent_mod.s_invert
+        monkeypatch.setattr(descent_mod, "s_invert",
+                            lambda *args, **kw: calls.append(1) or partner(*args, **kw))
         cert = descend(prepare(kf, budget), budget)
         assert len(calls) == sum(len(chain) for chain in cert.chains) > cert.iterations
 

@@ -1,11 +1,15 @@
 """Kisin Frobenius construction and determinant normalization."""
 
+import dataclasses
+import sys
+
 import pytest
 
 import crysred.kisin
 import crysred.sring
 from crysred.arith import OFElem, PrimeContext, mat_det
-from crysred.errors import DetCheckFailed
+from crysred.descent import check_descent_assumptions, prepare
+from crysred.errors import AssumptionViolated, DetCheckFailed
 from crysred.lattices import (
     TypeTag,
     WeightData,
@@ -17,6 +21,7 @@ from crysred.lattices import (
 from crysred.kisin import build_kisin_frobenius, det_normalize, solve_exponent_system
 from crysred.pipeline import JobConfig, _build_lattice, preflight_precision, run_pipeline
 from crysred.sring import (
+    PhiExpPoly,
     SElem,
     lambda_power,
     s_frobenius,
@@ -24,6 +29,7 @@ from crysred.sring import (
     s_mul,
 )
 
+from test_descent import PERIODIC, PERIODS, as_stored, stage_inputs, stored_mats
 from test_golden import GOLDEN
 from test_lattices import mat, random_gl2
 from test_sring import gamma
@@ -206,3 +212,136 @@ def test_kisin_stages_take_no_inverse(monkeypatch):
     raw = build_kisin_frobenius(lattice, tags, weights)
     kf = det_normalize(raw, tags, weights, lattice)
     assert kf.serial() == want
+
+
+def kisin_inputs(config, monkeypatch):
+    """(normalized, tags, weights), the input that `run_pipeline` hands to
+    `build_kisin_frobenius`."""
+    import crysred.pipeline as pipeline
+
+    seen = []
+    build = pipeline.build_kisin_frobenius
+    monkeypatch.setattr(pipeline, "build_kisin_frobenius",
+                        lambda *args: seen.append(args) or build(*args))
+    assert pipeline.run_pipeline(JobConfig.from_dict(config)).error is None
+    monkeypatch.undo()
+    return seen[0]
+
+
+def kisin_fields(normalized, tags, weights):
+    """Everything `build` and `det_normalize` return, with S_F elements as
+    (c, d, prec) and O_F elements as (c, prec)."""
+    raw = build_kisin_frobenius(normalized, tags, weights)
+    kf = det_normalize(raw, tags, weights, normalized)
+    return {
+        "raw": stored_mats(raw), "amat": stored_mats(kf.amat),
+        "lam_e": [as_stored(x) for x in kf.lam_e],
+        "a1": [(a.c, a.prec) for a in kf.a1], "a2": [(a.c, a.prec) for a in kf.a2],
+        "expo": [(g.c, h.c) for g, h in kf.expo], "e": [e.c for e in kf.e],
+        "tags": kf.tags, "heights": kf.heights, "b": kf.b, "anchors": kf.anchors,
+        "lambda_nstar": kf.lambda_nstar, "serial": kf.serial(),
+    }
+
+
+def conjugation_products(monkeypatch, *inputs):
+    """The products `_verify_conjugation` takes in `build` + `det_normalize`."""
+    calls, product = [], crysred.kisin.s_mul
+
+    def counted(x, y):
+        if sys._getframe(1).f_code.co_name == "_verify_conjugation":
+            calls.append(1)
+        return product(x, y)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(crysred.kisin, "s_mul", counted)
+        kisin_fields(*inputs)
+    return len(calls)
+
+
+def bump_h(slots):
+    """solve_exponent_system with h^(i) one larger on each slot of `slots`."""
+    solve = solve_exponent_system
+
+    def broken(tags, weights):
+        b, pairs, anchors = solve(tags, weights)
+        pairs = tuple((g, h + PhiExpPoly.const(1) if i in slots else h)
+                      for i, (g, h) in enumerate(pairs))
+        return b, pairs, anchors
+
+    return broken
+
+
+class TestKisinRotation:
+    """`build`, `det_normalize` and clause (c) of the assumption check run
+    slots 0..d-1 of the rotation period d and return what the full loop
+    (the period patched to f) returns, with the same checks."""
+
+    @pytest.mark.parametrize("name", sorted(PERIODIC))
+    def test_period_path_equals_the_full_loop(self, name, monkeypatch):
+        inputs = kisin_inputs(PERIODIC[name], monkeypatch)
+        periods, find = [], crysred.kisin._rotation_period
+        monkeypatch.setattr(crysred.kisin, "_rotation_period",
+                            lambda keys: periods.append(find(keys)) or periods[-1])
+        short = kisin_fields(*inputs)
+        assert periods == [PERIODS[name]] * 2
+        monkeypatch.setattr(crysred.kisin, "_rotation_period", len)
+        assert kisin_fields(*inputs) == short
+
+    @pytest.mark.parametrize("name", sorted(PERIODIC))
+    def test_assumption_checks_on_the_period(self, name, monkeypatch):
+        # clause (c) reassembles d slots, and f on the full loop; a broken
+        # last slot breaks the period and fails with the full loop's message
+        kf, budget = stage_inputs(PERIODIC[name], monkeypatch)
+        split = prepare(kf, budget)
+        calls, add = [], crysred.descent.mat_add
+        monkeypatch.setattr(crysred.descent, "mat_add",
+                            lambda a, b: calls.append(1) or add(a, b))
+        bad = split.conjugated[:-1] + (crysred.descent.mat_sub(split.conjugated[-1], (
+            (SElem.one(kf.amat[0][0][0].ctx), SElem.zero(kf.amat[0][0][0].ctx)),) * 2),)
+        broken = dataclasses.replace(split, conjugated=bad)
+        messages = []
+        for period, slots in ((crysred.descent._rotation_period, PERIODS[name]), (len, kf.f)):
+            monkeypatch.setattr(crysred.descent, "_rotation_period", period)
+            calls.clear()
+            assert check_descent_assumptions(split, budget) is None
+            assert len(calls) == slots
+            with pytest.raises(AssumptionViolated) as info:
+                check_descent_assumptions(broken, budget)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] and f"slot {kf.f - 1}:" in messages[0]
+
+    @pytest.mark.parametrize("name", ["base-change-2", "I II x 3", "I II I x 2"])
+    def test_conjugation_check_runs_d_slots(self, name, monkeypatch):
+        inputs = kisin_inputs(PERIODIC[name], monkeypatch)
+        short = conjugation_products(monkeypatch, *inputs)
+        monkeypatch.setattr(crysred.kisin, "_rotation_period", len)
+        full = conjugation_products(monkeypatch, *inputs)
+        f = inputs[2].f
+        assert short > 0 and full * PERIODS[name] == short * f
+
+    def test_aperiodic_tuple_runs_every_slot(self, monkeypatch):
+        inputs = kisin_inputs(GOLDEN["f3-r3-p3-mixed"][0], monkeypatch)
+        periods, find = [], crysred.kisin._rotation_period
+        monkeypatch.setattr(crysred.kisin, "_rotation_period",
+                            lambda keys: periods.append(find(keys)) or periods[-1])
+        short = conjugation_products(monkeypatch, *inputs)
+        assert periods == [3, 3]
+        monkeypatch.setattr(crysred.kisin, "_rotation_period", len)
+        assert conjugation_products(monkeypatch, *inputs) == short
+
+    @pytest.mark.parametrize("slots", [{3}, {0, 1, 2, 3}])
+    def test_broken_exponent_pair_fails_alike(self, slots, monkeypatch):
+        # one broken pair breaks the period (d = f); a pair broken on every
+        # slot keeps d = 1; either way the message is the full loop's
+        inputs = kisin_inputs(PERIODIC["base-change-2"], monkeypatch)
+        assert inputs[2].f == 4
+        monkeypatch.setattr(crysred.kisin, "solve_exponent_system", bump_h(slots))
+        periods, find = [], crysred.kisin._rotation_period
+        messages = []
+        for period in (lambda keys: periods.append(find(keys)) or periods[-1], len):
+            monkeypatch.setattr(crysred.kisin, "_rotation_period", period)
+            with pytest.raises(DetCheckFailed) as info:
+                kisin_fields(*inputs)
+            messages.append(str(info.value))
+        assert periods == [1, 4 if len(slots) == 1 else 1]
+        assert messages[0] == messages[1]

@@ -567,6 +567,50 @@ class TestFiltration:
         assert levels == list(range(levels[-1] + 1)) if levels else True
 
 
+# p in {3, 5, 7}, r in {1, 2, 3}; M = 12 holds a carry at every p
+SHIFT_CTXS = {(p, r): PrimeContext(p=p, f=r, n=3, m=12, r=r, nwork=8)
+              for p in (3, 5, 7) for r in (1, 2, 3)}
+
+
+@st.composite
+def shift_cases(draw, ctx):
+    """(x, k): x zero, dense or sparse, some values multiples of a power of
+    p (so a carry can take them to 0), d in {0, 1, 2}, prec <= nwork; and
+    0 <= k <= M + 1."""
+    prec = draw(st.integers(1, ctx.nwork))
+    mod = ctx.ppow(prec)
+    value = st.one_of(st.just(0), st.integers(0, mod - 1),
+                      st.integers(0, mod - 1).map(lambda v: v * ctx.p ** 2 % mod))
+    slots = draw(st.lists(st.lists(value, min_size=ctx.r, max_size=ctx.r), max_size=ctx.m))
+    x = SElem(ctx, [tuple(v) for v in slots], draw(st.integers(0, 2)), prec)
+    return x, draw(st.integers(0, ctx.m + 1))
+
+
+class TestMulEPow:
+    @pytest.mark.parametrize("p, r", sorted(SHIFT_CTXS))
+    @given(data=st.data())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_equals_the_product_by_e_pow(self, p, r, data):
+        ctx = SHIFT_CTXS[p, r]
+        x, k = data.draw(shift_cases(ctx))
+        got, want = x.mul_e_pow(k), s_mul(SElem.e_pow(ctx, k), x)
+        assert (got.c, got.d, got.prec) == (want.c, want.d, want.prec)
+
+    def test_edge_cases(self):
+        ctx = SHIFT_CTXS[3, 2]
+        p, m = ctx.p, ctx.m
+        dense = SElem(ctx, [(v, v + 1) for v in range(1, m + 1)], 2, 5)
+        for x, k in [(SElem.zero(ctx), 3), (SElem(ctx, (), 1, 4), 0), (dense, 0),
+                     (dense, 1), (dense, p), (dense, m - 1), (dense, m), (dense, m + 1),
+                     (SElem(ctx, [0, 0, (p ** 2, 1)], 0, 3), 2)]:
+            got, want = x.mul_e_pow(k), s_mul(SElem.e_pow(ctx, k), x)
+            assert (got.c, got.d, got.prec) == (want.c, want.d, want.prec)
+            assert_trimmed(got)
+        # the carry takes p^2 at slot 2 to p^3 at slot 4, 0 mod p^3
+        assert SElem(ctx, [0, 0, (p ** 2, 0)], 0, 3).mul_e_pow(2).c == ()
+        assert dense.mul_e_pow(m).c == () and dense.mul_e_pow(m).d == 2
+
+
 class TestConversions:
     def test_div_mul_e_pow_roundtrip(self, ctx5, rng):
         for k in [1, 2, ctx5.p, ctx5.p + 3]:
@@ -576,6 +620,7 @@ class TestConversions:
             shifted = s_mul(SElem.e_pow(ctx5, k), x)
             back = shifted.div_e_pow(k)
             assert back == at_prec(x, min(back.prec, x.prec))
+            assert x.mul_e_pow(k).div_e_pow(k) == back
 
     def test_integrality_detection(self, ctx5, rng):
         u = random_useries(ctx5, rng)
@@ -682,7 +727,7 @@ class TestTrimmedInvariant:
             x + y, x - y, y - x, x - x, x + (-x), cancel - x, -y, x + 3, x - 3,
             x * y, x * random_of(ctx, rng), x * 2, x * p ** ctx.n,
             y._lift_d(3),
-            e4.div_e_pow(4), SElem.zero(ctx).div_e_pow(3), SElem.e_pow(ctx, p).div_e_pow(p),
+            e4.div_e_pow(4), SElem.zero(ctx).div_e_pow(3), u.mul_e_pow(4), x.mul_e_pow(m - 2), SElem.e_pow(ctx, p).div_e_pow(p),
             SElem(ctx, slots(u * p), 1, u.prec).normalize_d(),
             at_prec(x, 2), at_prec(x, 1),
             x.slice_below(3), x.slice_below(0), x.slice_from(3), x.slice_from(m // 2),
