@@ -27,7 +27,7 @@ from .errors import (
     PrecisionExhausted,
     SplitFailed,
 )
-from .kisin import KisinFrobenius, _rotation_period, _stored
+from .kisin import KisinFrobenius
 from .lattices import WeightData
 from .sring import SElem, fil_membership, in_p_pow_s, s_frobenius, s_invert, s_sums
 
@@ -103,6 +103,7 @@ class PreparedSplit:
     conjugated: Tuple[Mat2, ...]      # the full X_1 *_phi B matrices
     x1: Tuple[SElem, ...]             # applied row-operation entries x^(i)
     weights: WeightData
+    period: int                       # `KisinFrobenius.period`
 
     @property
     def f(self):
@@ -119,23 +120,11 @@ def prepare(kisin: KisinFrobenius, budget: HeightBudget) -> PreparedSplit:
     a2 lambda^(h-g) below slot c^(i) p, taken with no product: a2 is a
     constant of O_F, so its product with lambda^(h-g) has no carries.
 
-    Rotation.  Slot i's x, phi(x) and split read only slot i's matrix,
-    lambda power, a1, a2, Type, k_i and c^(i), and slot i - 1's phi(x),
-    by the same rule for every slot.  So when those inputs are invariant
-    under i -> i + d for some d | f, slot i + d computes what slot i does,
-    and each check on it repeats slot i's with equal values.  Only slots
-    0..d-1 are computed, d the least such period (`_rotation_period`;
-    d = f on an aperiodic tuple), slot i's left neighbour being slot
-    (i - 1) mod d, and slot i's outputs are slot (i mod d)'s.  The checks
-    run in slot order, so the first that fails is on a slot below d, with
-    the message the full loop gives.
+    Only slots 0..d-1 of d = `kisin.period` are computed (the `kisin`
+    module docstring).
     """
     ctx = kisin.amat[0][0][0].ctx
-    weights, f = kisin.heights, kisin.f
-    period = _rotation_period([
-        (k, c, tag.kind, _stored(_entries(b_mat) + (lam_e,)), a1.c, a1.prec, a2.c, a2.prec)
-        for k, c, tag, b_mat, lam_e, a1, a2 in zip(
-            weights.k, budget.c, kisin.tags, kisin.amat, kisin.lam_e, kisin.a1, kisin.a2)])
+    weights, f, period = kisin.heights, kisin.f, kisin.period
     xs, phis = [], []
     for i in range(period):
         c_i = budget.c[i]
@@ -196,7 +185,8 @@ def prepare(kisin: KisinFrobenius, budget: HeightBudget) -> PreparedSplit:
     copies = f // period
     return PreparedSplit(
         a0=tuple(a0s) * copies, c_mats=tuple(cs) * copies,
-        conjugated=tuple(conjs) * copies, x1=tuple(xs) * copies, weights=weights)
+        conjugated=tuple(conjs) * copies, x1=tuple(xs) * copies, weights=weights,
+        period=period)
 
 
 def check_descent_assumptions(split: PreparedSplit, budget: HeightBudget) -> None:
@@ -208,13 +198,9 @@ def check_descent_assumptions(split: PreparedSplit, budget: HeightBudget) -> Non
     SplitFailed on each entry that fails them.  Raises AssumptionViolated
     on failure.
 
-    Rotation.  Clause (c) on slot i reads only slot i's A0, C and
-    conjugated matrix, so when those are invariant under i -> i + d for
-    some d | f, its check on slot i + d repeats slot i's with equal values.
-    It runs on slots 0..d-1 only, d the least such period
-    (`_rotation_period`), in slot order, so the first that fails is on a
-    slot below d, with the message the full loop gives.  Clauses (a) and
-    (b) compare integers and run on every slot.
+    Clause (c) runs on slots 0..d-1 of d = `split.period` only (the
+    `kisin` module docstring); (a) and (b) compare integers and run on
+    every slot.
     """
     ctx = split.a0[0][0][0].ctx
     p = ctx.p
@@ -226,9 +212,7 @@ def check_descent_assumptions(split: PreparedSplit, budget: HeightBudget) -> Non
         if x.d > budget.c_max:
             raise AssumptionViolated(
                 "b", f"x^({i}) has denominator p^{x.d} > p^{budget.c_max}")
-    period = _rotation_period([_stored(_entries(a0) + _entries(c) + _entries(m))
-                               for a0, c, m in zip(split.a0, split.c_mats, split.conjugated)])
-    for i in range(period):
+    for i in range(split.period):
         if mat_add(split.a0[i], split.c_mats[i]) != split.conjugated[i]:
             raise AssumptionViolated("c", f"slot {i}: reassembly mismatch")
 
@@ -406,25 +390,15 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
     least precision of the final entries less the floor((L-1)/p) digits
     that u-coordinates below L cost.
 
-    Rotation.  Slot i's update reads only its own state (matrix, unit,
-    remainder, depth, inverse seed) and its left neighbour's step, by the
-    same rule for every slot, and its first state only A0^(i), C^(i) and
-    k_i.  So when those inputs are invariant under i -> i + d for some
-    d | f, by induction on the iterations every state is too, and every
-    check on slot i + d repeats the check on slot i with equal values.
-    The descent therefore runs slots 0..d-1 only, d the least such period
-    (`_rotation_period`; d = f on an aperiodic tuple), slot i's left
-    neighbour being slot (i - 1) mod d, and slot i's outputs are slot
-    (i mod d)'s.  Each step's chain row is written for every slot it
-    stands for, the NoConvergence message lists all f depths, and the
-    checks run in slot order, so the first that fails is on a slot below
-    d, with the message the full loop gives.
+    Slot i's update reads its own state (matrix, unit, remainder, depth,
+    inverse seed) and its left neighbour's step, so only slots 0..d-1 of
+    d = `split.period` are computed (the `kisin` module docstring).  Each
+    step's chain row is written for every slot it stands for, and the
+    NoConvergence message lists all f depths.
     """
     ctx = split.a0[0][0][0].ctx
-    p, f = ctx.p, split.f
+    p, f, period = ctx.p, split.f, split.period
     weights = split.weights
-    period = _rotation_period([(k, _stored(_entries(a0) + _entries(c)))
-                               for k, a0, c in zip(weights.k, split.a0, split.c_mats)])
     copies = f // period
     max_iter = estimate_iterations(weights, budget, p, ctx.m, ctx.nwork) + 6
     one, zero = SElem.one(ctx), SElem.zero(ctx)

@@ -12,9 +12,29 @@ recursion around the slot permutation; they are accumulated symbolically
 in Z[phi] and materialized once.  The stage takes no inverse at all:
 gamma^(-k) and every lambda_b power are products of the finite binomial
 sums (1 + w_e)^c of `sring._unit_power`, and E^(k_i) a1 is a shift of
-a1's slots (`SElem.mul_e_pow`), not a product.  Both functions compute
-one rotation orbit of slots: on a tuple of period d only slots 0..d-1
-(the argument is in each docstring).
+a1's slots (`SElem.mul_e_pow`), not a product.
+
+Rotation.  The data over Q_(p^f) is an f-tuple indexed by Z/fZ.  Each
+stage from `build_kisin_frobenius` to `descent.descend` computes slot i
+from slot i's inputs and slot i - 1's outputs by one rule for every slot.
+So when all of a stage's inputs repeat under i -> i + d for some d | f,
+by induction over the slots (and over the descent's iterations) slot
+i + d computes what slot i does, and each check on it repeats slot i's
+with equal values.  Each stage therefore runs slots 0..d-1 only, slot i's
+left neighbour being slot (i - 1) mod d, and slot i's outputs are slot
+(i mod d)'s.  The checks run in slot order, so the first that fails is on
+a slot below d, with the message the full loop gives.
+
+The period is decided twice per job.  `build_kisin_frobenius` keys it on
+the lattice, (Type, k_i, the normalized entries), so k_(i-1), a1 and a2
+repeat with it too; d = f on an aperiodic tuple.  `det_normalize`
+refines it by the exponent pairs (g_i, h_i): they come from a recursion
+whose anchors (the least node of each cycle) can break a symmetry of the
+lattice, so its d is the least multiple of the lattice's period under
+which the pairs repeat.  That d is `KisinFrobenius.period`.  Every other
+per-slot input of the later stages is k_i or c^(i), a function of k_i,
+so `descent.prepare` reads d there and passes it on as
+`PreparedSplit.period`.
 """
 
 from __future__ import annotations
@@ -45,6 +65,7 @@ class KisinFrobenius:
     lam_e: Tuple[SElem, ...]         # lambda_b^(h-g) per slot
     anchors: Tuple[Tuple[int, int], ...]
     lambda_nstar: int
+    period: int                      # slots 0..period-1 are computed
 
     @property
     def f(self):
@@ -62,11 +83,6 @@ class KisinFrobenius:
             "anchors": [list(a) for a in self.anchors],
             "lambda_truncation_index": self.lambda_nstar,
         }
-
-
-def _stored(elems) -> tuple:
-    """(c, d, prec) of each S_F element: equal keys mean equal elements."""
-    return tuple((e.c, e.d, e.prec) for e in elems)
 
 
 def _rotation_period(keys) -> int:
@@ -94,16 +110,13 @@ def _extract_params(normalized, tags):
 
 
 def build_kisin_frobenius(normalized, tags, weights: WeightData):
-    """The raw partial Frobenius matrices over S_F (spec's first stage).
+    """The raw partial Frobenius matrices over S_F (spec's first stage), and
+    the lattice's rotation period d.
 
-    Rotation.  Slot i's matrix and its checks in `_extract_params` read
-    only slot i's normalized entries and Type, k_i and k_(i-1), by the same
-    rule for every slot.  So when (entries, Type, k_i) is invariant under
-    i -> i + d for some d | f (then so is k_(i-1)), slot i + d computes
-    what slot i does.  Only slots 0..d-1 are computed, d the least such
-    period (`_rotation_period`; d = f on an aperiodic tuple), and slot i's
-    matrix is slot (i mod d)'s.  The checks run in slot order, so the first
-    that fails is on a slot below d, with the message the full loop gives.
+    Slot i's matrix and its checks in `_extract_params` read only slot i's
+    normalized entries and Type, k_i and k_(i-1), so d is keyed on
+    (Type, k_i, entries) and only slots 0..d-1 are computed (the module
+    docstring).
     """
     ctx = normalized[0][0][0].ctx
     period = _rotation_period([
@@ -120,7 +133,7 @@ def build_kisin_frobenius(normalized, tags, weights: WeightData):
             out.append(tag.form(e_a1, SElem.from_of(ctx, a2s[i]), zero, g))
         else:
             out.append(tag.form(s_mul(g, e_a1), g * a2s[i], zero, one))
-    return tuple(out) * (weights.f // period)
+    return tuple(out) * (weights.f // period), period
 
 
 def solve_exponent_system(tags, weights: WeightData):
@@ -185,7 +198,7 @@ def solve_exponent_system(tags, weights: WeightData):
     return b, pairs, tuple(anchors)
 
 
-def det_normalize(raw, tags, weights: WeightData,
+def det_normalize(raw, lattice_period: int, tags, weights: WeightData,
                   normalized_lattice) -> KisinFrobenius:
     """Apply the diagonal base change Diag(lambda^g, lambda^h).
 
@@ -201,27 +214,16 @@ def det_normalize(raw, tags, weights: WeightData,
     Their determinant is +-E^(k_i) a1^(i) by shape alone, so it is not
     re-checked; the conjugation check is what guards the closed forms.
 
-    Rotation.  Slot i's closed form and conjugation check read only slot
-    i's a1, a2, Type, k_i, raw entries and exponent pair (g_i, h_i), and
-    slot i - 1's pair, by the same rule for every slot.  The pairs come
-    from a recursion around the slot permutation whose anchors (the least
-    node of each cycle) can break a symmetry of the tuple, so the period
-    is keyed on the pairs themselves, not only on the lattice: when
-    (a1, a2, Type, k_i, raw entries, g_i, h_i) is invariant under
-    i -> i + d for some d | f, slot i + d computes and checks what slot i
-    does.  Only slots 0..d-1 are computed, d the least such period
-    (`_rotation_period`; d = f when the anchors break the symmetry), slot
-    i's left neighbour being slot (i - 1) mod d, and slot i's matrix and
-    lambda power are slot (i mod d)'s.  The checks run in slot order, so
-    the first that fails is on a slot below d, with the message the full
-    loop gives.
+    `lattice_period` is the period `build_kisin_frobenius` returned with
+    `raw`; it is refined by the exponent pairs, and only slots 0..d-1 of
+    the refined period d are computed (the module docstring).
     """
     ctx = raw[0][0][0].ctx
-    a1s, a2s = _extract_params(normalized_lattice, tags)
     b, pairs, anchors = solve_exponent_system(tags, weights)
-    period = _rotation_period([
-        (tag.kind, k, _stored(_entries(m)), a1.c, a1.prec, a2.c, a2.prec, g.c, h.c)
-        for tag, k, m, a1, a2, (g, h) in zip(tags, weights.k, raw, a1s, a2s, pairs)])
+    # i mod the lattice's period keeps d a multiple of it
+    period = _rotation_period([(i % lattice_period, g.c, h.c)
+                               for i, (g, h) in enumerate(pairs)])
+    a1s, a2s = _extract_params(normalized_lattice[:period], tags[:period])
 
     es = tuple(h - g for g, h in pairs)
     lam_es, mats = [], []
@@ -243,11 +245,12 @@ def det_normalize(raw, tags, weights: WeightData,
         expo=pairs,
         e=es,
         tags=tuple(tags),
-        a1=a1s,
-        a2=a2s,
+        a1=a1s * copies,
+        a2=a2s * copies,
         lam_e=tuple(lam_es) * copies,
         anchors=anchors,
         lambda_nstar=lambda_factor_count(ctx, b),
+        period=period,
     )
 
 

@@ -498,10 +498,10 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
                       lambda: valuation_gate(a2_params, weights, budget))
         report.stages["gate"] = gate.serial()
 
-        raw = _stage(report, "build",
-                     lambda: build_kisin_frobenius(normalized, tags, weights))
+        raw, period = _stage(report, "build",
+                             lambda: build_kisin_frobenius(normalized, tags, weights))
         kf = _stage(report, "det_normalize",
-                    lambda: det_normalize(raw, tags, weights, normalized))
+                    lambda: det_normalize(raw, period, tags, weights, normalized))
         report.stages["kisin"] = kf.serial()
 
         split = _stage(report, "prepare", lambda: prepare(kf, budget))

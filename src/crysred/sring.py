@@ -206,14 +206,6 @@ class SElem:
     def from_of(cls, ctx, x: OFElem):
         return cls(ctx, (x,), 0, x.prec)
 
-    @classmethod
-    def e_pow(cls, ctx, k: int, prec=None):
-        """Canonical form of E^k: coefficient p^floor(k/p) in slot k."""
-        if k >= ctx.m:
-            return cls.zero(ctx, prec)
-        coeffs = [0] * k + [ctx.ppow(k // ctx.p)]
-        return cls(ctx, coeffs, 0, prec)
-
     # -- basic queries -------------------------------------------------------
 
     def _slot(self, j: int) -> tuple:
@@ -312,8 +304,8 @@ class SElem:
         """Exact multiplication by E^k, the inverse of `div_e_pow`: slot j
         moves to slot j + k times the carry p^(floor((j+k)/p) - floor(j/p)),
         slots from M on are cut, and d and prec are kept.  For
-        prec <= nwork these are the values, d and prec of
-        `s_mul(SElem.e_pow(ctx, k), self)`, with no product."""
+        prec <= nwork these are the values, d and prec of `s_mul(E^k, self)`,
+        E^k as `tests/useries_ref.e_pow` builds it, but no product is taken."""
         ctx, r, p = self.ctx, self.ctx.r, self.ctx.p
         if not k:
             return self
@@ -357,7 +349,8 @@ class SElem:
             x = self._slot(j + k)
             scale = extra - ((j + k) // ctx.p - j // ctx.p)
             if scale >= 0:
-                out += [v * ctx.ppow(scale) for v in x]
+                q = ctx.ppow(scale)
+                out += [v * q for v in x]
             else:
                 pt = ctx.ppow(-scale)
                 if any(v % pt for v in x):

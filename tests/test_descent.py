@@ -3,6 +3,7 @@
 import os
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,11 +24,12 @@ from crysred.descent import (
     read_off_window,
     valuation_gate,
 )
-from crysred.kisin import build_kisin_frobenius, det_normalize
+from crysred.kisin import _rotation_period, build_kisin_frobenius, det_normalize
 from crysred.lattices import TypeTag, WeightData
 from crysred.sring import SElem, fil_membership, s_invert, s_mul, s_sums
 
 from test_lattices import mat
+from useries_ref import e_pow
 
 
 def make_ctx(p, f, ks, m=None, n=None):
@@ -54,8 +56,8 @@ def make_kisin(ctx, ks, specs):
             lattice.append(((a1e, zero), (a2e, one)))
         tags.append(TypeTag(kind))
     lattice, tags = tuple(lattice), tuple(tags)
-    raw = build_kisin_frobenius(lattice, tags, wd)
-    return det_normalize(raw, tags, wd, lattice), wd
+    raw, period = build_kisin_frobenius(lattice, tags, wd)
+    return det_normalize(raw, period, tags, wd, lattice), wd
 
 
 class TestBudget:
@@ -102,7 +104,7 @@ def assert_height_identity(a, b, h):
     """A B = E^h * Id, compared at the precision of the product."""
     ctx = a[0][0].ctx
     prod = mat_mul(a, b)
-    assert prod[0][0] == SElem.e_pow(ctx, h) and prod[1][1] == SElem.e_pow(ctx, h)
+    assert prod[0][0] == e_pow(ctx, h) and prod[1][1] == e_pow(ctx, h)
     assert prod[0][1].is_zero() and prod[1][0].is_zero()
 
 
@@ -125,21 +127,21 @@ def assert_absorbs(a, h, c):
 
 class TestHeightPartner:
     def test_diagonal(self, ctx5):
-        a = ((SElem.e_pow(ctx5, 3), SElem.zero(ctx5)),
+        a = ((e_pow(ctx5, 3), SElem.zero(ctx5)),
              (SElem.zero(ctx5), SElem.one(ctx5)))
         b, _ = height_partner(a, 3)
-        assert b[0][0] == SElem.one(ctx5) and b[1][1] == SElem.e_pow(ctx5, 3)
-        c = ((SElem.e_pow(ctx5, 4), SElem.zero(ctx5)),
-             (SElem.e_pow(ctx5, 3) * OFElem.from_int(ctx5, 7), SElem.zero(ctx5)))
+        assert b[0][0] == SElem.one(ctx5) and b[1][1] == e_pow(ctx5, 3)
+        c = ((e_pow(ctx5, 4), SElem.zero(ctx5)),
+             (e_pow(ctx5, 3) * OFElem.from_int(ctx5, 7), SElem.zero(ctx5)))
         assert_absorbs(a, 3, c)
 
     def test_type_i_shape(self, ctx5):
-        a = ((SElem.zero(ctx5), SElem.e_pow(ctx5, 2) * OFElem.from_int(ctx5, 3)),
+        a = ((SElem.zero(ctx5), e_pow(ctx5, 2) * OFElem.from_int(ctx5, 3)),
              (SElem.one(ctx5), SElem.from_int(ctx5, 5)))
         b, _ = height_partner(a, 2)
         assert_height_identity(a, b, 2)
-        e2 = SElem.e_pow(ctx5, 2)
-        c = ((e2 * OFElem.from_int(ctx5, 4), SElem.e_pow(ctx5, 5)),
+        e2 = e_pow(ctx5, 2)
+        c = ((e2 * OFElem.from_int(ctx5, 4), e_pow(ctx5, 5)),
              (SElem.zero(ctx5), e2 * SElem(ctx5, [1, 2, 3])))
         assert_absorbs(a, 2, c)
 
@@ -159,7 +161,7 @@ class TestHeightPartner:
         # unit's precision and is held one digit above it.
         h, p = 3, ctx5.p
         unit = SElem(ctx5, [1, 0, 1])
-        a = ((SElem.e_pow(ctx5, h), SElem.zero(ctx5)), (SElem.zero(ctx5), unit))
+        a = ((e_pow(ctx5, h), SElem.zero(ctx5)), (SElem.zero(ctx5), unit))
         unit_prec = mat_det(a).div_e_pow(h).prec
         assert unit_prec == ctx5.nwork - 1
         seed = s_invert(unit + SElem.from_int(ctx5, p ** unit_prec))
@@ -178,7 +180,7 @@ class TestHeightPartner:
         # det(A) / E^h = p divides exactly but is not a unit
         h = 2
         a = ((SElem.from_int(ctx5, ctx5.p), SElem.zero(ctx5)),
-             (SElem.zero(ctx5), SElem.e_pow(ctx5, h)))
+             (SElem.zero(ctx5), e_pow(ctx5, h)))
         with pytest.raises(HeightMismatch, match="not a unit"):
             _det_over_e_pow(descent_mod.mat_det(a), h)
 
@@ -192,7 +194,7 @@ class TestPrepare:
         a0 = split.a0[0]
         # A0 = [[0, E^3 a1], [1, a2*alpha_0]]; mod p: [[0, u^3 a1], [1, 0]]
         assert a0[0][0].is_zero()
-        assert a0[0][1] == SElem.e_pow(ctx, 3) * OFElem.from_int(ctx, 3)
+        assert a0[0][1] == e_pow(ctx, 3) * OFElem.from_int(ctx, 3)
         assert a0[1][0] == SElem.one(ctx)
         assert a0[1][1].is_integral(margin=1)   # in p * O_F[[u]]
         red = a0[1][1].residue(ctx.m)
@@ -217,7 +219,7 @@ class TestPrepare:
         split = prepare(kf, budget)
         a0 = split.a0[1]
         assert a0[0][1].is_zero() and a0[1][1] == SElem.one(ctx)
-        assert a0[0][0] == SElem.e_pow(ctx, 3) * OFElem.from_int(ctx, 2)
+        assert a0[0][0] == e_pow(ctx, 3) * OFElem.from_int(ctx, 2)
         # mod p: [[u^3 a1, 0], [0, 1]]
         assert a0[1][0].residue(ctx.m).is_zero()
 
@@ -577,19 +579,16 @@ class TestRotationPeriod:
         ([1, 2, 1, 2, 1], 5), ([1, 1, 2, 1, 1, 2], 3), ([1, 2, 2, 1], 4),
         ([1, 1, 1, 2], 4)])
     def test_least_period_dividing_f(self, keys, period):
-        assert descent_mod._rotation_period(keys) == period
+        assert _rotation_period(keys) == period
 
     @pytest.mark.parametrize("name", sorted(PERIODIC))
     def test_period_path_equals_the_full_loop(self, name, monkeypatch):
+        # the full loop is the same input with the period set to f
         kf, budget = stage_inputs(PERIODIC[name], monkeypatch)
-        periods, find = [], descent_mod._rotation_period
-        monkeypatch.setattr(descent_mod, "_rotation_period",
-                            lambda keys: periods.append(find(keys)) or periods[-1])
         short = outputs(kf, budget)
-        assert periods == [PERIODS[name]] * 2
+        assert kf.period == prepare(kf, budget).period == PERIODS[name]
         assert short["iterations"] > 0
-        monkeypatch.setattr(descent_mod, "_rotation_period", len)
-        assert outputs(kf, budget) == short
+        assert outputs(replace(kf, period=kf.f), budget) == short
 
     @pytest.mark.parametrize("name", ["base-change-2", "I II x 3", "I II I x 2"])
     def test_one_height_partner_per_computed_slot(self, name, monkeypatch):
@@ -605,14 +604,14 @@ class TestRotationPeriod:
         assert rows == kf.f * cert.iterations
         assert len(calls) == PERIODS[name] * cert.iterations
         calls.clear()
-        monkeypatch.setattr(descent_mod, "_rotation_period", len)
-        cert = descend(prepare(kf, budget), budget)
+        cert = descend(prepare(replace(kf, period=kf.f), budget), budget)
         assert len(calls) == kf.f * cert.iterations == rows
 
     def test_aperiodic_tuple_runs_every_slot(self, monkeypatch):
         from test_golden import GOLDEN
 
         kf, budget = stage_inputs(GOLDEN["f3-r3-p3-mixed"][0], monkeypatch)
+        assert kf.period == 3
         calls, partner = [], descent_mod.s_invert
         monkeypatch.setattr(descent_mod, "s_invert",
                             lambda *args, **kw: calls.append(1) or partner(*args, **kw))
@@ -624,10 +623,9 @@ class TestRotationPeriod:
         kf, budget = stage_inputs(PERIODIC[name], monkeypatch)
         monkeypatch.setattr(descent_mod, "estimate_iterations", lambda *args: -6)
         messages = []
-        for period in (descent_mod._rotation_period, len):
-            monkeypatch.setattr(descent_mod, "_rotation_period", period)
+        for kisin in (kf, replace(kf, period=kf.f)):
             with pytest.raises(NoConvergence, match="in 0 iterations") as info:
-                descend(prepare(kf, budget), budget)
+                descend(prepare(kisin, budget), budget)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert f"depths {[budget.c_max * PERIODIC[name]['p']] * kf.f}," in messages[0]

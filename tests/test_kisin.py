@@ -29,10 +29,11 @@ from crysred.sring import (
     s_mul,
 )
 
-from test_descent import PERIODIC, PERIODS, as_stored, stage_inputs, stored_mats
+from test_descent import PERIODIC, PERIODS, as_stored, outputs, stage_inputs, stored_mats
 from test_golden import GOLDEN
 from test_lattices import mat, random_gl2
 from test_sring import gamma
+from useries_ref import e_pow
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +53,7 @@ class TestBuild:
     def test_type_i_weight_zero_prev(self, kctx):
         # k_(i-1) = 0 means gamma^0 = 1 in the lower-left slot
         wd = WeightData((0,), (0,))
-        mats = build_kisin_frobenius((type_i(kctx, 3, 5),), (TypeTag("I"),), wd)
+        mats, _ = build_kisin_frobenius((type_i(kctx, 3, 5),), (TypeTag("I"),), wd)
         m = mats[0]
         assert m[0][0].is_zero()
         assert m[0][1] == SElem.from_of(kctx, OFElem.from_int(kctx, 3))
@@ -61,7 +62,7 @@ class TestBuild:
 
     def test_type_ii_weight_zero_prev(self, kctx):
         wd = WeightData((0,), (0,))
-        mats = build_kisin_frobenius((type_ii(kctx, 3, 5),), (TypeTag("II"),), wd)
+        mats, _ = build_kisin_frobenius((type_ii(kctx, 3, 5),), (TypeTag("II"),), wd)
         m = mats[0]
         assert m[0][0] == SElem.from_int(kctx, 3)
         assert m[0][1].is_zero() and m[1][1] == SElem.one(kctx)
@@ -70,10 +71,10 @@ class TestBuild:
         # det = -E^k a1 gamma^(-k)
         k = 2
         wd = WeightData((k,), (0,))
-        mats = build_kisin_frobenius((type_i(kctx, 3, 5),), (TypeTag("I"),), wd)
+        mats, _ = build_kisin_frobenius((type_i(kctx, 3, 5),), (TypeTag("I"),), wd)
         det = mat_det(mats[0])
         gk_inv = s_invert(s_mul(gamma(kctx), gamma(kctx)))
-        expected = -s_mul(SElem.e_pow(kctx, k) * OFElem.from_int(kctx, 3), gk_inv)
+        expected = -s_mul(e_pow(kctx, k) * OFElem.from_int(kctx, 3), gk_inv)
         assert det == expected
 
 
@@ -157,11 +158,11 @@ class TestDetNormalize:
             else:
                 lattice.append(type_ii(ctx, 2, 10))
         tag_objs = tuple(TypeTag(t) for t in tags)
-        raw = build_kisin_frobenius(tuple(lattice), tag_objs, wd)
-        kf = det_normalize(raw, tag_objs, wd, tuple(lattice))
+        raw, period = build_kisin_frobenius(tuple(lattice), tag_objs, wd)
+        kf = det_normalize(raw, period, tag_objs, wd, tuple(lattice))
         for i, t in enumerate(tags):
             m = kf.amat[i]
-            e_a1 = SElem.e_pow(ctx, ks[i]) * kf.a1[i]
+            e_a1 = e_pow(ctx, ks[i]) * kf.a1[i]
             if t == "I":
                 assert m[0][0].is_zero() and m[1][0] == SElem.one(ctx)
                 assert m[0][1] == e_a1
@@ -178,17 +179,17 @@ class TestDetNormalize:
         wd = WeightData((2,), (0,))
         lattice = (type_i(kctx, 3, 5),)
         tags = (TypeTag("I"),)
-        raw = build_kisin_frobenius(lattice, tags, wd)
-        kf = det_normalize(raw, tags, wd, lattice)
+        raw, period = build_kisin_frobenius(lattice, tags, wd)
+        kf = det_normalize(raw, period, tags, wd, lattice)
         det = mat_det(kf.amat[0])
-        assert (det + SElem.e_pow(kctx, 2) * OFElem.from_int(kctx, 3)).is_zero()
+        assert (det + e_pow(kctx, 2) * OFElem.from_int(kctx, 3)).is_zero()
 
     def test_full_pipeline_from_random_lattice(self, kctx, rng):
         wd = WeightData((2,), (0,))
         lattice = (random_gl2(kctx, rng),)
         norm, _, tags = parabolic_normalize(lattice, classify_lattice(lattice, wd), wd)
-        raw = build_kisin_frobenius(norm, tags, wd)
-        kf = det_normalize(raw, tags, wd, norm)
+        raw, period = build_kisin_frobenius(norm, tags, wd)
+        kf = det_normalize(raw, period, tags, wd, norm)
         assert kf.b in (1, 2)
 
 
@@ -209,8 +210,8 @@ def test_kisin_stages_take_no_inverse(monkeypatch):
 
     monkeypatch.setattr(crysred.sring, "s_invert", no_inverse)
     monkeypatch.setattr(crysred.kisin, "s_invert", no_inverse, raising=False)
-    raw = build_kisin_frobenius(lattice, tags, weights)
-    kf = det_normalize(raw, tags, weights, lattice)
+    raw, period = build_kisin_frobenius(lattice, tags, weights)
+    kf = det_normalize(raw, period, tags, weights, lattice)
     assert kf.serial() == want
 
 
@@ -231,8 +232,8 @@ def kisin_inputs(config, monkeypatch):
 def kisin_fields(normalized, tags, weights):
     """Everything `build` and `det_normalize` return, with S_F elements as
     (c, d, prec) and O_F elements as (c, prec)."""
-    raw = build_kisin_frobenius(normalized, tags, weights)
-    kf = det_normalize(raw, tags, weights, normalized)
+    raw, period = build_kisin_frobenius(normalized, tags, weights)
+    kf = det_normalize(raw, period, tags, weights, normalized)
     return {
         "raw": stored_mats(raw), "amat": stored_mats(kf.amat),
         "lam_e": [as_stored(x) for x in kf.lam_e],
@@ -271,10 +272,31 @@ def bump_h(slots):
     return broken
 
 
+# p = 7, f = 2, k = (3, 3), all Type I with a different a2 in each slot,
+# the shape of the family-scan workload: the exponent pairs repeat with
+# period 1, the lattice only with period 2
+TWO_A2 = {"p": 7, "f": 2, "r": 2, "weights": [[3, 0], [3, 0]], "params": [
+    {"type": "I", "a1": {"coeffs": [3, 1]}, "a2": {"coeffs": a2, "pexp": 1}}
+    for a2 in ([2, 5], [1, 3])]}
+
+
 class TestKisinRotation:
     """`build`, `det_normalize` and clause (c) of the assumption check run
     slots 0..d-1 of the rotation period d and return what the full loop
-    (the period patched to f) returns, with the same checks."""
+    (the period patched, or the carried period set, to f) returns, with the
+    same checks."""
+
+    def test_pairs_refine_the_lattice_period(self, monkeypatch):
+        inputs = kisin_inputs(TWO_A2, monkeypatch)
+        pairs = [(g.c, h.c) for g, h in solve_exponent_system(*inputs[1:])[1]]
+        assert pairs[0] == pairs[1]
+        kf, budget = stage_inputs(TWO_A2, monkeypatch)
+        assert kf.period == prepare(kf, budget).period == 2
+        short = kisin_fields(*inputs)
+        with monkeypatch.context() as patch:
+            patch.setattr(crysred.kisin, "_rotation_period", len)
+            assert kisin_fields(*inputs) == short
+        assert outputs(dataclasses.replace(kf, period=kf.f), budget) == outputs(kf, budget)
 
     @pytest.mark.parametrize("name", sorted(PERIODIC))
     def test_period_path_equals_the_full_loop(self, name, monkeypatch):
@@ -293,22 +315,30 @@ class TestKisinRotation:
         # last slot breaks the period and fails with the full loop's message
         kf, budget = stage_inputs(PERIODIC[name], monkeypatch)
         split = prepare(kf, budget)
+        full, d = dataclasses.replace(split, period=split.f), PERIODS[name]
         calls, add = [], crysred.descent.mat_add
         monkeypatch.setattr(crysred.descent, "mat_add",
                             lambda a, b: calls.append(1) or add(a, b))
-        bad = split.conjugated[:-1] + (crysred.descent.mat_sub(split.conjugated[-1], (
-            (SElem.one(kf.amat[0][0][0].ctx), SElem.zero(kf.amat[0][0][0].ctx)),) * 2),)
-        broken = dataclasses.replace(split, conjugated=bad)
+        ctx = kf.amat[0][0][0].ctx
+        eye = ((SElem.one(ctx), SElem.zero(ctx)),) * 2
+
+        def broken(s, slots):
+            return dataclasses.replace(s, conjugated=tuple(
+                crysred.descent.mat_sub(m, eye) if i in slots else m
+                for i, m in enumerate(s.conjugated)))
+
         messages = []
-        for period, slots in ((crysred.descent._rotation_period, PERIODS[name]), (len, kf.f)):
-            monkeypatch.setattr(crysred.descent, "_rotation_period", period)
+        for s, slots in ((split, d), (full, kf.f)):
             calls.clear()
-            assert check_descent_assumptions(split, budget) is None
+            assert check_descent_assumptions(s, budget) is None
             assert len(calls) == slots
+            # slot d - 1 broken in every copy keeps the period
             with pytest.raises(AssumptionViolated) as info:
-                check_descent_assumptions(broken, budget)
+                check_descent_assumptions(broken(s, range(d - 1, kf.f, d)), budget)
             messages.append(str(info.value))
-        assert messages[0] == messages[1] and f"slot {kf.f - 1}:" in messages[0]
+        assert messages[0] == messages[1] and f"slot {d - 1}:" in messages[0]
+        with pytest.raises(AssumptionViolated, match=f"slot {kf.f - 1}:"):
+            check_descent_assumptions(broken(full, {kf.f - 1}), budget)
 
     @pytest.mark.parametrize("name", ["base-change-2", "I II x 3", "I II I x 2"])
     def test_conjugation_check_runs_d_slots(self, name, monkeypatch):

@@ -88,6 +88,13 @@ def from_useries(x):
     return SElem(ctx, out, 0, x.prec)
 
 
+def e_pow(ctx, k, prec=None):
+    """Canonical form of E^k in S_F: coefficient p^floor(k/p) in slot k."""
+    if k >= ctx.m:
+        return SElem.zero(ctx, prec)
+    return SElem(ctx, [0] * k + [ctx.ppow(k // ctx.p)], 0, prec)
+
+
 def at_prec(x, prec):
     """The SElem x, known to the lower precision `prec`."""
     if prec > x.prec:
