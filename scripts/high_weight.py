@@ -2,10 +2,11 @@
 
     python3 scripts/high_weight.py
 
-For p in {3, 5, 7, 13} and k in {p, 2p, 3p} it runs three jobs: a Type I
-shorthand with v(a2) one above the valuation gate's bound ("gate+1"), its
-explicit twin under a parabolic transform ("explicit"), and the same
-shorthand with a2 = 0 ("a_p=0").  The benchmark workloads stop at
+For p in {3, 5, 7, 13} and k in {p, 2p, 3p}, and at p = 3 also for
+k in {12, 24, 36}, where (M, nwork) grows fastest, it runs three jobs: a
+Type I shorthand with v(a2) one above the valuation gate's bound
+("gate+1"), its explicit twin under a parabolic transform ("explicit"),
+and the same shorthand with a2 = 0 ("a_p=0").  The benchmark workloads stop at
 k = p + 1, so they do not show how precision grows with the weight.
 
 Each answer is checked against `classical` below, a copy of the
@@ -53,9 +54,13 @@ def explicit_twin(p, k, v, x=2):
             "params": [{"matrix": [[x, 1 + x * a2], [1, a2]]}]}
 
 
+def weights(p):
+    return (p, 2 * p, 3 * p) + ((12, 24, 36) if p == 3 else ())
+
+
 def jobs():
     for p in PRIMES:
-        for k in (p, 2 * p, 3 * p):
+        for k in weights(p):
             v = (k - 1) // (p - 2) + 1          # c_max: one above the bound
             yield p, k, "gate+1", shorthand(p, k, {"coeffs": [1], "pexp": v})
             yield p, k, "explicit", explicit_twin(p, k, v)

@@ -22,9 +22,9 @@ not depend on the jobs run before it or on their order.
 from __future__ import annotations
 
 import functools
-import json
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Tuple
 
 from . import __version__
@@ -417,7 +417,62 @@ class RunReport:
         return out
 
     def to_json(self, include_timings=False) -> str:
-        return json.dumps(self.serial(include_timings), sort_keys=True, indent=2)
+        """The text json.dumps(self.serial(include_timings),
+        sort_keys=True, indent=2) gives, byte for byte, written by
+        `_json_text` without json's encoder.
+
+        The writer holds what `serial` can hold: dicts with str keys,
+        lists, tuples, str (ASCII-escaped by json's own
+        `encode_basestring_ascii`), int, bool, None, and float for the
+        timings (NaN and the infinities as json writes them).  Anything
+        else raises TypeError.  With an indent, json.dumps runs json's
+        pure-Python encoder, which is slower and leaves a reference cycle
+        of closures on every call; the writer keeps no state, so a call
+        leaves no garbage."""
+        return _json_text(self.serial(include_timings), "\n")
+
+
+_INF = float("inf")
+
+
+def _json_text(x, nl: str) -> str:
+    """x as json.dumps(x, sort_keys=True, indent=2) writes it, for the
+    types `RunReport.to_json` lists.  `nl` is a newline and the current
+    indent; a nested container's items go two spaces deeper."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x == _INF:
+            return "Infinity"
+        if x == -_INF:
+            return "-Infinity"
+        return float.__repr__(x)
+    inner = nl + "  "
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        items = []
+        for key in sorted(x):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": " + _json_text(x[key], inner))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        return ("[" + inner + ("," + inner).join([_json_text(v, inner) for v in x])
+                + nl + "]")
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 class PipelineStop(CrysredError):

@@ -640,20 +640,34 @@ def _w_power(ctx: PrimeContext, e: int, l: int) -> SElem:
     `_w_powers` caches them and `_unit_power` sums them.
 
     With n = p^e l and u = E - p, the canonical slot i of w_e^l holds
-    binom(n, i) (-p)^(n-i) p^(floor(i/p) - l); the exponent
-    n - i + floor(i/p) - l is never negative.
+    binom(n, i) (-p)^(n-i) p^(floor(i/p) - l), for i <= n.  Its exponent
+    t(i) = n - i + floor(i/p) - l is never negative and never increases
+    with i, since each step up in i lowers n - i by 1 and raises
+    floor(i/p) by at most 1.  So the slots run from the top, min(n, M-1),
+    downwards: binom(n, i-1) = binom(n, i) i / (n - i + 1) exactly, the
+    sign flips at each step, and the walk stops at the first slot with
+    t(i) >= nwork, below which every slot is 0 mod p^nwork.
     """
-    p, nwork = ctx.p, ctx.nwork
+    p, r, nwork = ctx.p, ctx.r, ctx.nwork
     mod = ctx.ppow(nwork)
     n = p ** e * l
-    coeffs = []
-    for i in range(min(n + 1, ctx.m)):
+    top = i = min(n, ctx.m - 1)
+    b = comb(n, i)
+    if (n - i) & 1:
+        b = -b
+    t = n - i + i // p - l
+    vals = []
+    while t < nwork:
+        vals.append(b * ctx.ppow(t) % mod)
+        if not i:
+            break
+        b = -b * i // (n - i + 1)
+        i -= 1
         t = n - i + i // p - l
-        c = 0
-        if t < nwork:
-            c = (-1) ** (n - i) * comb(n, i) * ctx.ppow(t) % mod
-        coeffs.append(c)
-    return SElem(ctx, coeffs, 0, nwork)
+    # vals holds slots top, top-1, ... down to the lowest slot below nwork
+    flat = [0] * ((top + 1) * r)
+    flat[(top + 1 - len(vals)) * r::r] = vals[::-1]
+    return SElem._reduced(ctx, _trimmed(flat, r), 0, nwork)
 
 
 def _w_powers(ctx: PrimeContext, e: int) -> Tuple[SElem, ...]:
@@ -681,8 +695,7 @@ def _unit_power(ctx: PrimeContext, e: int, c: int) -> SElem:
         for l, w in enumerate(_w_powers(ctx, e)):
             if not coef:
                 break
-            for i, v in enumerate(w.c):
-                acc[i] += coef * v
+            acc[:len(w.c)] = [a + coef * v for a, v in zip(acc, w.c)]
             coef = coef * (c - l) // (l + 1)
         return SElem._flat(ctx, acc, 0, ctx.nwork)
 

@@ -1,4 +1,6 @@
+import os
 import random
+import sys
 
 import pytest
 
@@ -45,3 +47,15 @@ def random_useries(ctx, rng):
 
     return series(ctx, [[rng.randrange(ctx.ppow(ctx.n)) for _ in range(ctx.r)]
                         for _ in range(ctx.m)])
+
+
+def benchmark_workloads():
+    """The benchmark's job lists, `perfbench/workloads.py`, as a module."""
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(perfbench)
+    return workloads

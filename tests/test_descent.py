@@ -1,6 +1,5 @@
 """Preparation, descent assumptions and the successive approximation."""
 
-import os
 import random
 import sys
 from dataclasses import replace
@@ -28,6 +27,7 @@ from crysred.kisin import _rotation_period, build_kisin_frobenius, det_normalize
 from crysred.lattices import TypeTag, WeightData
 from crysred.sring import SElem, fil_membership, s_invert, s_mul, s_sums
 
+from conftest import benchmark_workloads
 from test_lattices import mat
 from useries_ref import e_pow
 
@@ -508,13 +508,7 @@ def first_slot(x):
 
 def base_change_configs():
     """The ten period-1 base-change jobs of the embeddings workload, seed 1."""
-    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                             "perfbench")
-    sys.path.insert(0, perfbench)
-    try:
-        import workloads
-    finally:
-        sys.path.remove(perfbench)
+    workloads = benchmark_workloads()
     n = len(workloads.BASE_CHANGE)
     return {f"base-change-{i}": job["config"]
             for i, job in enumerate(workloads.embeddings(1)[:n])}

@@ -1,9 +1,12 @@
 """End-to-end runs of `run_pipeline` against known answers."""
 
+import gc
 import itertools
 import json
+import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +33,7 @@ from crysred.pipeline import (
 from crysred.arith import PrimeContext
 from crysred.sring import PhiExpPoly, SElem, s_frobenius
 
+from conftest import benchmark_workloads
 from test_golden import GOLDEN
 from test_sring import agreement
 from useries_ref import e_pow
@@ -806,6 +810,63 @@ class TestStageTimings:
         report = run_pipeline(JobConfig.from_dict(P5_K4))
         assert "timings" not in json.loads(report.to_json())
         assert json.loads(report.to_json(include_timings=True))["timings"] == report.timings
+
+
+# str with the characters json escapes: quotes, backslashes, control
+# characters and non-ASCII, astral plane included
+JSON_STRS = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\n\x1f\x7fé\u2028😀'),
+                              st.characters()), max_size=6)
+JSON_LEAVES = st.one_of(
+    JSON_STRS, st.none(), st.booleans(),
+    st.integers(), st.integers(min_value=2 ** 64, max_value=2 ** 80),
+    st.integers(min_value=-2 ** 80, max_value=-2 ** 64),
+    st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.just(()), st.dictionaries(JSON_STRS, inner, max_size=4)),
+    max_leaves=24)
+
+
+def dumps(x) -> str:
+    return json.dumps(x, sort_keys=True, indent=2)
+
+
+class TestReportWriter:
+    """`RunReport.to_json` writes the bytes of json.dumps(serial(...),
+    sort_keys=True, indent=2) without calling it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_TREES)
+    def test_matches_json_dumps(self, tree):
+        assert pipeline._json_text(tree, "\n") == dumps(tree)
+
+    @pytest.mark.parametrize("bad", [{1, 2}, Fraction(1, 3), {"a": [Fraction(1, 2)]},
+                                     {"a": {2: 1}}, [{"s": {"x"}}]])
+    def test_rejects_what_json_does_not_hold(self, bad):
+        with pytest.raises(TypeError):
+            pipeline._json_text(bad, "\n")
+
+    @staticmethod
+    def check(report):
+        for timings in (False, True):
+            assert report.to_json(timings) == dumps(report.serial(timings))
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_reports(self, name):
+        self.check(run_pipeline(JobConfig.from_dict(GOLDEN[name][0])))
+
+    @pytest.mark.parametrize("workload", ["f1-sweep", "embeddings", "family-scan"])
+    def test_benchmark_reports(self, workload):
+        for job in benchmark_workloads().WORKLOADS[workload](1):
+            self.check(run_pipeline(JobConfig.from_dict(job["config"])))
+
+    def test_leaves_no_garbage(self):
+        report = run_pipeline(JobConfig.from_dict(P5_K4))
+        for timings in (False, True):
+            gc.collect()
+            report.to_json(timings)
+            assert gc.collect() == 0
 
 
 class TestReduceStage:

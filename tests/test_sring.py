@@ -15,6 +15,7 @@ from crysred.arith import (
     _of_val_raw,
 )
 from crysred.errors import NotAUnit, NotIntegral, PrecisionExhausted
+from crysred.pipeline import JobConfig, preflight_precision
 from crysred.sring import (
     PhiExpPoly,
     SElem,
@@ -31,8 +32,9 @@ from crysred.sring import (
     s_mul,
 )
 
-from conftest import random_of, random_useries
-from useries_ref import at_prec, e_pow, from_useries, frobenius, mul, residue, series
+from conftest import benchmark_workloads, random_of, random_useries
+from useries_ref import (at_prec, e_pow, from_useries, frobenius, mul, residue, series,
+                         unit_power, w_power)
 
 
 def gamma(ctx):
@@ -333,6 +335,76 @@ class TestWPowers:
         want = w_powers_by_products(PrimeContext(p=13, f=1, n=1, m=m, r=r, nwork=5), e)
         assert len(got) == len(want) == 1
         assert (got[0].c, got[0].d, got[0].prec) == (want[0].c, want[0].d, want[0].prec)
+
+
+def benchmark_contexts():
+    """The distinct contexts (p, f, r, N, M, nwork) of the f1-sweep and
+    embeddings jobs at seed 1."""
+    workloads, out = benchmark_workloads(), set()
+    for make in (workloads.f1_sweep, workloads.embeddings):
+        for job in make(1):
+            cfg = JobConfig.from_dict(job["config"])
+            pf = preflight_precision(cfg)
+            out.add((cfg.p, cfg.f, cfg.r or cfg.f, pf["N"], pf["M"], pf["nwork"]))
+    return sorted(out)
+
+
+class TestWPowerRecurrence:
+    """`_w_power`, which walks the slots down from the top by the binomial
+    recurrence, and `_unit_power` over it, against `useries_ref`'s
+    slot-by-slot `w_power` and `unit_power`: every l until the power
+    vanishes, and four exponents c of each unit."""
+
+    def check(self, ctx, e):
+        """Compare every power of w_e and the units; return which of
+        M <= n and M > n + 1 the nonzero powers with l >= 1 met."""
+        kinds, l = set(), 0
+        while True:
+            got, want = _w_power(ctx, e, l), w_power(ctx, e, l)
+            assert (got.c, got.d, got.prec) == (want.c, want.d, want.prec), (e, l)
+            if want.is_zero():
+                break
+            n = ctx.p ** e * l
+            if l and ctx.m <= n:
+                kinds.add("M <= n")
+            if l and ctx.m > n + 1:
+                kinds.add("M > n + 1")
+            l += 1
+        for c in (-36, -1, 1, 5):
+            got, want = _unit_power(ctx, e, c), unit_power(ctx, e, c)
+            assert (got.c, got.d, got.prec) == (want.c, want.d, want.prec), (e, c)
+        return kinds
+
+    def check_every_e(self, ctx):
+        """`check` at e = 1, 2, ... up to the first e with w_e = 0."""
+        kinds, e = set(), 1
+        while True:
+            kinds |= self.check(ctx, e)
+            if len(_w_powers(ctx, e)) == 1:
+                return kinds
+            e += 1
+
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_grid(self, p, r):
+        # M = p^e + 2 keeps w_e nonzero; M = 4p + 10, a small job's size,
+        # lies below p^e for the larger e
+        kinds = set()
+        for e in (1, 2, 3):
+            for m in (p ** e + 2, 4 * p + 10):
+                kinds |= self.check(PrimeContext(p=p, f=1, n=4, m=m, r=r), e)
+        assert kinds == {"M <= n", "M > n + 1"}
+
+    def test_benchmark_contexts(self):
+        contexts = benchmark_contexts()
+        assert len({c[0] for c in contexts}) == 5 and max(c[2] for c in contexts) == 5
+        for p, f, r, n, m, nwork in contexts:
+            self.check_every_e(PrimeContext(p=p, f=f, n=n, m=m, r=r, nwork=nwork))
+
+    def test_high_weight_context(self):
+        # p = 3, k = 36 one above the gate: (M, nwork) = (185, 100)
+        ctx = PrimeContext(p=3, f=1, n=5, m=185, nwork=100)
+        assert self.check_every_e(ctx) == {"M <= n", "M > n + 1"}
 
 
 class TestFrobenius:

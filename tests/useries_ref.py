@@ -102,3 +102,35 @@ def at_prec(x, prec):
     r = x.ctx.r
     return SElem(x.ctx, [x.c[j:j + r] for j in range(0, len(x.c), r)], x.d, prec)
 
+
+def w_power(ctx, e, l):
+    """w_e^l at (M, nwork), slot by slot: slot i holds
+    binom(n, i) (-p)^(n-i) p^(floor(i/p) - l) with n = p^e l, one `comb`
+    per slot whose exponent is below nwork."""
+    p, nwork = ctx.p, ctx.nwork
+    mod = ctx.ppow(nwork)
+    n = p ** e * l
+    coeffs = []
+    for i in range(min(n + 1, ctx.m)):
+        t = n - i + i // p - l
+        c = 0
+        if t < nwork:
+            c = (-1) ** (n - i) * comb(n, i) * ctx.ppow(t) % mod
+        coeffs.append(c)
+    return SElem(ctx, coeffs, 0, nwork)
+
+
+def unit_power(ctx, e, c):
+    """(1 + w_e)^c = sum_l binom(c, l) w_e^l over the powers `w_power`
+    gives until one vanishes."""
+    acc = [0] * (ctx.m * ctx.r)
+    coef, l = 1, 0
+    while coef:
+        w = w_power(ctx, e, l)
+        if w.is_zero():
+            break
+        for i, v in enumerate(w.c):
+            acc[i] += coef * v
+        coef = coef * (c - l) // (l + 1)
+        l += 1
+    return SElem(ctx, [acc[j:j + ctx.r] for j in range(0, len(acc), ctx.r)], 0, ctx.nwork)
