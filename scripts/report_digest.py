@@ -7,8 +7,8 @@ reports concatenated in order, so a refactor can show that no report byte
 moved.  The second line hashes only the answers: each report's `result`
 block and its error `stage` and `type`.  A change that moves `context`,
 `preflight` or `final_prec` changes the first line; the second shows
-whether any answer moved, and scripts/answers.sha256 pins it for the
-tier-1 workflow.  Each list then runs again in reverse order in
+whether any answer moved.  scripts/reports.sha256 and
+scripts/answers.sha256 pin the two lines for the tier-1 workflow.  Each list then runs again in reverse order in
 the same process; when a report differs from its forward-order run, the
 script names the first such job on stderr and exits 1, since a report must
 not depend on the jobs run before it.  The third line counts the lines of

@@ -20,7 +20,8 @@ threads.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
+from operator import mul
 from struct import Struct
 from typing import Optional, Sequence
 
@@ -191,15 +192,22 @@ class PrimeContext:
         if self.nwork < n:
             raise ValueError("nwork must be >= n")
         self.residue_poly = find_residue_poly(p, r)
-        self._ppows = [1]
-        # reduction rows: w^(r+t) mod g over Z for t = 0..r-2
-        self._red_rows = self._build_red_rows()
+        # p^0 .. p^(nwork + 2 dmax), what products reach; `ppow` extends it
+        self._ppows = list(accumulate(repeat(p, self.nwork + 2 * self.dmax), mul, initial=1))
+        # reduction rows: w^(r+t) mod g over Z for t = 0..r-2; for the fold,
+        # each column's negative mass, their largest, and the largest |row| sum
+        rows = self._red_rows = self._build_red_rows()
+        neg = tuple(sum(max(0, -row[i]) for row in rows) for i in range(r))
+        self._fold = neg, max(neg), max(sum(abs(row[i]) for row in rows) for i in range(r))
         self._caches = {}
 
     def ppow(self, k: int) -> int:
-        while len(self._ppows) <= k:
-            self._ppows.append(self._ppows[-1] * self.p)
-        return self._ppows[k]
+        try:
+            return self._ppows[k]
+        except IndexError:
+            while len(self._ppows) <= k:
+                self._ppows.append(self._ppows[-1] * self.p)
+            return self._ppows[k]
 
     def _build_red_rows(self):
         """Reduction rows for w^(r+t), t = 0..r-2, exact over Z.
@@ -307,18 +315,19 @@ class OFElem:
 
     def __init__(self, ctx: PrimeContext, coeffs: Sequence[int], prec: Optional[int] = None):
         self.ctx = ctx
-        self.prec = ctx.nwork if prec is None else prec
-        if self.prec < 1:
+        self.prec = prec = ctx.nwork if prec is None else prec
+        if prec < 1:
             raise PrecisionExhausted("OFElem constructed at precision < 1")
-        mod = ctx.ppow(self.prec)
-        c = list(coeffs)
+        mod = ctx.ppow(prec)
+        c = [v % mod for v in coeffs]
         if len(c) > ctx.r:
             raise ValueError("coefficient vector longer than the residue degree")
-        c += [0] * (ctx.r - len(c))
+        if len(c) < ctx.r:
+            c += [0] * (ctx.r - len(c))
         # tuples of values are built from lists here and in `sring`:
         # tuple() of a generator allocates 10 slots and resizes, so the
         # free list of the final size grows until a full collection
-        self.c = tuple([v % mod for v in c])
+        self.c = tuple(c)
 
     # -- constructors -------------------------------------------------------
 
@@ -453,15 +462,17 @@ def _fp_poly_invmod(a, g, p):
 # products it has.  Every position of a sum is at most
 # cap = sum of mult * min(la, lb) * r * max(a) * max(b) over its products,
 # with la, lb the operands' slot counts below the sum's last slot and the
-# maxima taken after reduction.  Each distinct operand is reduced once,
+# maxima taken after reduction.  The plan is indexed: the caller hands over
+# the distinct operands once, as a list, each already reduced (`_operand`)
 # modulo the largest mod // mult of its products (a multiple of the others,
 # since moduli and multipliers are powers of one prime, so each product is
-# right modulo its own mod // mult and, times mult, modulo `mod`), and
-# packed once, at one width for the whole batch.  `sring.s_sums` is the
-# caller: its multipliers p^(g_i - beta) bring each product of a sum to the
-# sum's common scale p^beta, and it sets the sum's d and prec by the rule
-# of `SElem._plus`, so a sum has the values of its products added with `+`.
-# `_conv2_raw` is the one-product case, reduced, which a lone `s_mul` calls.
+# right modulo its own mod // mult and, times mult, modulo `mod`), and each
+# product names its operands by their indices.  Each operand is packed
+# once, at one width for the whole batch.  `sring.s_sums` plans the batch:
+# its multipliers p^(g_i - beta) bring each product of a sum to the sum's
+# common scale p^beta, and it sets the sum's d and prec by the rule of
+# `SElem._plus`, so a sum has the values of its products added with `+`.
+# `_conv2_raw`, which a lone `s_mul` calls, is the one-term plan, reduced.
 #
 # The w-fold runs on the packed sum as well (the multipoint layout of
 # Harvey, J. Symbolic Comput. 44, 2009).  For each reduction row t, the row
@@ -491,23 +502,24 @@ def _pack(values, width, group=1, pad=0, times=1):
     """Pack `values` as little-endian digits of `width` bytes, with `pad`
     zero digits after every `group` values (len(values) is a multiple of
     `group`), the whole layout repeated `times` times."""
-    # a list, not an iterator: `pack(*chunks)` then takes an argument tuple
-    # of the exact size, and no resized tuple fills a free list
-    chunks = list(map(int.to_bytes, values, repeat(width), repeat("little")))
-    if pad:
-        raw = _layout(width, len(values), group, pad).pack(*chunks)
+    if width == 8:
+        raw = _layout(8, len(values), group, pad).pack(*values)
     else:
-        raw = b"".join(chunks)
+        # a list, not an iterator: `pack(*chunks)` then takes an argument
+        # tuple of the exact size, and no resized tuple fills a free list
+        chunks = list(map(int.to_bytes, values, repeat(width), repeat("little")))
+        raw = _layout(width, len(values), group, pad).pack(*chunks) if pad else b"".join(chunks)
     return int.from_bytes(raw * times, "little")
 
 
 @lru_cache(maxsize=64)
 def _layout(width, count, group, pad):
     """The struct layout of `count` digits of `width` bytes with `pad`
-    padding digits after every `group` of them.  A layout depends on no
-    context.  The cache is bounded because a run meets hundreds of
+    padding digits after every `group` of them: byte strings, or at width 8
+    integers, converted with no Python call per digit.  A layout depends on
+    no context.  The cache is bounded because a run meets hundreds of
     (width, count) pairs, and a miss costs one format compile."""
-    field = f"{width}s" * group + (f"{width * pad}x" if pad else "")
+    field = ("Q" if width == 8 else f"{width}s") * group + (f"{width * pad}x" if pad else "")
     return Struct("<" + field * (count // group))
 
 
@@ -518,26 +530,9 @@ def _unpack(n, width, count, group=None, pad=0):
     digits form one group), split by one cached struct layout."""
     layout = _layout(width, count, group if pad else count, pad)
     raw = n.to_bytes(max(layout.size, (n.bit_length() + 7) // 8), "little")
+    if width == 8:
+        return list(layout.unpack_from(raw))
     return list(map(int.from_bytes, layout.unpack_from(raw), repeat("little")))
-
-
-def _fold_rows(ctx):
-    """Column sums of the reduction rows: the negative mass of each column,
-    its largest value, and the largest sum of absolute values."""
-    def build():
-        rows, r = ctx._red_rows, ctx.r
-        neg = tuple(sum(max(0, -row[i]) for row in rows) for i in range(r))
-        norm = max(sum(abs(row[i]) for row in rows) for i in range(r))
-        return neg, max(neg), norm
-
-    return ctx.cache(("fold",), build)
-
-
-def _conv_width(ctx, cap, mod):
-    """Digit width in bytes that holds a folded position of a sum whose
-    positions are at most `cap`, modulo `mod`."""
-    _, neg_max, norm = _fold_rows(ctx)
-    return max(1, ((cap * (1 + norm) + neg_max * mod).bit_length() + 7) // 8)
 
 
 @lru_cache(maxsize=16)
@@ -565,7 +560,7 @@ def _fold_unpack(ctx, acc, cap, mod, n_u, width):
     if ctx._red_rows:
         bits = 8 * width
         slots = max(n_u, ctx.m)
-        lift, neg, rows = _fold_pack(ctx._red_rows, _fold_rows(ctx)[0], width, slots)
+        lift, neg, rows = _fold_pack(ctx._red_rows, ctx._fold[0], width, slots)
         drop = bits * (2 * r - 1) * (slots - n_u)
         lift, neg = lift >> drop, neg >> drop
         prod = acc
@@ -575,65 +570,63 @@ def _fold_unpack(ctx, acc, cap, mod, n_u, width):
     return _unpack(acc, width, n_u * r, r, r - 1)
 
 
-def _conv2_sums(ctx, sums):
-    """Sums of products of flat sequences, each sum folded and unpacked
-    once.
+def _operand(values, q):
+    """A kernel operand: the flat values (>= 0) reduced mod q when one of
+    them reaches q, and their largest value, 0 when all are 0 mod q."""
+    top = max(values)
+    if top >= q:
+        values = [v % q for v in values]
+        top = max(values)
+    return values, top
 
-    `sums` holds (terms, mod, out_len) triples, and each term is
-    (a, b, mult, shift): two nonempty flat operands of values >= 0, an
-    integer multiplier and a slot shift below out_len.  The moduli and
-    multipliers are powers of one prime, and mult divides mod.  For each
-    sum the result is its first min(out_len, last product slot + 1) slots
-    of sum(mult * a b, moved up `shift` slots), flat, folded mod the
+
+def _conv2_sums(ctx, ops, sums):
+    """Sums of products by an indexed plan, each sum folded and unpacked
+    once.  `ops` holds operands as `_operand` gives them, each reduced
+    modulo the largest mod // mult of the terms that name it (None where no
+    term does); `sums` holds (terms, mod, out_len), each term
+    (i, j, mult, shift): two indices into `ops`, a multiplier dividing mod
+    (both powers of one prime) and a slot shift below out_len.  A sum's
+    result is the first min(out_len, last product slot + 1) slots of
+    sum(mult * ops[i] ops[j], moved up `shift` slots), flat, folded mod the
     residue polynomial, each value congruent mod `mod` to the exact folded
-    sum but not reduced.  An operand is identified by its object: each is
-    reduced modulo the largest mod // mult of its terms and packed once, at
-    one width for the batch.
-    """
+    sum but not reduced."""
     r = ctx.r
-    moduli = {}
-    for terms, mod, _ in sums:
-        for a, b, mult, _ in terms:
-            q = mod // mult
-            for v in (a, b):
-                if moduli.get(id(v), (0, 0))[1] < q:
-                    moduli[id(v)] = (v, q)
-    ops = {}
-    for key, (v, q) in moduli.items():
-        top = max(v)
-        if top >= q:
-            v = [x % q for x in v]
-            top = max(v)
-        ops[key] = (v, top)
-
-    # products with an operand that is 0 after reduction drop out; every
-    # other operand value is at most its product's share of the cap
-    width, plans = 1, []
+    # a term whose operand is 0 drops out; every other operand value is at
+    # most its product's share of the cap
+    plans, cap_max, mod_max = [], 0, 0
     for terms, mod, out_len in sums:
         cap = n_u = 0
         live = []
-        for a, b, mult, shift in terms:
-            (va, ma), (vb, mb) = ops[id(a)], ops[id(b)]
+        for term in terms:
+            i, j, mult, shift = term
+            va, ma = ops[i]
+            vb, mb = ops[j]
             la, lb = len(va) // r, len(vb) // r
             n_u = max(n_u, shift + la + lb - 1)
             if ma and mb:
                 cap += mult * min(la, lb, out_len - shift) * r * ma * mb
-                live.append((a, b, mult, shift))
-        n_u = min(n_u, out_len)
-        width = max(width, _conv_width(ctx, cap, mod))
-        plans.append((live, cap, n_u))
+                live.append(term)
+        plans.append((live, cap, min(n_u, out_len)))
+        cap_max, mod_max = max(cap_max, cap), max(mod_max, mod)
 
-    packed = {}
+    # one width holds a folded position of every sum (see above), and is at
+    # least 8 bytes, which `_pack` and `_unpack` convert fastest
+    _, neg_max, norm = ctx._fold
+    width = max(8, ((cap_max * (1 + norm) + neg_max * mod_max).bit_length() + 7) // 8)
+    packed = [None] * len(ops)
     slot_bits = 8 * width * (2 * r - 1)
     out = []
     for (_, mod, _), (live, cap, n_u) in zip(sums, plans):
         acc = 0
-        for a, b, mult, shift in live:
-            for v in (a, b):
-                if id(v) not in packed:
-                    packed[id(v)] = _pack(ops[id(v)][0], width, r, r - 1)
+        for i, j, mult, shift in live:
+            pa = packed[i]
+            if pa is None:
+                pa = packed[i] = _pack(ops[i][0], width, r, r - 1)
+            pb = packed[j]
+            if pb is None:
+                pb = packed[j] = _pack(ops[j][0], width, r, r - 1)
             keep = slot_bits * (n_u - shift)
-            pa, pb = packed[id(a)], packed[id(b)]
             if pa.bit_length() > keep:
                 pa &= (1 << keep) - 1
             if pb.bit_length() > keep:
@@ -648,11 +641,12 @@ def _conv2_raw(ctx, a, b, mod, out_len):
     u-slot.  Returns their product, capped at out_len slots, as a flat list
     mod `mod`, folded mod the residue polynomial on the packed product; the
     fold is linear over Z with integer rows, so the values keep the exact
-    sums' divisibility, which `s_sums` uses.  The one-product case of
+    sums' divisibility, which `s_sums` uses.  The one-term plan of
     `_conv2_sums`, reduced."""
     if not a or not b:
         return []
-    return [v % mod for v in _conv2_sums(ctx, (([(a, b, 1, 0)], mod, out_len),))[0]]
+    ops = (_operand(a, mod), _operand(b, mod))
+    return [v % mod for v in _conv2_sums(ctx, ops, ((((0, 1, 1, 0),), mod, out_len),))[0]]
 
 
 def _fold_w(ctx, slot, mod):

@@ -22,7 +22,7 @@ not depend on the jobs run before it or on their order.
 from __future__ import annotations
 
 import functools
-import time
+from time import perf_counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Tuple
@@ -354,11 +354,37 @@ def _coord_to_of(ctx: PrimeContext, spec) -> OFElem:
     raise ConfigError(f"cannot parse coordinate {spec!r}")
 
 
-@functools.lru_cache(maxsize=1)
-def _prime_context(p, f, n, m, r, nwork) -> PrimeContext:
-    """The context of the last job, kept so that the next job with the
-    same parameters reuses it and its cache."""
-    return PrimeContext(p=p, f=f, n=n, m=m, r=r, nwork=nwork)
+class _LastContext:
+    """`_prime_context(p, f, n, m, r, nwork)`: the context of the last job,
+    kept so that the next job with the same parameters reuses it and its
+    cache.  A replaced context's cache, whose elements refer to the context,
+    is emptied, so the context is freed without the cyclic collector.
+    `hits` counts reuses since `cache_clear()`."""
+
+    key = ctx = None
+    hits = 0
+
+    def __call__(self, *key) -> PrimeContext:
+        if key == self.key:
+            self.hits += 1
+        else:
+            ctx, hits = PrimeContext(*key), self.hits
+            self.cache_clear()
+            self.key, self.ctx, self.hits = key, ctx, hits
+        return self.ctx
+
+    def cache_clear(self):
+        if self.ctx is not None:
+            self.ctx._caches.clear()
+        self.key = self.ctx = None
+        self.hits = 0
+
+
+_prime_context = _LastContext()
+
+
+# a Type I tag carries no data, and tags are frozen, so every slot shares one
+_TYPE_I = TypeTag("I")
 
 
 def _build_lattice(ctx, cfg) -> tuple:
@@ -384,7 +410,7 @@ def _build_lattice(ctx, cfg) -> tuple:
             raise ConfigError("a Type II shorthand's a2 must not be a unit of O_F")
         if zero is None:
             zero, one = OFElem.zero(ctx), OFElem.one(ctx)
-        tag = TypeTag("I") if entry["type"] == "I" else TypeTag("II", alpha=one)
+        tag = _TYPE_I if entry["type"] == "I" else TypeTag("II", alpha=one)
         mats.append(tag.form(a1, a2, zero, one))
         if tags is not None:
             tags.append(tag)
@@ -503,7 +529,7 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
     """
     report = RunReport(config=cfg.serial())
     try:
-        pf = _stage(report, "preflight", lambda: preflight_precision(cfg))
+        pf = _stage(report, "preflight", preflight_precision, cfg)
         report.preflight = pf
         # the preflight has normalized the weights and sized the budget
         weights, budget = cfg.heights, cfg.budget
@@ -512,25 +538,22 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
                              pf["nwork"])
         report.context = ctx.fingerprint()
 
-        lattice, tags = _stage(report, "config", lambda: _build_lattice(ctx, cfg))
+        lattice, tags = _stage(report, "config", _build_lattice, ctx, cfg)
         normalized = lattice
         if tags is None:
-            tags = _stage(report, "normalize",
-                          lambda: classify_lattice(lattice, weights))
+            tags = _stage(report, "normalize", classify_lattice, lattice, weights)
             if any(t.kind == "I" for t in tags):
                 normalized, witness, tags = _stage(
-                    report, "normalize",
-                    lambda: parabolic_normalize(lattice, tags, weights))
-                _stage(report, "normalize", lambda: verify_parabolic_equiv(
-                    lattice, normalized, witness, weights))
+                    report, "normalize", parabolic_normalize, lattice, tags, weights)
+                _stage(report, "normalize", verify_parabolic_equiv,
+                       lattice, normalized, witness, weights)
         report.stages["normalize"] = {"tags": [t.serial() for t in tags]}
         report.stages["lattice"] = {
             "normalized": [[[e.serial() for e in row] for row in m]
                            for m in normalized],
         }
 
-        verdict = _stage(report, "reducibility",
-                         lambda: reducibility_detect(normalized, tags, weights))
+        verdict = _stage(report, "reducibility", reducibility_detect, normalized, tags, weights)
         verdict_serial = verdict.serial()
         report.stages["reducibility"] = dict(
             verdict_serial,
@@ -539,8 +562,7 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
         if verdict.kind == "ReducibleAllII":
             raise PipelineStop("reducibility", ReducibleStop(verdict))
 
-        _, slopes = _stage(report, "slopes",
-                           lambda: frobenius_f_product(normalized, weights))
+        _, slopes = _stage(report, "slopes", frobenius_f_product, normalized, weights)
         report.stages["slopes"] = {
             "newton_slopes": ("undecided at precision" if slopes is None
                               else [str(s) for s in slopes]),
@@ -549,29 +571,25 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
 
         report.stages["budget"] = budget.serial()
         a2_params = tuple(t.params(m)[1] for m, t in zip(normalized, tags))
-        gate = _stage(report, "gate",
-                      lambda: valuation_gate(a2_params, weights, budget))
+        gate = _stage(report, "gate", valuation_gate, a2_params, weights, budget)
         report.stages["gate"] = gate.serial()
 
-        raw, period = _stage(report, "build",
-                             lambda: build_kisin_frobenius(normalized, tags, weights))
-        kf = _stage(report, "det_normalize",
-                    lambda: det_normalize(raw, period, tags, weights, normalized))
+        raw, period = _stage(report, "build", build_kisin_frobenius, normalized, tags, weights)
+        kf = _stage(report, "det_normalize", det_normalize, raw, period, tags, weights,
+                    normalized)
         report.stages["kisin"] = kf.serial()
 
-        split = _stage(report, "prepare", lambda: prepare(kf, budget))
+        split = _stage(report, "prepare", prepare, kf, budget)
         report.stages["prepare"] = {"x_denominators": [x.d for x in split.x1]}
-        _stage(report, "assumptions",
-               lambda: check_descent_assumptions(split, budget))
+        _stage(report, "assumptions", check_descent_assumptions, split, budget)
 
-        cert = _stage(report, "descend", lambda: descend(split, budget))
+        cert = _stage(report, "descend", descend, split, budget)
         report.stages["descent"] = cert.serial()
 
-        reduced = _stage(report, "reduce", lambda: reduce_mod_varpi(cert))
-        mu = _stage(report, "extract", lambda: extract_reduction_data(reduced))
+        reduced = _stage(report, "reduce", reduce_mod_varpi, cert)
+        mu = _stage(report, "extract", extract_reduction_data, reduced)
         report.stages["reduction_data"] = mu.serial()
-        char = _stage(report, "characterize",
-                      lambda: characterize(mu, cfg.p, weights.shifts))
+        char = _stage(report, "characterize", characterize, mu, cfg.p, weights.shifts)
         report.stages["character"] = char.serial()
         report.result = dict(report.stages["character"], reducibility=verdict_serial)
         return report
@@ -590,15 +608,16 @@ class ReducibleStop(CrysredError):
         self.verdict = verdict
 
 
-def _stage(report, name, fn):
-    """Run one stage; its wall time is added to report.timings[name]."""
-    start = time.perf_counter()
+def _stage(report, name, fn, *args):
+    """Run one stage, fn(*args); its wall time is added to
+    report.timings[name]."""
+    start = perf_counter()
     try:
-        return fn()
+        return fn(*args)
     except CrysredError as exc:
         raise PipelineStop(name, exc) from exc
     finally:
-        report.timings[name] = report.timings.get(name, 0.0) + time.perf_counter() - start
+        report.timings[name] = report.timings.get(name, 0.0) + perf_counter() - start
 
 
 def _reject_unknown(table: dict, allowed: set, where: str = ""):

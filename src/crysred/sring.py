@@ -56,6 +56,7 @@ from .arith import (
     _conv2_raw,
     _conv2_sums,
     _of_val_raw,
+    _operand,
     _pack,
     _unpack,
 )
@@ -474,12 +475,11 @@ def s_sums(sums) -> List[SElem]:
     a product is the integer T_k = sum_(i+j=k) c_i c'_j p^car.
 
     Each distinct operand is rescaled once, c_j -> c_j p^(D - floor(j/p))
-    with D = `ctx.dmax`, and divided by p^s, the largest power of p that
-    divides all its rescaled values (one gcd; `_rescaled` keeps s = 0 at
-    r = 1).  An element of O_F[[u]] has s >= D, so it carries no padding
-    digits.  What follows holds for any s with p^s dividing the rescaled
-    values.  With s_x, s_y for the two operands, every term of slot k of
-    the plain convolution of the rescaled operands is
+    with D = `ctx.dmax`, and divided by p^s, a power of p that divides all
+    its rescaled values (`_rescaled`; the largest at r > 1, where an
+    element of O_F[[u]] has s >= D and carries no padding digits).  What
+    follows holds for any such s.  With s_x, s_y for the two operands,
+    every term of slot k of the plain convolution of the rescaled operands is
     c_i c'_j p^(2D - floor(i/p) - floor(j/p) - s_x - s_y), so that slot is
     conv_k = T_k p^(2D - floor(k/p) - s_x - s_y).
 
@@ -508,10 +508,14 @@ def s_sums(sums) -> List[SElem]:
 
     Only the supports count: leading zero slots (which `slice_from` keeps)
     are skipped, and an operand's slots at or above M minus its partners'
-    least first nonzero slot reach no product slot below M.  A batch of
-    one pair (`s_mul`) has multiplier 1 and shift 0; it skips the
-    bookkeeping of shared operands and calls `_conv2_raw`, the one-product
-    case of `_conv2_sums`.
+    least first nonzero slot reach no product slot below M.
+
+    A batch is planned in one pass: one record per distinct operand (first
+    slot, partners' reach, rescaled values and s, and the largest modulus
+    exponent P - g_i of its products, by which `arith._operand` reduces it
+    once), and each product as the indices of its two records, so
+    `_conv2_sums` keys nothing on an operand and computes no modulus.  One
+    pair (`s_mul`) builds no plan and calls `_conv2_raw`, the one-term plan.
     """
     ctx = sums[0][0][0].ctx
     r, m, two_d = ctx.r, ctx.m, 2 * ctx.dmax
@@ -531,38 +535,50 @@ def s_sums(sums) -> List[SElem]:
                     raw = _conv2_raw(ctx, a, b, ctx.ppow(prec - beta), m - lx - ly)
                     vals = _trimmed(_descaled(ctx, raw, beta, lx + ly, prec), r)
         return [SElem._reduced(ctx, vals, d, prec)]
-    # per nonzero operand: the element, its first nonzero slot, and the
-    # least first nonzero slot of its partners
-    lows = {}
+    # a record: [first slot, partners' least first slot, element], then
+    # [values, s] in place of the element, then the modulus exponent
+    index, recs, plans = {}, [], []
     for terms in sums:
+        d = max([x.d + y.d for x, y in terms])
+        prec = d + min([min(x.prec, y.prec) - x.d - y.d for x, y in terms])
+        pairs = []
         for x, y in terms:
             if x.c and y.c:
-                ex = lows.get(id(x)) or lows.setdefault(id(x), [x, _first_nonzero(x.c) // r, m])
-                ey = lows.get(id(y)) or lows.setdefault(id(y), [y, _first_nonzero(y.c) // r, m])
-                ex[2], ey[2] = min(ex[2], ey[1]), min(ey[2], ex[1])
-    ops = {key: (lo,) + _rescaled(ctx, e.c, lo, m - reach)
-           for key, (e, lo, reach) in lows.items() if lo + reach < m}
+                i = index.get(id(x))
+                if i is None:
+                    i = index[id(x)] = len(recs)
+                    recs.append([_first_nonzero(x.c) // r, m, x])
+                j = index.get(id(y))
+                if j is None:
+                    j = index[id(y)] = len(recs)
+                    recs.append([_first_nonzero(y.c) // r, m, y])
+                a, b = recs[i], recs[j]
+                a[1], b[1] = min(a[1], b[0]), min(b[1], a[0])
+                pairs.append((i, j, d - x.d - y.d))
+        plans.append((d, prec, pairs))
+    for rec in recs:
+        lo, reach, x = rec
+        # an operand past its partners' reach makes no slot below M
+        rec[2:] = _rescaled(ctx, x.c, lo, m - reach) if lo + reach < m else (None, 0)
+        rec.append(0)
 
     heads, jobs = [], []
-    for terms in sums:
-        d = max(x.d + y.d for x, y in terms)
-        prec = d + min(min(x.prec, y.prec) - x.d - y.d for x, y in terms)
-        live = []
-        for x, y in terms:
-            a, b = ops.get(id(x)), ops.get(id(y))
-            if a and b and a[0] + b[0] < m:
-                g = a[2] + b[2] - two_d + d - x.d - y.d
-                if g < prec:
-                    live.append((a[1], b[1], a[0] + b[0], g))
-        if not live:
-            heads.append((d, prec, None, 0))
-            continue
-        beta = min(t[3] for t in live)
-        lo = min(t[2] for t in live)
-        jobs.append(([(a, b, ctx.ppow(g - beta), k - lo) for a, b, k, g in live],
-                     ctx.ppow(prec - beta), m - lo))
-        heads.append((d, prec, beta, lo))
-    raws = iter(_conv2_sums(ctx, jobs))
+    for d, prec, pairs in plans:
+        live, beta, lo = [], prec, m
+        for i, j, dd in pairs:
+            a, b = recs[i], recs[j]
+            k = a[0] + b[0]
+            g = a[3] + b[3] - two_d + dd
+            if k < m and g < prec:
+                a[4], b[4] = max(a[4], prec - g), max(b[4], prec - g)
+                beta, lo = min(beta, g), min(lo, k)
+                live.append((i, j, k, g))
+        if live:
+            jobs.append(([(i, j, ctx.ppow(g - beta), k - lo) for i, j, k, g in live],
+                         ctx.ppow(prec - beta), m - lo))
+        heads.append((d, prec, beta if live else None, lo))
+    ops = [_operand(vals, ctx.ppow(e)) if e else None for _, _, vals, _, e in recs]
+    raws = iter(_conv2_sums(ctx, ops, jobs))
     out = []
     for d, prec, beta, lo in heads:
         vals = () if beta is None else _trimmed(_descaled(ctx, next(raws), beta, lo, prec), r)
@@ -589,23 +605,25 @@ def _first_nonzero(c) -> int:
 
 def _rescaled(ctx: PrimeContext, c, lo: int, hi: int) -> tuple:
     """The values of slots lo..hi-1 of c times p^(D - floor(j/p)), divided
-    by p^s, the largest power of p dividing them all; and s.  Slot lo is
-    nonzero.
-
-    At r = 1, s is 0: there the gcd and the division pass cost more than
-    the narrower product saves."""
-    r = ctx.r
-    vals = [v * u for v, u in zip(c[lo * r:hi * r], _scales(ctx, -ctx.dmax)[lo * r:hi * r])]
+    by p^s, and s.  Slot lo is nonzero.  With t = floor(j/p) for the last
+    slot j in range, p^(D - t) divides every such value, so slot j is only
+    multiplied by p^(t - floor(j/p)), and s = D - t + e, where p^e is the
+    largest power of p dividing the products at r > 1, and e = 0 at r = 1:
+    there the gcd and the division pass cost more than they save."""
+    r, p = ctx.r, ctx.p
+    end = min(hi * r, len(c))
+    t = (end // r - 1) // p
+    vals = [v * u for v, u in zip(c[lo * r:end], _scales(ctx, -t)[lo * r:end])]
     if r == 1:
-        return vals, 0
-    g, s, p = gcd(*vals), 0, ctx.p
+        return vals, ctx.dmax - t
+    g, e = gcd(*vals), 0
     while g % p == 0:
         g //= p
-        s += 1
-    if s:
-        q = ctx.ppow(s)
+        e += 1
+    if e:
+        q = ctx.ppow(e)
         vals = [v // q for v in vals]
-    return vals, s
+    return vals, ctx.dmax - t + e
 
 
 def _descaled(ctx: PrimeContext, raw, base: int, lo: int, prec: int) -> list:
@@ -792,6 +810,13 @@ def s_invert(x: SElem, seed: Optional[SElem] = None) -> SElem:
     claims more digits than x carries.  Newton's step squares 1 - x*y, so
     it converges exactly when slot 0 of x*y is 1 mod p; other seeds are
     ignored, and the iteration starts from x's constant-term inverse.
+
+    Each step takes err = 1 - x y and updates y <- y (1 + err).  Products
+    are exact in the ring S_F/(Fil^M, p^prec), so there the new y has
+    x y = (1 - err)(1 + err) = 1 - err^2.  So the loop returns the new y,
+    which a confirming product would accept, when err^2 is certified to
+    vanish: every value of err divisible by p^v with 2v >= prec (err^2 in
+    p^prec S_F), or err's first nonzero slot a with 2a >= M (err^2 in Fil^M).
     """
     try:
         x = x.normalize_d()
@@ -806,12 +831,15 @@ def s_invert(x: SElem, seed: Optional[SElem] = None) -> SElem:
         y = SElem._flat(ctx, seed.c, 0, x.prec)
     else:
         y = SElem.from_of(ctx, x0.unit_inverse())
-    two = SElem.from_int(ctx, 2, x.prec)
+    one = SElem.one(ctx, x.prec)
+    half = ctx.ppow(-(-x.prec // 2))
     for _ in range(ctx.m.bit_length() + x.prec.bit_length() + 4):
-        prod = s_mul(x, y)
-        if prod == SElem.one(ctx, x.prec):
+        err = one - s_mul(x, y)
+        if not err.c:
             return y
-        y = s_mul(y, two - prod)
+        y = s_mul(y, one + err)
+        if 2 * (_first_nonzero(err.c) // ctx.r) >= ctx.m or all(v % half == 0 for v in err.c):
+            return y
     raise NoConvergence("s_invert: Newton iteration did not converge")
 
 

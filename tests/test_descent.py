@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from crysred.arith import OFElem, PrimeContext, _entries, _mat_map, mat_det, mat_mul
 from crysred.errors import (AssumptionViolated, GateFailed, HeightMismatch, NoConvergence,
                             SplitFailed)
+import crysred.arith as arith_mod
 import crysred.descent as descent_mod
 import crysred.sring as sring_mod
 from crysred.descent import (
@@ -500,6 +501,52 @@ class TestFusedProducts:
                             seen.add("first slot >= M")
         assert any(divided)
         assert seen == {"d > 0", "zero", "leading zeros", "first slot >= M"}
+
+
+def dense_entry(ctx, rng):
+    return SElem(ctx, [tuple(rng.randrange(ctx.ppow(ctx.nwork)) for _ in range(ctx.r))
+                       for _ in range(ctx.m)])
+
+
+class TestOnePlanPerBatch:
+    """`s_sums` plans a batch once: each distinct operand is rescaled once
+    and packed once, however many sums share it, and a lone pair goes to
+    `_conv2_raw` with no plan."""
+
+    @pytest.mark.parametrize("p, r", sorted(FUSED_CTXS))
+    def test_shared_operands_are_rescaled_and_packed_once(self, p, r, monkeypatch):
+        ctx = FUSED_CTXS[p, r]
+        x, y, z, w = (dense_entry(ctx, random.Random(10 * p + r + i)) for i in range(4))
+        # w and x are first used squared
+        sums = [((w, w),), ((x, x), (x, y), (z, w)), ((x, w), (y, z))]
+        want = [sum((s_mul(a, b) for a, b in terms[1:]), s_mul(*terms[0])) for terms in sums]
+        s_sums(sums)  # fills `_fold_pack`, which packs through `_pack` too
+        rescaled, packed = [], []
+        rescale, pack = sring_mod._rescaled, arith_mod._pack
+        monkeypatch.setattr(sring_mod, "_rescaled",
+                            lambda *args: rescaled.append(args[1]) or rescale(*args))
+        monkeypatch.setattr(arith_mod, "_pack", lambda *args: packed.append(args) or pack(*args))
+        got = s_sums(sums)
+        assert len(rescaled) == len(set(rescaled)) == 4
+        assert len(packed) == 4
+        assert [as_stored(e) for e in got] == [as_stored(e) for e in want]
+
+    @pytest.mark.parametrize("p, r", sorted(FUSED_CTXS))
+    def test_lone_pair_makes_one_kernel_call_and_no_plan(self, p, r, monkeypatch):
+        ctx = FUSED_CTXS[p, r]
+        x, y = (dense_entry(ctx, random.Random(10 * p + r + i)) for i in range(2))
+        want = as_stored(s_mul(x, y))
+        calls, kernel = [], sring_mod._conv2_raw
+
+        def planned(*args):
+            raise AssertionError("a lone pair built a plan")
+
+        monkeypatch.setattr(sring_mod, "_conv2_raw",
+                            lambda *args: calls.append(args) or kernel(*args))
+        monkeypatch.setattr(sring_mod, "_conv2_sums", planned)
+        monkeypatch.setattr(sring_mod, "_operand", planned)
+        assert as_stored(s_sums([((x, y),)])[0]) == want
+        assert len(calls) == 1
 
 
 def first_slot(x):

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -1027,7 +1028,7 @@ class TestContextReuse:
         assert len({json.dumps(r.context, sort_keys=True) for r in reports}) == 2
         assert [r.error and r.error["stage"] for r in reports] == [
             None, None, None, None, None, None, "gate", "reducibility"]
-        assert pipeline._prime_context.cache_info().hits == 5
+        assert pipeline._prime_context.hits == 5
         assert [r.to_json() for r in reports] == [fresh_report(job) for job in jobs]
 
     @pytest.mark.parametrize("case", range(len(SELF_CHECK_BREAKS)))
@@ -1039,8 +1040,22 @@ class TestContextReuse:
         assert run_pipeline(JobConfig.from_dict(P5_K4)).error["stage"] == stage
         monkeypatch.undo()
         got = run_pipeline(JobConfig.from_dict(P5_K4)).to_json()
-        assert pipeline._prime_context.cache_info().hits == 1
+        assert pipeline._prime_context.hits == 1
         assert got == fresh_report(P5_K4)
+
+    def test_replaced_context_is_freed_without_the_collector(self):
+        # the cached elements refer to their context; once a job replaces
+        # the context, reference counting alone must free it
+        pipeline._prime_context.cache_clear()
+        pf = run_pipeline(JobConfig.from_dict(P5_K4)).preflight
+        old = weakref.ref(pipeline._prime_context(5, 1, pf["N"], pf["M"], 1, pf["nwork"]))
+        assert old()._caches
+        gc.disable()
+        try:
+            assert run_pipeline(JobConfig.from_dict(GOLDEN["f2-r4-p7"][0])).error is None
+            assert old() is None
+        finally:
+            gc.enable()
 
     def test_second_same_context_job_builds_no_context(self, monkeypatch):
         built = []

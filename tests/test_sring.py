@@ -1,6 +1,7 @@
 """Canonical S_F arithmetic: gamma, the Frobenius, the units (1 + w_e)^c,
 lambda units, ideals."""
 
+import random
 from math import comb
 
 import pytest
@@ -509,6 +510,71 @@ class TestInvert:
                 y = s_invert(x, seed=seed)
                 assert y.prec <= x.prec
                 assert s_mul(x, y) == SElem.one(ctx5)
+
+
+class TestNewtonCertificate:
+    """`s_invert` against `useries_ref.newton_invert`, the loop that
+    confirms every step with a product: the same inverse in (c, d, prec),
+    and one product fewer exactly on the calls whose last update had an
+    error err certified to square to 0 (every value divisible by p^v with
+    2v >= prec, or the first nonzero slot a with 2a >= M)."""
+
+    @staticmethod
+    def units(ctx, rng):
+        """Units of five shapes: 1 + p^v c with 2v >= prec, which the
+        valuation certifies; 1 + E^a c with 2a >= M, which the slots
+        certify, and with 2a = M - 1, which they do not; 1 + p^v E^(p-1) at
+        precision 2v + 1, whose error squares to 0 only through the carry p
+        of E^(p-1) E^(p-1), so the loop confirms it; and dense units at
+        random precisions."""
+        m, r = ctx.m, ctx.r
+
+        def values(prec, count):
+            return [[rng.randrange(ctx.ppow(prec)) for _ in range(r)] for _ in range(count)]
+
+        for prec in (2, ctx.n, ctx.nwork):
+            v = -(-prec // 2)
+            yield SElem(ctx, [[1 + ctx.ppow(v) * c[0]] + c[1:] if j == 0 else
+                              [ctx.ppow(v) * x for x in c]
+                              for j, c in enumerate(values(prec, m))], 0, prec)
+            for a in (-(-m // 2), (m - 1) // 2):
+                yield SElem(ctx, [1] + [0] * (a - 1) + values(prec, m - a), 0, prec)
+            yield SElem(ctx, [1] + [0] * (ctx.p - 2) + [ctx.ppow(prec // 2)], 0,
+                        prec // 2 * 2 + 1)
+            for d in (0, 0, 1):
+                # at d = 1 the unit is stored over p^-1; s_invert divides first
+                dense = values(prec, rng.randint(1, m))
+                dense[0][0] = rng.randrange(1, ctx.p) + ctx.p * dense[0][0]
+                yield SElem(ctx, [[ctx.ppow(d) * v for v in c] for c in dense], d, prec + d)
+
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    def test_same_inverse_one_product_fewer(self, r, monkeypatch):
+        import crysred.sring as sring_mod
+        from useries_ref import newton_invert
+
+        ctx = PrimeContext(p=3, f=r, n=6, m=21, r=r, nwork=12)
+        rng = random.Random(r)
+        products, product = [], sring_mod.s_mul
+        monkeypatch.setattr(sring_mod, "s_mul", lambda x, y: products.append(1) or product(x, y))
+        kinds = set()
+        for x in self.units(ctx, rng):
+            near = x + SElem(ctx, [[ctx.ppow(2)] * r], 0, x.prec)
+            for seed in (None, s_invert(near)):
+                ys, count = newton_invert(x, seed)
+                kind = "no update"
+                if len(ys) > 1:
+                    unit = x.normalize_d()
+                    err = SElem.one(ctx, unit.prec) - product(unit, ys[-2])
+                    first = next(i for i, v in enumerate(err.c) if v) // r
+                    half = ctx.ppow(-(-err.prec // 2))
+                    kind = ("slots" if 2 * first >= ctx.m else
+                            "valuation" if all(v % half == 0 for v in err.c) else "confirmed")
+                products.clear()
+                got = s_invert(x, seed=seed)
+                assert (got.c, got.d, got.prec) == (ys[-1].c, ys[-1].d, ys[-1].prec)
+                assert len(products) == count - (kind in ("slots", "valuation"))
+                kinds.add(kind)
+        assert kinds == {"no update", "confirmed", "slots", "valuation"}
 
 
 class TestUnitPower:

@@ -4,14 +4,16 @@ The package keeps `USeries` only as the record that `SElem.residue` and
 `SElem.to_useries` return.  The ring operations that the tests check
 against live here, on those records.  The product is a schoolbook sum of
 `OFElem` products, so it shares nothing with the packed kernel
-`_conv2_raw` or with `s_mul`.
+`_conv2_raw` or with `s_mul`.  `newton_invert`, the reference for
+`s_invert`'s certificate, is the Newton loop on `s_mul` that confirms every
+step with a product.
 """
 
 from math import comb
 
 from crysred.arith import OFElem, USeries
-from crysred.errors import PrecisionExhausted
-from crysred.sring import SElem
+from crysred.errors import NoConvergence, PrecisionExhausted
+from crysred.sring import SElem, s_mul
 
 
 def series(ctx, coeffs=(), prec=None):
@@ -134,3 +136,27 @@ def unit_power(ctx, e, c):
         coef = coef * (c - l) // (l + 1)
         l += 1
     return SElem(ctx, [acc[j:j + ctx.r] for j in range(0, len(acc), ctx.r)], 0, ctx.nwork)
+
+
+def newton_invert(x, seed=None):
+    """The inverse of the unit x by the Newton loop that confirms every
+    step: each step takes the product x y and stops when it is 1, else
+    updates y <- y (2 - x y).  The seed rule is `s_invert`'s.  Returns the
+    iterates y, the last one the inverse, and the number of products."""
+    x = x.normalize_d()
+    ctx, r = x.ctx, x.ctx.r
+    x0 = x.coeff(0)
+    if seed is not None and seed.d == 0 and \
+            (x0 * seed.coeff(0)).residue() == OFElem.one(ctx).residue():
+        ys = [SElem(ctx, [seed.c[j:j + r] for j in range(0, len(seed.c), r)], 0, x.prec)]
+    else:
+        ys = [SElem.from_of(ctx, x0.unit_inverse())]
+    two, products = SElem.from_int(ctx, 2, x.prec), 0
+    for _ in range(ctx.m.bit_length() + x.prec.bit_length() + 4):
+        prod = s_mul(x, ys[-1])
+        products += 1
+        if prod == SElem.one(ctx, x.prec):
+            return ys, products
+        ys.append(s_mul(ys[-1], two - prod))
+        products += 1
+    raise NoConvergence("newton_invert did not converge")
