@@ -1,5 +1,6 @@
 """Print the job count and two SHA-256 digests over every benchmark report,
-then the line counts of the package and of the tests.
+the descent steps certified empty, then the line counts of the package and
+of the tests.
 
 Runs the job lists of perfbench/workloads.py at seeds 1-3 through
 JobConfig.from_dict -> run_pipeline -> to_json.  The first line hashes the
@@ -11,9 +12,13 @@ whether any answer moved.  scripts/reports.sha256 and
 scripts/answers.sha256 pin the two lines for the tier-1 workflow.  Each list then runs again in reverse order in
 the same process; when a report differs from its forward-order run, the
 script names the first such job on stderr and exits 1, since a report must
-not depend on the jobs run before it.  The third line counts the lines of
-src/crysred/*.py and of tests/*.py, so a refactor reports its size with
-its digests.
+not depend on the jobs run before it.  The third line counts, over the
+forward runs, the descent steps that `descent._certified_empty` certifies
+empty and all the steps it was asked about (each computed step once);
+scripts/certified_steps.txt pins it, so losing the shortcut fails the
+tier-1 workflow even when no report byte moves.  The fourth line counts
+the lines of src/crysred/*.py and of tests/*.py, so a refactor reports its
+size with its digests.
 
 Usage: python3 scripts/report_digest.py
 """
@@ -27,8 +32,23 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
+import crysred.descent  # noqa: E402
 from crysred.pipeline import JobConfig, run_pipeline  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
+
+steps = {"counting": True, "asked": 0, "certified": 0}
+certify = crysred.descent._certified_empty
+
+
+def counted(c, a, unit):
+    w = certify(c, a, unit)
+    if steps["counting"]:
+        steps["asked"] += 1
+        steps["certified"] += w is not None
+    return w
+
+
+crysred.descent._certified_empty = counted
 
 
 def report(job):
@@ -53,7 +73,9 @@ digest, answers, count, differs = hashlib.sha256(), hashlib.sha256(), 0, None
 for name, make in WORKLOADS.items():
     for seed in (1, 2, 3):
         jobs = make(seed)
+        steps["counting"] = True
         forward = [report(job) for job in jobs]
+        steps["counting"] = False
         for text in forward:
             digest.update(text.encode())
             answers.update(answer(text).encode())
@@ -65,6 +87,7 @@ for name, make in WORKLOADS.items():
                             if a != b), None)
 print(count, digest.hexdigest())
 print(count, answers.hexdigest(), "answers")
+print(f"{steps['certified']} of {steps['asked']} descent steps certified empty")
 print(", ".join(f"{line_count(part)} lines in {part}"
                 for part in ("src/crysred/*.py", "tests/*.py")))
 if differs is not None:

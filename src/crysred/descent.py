@@ -15,6 +15,7 @@ prepared part mod p, packaged with the full iteration log.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import List, Optional, Tuple
 
 from .arith import _entries, _mat_map, mat_add, mat_sub
@@ -29,7 +30,8 @@ from .errors import (
 )
 from .kisin import KisinFrobenius
 from .lattices import WeightData
-from .sring import SElem, fil_membership, in_p_pow_s, s_frobenius, s_invert, s_sums
+from .sring import (SElem, _first_nonzero, _frobenius_scales, _sum_shape, fil_membership,
+                    in_p_pow_s, s_frobenius, s_invert, s_sums)
 
 
 @dataclass(frozen=True)
@@ -282,6 +284,91 @@ def _times_partner(c: Mat2, a: Mat2, inv: SElem) -> Mat2:
     return mat_mul(x, ((a[1][1], -a[0][1]), (-a[1][0], a[0][0])))
 
 
+def _certified_empty(c: Mat2, a: Mat2, unit: SElem) -> Optional[Mat2]:
+    """W = (inv C) adj(A) of `_times_partner`, inv the inverse of `unit`, as
+    zeros at W's (d, prec) when phi(W) is certified to vanish at its
+    precision; else None.  It takes no inverse and no product.
+
+    The shapes.  For a unit at d = 0, s_invert gives inv at (0, prec_unit),
+    so inv C_il has (d_C, min(prec_C, prec_unit)) and W_ij the (d_ij, P_ij)
+    that `_sum_shape` gives the pairs (inv C_il, adj_lj); phi(W_ij) keeps
+    d_ij and has precision need_ij = min(P_ij, M - floor(M/p)).
+
+    The bound.  Let g(j) = j - floor(j/p), v(x) the least valuation of x's
+    numerator values and j0(x) its first nonzero slot.  phi(W) is zero when
+    for every i, j, l with C_il != 0 and adj_lj != 0, every nonzero slot s
+    of C_il has v(C_il[s]) + v(adj_lj) + g(s + j0(adj_lj)) >= need_ij.
+
+    Why.  Mod p^(P_ij), slot t of W_ij's numerator is a sum of terms
+    inv[a] C_il[s] adj_lj[b] p^e with a + s + b = t and e >= 0: the carries
+    of `s_sums` and its multipliers p^(d_ij - d_(inv C_il) - d_adj) are
+    powers of p, inv is integral, reducing inv C_il mod its precision adds
+    multiples of p^(P_ij) only, and the truncation at E^M drops terms.  phi
+    takes E^t/p^floor(t/p) to p^g(t) gamma^t with gamma in S_F, and g never
+    decreases, so g(t) >= g(s + j0(adj_lj)).  So every term of every
+    numerator value of phi(W_ij) is 0 mod p^(need_ij).
+
+    Each (l, j) is one pass over C_il's slots from its first nonzero one:
+    slot s passes when its values times p^g(s + j0(adj_lj)) vanish mod
+    p^(need_ij - v(adj_lj)), and the pass ends where g alone reaches that.
+    """
+    ctx = unit.ctx
+    if unit.d:
+        return None
+    p, r = ctx.p, ctx.r
+    x = [[SElem._reduced(ctx, (), e.d, min(e.prec, unit.prec)) for e in row] for row in c]
+    adj = ((a[1][1], a[0][1]), (a[1][0], a[0][0]))     # adj(A) up to signs
+    w = [SElem._reduced(ctx, (), *_sum_shape(t)) for t in _product_sums(x, (adj,))]
+    top, gains = ctx.m - ctx.m // p, _frobenius_scales(ctx)
+    for l in (0, 1):
+        col = [(i, e, _least_valuation(ctx, e.c), _first_nonzero(e.c) // r)
+               for i, e in enumerate((c[0][l], c[1][l])) if e.c]
+        for j in (0, 1):
+            y = adj[l][j]
+            if not col or not y.c:
+                continue
+            v, j0 = _least_valuation(ctx, y.c), _first_nonzero(y.c) // r
+            for i, e, ve, lo in col:
+                n = min(w[2 * i + j].prec, top) - v
+                # g(s + j0) >= n from slot s = n + floor((n-1)/(p-1)) - j0 on
+                hi = n + (n - 1) // (p - 1) - j0
+                if ve + lo + j0 - (lo + j0) // p < n and lo < hi:
+                    mod = ctx.ppow(n)
+                    if any([z * q % mod for z, q in zip(e.c[lo * r:hi * r],
+                                                      gains[(lo + j0) * r:])]):
+                        return None
+    return _as_mats(w)[0]
+
+
+def _least_valuation(ctx, values) -> int:
+    """The least p-adic valuation of nonzero `values`."""
+    g, v = gcd(*values), 0
+    while g % ctx.p == 0:
+        g //= ctx.p
+        v += 1
+    return v
+
+
+def _absorb_nothing(a: Mat2, unit: SElem, det: SElem, factor: Mat2):
+    """(new A, unit, det(new A)) of an empty step's absorption, where
+    I + D1 = `factor` is I and D2 is 0 as values, with no product taken.
+
+    Each keeps its value at the (d, prec) that `_sum_shape` gives the
+    absorption's products: entry (r, c) of A (I + D1) is A_rc 1 + A_r(1-c) 0,
+    det(I + D1) is 1, unit det(I + D1) is the unit, and det(new A) is
+    det(A) over the new denominators.  A sum's d is at least each of its
+    terms' d and its prec - d at most theirs, so `SElem._at` gives exactly
+    the values the products would."""
+    def det_shape(m):
+        # the pairs of `_det_sum(m)`; a sign does not change a shape
+        return _sum_shape(((m[0][0], m[1][1]), (m[0][1], m[1][0])))
+
+    terms = _product_sums(a, (factor,))
+    new_a = _as_mats([e._at(*_sum_shape(t)) for e, t in zip(_entries(a), terms)])[0]
+    fdet = SElem.one(unit.ctx)._at(*det_shape(factor))
+    return new_a, unit._at(*_sum_shape(((unit, fdet),))), det._at(*det_shape(new_a))
+
+
 @dataclass
 class DescentCertificate:
     """Output of `descend`: the integral tuple plus the iteration log."""
@@ -384,6 +471,28 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
     det(I + D1) is one more sum in the batch of A (I + D1) and A D2, and
     unit det(I + D1) and det(new A) share one batch.
 
+    Empty steps take no inverse and no product.  A step is empty when
+    phi(W) vanishes at its precision, so D1 = D2 = 0.  `_certified_empty`
+    decides it from C/E^k and A before anything is inverted:
+    phi(E^j/p^floor(j/p)) = p^g(j) gamma^j with g(j) = j - floor(j/p)
+    nondecreasing and gamma in S_F, the carries of a product are powers of
+    p and the inverse is integral, so when every slot s of C/E^k has
+    v(C_il[s]) + v(adj(A)_lj) + g(s + j0(adj(A)_lj)) >= the precision of
+    phi(W_ij), every numerator value of phi(W) is 0 there (the proof is in
+    `_certified_empty`).  W is then zeros at the (d, prec) the products
+    would give it, and goes through the same `s_frobenius`, `normalize_d`,
+    slices and checks, so D1, D2, the chain row and every raise are those
+    of the full path.  Its absorption (`_absorb_nothing`) keeps A, the unit
+    and det(A) and gives them the (d, prec) of the products (`_sum_shape`);
+    the slot's remainder is then clean.  `check_dets` still checks the slot.
+    The skipped `s_invert` could not have raised: it raises only on a
+    non-unit (Newton's iteration converges on every unit), the unit is
+    certified a unit at creation (`_det_over_e_pow`), and every update
+    multiplies it by det(I + D1), checked to be 1 mod p, or (empty step) by
+    1.  A slot's inverse seed is then left from its last full step.  It is
+    only a starting guess, which `s_invert` checks, so no inverse changes,
+    but the next inversion may take more Newton steps.
+
     Each final entry must differ from A0's in p*O_F[[u]], checked on every
     slot at the entry's precision.  Its residue is read off the slots
     below the window L = `read_off_window(p, k_max)`; `final_prec` is the
@@ -450,9 +559,12 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
                 continue
             k_i = weights.k[i]
             ell, threshold = _gain_step(hs[i], k_i, p)
-            inv_seeds[i] = s_invert(units[i], seed=inv_seeds[i])
-            w = _times_partner(_mat_map(lambda e: e.div_e_pow(k_i), c), a_mats[i],
-                               inv_seeds[i])
+            c = _mat_map(lambda e: e.div_e_pow(k_i), c)       # C/E^k
+            w = _certified_empty(c, a_mats[i], units[i])
+            empty = w is not None
+            if not empty:
+                inv_seeds[i] = s_invert(units[i], seed=inv_seeds[i])
+                w = _times_partner(c, a_mats[i], inv_seeds[i])
             phi_w = _mat_map(lambda e: s_frobenius(e).normalize_d(), w)
             d1 = _mat_map(lambda e: e.slice_below(threshold), phi_w)
             d2 = _mat_map(lambda e: e.slice_from(threshold), phi_w)
@@ -462,7 +574,7 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
             if not all(fil_membership(e, threshold) for e in _entries(d2)):
                 raise SplitFailed(f"iteration {n}, slot {i}: tail of "
                                   f"phi(C'B) not in Fil^{threshold}")
-            steps.append((d1, d2, threshold))
+            steps.append((d1, d2, threshold, empty))
             # chain j started at slot j and moves one slot per iteration
             for slot in range(i, f, period):
                 chains[(slot - iteration) % f].append({
@@ -477,8 +589,16 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
                 # nothing arrives, and slot i's own remainder has moved on
                 c_mats[i] = None
                 continue
-            d1, d2, threshold = step
+            d1, d2, threshold, empty = step
             factor = mat_add(eye, d1)
+            hs[i] = threshold
+            if empty:
+                # D1 = D2 = 0: nothing arrives, and A, the unit and det(A)
+                # change only in (d, prec)
+                a_mats[i], units[i], dets[i] = _absorb_nothing(
+                    a_mats[i], units[i], dets[i], factor)
+                c_mats[i] = None
+                continue
             v = s_sums(_product_sums(a_mats[i], (factor, d2)) + [_det_sum(factor)])
             (new_a, c_mats[i]), fdet = _as_mats(v[:8]), v[8]
             if not in_p_pow_s(fdet - SElem.one(ctx, fdet.prec), 1):
@@ -487,7 +607,7 @@ def descend(split: PreparedSplit, budget: HeightBudget) -> DescentCertificate:
             diff = mat_sub(new_a, a_mats[i])
             if not all(in_p_pow_s(e, 1) for e in _entries(diff)):
                 raise SplitFailed(f"iteration {n}: mod-p stability broken")
-            a_mats[i], hs[i] = new_a, threshold
+            a_mats[i] = new_a
         iteration = n
         check_dets(iteration, steps)
 

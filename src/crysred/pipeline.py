@@ -120,6 +120,26 @@ class JobConfig:
                     raise ConfigError(f"params[{i}] needs a1 and a2")
             else:
                 raise ConfigError(f"params[{i}] needs 'type' or 'matrix'")
+        # every coordinate is parsed once, here; the config stage raises on
+        # one that does not parse
+        _ = self.coords
+
+    @functools.cached_property
+    def coords(self) -> list:
+        """Per params entry, its coordinates (a1 and a2, or the matrix's
+        four, row by row) as `_parsed_coord` reads them, and None for one
+        that it rejects."""
+        r = self.r or self.f
+
+        def parsed(spec):
+            try:
+                return _parsed_coord(spec, r)
+            except ConfigError:
+                return None
+
+        return [[parsed(v) for v in (entry["matrix"][0] + entry["matrix"][1]
+                                     if "matrix" in entry else (entry["a1"], entry["a2"]))]
+                for entry in self.params]
 
     @functools.cached_property
     def heights(self) -> WeightData:
@@ -280,7 +300,7 @@ def preflight_precision(cfg: JobConfig) -> dict:
 
 
 def _coord_valuation(p: int, spec):
-    """v_p of a coordinate as `_coord_to_of` reads it: inf for 0, and for a
+    """v_p of a coordinate as `_build_lattice` reads it: inf for 0, and for a
     spec it rejects (the config stage stops that job)."""
     if _is_int(spec):
         coeffs, pexp = [spec], 0
@@ -333,11 +353,12 @@ def _reducibility_need(cfg: JobConfig, weights) -> int:
         n += 1
 
 
-def _coord_to_of(ctx: PrimeContext, spec) -> OFElem:
-    """Parse a coordinate: an int, or {coeffs: [...], pexp: t} meaning
-    p^t * (polynomial in the residue generator)."""
+def _parsed_coord(spec, r: int) -> tuple:
+    """(coeffs, pexp) of a coordinate: an int n is ((n,), 0), and
+    {coeffs: [...], pexp: t}, with at most r coeffs, means p^t * (polynomial
+    in the residue generator).  ConfigError on anything else."""
     if _is_int(spec):
-        return OFElem.from_int(ctx, spec)
+        return (spec,), 0
     if isinstance(spec, dict):
         _reject_unknown(spec, {"coeffs", "pexp"}, "coordinate: ")
         coeffs = spec.get("coeffs")
@@ -346,11 +367,9 @@ def _coord_to_of(ctx: PrimeContext, spec) -> OFElem:
             raise ConfigError("coordinate coeffs must be a list of integers")
         if not _is_int(pexp) or pexp < 0:
             raise ConfigError(f"coordinate pexp must be an integer >= 0, got {pexp!r}")
-        if len(coeffs) > ctx.r:
-            raise ConfigError(f"coordinate has {len(coeffs)} coeffs but r = {ctx.r}")
-        # p^pexp is 0 mod p^nwork once pexp >= nwork
-        t = ctx.ppow(min(pexp, ctx.nwork))
-        return OFElem(ctx, [v * t for v in coeffs])
+        if len(coeffs) > r:
+            raise ConfigError(f"coordinate has {len(coeffs)} coeffs but r = {r}")
+        return coeffs, pexp
     raise ConfigError(f"cannot parse coordinate {spec!r}")
 
 
@@ -395,14 +414,21 @@ def _build_lattice(ctx, cfg) -> tuple:
     it."""
     mats, tags = [], []
     zero = one = None
-    for entry in cfg.params:
-        if "matrix" in entry:
+    for entry, parsed in zip(cfg.params, cfg.coords):
+        explicit = "matrix" in entry
+        specs = (entry["matrix"][0] + entry["matrix"][1] if explicit
+                 else (entry["a1"], entry["a2"]))
+        m = []
+        for spec, q in zip(specs, parsed):
+            coeffs, pexp = q or _parsed_coord(spec, ctx.r)
+            # p^pexp is 0 mod p^nwork once pexp >= nwork
+            t = ctx.ppow(min(pexp, ctx.nwork))
+            m.append(OFElem(ctx, [v * t for v in coeffs]))
+        if explicit:
             tags = None
-            mats.append(tuple(tuple(_coord_to_of(ctx, v) for v in row)
-                              for row in entry["matrix"]))
+            mats.append(((m[0], m[1]), (m[2], m[3])))
             continue
-        a1 = _coord_to_of(ctx, entry["a1"])
-        a2 = _coord_to_of(ctx, entry["a2"])
+        a1, a2 = m
         if not a1.is_unit():
             raise ConfigError("a1 must be a unit of O_F")
         # [[a1, 0], [a2, 1]] with a unit a2 is Type I, not II
@@ -425,7 +451,7 @@ class RunReport:
     stages: dict = field(default_factory=dict)
     result: Optional[dict] = None
     error: Optional[dict] = None
-    timings: dict = field(default_factory=dict)   # seconds, summed per stage
+    timings: dict = field(default_factory=dict)   # seconds per stage that ran
     version: str = __version__
 
     def serial(self, include_timings=False):
@@ -501,15 +527,6 @@ def _json_text(x, nl: str) -> str:
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
-class PipelineStop(CrysredError):
-    """Internal: wraps a stage error with its stage name."""
-
-    def __init__(self, stage, exc):
-        super().__init__(f"[{stage}] {exc}")
-        self.stage = stage
-        self.exc = exc
-
-
 def run_pipeline(cfg: JobConfig) -> RunReport:
     """Execute the stages in order; see the module docstring.
 
@@ -526,10 +543,17 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
 
     A job whose context equals the previous job's reuses that context and
     the work cached on it; the report is the same in any job order.
+
+    `stage` names the stage that runs, which a CrysredError stops the job
+    in.  A stage's time in `report.timings` runs from its start to the
+    next stage's start (or the job's end), so it includes the report
+    entries written after it; the preflight's includes the context.
     """
     report = RunReport(config=cfg.serial())
+    laps = report.timings
+    stage, start = "preflight", perf_counter()
     try:
-        pf = _stage(report, "preflight", preflight_precision, cfg)
+        pf = preflight_precision(cfg)
         report.preflight = pf
         # the preflight has normalized the weights and sized the budget
         weights, budget = cfg.heights, cfg.budget
@@ -538,66 +562,91 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
                              pf["nwork"])
         report.context = ctx.fingerprint()
 
-        lattice, tags = _stage(report, "config", _build_lattice, ctx, cfg)
+        laps[stage] = (now := perf_counter()) - start
+        stage, start = "config", now
+        lattice, tags = _build_lattice(ctx, cfg)
         normalized = lattice
         if tags is None:
-            tags = _stage(report, "normalize", classify_lattice, lattice, weights)
+            laps[stage] = (now := perf_counter()) - start
+            stage, start = "normalize", now
+            tags = classify_lattice(lattice, weights)
             if any(t.kind == "I" for t in tags):
-                normalized, witness, tags = _stage(
-                    report, "normalize", parabolic_normalize, lattice, tags, weights)
-                _stage(report, "normalize", verify_parabolic_equiv,
-                       lattice, normalized, witness, weights)
+                normalized, witness, tags = parabolic_normalize(lattice, tags, weights)
+                verify_parabolic_equiv(lattice, normalized, witness, weights)
         report.stages["normalize"] = {"tags": [t.serial() for t in tags]}
         report.stages["lattice"] = {
             "normalized": [[[e.serial() for e in row] for row in m]
                            for m in normalized],
         }
 
-        verdict = _stage(report, "reducibility", reducibility_detect, normalized, tags, weights)
+        laps[stage] = (now := perf_counter()) - start
+        stage, start = "reducibility", now
+        verdict = reducibility_detect(normalized, tags, weights)
         verdict_serial = verdict.serial()
         report.stages["reducibility"] = dict(
             verdict_serial,
             note="NotDetected is not a proof of irreducibility; the detector "
                  "implements sufficient conditions only.")
         if verdict.kind == "ReducibleAllII":
-            raise PipelineStop("reducibility", ReducibleStop(verdict))
+            raise ReducibleStop(verdict)
 
-        _, slopes = _stage(report, "slopes", frobenius_f_product, normalized, weights)
+        laps[stage] = (now := perf_counter()) - start
+        stage, start = "slopes", now
+        _, slopes = frobenius_f_product(normalized, weights)
         report.stages["slopes"] = {
             "newton_slopes": ("undecided at precision" if slopes is None
                               else [str(s) for s in slopes]),
             "det_valuation": sum(weights.k),
         }
 
+        laps[stage] = (now := perf_counter()) - start
+        stage, start = "gate", now
         report.stages["budget"] = budget.serial()
         a2_params = tuple(t.params(m)[1] for m, t in zip(normalized, tags))
-        gate = _stage(report, "gate", valuation_gate, a2_params, weights, budget)
+        gate = valuation_gate(a2_params, weights, budget)
         report.stages["gate"] = gate.serial()
 
-        raw, period = _stage(report, "build", build_kisin_frobenius, normalized, tags, weights)
-        kf = _stage(report, "det_normalize", det_normalize, raw, period, tags, weights,
-                    normalized)
+        laps[stage] = (now := perf_counter()) - start
+        stage, start = "build", now
+        raw, period = build_kisin_frobenius(normalized, tags, weights)
+        laps[stage] = (now := perf_counter()) - start
+        stage, start = "det_normalize", now
+        kf = det_normalize(raw, period, tags, weights, normalized)
         report.stages["kisin"] = kf.serial()
 
-        split = _stage(report, "prepare", prepare, kf, budget)
+        laps[stage] = (now := perf_counter()) - start
+        stage, start = "prepare", now
+        split = prepare(kf, budget)
         report.stages["prepare"] = {"x_denominators": [x.d for x in split.x1]}
-        _stage(report, "assumptions", check_descent_assumptions, split, budget)
+        laps[stage] = (now := perf_counter()) - start
+        stage, start = "assumptions", now
+        check_descent_assumptions(split, budget)
 
-        cert = _stage(report, "descend", descend, split, budget)
+        laps[stage] = (now := perf_counter()) - start
+        stage, start = "descend", now
+        cert = descend(split, budget)
         report.stages["descent"] = cert.serial()
 
-        reduced = _stage(report, "reduce", reduce_mod_varpi, cert)
-        mu = _stage(report, "extract", extract_reduction_data, reduced)
+        laps[stage] = (now := perf_counter()) - start
+        stage, start = "reduce", now
+        reduced = reduce_mod_varpi(cert)
+        laps[stage] = (now := perf_counter()) - start
+        stage, start = "extract", now
+        mu = extract_reduction_data(reduced)
         report.stages["reduction_data"] = mu.serial()
-        char = _stage(report, "characterize", characterize, mu, cfg.p, weights.shifts)
+        laps[stage] = (now := perf_counter()) - start
+        stage, start = "characterize", now
+        char = characterize(mu, cfg.p, weights.shifts)
         report.stages["character"] = char.serial()
         report.result = dict(report.stages["character"], reducibility=verdict_serial)
+        laps[stage] = perf_counter() - start
         return report
-    except PipelineStop as stop:
+    except CrysredError as exc:
+        laps[stage] = perf_counter() - start
         report.error = {
-            "stage": stop.stage,
-            "type": type(stop.exc).__name__,
-            "message": str(stop.exc),
+            "stage": stage,
+            "type": type(exc).__name__,
+            "message": str(exc),
         }
         return report
 
@@ -606,18 +655,6 @@ class ReducibleStop(CrysredError):
     def __init__(self, verdict: ReducibilityVerdict):
         super().__init__(f"classified reducible: {verdict.kind}")
         self.verdict = verdict
-
-
-def _stage(report, name, fn, *args):
-    """Run one stage, fn(*args); its wall time is added to
-    report.timings[name]."""
-    start = perf_counter()
-    try:
-        return fn(*args)
-    except CrysredError as exc:
-        raise PipelineStop(name, exc) from exc
-    finally:
-        report.timings[name] = report.timings.get(name, 0.0) + perf_counter() - start
 
 
 def _reject_unknown(table: dict, allowed: set, where: str = ""):

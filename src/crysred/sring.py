@@ -254,6 +254,16 @@ class SElem:
         return SElem._reduced(self.ctx, tuple([v * s for v in self.c]), d_new,
                               self.prec + t)
 
+    def _at(self, d: int, prec: int) -> "SElem":
+        """The same element over p^(-d) at precision prec, for d >= self.d
+        and prec <= self.prec + d - self.d: the numerator times p^(d - d_self)
+        (`_lift_d`), reduced mod p^prec."""
+        x = self._lift_d(d)
+        if prec == x.prec:
+            return x
+        mod = self.ctx.ppow(prec)
+        return SElem._reduced(self.ctx, _trimmed([v % mod for v in x.c], self.ctx.r), d, prec)
+
     def _plus(self, other, sign):
         """self + sign * other, sign = 1 or -1."""
         if isinstance(other, int):
@@ -523,7 +533,7 @@ def s_sums(sums) -> List[SElem]:
         # one pair (`s_mul`): nothing is shared, beta = g, so the multiplier
         # is 1 and the shift 0, and the kernel is `_conv2_raw`
         (x, y), = sums[0]
-        d, prec = x.d + y.d, min(x.prec, y.prec)
+        d, prec = x.d + y.d, min(x.prec, y.prec)      # `_sum_shape` of one pair
         vals = ()
         if x.c and y.c:
             lx, ly = _first_nonzero(x.c) // r, _first_nonzero(y.c) // r
@@ -539,8 +549,7 @@ def s_sums(sums) -> List[SElem]:
     # [values, s] in place of the element, then the modulus exponent
     index, recs, plans = {}, [], []
     for terms in sums:
-        d = max([x.d + y.d for x, y in terms])
-        prec = d + min([min(x.prec, y.prec) - x.d - y.d for x, y in terms])
+        d, prec = _sum_shape(terms)
         pairs = []
         for x, y in terms:
             if x.c and y.c:
@@ -584,6 +593,14 @@ def s_sums(sums) -> List[SElem]:
         vals = () if beta is None else _trimmed(_descaled(ctx, next(raws), beta, lo, prec), r)
         out.append(SElem._reduced(ctx, vals, d, prec))
     return out
+
+
+def _sum_shape(terms) -> Tuple[int, int]:
+    """(d, prec) of the sum of x y over the pairs (x, y) of `terms`, the rule
+    of `s_sums`: d = max(d_x + d_y) and prec = d + min(min(prec_x, prec_y)
+    - d_x - d_y).  It reads no value, so a zero pair counts too."""
+    d = max([x.d + y.d for x, y in terms])
+    return d, d + min([min(x.prec, y.prec) - x.d - y.d for x, y in terms])
 
 
 def s_mul(x: SElem, y: SElem) -> SElem:

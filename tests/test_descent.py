@@ -14,6 +14,7 @@ import crysred.arith as arith_mod
 import crysred.descent as descent_mod
 import crysred.sring as sring_mod
 from crysred.descent import (
+    _certified_empty,
     _det_over_e_pow,
     _times_partner,
     check_descent_assumptions,
@@ -26,9 +27,10 @@ from crysred.descent import (
 )
 from crysred.kisin import _rotation_period, build_kisin_frobenius, det_normalize
 from crysred.lattices import TypeTag, WeightData
-from crysred.sring import SElem, fil_membership, s_invert, s_mul, s_sums
+from crysred.sring import SElem, fil_membership, s_frobenius, s_invert, s_mul, s_sums
 
 from conftest import benchmark_workloads
+from test_golden import GOLDEN
 from test_lattices import mat
 from useries_ref import e_pow
 
@@ -316,27 +318,35 @@ class TestDescend:
 
     @pytest.mark.parametrize("name", ["f2-r2-mixed", "f3-r3-p3-mixed"])
     def test_clean_neighbour_makes_no_products(self, name, monkeypatch):
-        # each step costs one product (W) and its absorption two; a slot
-        # whose left neighbour is clean is left as it is
+        # each live step costs one product (W) and its absorption two, an
+        # empty step none (its term lists only give shapes); a slot whose
+        # left neighbour is clean is left as it is
         import crysred.descent as descent_mod
         from crysred.pipeline import JobConfig, run_pipeline
         from test_golden import GOLDEN
 
         calls, batch = [], descent_mod._product_sums
-        monkeypatch.setattr(descent_mod, "_product_sums",
-                            lambda a, bs: calls.extend(bs) or batch(a, bs))
+
+        def counted(a, bs):
+            if sys._getframe(1).f_code.co_name in ("mat_mul", "descend"):
+                calls.extend(bs)
+            return batch(a, bs)
+
+        monkeypatch.setattr(descent_mod, "_product_sums", counted)
+        certified = count_certified(monkeypatch)
         report = run_pipeline(JobConfig.from_dict(GOLDEN[name][0]))
         rows = sum(len(chain) for chain in report.stages["descent"]["chains"])
-        assert report.error is None and rows > 0
-        assert len(calls) == 3 * rows
+        assert report.error is None and rows > len(certified) > 0
+        assert len(calls) == 3 * (rows - len(certified))
 
     @pytest.mark.parametrize("name", ["f2-r2-mixed", "f3-r3-p3-mixed"])
     def test_unchanged_slots_skip_the_det_check(self, name, monkeypatch):
-        # det(A) is taken once per initial unit and absorbed factor, and
-        # once per slot and check (the height partner inverts the checked
-        # unit), except that the first iterate's det(A) serves both its
-        # unit and the check at iteration 0; from iteration 1 on, a slot
-        # whose left neighbour was clean is not checked again
+        # det(A) is taken once per initial unit and absorbed live factor,
+        # and once per slot and check (the height partner inverts the
+        # checked unit), except that the first iterate's det(A) serves both
+        # its unit and the check at iteration 0; an empty step's absorption
+        # takes no determinant.  From iteration 1 on, a slot whose left
+        # neighbour was clean is not checked again
         import crysred.descent as descent_mod
         from crysred.pipeline import JobConfig, run_pipeline
         from test_golden import GOLDEN
@@ -349,28 +359,37 @@ class TestDescend:
                 checked.append(x)
             return eq(x, y)
 
-        monkeypatch.setattr(descent_mod, "_det_sum",
-                            lambda a: calls.append(1) or det_sum(a))
+        def counted(a):
+            # an empty step's absorption takes only the shapes of its pairs
+            if sys._getframe(1).f_code.co_name != "_absorb_nothing":
+                calls.append(1)
+            return det_sum(a)
+
+        monkeypatch.setattr(descent_mod, "_det_sum", counted)
         monkeypatch.setattr(SElem, "__eq__", compared)
+        certified = count_certified(monkeypatch)
         config = GOLDEN[name][0]
         descent = run_pipeline(JobConfig.from_dict(config)).stages["descent"]
         f, iterations = config["f"], descent["iterations"]
         rows = sum(len(chain) for chain in descent["chains"])
         clean_neighbours = f * iterations - rows
-        assert clean_neighbours > 0
+        assert clean_neighbours > 0 and certified
         every_slot = f + rows + f * (iterations + 1)
-        assert len(calls) == every_slot - clean_neighbours - f
-        # each check sees a determinant no earlier check saw: every slot's
-        # at iteration 0, then each absorbing slot's new matrix's
-        assert len({id(a) for a in checked}) == len(checked) == f + rows
+        assert len(calls) == every_slot - clean_neighbours - f - 2 * len(certified)
+        # every slot is checked at iteration 0, then each absorbing slot; a
+        # live absorption's determinant is one no earlier check saw (an
+        # empty one keeps det(A), at most at a new precision)
+        assert len(checked) == f + rows
+        assert len({id(a) for a in checked}) >= f + rows - len(certified)
 
     def test_products_per_slot_iteration(self, monkeypatch):
         # A guard on the products `descend` asks for on a golden job: the
-        # first iterate's det(A) per slot (2 pairs), then per computed slot
-        # and iteration inv C on the nonzero entries of C/E^k, W (8), the
-        # absorption's A (I + D1), A D2 and det(I + D1) in one batch (18),
-        # and unit det(I + D1) with det(new A) in another (3).  E^k unit
-        # is a shift, and the height partner is never formed
+        # first iterate's det(A) per slot (2 pairs), then per live step
+        # inv C on the nonzero entries of C/E^k, W (8), the absorption's
+        # A (I + D1), A D2 and det(I + D1) in one batch (18), and
+        # unit det(I + D1) with det(new A) in another (3).  E^k unit is a
+        # shift, the height partner is never formed, and an empty step asks
+        # for no product
         from test_golden import GOLDEN
 
         kf, budget = stage_inputs(GOLDEN["f3-r3-p3-mixed"][0], monkeypatch)
@@ -380,10 +399,12 @@ class TestDescend:
                             lambda sums: pairs.extend(t for s in sums for t in s) or batch(sums))
         monkeypatch.setattr(descent_mod, "_times_partner", lambda c, a, inv: nonzero.append(
             sum(1 for e in _entries(c) if e.c)) or times_partner(c, a, inv))
+        certified = count_certified(monkeypatch)
         cert = descend(prepare(kf, budget), budget)
         rows = sum(len(chain) for chain in cert.chains)
-        assert len(nonzero) == rows == 8 and cert.iterations == 3
-        assert len(pairs) == 2 * kf.f + 29 * rows + sum(nonzero) == 255
+        assert rows == 8 and cert.iterations == 3
+        assert len(nonzero) == rows - len(certified) == 5
+        assert len(pairs) == 2 * kf.f + 29 * len(nonzero) + sum(nonzero) == 158
 
     def test_estimate_iterations_sane(self):
         wd = WeightData((3,), (0,))
@@ -549,6 +570,21 @@ class TestOnePlanPerBatch:
         assert len(calls) == 1
 
 
+def count_certified(monkeypatch):
+    """The list of W that `_certified_empty` returns, one per step it
+    certifies empty, from now on."""
+    certified, certify = [], descent_mod._certified_empty
+
+    def counted(c, a, unit):
+        w = certify(c, a, unit)
+        if w is not None:
+            certified.append(w)
+        return w
+
+    monkeypatch.setattr(descent_mod, "_certified_empty", counted)
+    return certified
+
+
 def first_slot(x):
     return next(i for i, v in enumerate(x.c) if v) // x.ctx.r
 
@@ -633,20 +669,23 @@ class TestRotationPeriod:
 
     @pytest.mark.parametrize("name", ["base-change-2", "I II x 3", "I II I x 2"])
     def test_one_height_partner_per_computed_slot(self, name, monkeypatch):
-        # a live iteration inverts d units on a tuple of period d, and f on
-        # the full loop; every slot of these tuples is live until the end.
-        # Each height partner is the inverse of one unit
+        # a live iteration computes d steps on a tuple of period d, and f
+        # on the full loop; every slot of these tuples is live until the
+        # end.  Each height partner is the inverse of one unit, and every
+        # step that is not certified empty takes one
         kf, budget = stage_inputs(PERIODIC[name], monkeypatch)
         calls, partner = [], descent_mod.s_invert
         monkeypatch.setattr(descent_mod, "s_invert",
                             lambda *args, **kw: calls.append(1) or partner(*args, **kw))
+        certified = count_certified(monkeypatch)
         cert = descend(prepare(kf, budget), budget)
         rows = sum(len(chain) for chain in cert.chains)
-        assert rows == kf.f * cert.iterations
-        assert len(calls) == PERIODS[name] * cert.iterations
+        assert rows == kf.f * cert.iterations and certified
+        assert len(calls) + len(certified) == PERIODS[name] * cert.iterations
         calls.clear()
+        certified.clear()
         cert = descend(prepare(replace(kf, period=kf.f), budget), budget)
-        assert len(calls) == kf.f * cert.iterations == rows
+        assert len(calls) + len(certified) == kf.f * cert.iterations == rows
 
     def test_aperiodic_tuple_runs_every_slot(self, monkeypatch):
         from test_golden import GOLDEN
@@ -656,8 +695,11 @@ class TestRotationPeriod:
         calls, partner = [], descent_mod.s_invert
         monkeypatch.setattr(descent_mod, "s_invert",
                             lambda *args, **kw: calls.append(1) or partner(*args, **kw))
+        certified = count_certified(monkeypatch)
         cert = descend(prepare(kf, budget), budget)
-        assert len(calls) == sum(len(chain) for chain in cert.chains) > cert.iterations
+        rows = sum(len(chain) for chain in cert.chains)
+        assert len(calls) + len(certified) == rows > cert.iterations
+        assert calls and certified
 
     @pytest.mark.parametrize("name", ["base-change-0", "I II x 2", "I II I x 2"])
     def test_no_convergence_message_lists_every_depth(self, name, monkeypatch):
@@ -670,3 +712,164 @@ class TestRotationPeriod:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert f"depths {[budget.c_max * PERIODIC[name]['p']] * kf.f}," in messages[0]
+
+
+def checked_shortcuts(monkeypatch):
+    """The list of W that `_certified_empty` returns, one per step it
+    certifies empty, from now on.  Each such step is also taken the full
+    way (`assert_empty_as_certified`), and each empty absorption too: the
+    products A (I + D1), det(I + D1), unit det(I + D1) and det(new A) must
+    give what `_absorb_nothing` gives, values, d and prec."""
+    certified, certify = [], descent_mod._certified_empty
+    absorb = descent_mod._absorb_nothing
+
+    def checked(c, a, unit):
+        w = certify(c, a, unit)
+        if w is not None:
+            assert_empty_as_certified(w, _times_partner(c, a, s_invert(unit)))
+            certified.append(w)
+        return w
+
+    def absorbed(a, unit, det, factor):
+        got = absorb(a, unit, det, factor)
+        v = s_sums(descent_mod._product_sums(a, (factor,)) + [descent_mod._det_sum(factor)])
+        new_a = descent_mod._as_mats(v[:4])[0]
+        want = (new_a, *s_sums([((unit, v[4]),), descent_mod._det_sum(new_a)]))
+        assert stored_mats([got[0]]) == stored_mats([want[0]])
+        assert [as_stored(x) for x in got[1:]] == [as_stored(x) for x in want[1:]]
+        return got
+
+    monkeypatch.setattr(descent_mod, "_certified_empty", checked)
+    monkeypatch.setattr(descent_mod, "_absorb_nothing", absorbed)
+    return certified
+
+
+def assert_empty_as_certified(w, full):
+    """The full path's W has the (d, prec) of the certified zeros w, and
+    its phi is zero, as stored, like theirs."""
+    for got, want in zip(_entries(w), _entries(full)):
+        assert (got.c, got.d, got.prec) == ((), want.d, want.prec)
+        assert as_stored(s_frobenius(want)) == as_stored(s_frobenius(got))
+
+
+def random_entry(ctx, rng, d_max):
+    """Zero or a random element whose values are multiples of a random
+    power of p, with leading zero slots (mostly few), at a random d and
+    mostly full precision."""
+    prec = rng.choice((ctx.nwork, ctx.nwork, rng.randint(1, ctx.nwork)))
+    d = rng.randint(0, d_max)
+    if rng.random() < 0.3:
+        return SElem(ctx, (), d, prec)
+    q, lo = ctx.ppow(rng.randint(0, prec)), rng.randrange(rng.choice((3, ctx.m)))
+    slots = [(0,) * ctx.r] * lo + [tuple(rng.randrange(ctx.ppow(prec)) * q
+                                         for _ in range(ctx.r))
+                                   for _ in range(rng.randint(1, ctx.m - lo))]
+    return SElem(ctx, slots, d, prec)
+
+
+# the golden jobs that reach the descent
+DESCENDING = sorted(set(GOLDEN) - {"gate-stop", "equal-weights"})
+
+
+@st.composite
+def mixed_tuples(draw):
+    """p in {3, 5, 7}, f = r <= 3, mixed Types (at least one Type I slot),
+    each v(a2) one or two above the gate's bound."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    f = draw(st.integers(1, 3))
+    ks = [draw(st.integers(1, p + 1)) for _ in range(f)]
+    types = [draw(st.sampled_from(["I", "II"])) for _ in range(f)]
+    types[draw(st.integers(0, f - 1))] = "I"
+    budget = compute_budget(WeightData(tuple(ks), (0,) * f), p)
+
+    def unit():
+        rest = [draw(st.integers(0, p ** 2)) for _ in range(f - 1)]
+        return [draw(st.integers(1, p - 1)) + p * draw(st.integers(0, p))] + rest
+
+    params = [{"type": t, "a1": {"coeffs": unit()},
+               "a2": {"coeffs": unit(), "pexp": max(c - 1, budget.c_max - c - 1)
+                      + draw(st.integers(1, 2))}}
+              for t, c in zip(types, budget.c)]
+    return {"p": p, "f": f, "r": f, "weights": [[k, 0] for k in ks], "params": params}
+
+
+class TestCertifiedEmptySteps:
+    """`_certified_empty` is sound, and declining it changes nothing: the
+    full path gives every certified step the same zeros, the products of
+    its absorption give what `_absorb_nothing` gives, and `descend` gives
+    the same certificate."""
+
+    @staticmethod
+    def assert_declining_changes_nothing(config, monkeypatch):
+        kf, budget = stage_inputs(config, monkeypatch)
+        certified = checked_shortcuts(monkeypatch)
+        default = outputs(kf, budget)
+        monkeypatch.setattr(descent_mod, "_certified_empty", lambda c, a, unit: None)
+        assert outputs(kf, budget) == default
+        return certified
+
+    @pytest.mark.parametrize("name", DESCENDING)
+    def test_golden_jobs(self, name, monkeypatch):
+        self.assert_declining_changes_nothing(GOLDEN[name][0], monkeypatch)
+
+    @pytest.mark.parametrize("name", sorted(PERIODIC))
+    def test_periodic_tuples(self, name, monkeypatch):
+        self.assert_declining_changes_nothing(PERIODIC[name], monkeypatch)
+
+    @given(mixed_tuples())
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    def test_mixed_tuples(self, config):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.assert_declining_changes_nothing(config, monkeypatch)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_bound_is_exact_on_one_slot(self, p):
+        # C has one nonzero entry, p^t at slot s, and A = Diag(p^v, 1), so
+        # W_ij = C_il p^(v_l) and phi(W) = p^(t + v_l + g(s)) gamma^s, zero
+        # exactly when the bound holds
+        ctx = PrimeContext(p=p, f=1, n=4, m=20, nwork=9)
+        one, zero = SElem.one(ctx), SElem.zero(ctx)
+        inv = s_invert(one)
+        verdicts = set()
+        for v in (0, 2):
+            a = ((SElem.from_int(ctx, p ** v), zero), (zero, one))
+            for pos in range(4):
+                for s in range(ctx.m):
+                    for t in range(ctx.nwork):
+                        entries = [zero] * 4
+                        entries[pos] = SElem(ctx, [0] * s + [p ** t])
+                        c = ((entries[0], entries[1]), (entries[2], entries[3]))
+                        w = _certified_empty(c, a, one)
+                        full = _times_partner(c, a, inv)
+                        empty = all(not s_frobenius(x).c for x in _entries(full))
+                        assert (w is not None) == empty
+                        verdicts.add(empty)
+                        if empty:
+                            assert_empty_as_certified(w, full)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("p, r", [(3, 1), (3, 2), (5, 1), (7, 2)])
+    def test_certified_steps_are_empty(self, p, r):
+        # random C, A and unit, with entries of random valuation, leading
+        # zero slots and d; C/E^k may carry d up to 2, A up to 1
+        ctx = PrimeContext(p=p, f=r, n=3, m=16, r=r, nwork=10)
+        rng = random.Random(100 * p + r)
+        kinds = [0, 0]
+        for _ in range(300):
+            c = _mat_map(lambda _: random_entry(ctx, rng, 2), ((0, 0), (0, 0)))
+            a = _mat_map(lambda _: random_entry(ctx, rng, 1), ((0, 0), (0, 0)))
+            unit = SElem(ctx, [rng.randrange(1, p)] + [
+                rng.randrange(ctx.ppow(ctx.nwork)) for _ in range(rng.randrange(ctx.m))])
+            w = _certified_empty(c, a, unit)
+            kinds[w is not None] += 1
+            if w is not None:
+                assert_empty_as_certified(w, _times_partner(c, a, s_invert(unit)))
+        assert min(kinds) >= 30
+
+    def test_unit_with_a_denominator_is_declined(self):
+        ctx = PrimeContext(p=5, f=1, n=3, m=12, nwork=8)
+        zero = SElem.zero(ctx)
+        eye = ((SElem.one(ctx), zero), (zero, SElem.one(ctx)))
+        assert _certified_empty(((zero, zero), (zero, zero)), eye, SElem.one(ctx)) is not None
+        assert _certified_empty(((zero, zero), (zero, zero)), eye,
+                                SElem(ctx, (5,), 1, 8)) is None

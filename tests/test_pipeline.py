@@ -903,6 +903,11 @@ SELF_CHECK_BREAKS = [
 ]
 
 
+def corner_gains_e10(m):
+    """m with E^10 added to its upper-right entry."""
+    return ((m[0][0], m[0][1] + e_pow(m[0][1].ctx, 10)), m[1])
+
+
 class TestSelfChecks:
     @pytest.mark.parametrize("module, name, broken, stage, etype", SELF_CHECK_BREAKS)
     def test_failed_check_stops_the_job(self, monkeypatch, module, name, broken,
@@ -915,19 +920,38 @@ class TestSelfChecks:
 
     def test_descended_matrix_off_mod_p_past_the_window_stops(self, monkeypatch):
         # every absorption factor I + D1 gains E^10 in its upper-right
-        # entry.  E^10 lies in p*S_F, so the mod-p stability and det checks
-        # pass; mod p it is u^10, past the window L = 7 that the residues
-        # read, so only the comparison with A0 on every slot sees it
+        # entry, and the certifier declines every step, so that every
+        # absorption takes its products.  E^10 lies in p*S_F, so the mod-p
+        # stability and det checks pass; mod p it is u^10, past the window
+        # L = 7 that the residues read, so only the comparison with A0 on
+        # every slot sees it
         add = crysred.descent.mat_add
 
         def broken(a, b):
             out = add(a, b)
             if all(e == int(i == j) for i, row in enumerate(a) for j, e in enumerate(row)):
-                corner = out[0][1] + e_pow(out[0][1].ctx, 10)
-                out = ((out[0][0], corner), out[1])
+                out = corner_gains_e10(out)
             return out
 
+        monkeypatch.setattr(crysred.descent, "_certified_empty", lambda c, a, unit: None)
         monkeypatch.setattr(crysred.descent, "mat_add", broken)
+        self.assert_stops_past_the_window()
+
+    def test_empty_absorption_off_mod_p_past_the_window_stops(self, monkeypatch):
+        # P5_K4's only step is certified empty; its absorption's new A
+        # gains E^10 in its upper-right entry, which again only the
+        # comparison with A0 sees
+        absorb = crysred.descent._absorb_nothing
+
+        def broken(*args):
+            new_a, unit, det = absorb(*args)
+            return corner_gains_e10(new_a), unit, det
+
+        monkeypatch.setattr(crysred.descent, "_absorb_nothing", broken)
+        self.assert_stops_past_the_window()
+
+    @staticmethod
+    def assert_stops_past_the_window():
         report = run_pipeline(JobConfig.from_dict(P5_K4))
         assert report.result is None
         assert report.error == {"stage": "descend", "type": "SplitFailed",
