@@ -393,7 +393,9 @@ class OFElem:
         return _of_val_raw(self.ctx, self.c, self.prec)
 
     def is_unit(self) -> bool:
-        return self.valuation() == 0
+        # O_F is unramified: a unit is an element nonzero mod p
+        p = self.ctx.p
+        return any([v % p for v in self.c])
 
     def unit_inverse(self) -> "OFElem":
         """Inverse of a unit, exact at this element's precision."""

@@ -15,7 +15,6 @@ prepared part mod p, packaged with the full iteration log.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import List, Optional, Tuple
 
 from .arith import _entries, _mat_map, mat_add, mat_sub
@@ -30,8 +29,8 @@ from .errors import (
 )
 from .kisin import KisinFrobenius
 from .lattices import WeightData
-from .sring import (SElem, _first_nonzero, _frobenius_scales, _sum_shape, fil_membership,
-                    in_p_pow_s, s_frobenius, s_invert, s_sums)
+from .sring import (SElem, _first_nonzero, _frobenius_scales, _least_valuation, _sum_shape,
+                    fil_membership, in_p_pow_s, s_frobenius, s_invert, s_sums)
 
 
 @dataclass(frozen=True)
@@ -321,13 +320,13 @@ def _certified_empty(c: Mat2, a: Mat2, unit: SElem) -> Optional[Mat2]:
     w = [SElem._reduced(ctx, (), *_sum_shape(t)) for t in _product_sums(x, (adj,))]
     top, gains = ctx.m - ctx.m // p, _frobenius_scales(ctx)
     for l in (0, 1):
-        col = [(i, e, _least_valuation(ctx, e.c), _first_nonzero(e.c) // r)
+        col = [(i, e, _least_valuation(p, e.c), _first_nonzero(e.c) // r)
                for i, e in enumerate((c[0][l], c[1][l])) if e.c]
         for j in (0, 1):
             y = adj[l][j]
             if not col or not y.c:
                 continue
-            v, j0 = _least_valuation(ctx, y.c), _first_nonzero(y.c) // r
+            v, j0 = _least_valuation(p, y.c), _first_nonzero(y.c) // r
             for i, e, ve, lo in col:
                 n = min(w[2 * i + j].prec, top) - v
                 # g(s + j0) >= n from slot s = n + floor((n-1)/(p-1)) - j0 on
@@ -338,15 +337,6 @@ def _certified_empty(c: Mat2, a: Mat2, unit: SElem) -> Optional[Mat2]:
                                                       gains[(lo + j0) * r:])]):
                         return None
     return _as_mats(w)[0]
-
-
-def _least_valuation(ctx, values) -> int:
-    """The least p-adic valuation of nonzero `values`."""
-    g, v = gcd(*values), 0
-    while g % ctx.p == 0:
-        g //= ctx.p
-        v += 1
-    return v
 
 
 def _absorb_nothing(a: Mat2, unit: SElem, det: SElem, factor: Mat2):

@@ -75,12 +75,12 @@ class KisinFrobenius:
         return {
             "b": self.b,
             "heights": self.heights.serial(),
-            "tags": [t.serial() for t in self.tags],
+            "tags": list(map(TypeTag.serial, self.tags)),
             "g": [g.serial() for g, _ in self.expo],
             "h": [h.serial() for _, h in self.expo],
-            "e": [e.serial() for e in self.e],
+            "e": list(map(PhiExpPoly.serial, self.e)),
             "det_signs": [t.det_sign for t in self.tags],
-            "anchors": [list(a) for a in self.anchors],
+            "anchors": list(map(list, self.anchors)),
             "lambda_truncation_index": self.lambda_nstar,
         }
 

@@ -120,26 +120,6 @@ class JobConfig:
                     raise ConfigError(f"params[{i}] needs a1 and a2")
             else:
                 raise ConfigError(f"params[{i}] needs 'type' or 'matrix'")
-        # every coordinate is parsed once, here; the config stage raises on
-        # one that does not parse
-        _ = self.coords
-
-    @functools.cached_property
-    def coords(self) -> list:
-        """Per params entry, its coordinates (a1 and a2, or the matrix's
-        four, row by row) as `_parsed_coord` reads them, and None for one
-        that it rejects."""
-        r = self.r or self.f
-
-        def parsed(spec):
-            try:
-                return _parsed_coord(spec, r)
-            except ConfigError:
-                return None
-
-        return [[parsed(v) for v in (entry["matrix"][0] + entry["matrix"][1]
-                                     if "matrix" in entry else (entry["a1"], entry["a2"]))]
-                for entry in self.params]
 
     @functools.cached_property
     def heights(self) -> WeightData:
@@ -155,7 +135,7 @@ class JobConfig:
     def serial(self):
         return {
             "p": self.p, "f": self.f, "r": self.r,
-            "weights": [list(w) for w in self.weights],
+            "weights": list(map(list, self.weights)),
             "params": self.params,
             "precision": list(self.precision) if self.precision else None,
         }
@@ -300,7 +280,7 @@ def preflight_precision(cfg: JobConfig) -> dict:
 
 
 def _coord_valuation(p: int, spec):
-    """v_p of a coordinate as `_build_lattice` reads it: inf for 0, and for a
+    """v_p of a coordinate as `_coord_to_of` reads it: inf for 0, and for a
     spec it rejects (the config stage stops that job)."""
     if _is_int(spec):
         coeffs, pexp = [spec], 0
@@ -353,23 +333,27 @@ def _reducibility_need(cfg: JobConfig, weights) -> int:
         n += 1
 
 
-def _parsed_coord(spec, r: int) -> tuple:
-    """(coeffs, pexp) of a coordinate: an int n is ((n,), 0), and
-    {coeffs: [...], pexp: t}, with at most r coeffs, means p^t * (polynomial
-    in the residue generator).  ConfigError on anything else."""
-    if _is_int(spec):
-        return (spec,), 0
+_COORD_KEYS = frozenset(("coeffs", "pexp"))
+
+
+def _coord_to_of(ctx: PrimeContext, spec) -> OFElem:
+    """Parse a coordinate: an int, or {coeffs: [...], pexp: t} meaning
+    p^t * (polynomial in the residue generator)."""
     if isinstance(spec, dict):
-        _reject_unknown(spec, {"coeffs", "pexp"}, "coordinate: ")
+        _reject_unknown(spec, _COORD_KEYS, "coordinate: ")
         coeffs = spec.get("coeffs")
         pexp = spec.get("pexp", 0)
         if not _is_int_seq(coeffs):
             raise ConfigError("coordinate coeffs must be a list of integers")
         if not _is_int(pexp) or pexp < 0:
             raise ConfigError(f"coordinate pexp must be an integer >= 0, got {pexp!r}")
-        if len(coeffs) > r:
-            raise ConfigError(f"coordinate has {len(coeffs)} coeffs but r = {r}")
-        return coeffs, pexp
+        if len(coeffs) > ctx.r:
+            raise ConfigError(f"coordinate has {len(coeffs)} coeffs but r = {ctx.r}")
+        # p^pexp is 0 mod p^nwork once pexp >= nwork
+        t = ctx.ppow(min(pexp, ctx.nwork))
+        return OFElem(ctx, [v * t for v in coeffs])
+    if _is_int(spec):
+        return OFElem(ctx, (spec,))
     raise ConfigError(f"cannot parse coordinate {spec!r}")
 
 
@@ -387,9 +371,10 @@ class _LastContext:
         if key == self.key:
             self.hits += 1
         else:
-            ctx, hits = PrimeContext(*key), self.hits
-            self.cache_clear()
-            self.key, self.ctx, self.hits = key, ctx, hits
+            ctx, old = PrimeContext(*key), self.ctx
+            if old is not None:
+                old._caches.clear()
+            self.key, self.ctx = key, ctx
         return self.ctx
 
     def cache_clear(self):
@@ -414,28 +399,22 @@ def _build_lattice(ctx, cfg) -> tuple:
     it."""
     mats, tags = [], []
     zero = one = None
-    for entry, parsed in zip(cfg.params, cfg.coords):
-        explicit = "matrix" in entry
-        specs = (entry["matrix"][0] + entry["matrix"][1] if explicit
-                 else (entry["a1"], entry["a2"]))
-        m = []
-        for spec, q in zip(specs, parsed):
-            coeffs, pexp = q or _parsed_coord(spec, ctx.r)
-            # p^pexp is 0 mod p^nwork once pexp >= nwork
-            t = ctx.ppow(min(pexp, ctx.nwork))
-            m.append(OFElem(ctx, [v * t for v in coeffs]))
-        if explicit:
+    for entry in cfg.params:
+        if "matrix" in entry:
             tags = None
-            mats.append(((m[0], m[1]), (m[2], m[3])))
+            (a, b), (c, d) = entry["matrix"]
+            mats.append(((_coord_to_of(ctx, a), _coord_to_of(ctx, b)),
+                         (_coord_to_of(ctx, c), _coord_to_of(ctx, d))))
             continue
-        a1, a2 = m
+        a1 = _coord_to_of(ctx, entry["a1"])
+        a2 = _coord_to_of(ctx, entry["a2"])
         if not a1.is_unit():
             raise ConfigError("a1 must be a unit of O_F")
         # [[a1, 0], [a2, 1]] with a unit a2 is Type I, not II
         if entry["type"] == "II" and a2.is_unit():
             raise ConfigError("a Type II shorthand's a2 must not be a unit of O_F")
         if zero is None:
-            zero, one = OFElem.zero(ctx), OFElem.one(ctx)
+            zero, one = OFElem(ctx, ()), OFElem(ctx, (1,))
         tag = _TYPE_I if entry["type"] == "I" else TypeTag("II", alpha=one)
         mats.append(tag.form(a1, a2, zero, one))
         if tags is not None:
@@ -544,10 +523,11 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
     A job whose context equals the previous job's reuses that context and
     the work cached on it; the report is the same in any job order.
 
-    `stage` names the stage that runs, which a CrysredError stops the job
-    in.  A stage's time in `report.timings` runs from its start to the
-    next stage's start (or the job's end), so it includes the report
-    entries written after it; the preflight's includes the context.
+    `stage` names the running stage, the one a CrysredError stops the job
+    in.  Each `laps[stage], stage, start = ...` line ends its lap and
+    starts the next stage, so a stage's time in `report.timings` runs from
+    its start to the next one's (or the job's end): it includes the report
+    entries written after it, and the preflight's includes the context.
     """
     report = RunReport(config=cfg.serial())
     laps = report.timings
@@ -562,25 +542,22 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
                              pf["nwork"])
         report.context = ctx.fingerprint()
 
-        laps[stage] = (now := perf_counter()) - start
-        stage, start = "config", now
+        laps[stage], stage, start = (now := perf_counter()) - start, "config", now
         lattice, tags = _build_lattice(ctx, cfg)
         normalized = lattice
         if tags is None:
-            laps[stage] = (now := perf_counter()) - start
-            stage, start = "normalize", now
+            laps[stage], stage, start = (now := perf_counter()) - start, "normalize", now
             tags = classify_lattice(lattice, weights)
             if any(t.kind == "I" for t in tags):
                 normalized, witness, tags = parabolic_normalize(lattice, tags, weights)
                 verify_parabolic_equiv(lattice, normalized, witness, weights)
-        report.stages["normalize"] = {"tags": [t.serial() for t in tags]}
+        report.stages["normalize"] = {"tags": list(map(TypeTag.serial, tags))}
         report.stages["lattice"] = {
-            "normalized": [[[e.serial() for e in row] for row in m]
-                           for m in normalized],
+            "normalized": [[[a.serial(), b.serial()], [c.serial(), d.serial()]]
+                           for (a, b), (c, d) in normalized],
         }
 
-        laps[stage] = (now := perf_counter()) - start
-        stage, start = "reducibility", now
+        laps[stage], stage, start = (now := perf_counter()) - start, "reducibility", now
         verdict = reducibility_detect(normalized, tags, weights)
         verdict_serial = verdict.serial()
         report.stages["reducibility"] = dict(
@@ -590,52 +567,42 @@ def run_pipeline(cfg: JobConfig) -> RunReport:
         if verdict.kind == "ReducibleAllII":
             raise ReducibleStop(verdict)
 
-        laps[stage] = (now := perf_counter()) - start
-        stage, start = "slopes", now
+        laps[stage], stage, start = (now := perf_counter()) - start, "slopes", now
         _, slopes = frobenius_f_product(normalized, weights)
         report.stages["slopes"] = {
             "newton_slopes": ("undecided at precision" if slopes is None
-                              else [str(s) for s in slopes]),
+                              else list(map(str, slopes))),
             "det_valuation": sum(weights.k),
         }
 
-        laps[stage] = (now := perf_counter()) - start
-        stage, start = "gate", now
+        laps[stage], stage, start = (now := perf_counter()) - start, "gate", now
         report.stages["budget"] = budget.serial()
-        a2_params = tuple(t.params(m)[1] for m, t in zip(normalized, tags))
+        a2_params = tuple([t.params(m)[1] for m, t in zip(normalized, tags)])
         gate = valuation_gate(a2_params, weights, budget)
         report.stages["gate"] = gate.serial()
 
-        laps[stage] = (now := perf_counter()) - start
-        stage, start = "build", now
+        laps[stage], stage, start = (now := perf_counter()) - start, "build", now
         raw, period = build_kisin_frobenius(normalized, tags, weights)
-        laps[stage] = (now := perf_counter()) - start
-        stage, start = "det_normalize", now
+        laps[stage], stage, start = (now := perf_counter()) - start, "det_normalize", now
         kf = det_normalize(raw, period, tags, weights, normalized)
         report.stages["kisin"] = kf.serial()
 
-        laps[stage] = (now := perf_counter()) - start
-        stage, start = "prepare", now
+        laps[stage], stage, start = (now := perf_counter()) - start, "prepare", now
         split = prepare(kf, budget)
         report.stages["prepare"] = {"x_denominators": [x.d for x in split.x1]}
-        laps[stage] = (now := perf_counter()) - start
-        stage, start = "assumptions", now
+        laps[stage], stage, start = (now := perf_counter()) - start, "assumptions", now
         check_descent_assumptions(split, budget)
 
-        laps[stage] = (now := perf_counter()) - start
-        stage, start = "descend", now
+        laps[stage], stage, start = (now := perf_counter()) - start, "descend", now
         cert = descend(split, budget)
         report.stages["descent"] = cert.serial()
 
-        laps[stage] = (now := perf_counter()) - start
-        stage, start = "reduce", now
+        laps[stage], stage, start = (now := perf_counter()) - start, "reduce", now
         reduced = reduce_mod_varpi(cert)
-        laps[stage] = (now := perf_counter()) - start
-        stage, start = "extract", now
+        laps[stage], stage, start = (now := perf_counter()) - start, "extract", now
         mu = extract_reduction_data(reduced)
         report.stages["reduction_data"] = mu.serial()
-        laps[stage] = (now := perf_counter()) - start
-        stage, start = "characterize", now
+        laps[stage], stage, start = (now := perf_counter()) - start, "characterize", now
         char = characterize(mu, cfg.p, weights.shifts)
         report.stages["character"] = char.serial()
         report.result = dict(report.stages["character"], reducibility=verdict_serial)
@@ -657,9 +624,9 @@ class ReducibleStop(CrysredError):
         self.verdict = verdict
 
 
-def _reject_unknown(table: dict, allowed: set, where: str = ""):
-    unknown = set(table) - allowed
-    if unknown:
+def _reject_unknown(table: dict, allowed, where: str = ""):
+    if not table.keys() <= allowed:
+        unknown = set(table) - allowed
         raise ConfigError(f"{where}unknown config keys: {sorted(unknown)}")
 
 
@@ -669,7 +636,7 @@ def _is_int(v) -> bool:
 
 
 def _is_int_seq(xs) -> bool:
-    return isinstance(xs, (list, tuple)) and all(_is_int(v) for v in xs)
+    return isinstance(xs, (list, tuple)) and all(map(_is_int, xs))
 
 
 EXIT_OK = 0

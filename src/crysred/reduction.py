@@ -38,7 +38,7 @@ class ReductionData:
     def serial(self):
         return {
             "mu": [{"shape": s, "lambda": list(lam)} for s, lam in self.mu],
-            "units": [[list(u) for u in us] for us in self.units],
+            "units": [list(map(list, us)) for us in self.units],
         }
 
 

@@ -259,10 +259,7 @@ class SElem:
         and prec <= self.prec + d - self.d: the numerator times p^(d - d_self)
         (`_lift_d`), reduced mod p^prec."""
         x = self._lift_d(d)
-        if prec == x.prec:
-            return x
-        mod = self.ctx.ppow(prec)
-        return SElem._reduced(self.ctx, _trimmed([v % mod for v in x.c], self.ctx.r), d, prec)
+        return x if prec == x.prec else SElem._flat(self.ctx, x.c, d, prec)
 
     def _plus(self, other, sign):
         """self + sign * other, sign = 1 or -1."""
@@ -633,14 +630,21 @@ def _rescaled(ctx: PrimeContext, c, lo: int, hi: int) -> tuple:
     vals = [v * u for v, u in zip(c[lo * r:end], _scales(ctx, -t)[lo * r:end])]
     if r == 1:
         return vals, ctx.dmax - t
-    g, e = gcd(*vals), 0
-    while g % p == 0:
-        g //= p
-        e += 1
+    e = _least_valuation(p, vals)
     if e:
         q = ctx.ppow(e)
         vals = [v // q for v in vals]
     return vals, ctx.dmax - t + e
+
+
+def _least_valuation(p: int, values) -> int:
+    """The least p-adic valuation of `values`, not all zero: that of their
+    gcd."""
+    g, v = gcd(*values), 0
+    while g % p == 0:
+        g //= p
+        v += 1
+    return v
 
 
 def _descaled(ctx: PrimeContext, raw, base: int, lo: int, prec: int) -> list:
